@@ -6,7 +6,9 @@ per-destination send chunks while it is still cache-resident; Unpack
 writes a ``Nx x Uy x Uz`` block into the output layout and FFTx consumes
 it likewise.  Two things live here:
 
-* the *real* data movement (numpy) used in real-payload mode, and
+* the *real* data movement (numpy) used in real-payload mode, which
+  works on whole tiles: the FFT kernels are bitwise batch-independent,
+  so blocking could reorder the work but never change the data, and
 * closed-form cost functions charging the machine model — grouped by
   sub-tile size class so simulator cost is O(1) per tile, not O(#sub-
   tiles), which keeps huge parameter sweeps cheap.
@@ -22,7 +24,6 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..machine.cpu import CpuModel
-from ..util.intmath import iter_blocks
 
 ITEMSIZE = 16  # complex128
 
@@ -110,80 +111,29 @@ def ffty_pack_real(
     ``(tz, nxl, ny)`` for ``"zxy"`` or ``(nxl, tz, ny)`` for ``"xzy"``.
     ``ffty`` is a callable transforming the last axis.
 
-    The ``ffty`` call pattern (one call per ``px`` x ``pz`` sub-tile) is
-    kept exactly as in the blocked reference — the FFT kernels are not
-    bitwise batch-independent, so changing the call shapes would move
-    results by ULPs.  What is vectorized is the scatter: blocks land in
-    a whole-tile staging buffer (one write per block instead of one per
-    block per destination), and each destination's chunk is then carved
-    out with a single whole-tile strided copy.  Element-identity with
-    the blocked reference is pinned by tests/core/test_packing_vector.py.
+    The ``px`` x ``pz`` sub-tile walk is a cost-model concern
+    (:func:`pack_cost`).  The FFT kernels are bitwise batch-independent,
+    so the mover transforms the whole tile with one ``ffty`` call and
+    carves each destination's chunk out with one strided copy; the
+    result is element-identical to the sub-tile walk (pinned by
+    tests/core/test_packing_vector.py).
     """
-    if layout == "zxy":
-        tz, nxl, ny = tile.shape
-    elif layout == "xzy":
-        nxl, tz, ny = tile.shape
-    else:
+    del px, pz  # blocking factors shape the cost model, not the data
+    if layout not in ("zxy", "xzy"):
         raise ParameterError(f"unknown tile layout {layout!r}")
-    if sum(y_counts) != ny:
+    if sum(y_counts) != tile.shape[-1]:
         raise ParameterError("y_counts must sum to the tile's y extent")
-    staging = np.empty((tz, nxl, ny), dtype=np.complex128)
-    for x0, x1 in iter_blocks(nxl, px):
-        for z0, z1 in iter_blocks(tz, pz):
-            if layout == "zxy":
-                staging[z0:z1, x0:x1, :] = ffty(tile[z0:z1, x0:x1, :])
-            else:
-                # x-z-y tile: bring the block to (z, x, y) chunk order.
-                staging[z0:z1, x0:x1, :] = ffty(
-                    tile[x0:x1, z0:z1, :]
-                ).transpose(1, 0, 2)
+    zxy = ffty(tile)
+    if layout == "xzy":
+        zxy = zxy.transpose(1, 0, 2)  # x-z-y tile: bring it to chunk order
+    tz, nxl, _ = zxy.shape
     chunks = []
     ys = 0
     for nyl_d in y_counts:
         chunk = np.empty((tz, nxl, nyl_d), dtype=np.complex128)
-        chunk[...] = staging[:, :, ys : ys + nyl_d]
+        chunk[...] = zxy[:, :, ys : ys + nyl_d]
         chunks.append(chunk)
         ys += nyl_d
-    return chunks
-
-
-def ffty_pack_real_subtiled(
-    tile: np.ndarray,
-    ffty,
-    y_counts: list[int],
-    px: int,
-    pz: int,
-    layout: str,
-) -> list[np.ndarray]:
-    """Blocked reference implementation of :func:`ffty_pack_real`.
-
-    Walks ``px`` x ``pz`` sub-tiles the way Algorithm 2 does on real
-    hardware; kept as the oracle the vectorized mover is compared
-    against (and as executable documentation of the loop structure the
-    cost model charges).
-    """
-    if layout == "zxy":
-        tz, nxl, ny = tile.shape
-    elif layout == "xzy":
-        nxl, tz, ny = tile.shape
-    else:
-        raise ParameterError(f"unknown tile layout {layout!r}")
-    if sum(y_counts) != ny:
-        raise ParameterError("y_counts must sum to the tile's y extent")
-    chunks = [
-        np.empty((tz, nxl, nyl_d), dtype=np.complex128) for nyl_d in y_counts
-    ]
-    y_starts = np.concatenate([[0], np.cumsum(y_counts)])
-    for x0, x1 in iter_blocks(nxl, px):
-        for z0, z1 in iter_blocks(tz, pz):
-            if layout == "zxy":
-                block = ffty(tile[z0:z1, x0:x1, :])
-            else:
-                # x-z-y tile: bring the block to (z, x, y) chunk order.
-                block = ffty(tile[x0:x1, z0:z1, :]).transpose(1, 0, 2)
-            for d, nyl_d in enumerate(y_counts):
-                ys = y_starts[d]
-                chunks[d][z0:z1, x0:x1, :] = block[:, :, ys : ys + nyl_d]
     return chunks
 
 
@@ -226,37 +176,4 @@ def unpack_fftx_real(
         else:
             out[:, :, xs : xs + nxl_s] = blk.transpose(2, 0, 1)
         xs += nxl_s
-    return fftx(out)
-
-
-def unpack_fftx_real_subtiled(
-    chunks: list[np.ndarray],
-    fftx,
-    x_counts: list[int],
-    nyl: int,
-    uy: int,
-    uz: int,
-    layout: str,
-) -> np.ndarray:
-    """Blocked reference implementation of :func:`unpack_fftx_real`
-    (the Algorithm 3 sub-tile walk; oracle for the vectorized mover)."""
-    nx = sum(x_counts)
-    tz = chunks[0].shape[0]
-    if layout == "zyx":
-        out = np.empty((tz, nyl, nx), dtype=np.complex128)
-    elif layout == "yzx":
-        out = np.empty((nyl, tz, nx), dtype=np.complex128)
-    else:
-        raise ParameterError(f"unknown output layout {layout!r}")
-    x_starts = np.concatenate([[0], np.cumsum(x_counts)])
-    for y0, y1 in iter_blocks(nyl, uy):
-        for z0, z1 in iter_blocks(tz, uz):
-            for s, nxl_s in enumerate(x_counts):
-                xs = x_starts[s]
-                # chunk block (z, x, y) -> output order.
-                blk = chunks[s][z0:z1, :, y0:y1]
-                if layout == "zyx":
-                    out[z0:z1, y0:y1, xs : xs + nxl_s] = blk.transpose(0, 2, 1)
-                else:
-                    out[y0:y1, z0:z1, xs : xs + nxl_s] = blk.transpose(2, 0, 1)
     return fftx(out)

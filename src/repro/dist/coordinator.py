@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -50,6 +50,7 @@ from ..fft.wisdom import GLOBAL_WISDOM
 from ..obs.export import export_fleet_chrome
 from ..obs.registry import current_registry
 from ..obs.tracer import current_tracer
+from ..util.httpd import ServiceHTTPServer
 from .config import DistConfig
 from .fleet import launch_workers
 from .protocol import PROTOCOL_VERSION, decode, encode
@@ -140,7 +141,7 @@ class Coordinator:
         self._t0 = config.clock()
         #: worker host id -> shipped span records (the fleet trace input)
         self._fleet_spans: dict[str, list[dict]] = {}
-        self._server: ThreadingHTTPServer | None = None
+        self._server: ServiceHTTPServer | None = None
         self._thread: threading.Thread | None = None
         for name, help_ in (
             ("dist_leases_total", "Leases granted to workers."),
@@ -170,7 +171,7 @@ class Coordinator:
     def start(self) -> str:
         """Bind and start serving in a daemon thread; returns the URL."""
         handler = _make_handler(self)
-        self._server = ThreadingHTTPServer(
+        self._server = ServiceHTTPServer(
             (self.config.host, self.config.port), handler
         )
         self._thread = threading.Thread(

@@ -4,6 +4,9 @@ These are the "codelets" at the bottom of the mixed-radix recursion: for
 small prime sizes the transform is computed as a matrix product against a
 precomputed DFT matrix, which is both exact and fast in NumPy for the
 sizes (2, 3, 5, 7, ...) that appear as radices.
+
+Every product goes through :func:`rows_matmul`, which keeps a row's
+result bitwise independent of how many rows share the call.
 """
 
 from __future__ import annotations
@@ -37,13 +40,27 @@ def dft_matrix(n: int, sign: int) -> np.ndarray:
     return w
 
 
+def rows_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for a ``(B, n)`` row batch, bitwise independent of ``B``.
+
+    NumPy hands a one-row product to BLAS gemv and a multi-row one to
+    gemm, and the two round differently.  A lone row is paired with a
+    copy of itself so that every batch size takes the gemm path.
+    """
+    if x.shape[0] == 1:
+        return (np.concatenate((x, x)) @ w)[:1]
+    return x @ w
+
+
 def direct_dft(x: np.ndarray, sign: int = FORWARD) -> np.ndarray:
     """Direct dense DFT along the last axis (any size, O(n^2)).
 
-    Used as the recursion base case and as an oracle in tests.
+    Used as the dense kernel and as an oracle in tests.
     """
+    x = np.asarray(x, dtype=np.complex128)
     n = x.shape[-1]
-    return x @ dft_matrix(n, sign).T
+    out = rows_matmul(x.reshape(-1, n), dft_matrix(n, sign).T)
+    return out.reshape(x.shape)
 
 
 @functools.lru_cache(maxsize=None)

@@ -39,7 +39,7 @@ import numpy as np
 from ..errors import PlanError
 from ..util.intmath import prime_factors
 from .bluestein import BluesteinPlan
-from .dftmat import BACKWARD, DIRECT_MAX, FORWARD, dft_matrix
+from .dftmat import BACKWARD, DIRECT_MAX, FORWARD, direct_dft
 from .stockham import POLICIES, StagePlan
 from .wisdom import GLOBAL_WISDOM, WisdomStore
 
@@ -139,7 +139,7 @@ class _Direct:
 
     def execute(self, x: np.ndarray) -> np.ndarray:
         """Dense DFT of the last axis (direct O(n^2) product)."""
-        return x @ dft_matrix(self.n, self.sign).T
+        return direct_dft(x, self.sign)
 
     @property
     def flop_estimate(self) -> float:
@@ -261,11 +261,14 @@ class Plan1D:
             raise PlanError(
                 f"plan is for size {self.n}, axis {axis} has length {x.shape[axis]}"
             )
-        moved = np.moveaxis(x, axis, -1)
+        # The pipelines transform the last axis; skip the two moveaxis
+        # round trips, which cost more than a small kernel call.
+        last = axis == -1 or axis == x.ndim - 1
+        moved = x if last else np.moveaxis(x, axis, -1)
         out = self._kernel.execute(np.ascontiguousarray(moved, dtype=np.complex128))
         if normalize:
             out = out / self.n
-        return np.moveaxis(out, -1, axis)
+        return out if last else np.moveaxis(out, -1, axis)
 
     @property
     def flop_estimate(self) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import PlanError
 from ..util.intmath import prime_factors
-from .dftmat import DIRECT_MAX, FORWARD, dft_matrix, twiddles
+from .dftmat import DIRECT_MAX, FORWARD, dft_matrix, rows_matmul, twiddles
 
 #: Factorization policies understood by :func:`radix_path`.
 POLICIES = ("small-first", "large-first", "radix4", "radix8")
@@ -125,7 +125,7 @@ class StagePlan:
         if depth == len(self.stages):
             if self.base is None:
                 return x
-            return x @ self.base
+            return rows_matmul(x, self.base)
         st = self.stages[depth]
         b = x.shape[0]
         # Decimate in time: row s of the (r, m) view is x[s::r].

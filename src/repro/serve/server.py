@@ -54,7 +54,7 @@ import threading
 import time
 import warnings
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from typing import Any
 
@@ -65,6 +65,7 @@ from ..errors import FaultSpecError
 from ..faults import injected_faults, parse_faults
 from ..machine.platforms import get_platform
 from ..obs.registry import current_registry, scoped_registry
+from ..util.httpd import ServiceHTTPServer
 from .config import ServeConfig
 from .jobs import DONE, FAILED, JobManager, JobsDraining, PlanJob
 from .journal import INTERRUPTED, JobJournal
@@ -246,7 +247,7 @@ class PlanServer:
         self._draining = False
         #: jobs replayed from the journal by the last :meth:`start`
         self.recovered_jobs = 0
-        self._server: ThreadingHTTPServer | None = None
+        self._server: ServiceHTTPServer | None = None
         self._thread: threading.Thread | None = None
         for name, help_ in (
             ("serve_plan_hits_total",
@@ -278,7 +279,7 @@ class PlanServer:
         """Recover journaled jobs, then bind and serve; returns the URL."""
         self.recovered_jobs = self.recover()
         handler = _make_handler(self)
-        self._server = ThreadingHTTPServer(
+        self._server = ServiceHTTPServer(
             (self.config.host, self.config.port), handler
         )
         self._thread = threading.Thread(

@@ -1,0 +1,190 @@
+"""Golden fixture for the real-payload 3-D FFT pipeline.
+
+Each case runs :class:`repro.core.plan.ParallelFFT3D` on a seeded
+complex array and records what must not drift when the data path is
+reworked:
+
+* ``clocks`` — every rank's final virtual clock,
+* ``by_label`` — per-step virtual seconds summed over ranks in rank
+  order, and ``by_label_sha`` — a digest of every rank's own per-step
+  seconds (``float.hex``), which pins them bit for bit,
+* ``sched`` — the engine's scheduler counters,
+* ``spectrum_sha`` — SHA-256 of the gathered spectrum's bytes, and
+* ``err`` — its max abs error against ``numpy.fft.fftn`` (information
+  only; the test holds spectra to the digest, not to a tolerance).
+
+The cases are the ``apps`` benchmark cell (16^3 on 4 ranks with its
+tuned parameters, run forward and, through the conjugation identity,
+backward) and a composite-size matrix over NEW, TH and FFTW, both tile
+layouts (``xzy`` when Nx == Ny, ``zxy`` otherwise) and p from 1 to 8.
+
+The committed ``payload_golden.json`` was captured before the FFT
+kernels became bitwise batch-independent.  Before that change a
+one-row dense product went through BLAS gemv rather than gemm and
+rounded differently, so the cases that had such a product carry a
+second digest, ``spectrum_sha_after`` (with ``err_after``), taken with
+the batch-independent kernels.  All their other fields are unchanged.
+
+Regenerate with ``PYTHONPATH=src python -m tests.core.payload_golden``;
+``--annotate`` instead keeps the committed capture and adds the
+``*_after`` fields to the cases whose spectra differ from it.
+``tests/core/test_payload_golden.py`` compares the live pipeline with
+the committed file.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import zlib
+from pathlib import Path
+
+import numpy as np
+
+from repro.core.decompose import gather_spectrum, scatter_slabs
+from repro.core.params import ProblemShape, TuningParams
+from repro.core.plan import ParallelFFT3D
+from repro.core.variants import baseline_params, get_variant
+from repro.machine.platforms import get_platform
+from repro.simmpi.spmd import run_spmd
+
+FIXTURE = Path(__file__).with_name("payload_golden.json")
+PLATFORM = "UMD-Cluster"
+
+#: the tuned parameters the ``apps`` benchmark resolves for its 16^3 cell
+APPS_PARAMS = (4, 2, 4, 1, 4, 1, 2, 2, 2, 2)
+
+#: (nx, ny, nz, p) composite cells; prime and <= 8 y-extents included
+CELLS = (
+    (12, 12, 10, 2), (12, 12, 10, 4),
+    (12, 10, 9, 3), (12, 10, 9, 8),
+    (15, 15, 6, 3), (15, 15, 6, 8),
+    (10, 7, 12, 2), (10, 7, 12, 6),
+    (8, 8, 8, 4), (8, 8, 8, 8),
+    (18, 12, 15, 2), (18, 12, 15, 6),
+    (9, 6, 14, 3), (9, 6, 14, 5),
+)
+VARIANTS = ("NEW", "TH", "FFTW")
+#: explicit tilings besides the variant's baseline; single-row FFTy
+#: blocks (Px = Pz = 1) are the case the kernels must batch safely
+TILINGS = (
+    (1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+    (2, 2, 2, 2, 2, 2, 1, 1, 1, 1),
+    (3, 3, 2, 3, 1, 2, 4, 0, 2, 1),
+)
+
+
+def cases() -> list[dict]:
+    """The fixture's case list, in a fixed order."""
+    out = [
+        {"id": "apps-16x16x16-p4-NEW", "variant": "NEW",
+         "shape": [16, 16, 16], "p": 4, "params": list(APPS_PARAMS),
+         "direction": "forward"},
+        {"id": "apps-16x16x16-p4-NEW-inverse", "variant": "NEW",
+         "shape": [16, 16, 16], "p": 4, "params": list(APPS_PARAMS),
+         "direction": "inverse"},
+    ]
+    for nx, ny, nz, p in CELLS:
+        shape = ProblemShape(nx, ny, nz, p)
+        for variant in VARIANTS:
+            spec = get_variant(variant)
+            for k, values in enumerate((None,) + TILINGS):
+                if values is not None:
+                    eff = spec.effective_params(TuningParams(*values), shape)
+                    if spec.overlap and not eff.is_feasible(shape):
+                        continue
+                out.append({
+                    "id": f"{nx}x{ny}x{nz}-p{p}-{variant}-t{k}",
+                    "variant": variant, "shape": [nx, ny, nz], "p": p,
+                    "params": None if values is None else list(values),
+                    "direction": "forward",
+                })
+    # p = 1 with a prime y-extent: every sub-tile is one row when Px = Pz = 1
+    for values in ((2, 1, 1, 1, 1, 1, 1, 1, 1, 1), (2, 1, 2, 2, 2, 2, 1, 1, 1, 1)):
+        out.append({
+            "id": f"13x13x13-p1-NEW-{values[2]}{values[3]}",
+            "variant": "NEW", "shape": [13, 13, 13], "p": 1,
+            "params": list(values), "direction": "forward",
+        })
+    return out
+
+
+def _input(case: dict) -> np.ndarray:
+    rng = np.random.default_rng(zlib.crc32(case["id"].encode()))
+    shape = tuple(case["shape"])
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _program(ctx, shape, params, spec, blocks):
+    plan = ParallelFFT3D(ctx, shape, params, spec)
+    out = yield from plan.steps(blocks[ctx.rank])
+    return out, plan.output_layout, ctx.now
+
+
+def run(case: dict) -> dict:
+    """Run one case and return its recorded quantities."""
+    nx, ny, nz = case["shape"]
+    shape = ProblemShape(nx, ny, nz, case["p"])
+    spec = get_variant(case["variant"])
+    params = (baseline_params(spec, shape) if case["params"] is None
+              else TuningParams(*case["params"]))
+    arr = _input(case)
+    src = arr if case["direction"] == "forward" else np.conj(arr)
+    sim = run_spmd(shape.p, _program, get_platform(PLATFORM),
+                   shape, params, spec, scatter_slabs(src, shape.p))
+    spectrum = gather_spectrum([r[0] for r in sim.results], (nx, ny, nz),
+                               sim.results[0][1])
+    if case["direction"] == "forward":
+        oracle = np.fft.fftn(arr)
+    else:
+        spectrum = np.conj(spectrum) / arr.size
+        oracle = np.fft.ifftn(arr)
+    spectrum = np.ascontiguousarray(spectrum, dtype=np.complex128)
+    totals: dict[str, float] = {}
+    for tr in sim.traces:
+        for label, secs in tr.by_label.items():
+            totals[label] = totals.get(label, 0.0) + secs
+    per_rank = json.dumps([sorted((k, v.hex()) for k, v in tr.by_label.items())
+                           for tr in sim.traces])
+    return {
+        "clocks": [r[2] for r in sim.results],
+        "by_label": dict(sorted(totals.items())),
+        "by_label_sha": hashlib.sha256(per_rank.encode()).hexdigest(),
+        "sched": {"handoffs": sim.stats.handoffs,
+                  "probe_polls": sim.stats.probe_polls,
+                  "wakeups": sim.stats.wakeups},
+        "spectrum_sha": hashlib.sha256(spectrum.tobytes()).hexdigest(),
+        "err": float(np.max(np.abs(spectrum - oracle))),
+    }
+
+
+def generate() -> dict:
+    return {"platform": PLATFORM,
+            "cases": [dict(case, **run(case)) for case in cases()]}
+
+
+def annotate(data: dict) -> dict:
+    """Add ``*_after`` fields where today's spectrum differs from ``data``."""
+    for case in data["cases"]:
+        now = run(case)
+        if now["spectrum_sha"] != case["spectrum_sha"]:
+            case["spectrum_sha_after"] = now["spectrum_sha"]
+            case["err_after"] = now["err"]
+    return data
+
+
+def main(argv: list[str]) -> None:
+    if argv == ["--annotate"]:
+        data = annotate(json.loads(FIXTURE.read_text()))
+    else:
+        data = generate()
+    rows = ",\n".join(json.dumps(case) for case in data["cases"])
+    FIXTURE.write_text(
+        f'{{"platform": {json.dumps(data["platform"])}, "cases": [\n{rows}\n]}}\n'
+    )
+    print(f"wrote {FIXTURE}")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -2,24 +2,66 @@
 
 The vectorized :func:`ffty_pack_real` / :func:`unpack_fftx_real` must be
 *element-identical* (bitwise, not approximately equal) to the Algorithm
-2/3 sub-tile walks they replaced — the blocking factors may shape the
-cost model, but never the data.  The FFT kernels are exercised through
-the real :class:`repro.fft.Plan1D` machinery: the kernels are *not*
-bitwise batch-independent, so the vectorized movers must preserve the
-reference's per-sub-block ``ffty`` call shapes exactly while batching
-only the data movement — which is precisely what these tests pin.
+2/3 sub-tile walks defined below as test-local oracles — the blocking
+factors may shape the cost model, but never the data.  The FFT kernels
+are exercised through the real :class:`repro.fft.Plan1D` machinery.
+They are bitwise batch-independent, so the mover's one ``ffty`` call per
+tile must reproduce the walk's one call per ``px`` x ``pz`` sub-tile
+exactly, single-row sub-tiles included — which is what these tests pin.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.packing import (
-    ffty_pack_real,
-    ffty_pack_real_subtiled,
-    unpack_fftx_real,
-    unpack_fftx_real_subtiled,
-)
+from repro.core.packing import ffty_pack_real, unpack_fftx_real
 from repro.fft.plan import Plan1D
+from repro.util.intmath import iter_blocks
+
+
+def ffty_pack_real_subtiled(tile, ffty, y_counts, px, pz, layout):
+    """Algorithm 2's sub-tile walk: FFTy on each ``px`` x ``pz`` block,
+    then scatter the block into every destination's chunk."""
+    if layout == "zxy":
+        tz, nxl, _ = tile.shape
+    else:
+        nxl, tz, _ = tile.shape
+    chunks = [np.empty((tz, nxl, nyl_d), dtype=np.complex128) for nyl_d in y_counts]
+    y_starts = np.concatenate([[0], np.cumsum(y_counts)])
+    for x0, x1 in iter_blocks(nxl, px):
+        for z0, z1 in iter_blocks(tz, pz):
+            if layout == "zxy":
+                block = ffty(tile[z0:z1, x0:x1, :])
+            else:
+                # x-z-y tile: bring the block to (z, x, y) chunk order.
+                block = ffty(tile[x0:x1, z0:z1, :]).transpose(1, 0, 2)
+            for d, nyl_d in enumerate(y_counts):
+                ys = y_starts[d]
+                chunks[d][z0:z1, x0:x1, :] = block[:, :, ys : ys + nyl_d]
+    return chunks
+
+
+def unpack_fftx_real_subtiled(chunks, fftx, x_counts, nyl, uy, uz, layout):
+    """Algorithm 3's sub-tile walk: gather each ``uy`` x ``uz`` block from
+    every source into the output tile, then FFTx."""
+    nx = sum(x_counts)
+    tz = chunks[0].shape[0]
+    if layout == "zyx":
+        out = np.empty((tz, nyl, nx), dtype=np.complex128)
+    else:
+        out = np.empty((nyl, tz, nx), dtype=np.complex128)
+    x_starts = np.concatenate([[0], np.cumsum(x_counts)])
+    for y0, y1 in iter_blocks(nyl, uy):
+        for z0, z1 in iter_blocks(tz, uz):
+            for s, nxl_s in enumerate(x_counts):
+                xs = x_starts[s]
+                # chunk block (z, x, y) -> output order.
+                blk = chunks[s][z0:z1, :, y0:y1]
+                if layout == "zyx":
+                    out[z0:z1, y0:y1, xs : xs + nxl_s] = blk.transpose(0, 2, 1)
+                else:
+                    out[y0:y1, z0:z1, xs : xs + nxl_s] = blk.transpose(2, 0, 1)
+    return fftx(out)
+
 
 RNG = np.random.default_rng(11)
 
@@ -52,8 +94,8 @@ def test_pack_identical_to_subtiled(px, pz, layout):
 @pytest.mark.parametrize("n", [8, 12, 13, 30])  # radix-2, mixed, prime, mixed
 def test_pack_identical_across_kernel_types(n):
     # Every kernel family (direct, mixed-radix, Bluestein) must come out
-    # bitwise equal — guaranteed because the vectorized mover feeds the
-    # kernels the exact same block shapes as the reference walk.
+    # bitwise equal: the walk feeds the kernel single rows, the mover
+    # the whole tile, and the kernels are batch-independent.
     tile = _tile((3, 2, n))
     ffty = _ffty(n)
     got = ffty_pack_real(tile, ffty, [n], 1, 1, "zxy")
