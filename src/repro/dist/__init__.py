@@ -39,7 +39,7 @@ under :attr:`DistConfig.trace_dir`; ``repro top`` polls ``/status`` +
 from .config import DistConfig
 from .coordinator import Coordinator, GridJob, dist_map
 from .fleet import WorkerFleet, launch_workers
-from .protocol import fetch_text
+from .protocol import close_connections, fetch_text
 from .queue import WorkQueue
 from .worker import WorkerStats, run_worker
 
@@ -50,6 +50,7 @@ __all__ = [
     "WorkQueue",
     "WorkerFleet",
     "WorkerStats",
+    "close_connections",
     "dist_map",
     "fetch_text",
     "launch_workers",

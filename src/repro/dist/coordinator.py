@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -50,10 +49,10 @@ from ..fft.wisdom import GLOBAL_WISDOM
 from ..obs.export import export_fleet_chrome
 from ..obs.registry import current_registry
 from ..obs.tracer import current_tracer
-from ..util.httpd import ServiceHTTPServer
+from ..util.httpd import ServiceHandler, ServiceHTTPServer
 from .config import DistConfig
 from .fleet import launch_workers
-from .protocol import PROTOCOL_VERSION, decode, encode
+from .protocol import PROTOCOL_VERSION, decode
 from .queue import WorkQueue
 
 #: ``note(text)`` — one-line fleet status for the live progress ticker
@@ -488,33 +487,10 @@ class Coordinator:
         }
 
 
-def _make_handler(coord: Coordinator) -> type[BaseHTTPRequestHandler]:
+def _make_handler(coord: Coordinator) -> type[ServiceHandler]:
     """A handler class closed over one coordinator instance."""
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-
-        def log_message(self, format: str, *args: Any) -> None:
-            pass  # the progress ticker is the UI; no per-request spam
-
-        def _reply(self, payload: dict, code: int = 200) -> None:
-            raw = encode(payload)
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(raw)))
-            self.end_headers()
-            self.wfile.write(raw)
-
-        def _reply_text(self, text: str, code: int = 200) -> None:
-            raw = text.encode("utf-8")
-            self.send_response(code)
-            self.send_header(
-                "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-            )
-            self.send_header("Content-Length", str(len(raw)))
-            self.end_headers()
-            self.wfile.write(raw)
-
+    class Handler(ServiceHandler):
         def do_GET(self) -> None:  # noqa: N802 (http.server API)
             try:
                 if self.path == "/healthz":

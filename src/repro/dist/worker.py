@@ -42,7 +42,7 @@ from ..fft.wisdom import GLOBAL_WISDOM
 from ..obs.export import span_records
 from ..obs.registry import MetricsRegistry, scoped_registry
 from ..obs.tracer import Tracer
-from .protocol import PROTOCOL_VERSION, call
+from .protocol import PROTOCOL_VERSION, call, close_connections
 
 
 @dataclass
@@ -160,6 +160,7 @@ def run_worker(
     finally:
         if installed is not None:
             uninstall_faults(installed)
+        close_connections()  # done with this coordinator: hang up
     return stats
 
 

@@ -20,6 +20,16 @@ in-memory hit/miss counters were bare read-modify-writes.  Both now sit
 behind an internal :class:`threading.Lock`, with the thread id added to
 the temp name, matching the :class:`~repro.tuning.evalstore.EvalStore`
 treatment.
+
+Warm hits are served from memory.  A store keeps every cell it has
+validated (on :meth:`ResultStore.get`) or written (on
+:meth:`ResultStore.put`), with the signature (inode, size, mtime) its
+file had then; a later ``get`` whose file still has that signature
+returns the held cell after one ``stat``, without opening, reading or
+parsing the file.  Disk stays the authority: a missing file is a miss,
+a replaced or rewritten one is read and validated again, and
+``cells()``, ``len()`` and other processes see only the files.  Holding
+cells is safe because cells are pure functions of their keys.
 """
 
 from __future__ import annotations
@@ -48,19 +58,29 @@ def _safe(token: str) -> str:
     return "".join(c if (c.isalnum() or c in "-.") else "-" for c in token)
 
 
+def _signature(file: Path) -> tuple[int, int, int]:
+    """What changes when a cell file is replaced or rewritten: every
+    :meth:`ResultStore.put` renames a new inode into place."""
+    st = file.stat()
+    return (st.st_ino, st.st_size, st.st_mtime_ns)
+
+
 class ResultStore:
     """Directory of per-cell JSON results.
 
-    Safe to share across threads: disk writes are atomic per cell and
-    the in-memory counters (``hits``/``misses``/``puts`` — what the
-    plan server reports as provenance) mutate only under the internal
-    lock.
+    Safe to share across threads: disk writes are atomic per cell, and
+    the held cells and the in-memory counters (``hits``/``misses``/
+    ``puts`` — what the plan server reports as provenance) mutate only
+    under the internal lock.
     """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        #: cell key -> (file signature, cell) for every cell validated
+        #: by :meth:`get` or written by :meth:`put`
+        self._memory: dict[tuple, tuple[tuple, CellResult]] = {}
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -85,11 +105,25 @@ class ResultStore:
     ) -> CellResult | None:
         """Stored cell for the key, or ``None`` (missing or unreadable —
         a foreign/corrupt file is treated as a warned miss, never an
-        error: the caller just recomputes the cell)."""
-        file = self.path_for(platform, p, n, budget, faults)
-        if not file.exists():
+        error: the caller just recomputes the cell).
+
+        A cell whose file still has the signature it had when this
+        store last validated or wrote it is served from memory: one
+        ``stat``, no open, read or parse."""
+        key = (platform, p, n, budget, faults)
+        file = self.path_for(*key)
+        try:
+            sig = _signature(file)
+        except OSError:
+            with self._lock:
+                self._memory.pop(key, None)
             self._count(hit=False)
             return None
+        with self._lock:
+            held = self._memory.get(key)
+        if held is not None and held[0] == sig:
+            self._count(hit=True)
+            return held[1]
         try:
             item = json.loads(file.read_text())
             cell = cell_from_dict(item)
@@ -99,18 +133,24 @@ class ResultStore:
                 CorruptStoreWarning,
                 stacklevel=2,
             )
-            self._count(hit=False)
-            return None
-        if cell.key() != (platform, p, n, budget, faults):
-            warnings.warn(
-                f"skipping result-store file {file.name}: name does not "
-                f"match its contents (claims {cell.key()})",
-                CorruptStoreWarning,
-                stacklevel=2,
-            )
-            self._count(hit=False)
-            return None
-        self._count(hit=True)
+            cell = None
+        else:
+            if cell.key() != key:
+                warnings.warn(
+                    f"skipping result-store file {file.name}: name does not "
+                    f"match its contents (claims {cell.key()})",
+                    CorruptStoreWarning,
+                    stacklevel=2,
+                )
+                cell = None
+        with self._lock:
+            if cell is None:
+                self._memory.pop(key, None)
+            else:
+                # the signature taken *before* the read: a file replaced
+                # in between differs from it on the next get, and is read
+                self._memory[key] = (sig, cell)
+        self._count(hit=cell is not None)
         return cell
 
     def _count(self, hit: bool) -> None:
@@ -150,7 +190,9 @@ class ResultStore:
         )
         tmp.write_text(json.dumps(cell_to_dict(cell), indent=1))
         os.replace(tmp, target)
+        sig = _signature(target)
         with self._lock:
+            self._memory[cell.key()] = (sig, cell)
             self.puts += 1
         return target
 

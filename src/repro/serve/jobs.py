@@ -161,8 +161,9 @@ class JobManager:
         with self._lock:
             self._seq = max(self._seq, floor)
 
-    def submit(self, plan_key: tuple, tenant: str,
-               request: dict) -> tuple[PlanJob, bool]:
+    def submit(self, plan_key: tuple, tenant: str, request: dict,
+               landed: Callable[[], bool] | None = None,
+               ) -> tuple[PlanJob | None, bool]:
         """The job for ``plan_key`` — existing-active or freshly created.
 
         Returns ``(job, created)``; ``created`` is False when the call
@@ -170,6 +171,15 @@ class JobManager:
         single-flight path).  The check-then-create is one critical
         section, so two racing cold requests can never both create.
         Raises :class:`JobsDraining` while draining/shut down.
+
+        ``landed`` re-checks whether the work is already done.  A
+        caller's store lookup can miss just before a job's write, and
+        its submit arrive just after that job freed the key: without a
+        re-check, that straggler starts a second job.  When no job is
+        active for the key, ``landed()`` runs inside the critical
+        section — a job frees its key there, after its write — and if
+        it answers true, no job is created and ``(None, False)`` is
+        returned.
         """
         with self._lock:
             if self._draining:
@@ -177,6 +187,8 @@ class JobManager:
             active_id = self._active.get(plan_key)
             if active_id is not None:
                 return self._jobs[active_id], False
+            if landed is not None and landed():
+                return None, False
             self._seq += 1
             job = PlanJob(
                 id=f"job-{self._seq:06d}",

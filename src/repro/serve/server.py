@@ -54,18 +54,15 @@ import threading
 import time
 import warnings
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler
 from pathlib import Path
-from typing import Any
 
 from ..bench.runner import CellResult, effective_budget
 from ..dist.config import DistConfig
-from ..dist.protocol import encode
 from ..errors import FaultSpecError
 from ..faults import injected_faults, parse_faults
 from ..machine.platforms import get_platform
 from ..obs.registry import current_registry, scoped_registry
-from ..util.httpd import ServiceHTTPServer
+from ..util.httpd import ServiceHandler, ServiceHTTPServer
 from .config import ServeConfig
 from .jobs import DONE, FAILED, JobManager, JobsDraining, PlanJob
 from .journal import INTERRUPTED, JobJournal
@@ -424,18 +421,28 @@ class PlanServer:
             return 503, self._unavailable_payload()
         req = normalize_request(body, self.config)
         stores = self.stores.get(req["tenant"])
-        cell = stores.results.get(
-            req["platform"], req["p"], req["n"], req["budget"], req["faults"]
-        )
-        if cell is not None:
+        key = (req["platform"], req["p"], req["n"], req["budget"],
+               req["faults"])
+        cell = stores.results.get(*key)
+        job = None
+        if cell is None:
+            def landed() -> bool:
+                nonlocal cell
+                cell = stores.results.get(*key)
+                return cell is not None
+
+            try:
+                job, created = self.jobs.submit(
+                    plan_key(req), req["tenant"], req, landed=landed
+                )
+            except JobsDraining as exc:
+                self.registry.inc("serve_plan_misses_total")
+                return 503, self._unavailable_payload(str(exc))
+        if job is None:
             self.registry.inc("serve_plan_hits_total")
             return 200, self._plan_payload(req, cell, stores,
                                            source="result-store")
         self.registry.inc("serve_plan_misses_total")
-        try:
-            job, created = self.jobs.submit(plan_key(req), req["tenant"], req)
-        except JobsDraining as exc:
-            return 503, self._unavailable_payload(str(exc))
         if created:
             self.registry.inc("serve_jobs_enqueued_total")
         out = job.snapshot()
@@ -622,36 +629,11 @@ class PlanServer:
         )
 
 
-def _make_handler(server: PlanServer) -> type[BaseHTTPRequestHandler]:
+def _make_handler(server: PlanServer) -> type[ServiceHandler]:
     """A handler class closed over one plan server (coordinator idiom)."""
     from ..dist.protocol import decode
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-
-        def log_message(self, format: str, *args: Any) -> None:
-            pass  # the CLI summary is the UI; no per-request spam
-
-        def _reply(self, payload: dict, code: int = 200) -> None:
-            raw = encode(payload)
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(raw)))
-            if code == 503 and "retry_after" in payload:
-                self.send_header("Retry-After", str(payload["retry_after"]))
-            self.end_headers()
-            self.wfile.write(raw)
-
-        def _reply_text(self, text: str, code: int = 200) -> None:
-            raw = text.encode("utf-8")
-            self.send_response(code)
-            self.send_header(
-                "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-            )
-            self.send_header("Content-Length", str(len(raw)))
-            self.end_headers()
-            self.wfile.write(raw)
-
+    class Handler(ServiceHandler):
         def do_GET(self) -> None:  # noqa: N802 (http.server API)
             try:
                 if self.path == "/healthz":

@@ -16,6 +16,7 @@ from repro.dist import protocol
 from repro.dist.protocol import MAX_BACKOFF_S, _backoff_delay, call, fetch_text
 from repro.errors import DistProtocolError, DistUnreachableError
 from repro.obs.registry import MetricsRegistry, scoped_registry
+from repro.serve import PlanServer, ServeConfig
 
 
 class FlakyServer:
@@ -119,6 +120,29 @@ class TestCallRetry:
                      backoff_s=0.01, sleep=delays.append)
             assert srv.requests == 1
             assert delays == []
+        finally:
+            srv.stop()
+
+
+    def test_restarted_server_is_reached_without_a_retry(self, tmp_path):
+        """A kept-alive connection the stopped server closed is reopened
+        once, at once, against its successor on the same port; that is
+        not a retry."""
+        srv = PlanServer(ServeConfig(root=str(tmp_path / "a")))
+        url = srv.start()
+        port = srv._server.server_address[1]
+        reg = MetricsRegistry()
+        delays = []
+        try:
+            with scoped_registry(reg):
+                assert call(url, "/status", sleep=delays.append)
+                srv.stop()
+                srv = PlanServer(ServeConfig(root=str(tmp_path / "b"),
+                                             port=port))
+                assert srv.start() == url
+                assert call(url, "/status", sleep=delays.append)
+            assert delays == []
+            assert reg.value("proto_retries_total") is None  # never counted
         finally:
             srv.stop()
 

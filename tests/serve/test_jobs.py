@@ -73,6 +73,36 @@ class TestCounts:
             mgr.shutdown()
 
 
+class TestLandedRecheck:
+    def test_landed_work_creates_no_job(self):
+        mgr = JobManager(lambda job: None, threads=1)
+        try:
+            assert mgr.submit(KEY, "default", REQ,
+                              landed=lambda: True) == (None, False)
+            assert mgr.counts() == {QUEUED: 0, RUNNING: 0, DONE: 0, FAILED: 0}
+            job, created = mgr.submit(KEY, "default", REQ,
+                                      landed=lambda: False)
+            assert created and job is not None
+        finally:
+            mgr.shutdown()
+
+    def test_active_job_is_joined_without_a_recheck(self):
+        release = threading.Event()
+        mgr = JobManager(lambda job: release.wait(5.0), threads=1)
+        rechecks = []
+        try:
+            job, _ = mgr.submit(KEY, "default", REQ)
+            again, created = mgr.submit(
+                KEY, "default", REQ,
+                landed=lambda: rechecks.append(1) or True,
+            )
+            assert again is job and not created
+            assert rechecks == []
+        finally:
+            release.set()
+            mgr.shutdown()
+
+
 class TestShutdownRace:
     def test_submit_after_pool_shutdown_rolls_back_and_503s(self, tmp_path):
         """The race: a request thread passes the draining check, then the

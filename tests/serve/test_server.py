@@ -21,7 +21,9 @@ from repro.bench import clear_cache
 from repro.dist.protocol import call, fetch_text
 from repro.errors import DistProtocolError
 from repro.obs.registry import MetricsRegistry, scoped_registry
+from repro.serve.jobs import DONE
 from repro.serve import (
+    DEFAULT_TENANT,
     PlanServer,
     ServeConfig,
     poll_plan,
@@ -188,6 +190,40 @@ class TestSingleFlight:
                 payloads.add(json.dumps(body["plan"], sort_keys=True))
             assert len(payloads) == 1
             assert reg.value("serve_jobs_completed_total") == 1
+        finally:
+            srv.stop()
+
+
+    def test_straggler_after_the_job_freed_its_key_starts_no_job(
+            self, tmp_path, monkeypatch):
+        """The straggler race: a client's store lookup misses just
+        before the job's write, and its submit lands just after the job
+        freed its single-flight key.  The hook makes that client's first
+        lookup miss after the job is done; the submit must re-check the
+        store and answer the warm hit instead of starting a second job."""
+        srv, url, reg = start_server(tmp_path)
+        try:
+            code, body = request_plan(url, PLATFORM, 4, 32)
+            assert code == 202
+            wait_for_plan(url, body["job"], timeout=120)
+            results = srv.stores.get(DEFAULT_TENANT).results
+            real_get = results.get
+            lookups = []
+
+            def lookup_before_the_put(*key):
+                lookups.append(key)
+                return None if len(lookups) == 1 else real_get(*key)
+
+            monkeypatch.setattr(results, "get", lookup_before_the_put)
+            code, body = srv.handle_plan(
+                {"platform": PLATFORM, "p": 4, "n": 32}
+            )
+            assert code == 200
+            assert body["provenance"]["source"] == "result-store"
+            assert len(lookups) == 2
+            assert reg.value("serve_jobs_enqueued_total") == 1
+            assert reg.value("serve_plan_hits_total") == 1
+            assert srv.jobs.counts()[DONE] == 1
         finally:
             srv.stop()
 
