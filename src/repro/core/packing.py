@@ -7,15 +7,19 @@ writes a ``Nx x Uy x Uz`` block into the output layout and FFTx consumes
 it likewise.  Two things live here:
 
 * the *real* data movement (numpy) used in real-payload mode, which
-  works on whole tiles: the FFT kernels are bitwise batch-independent,
-  so blocking could reorder the work but never change the data, and
+  works on whole blocks — the slab pipeline calls each mover once per
+  rank on its whole slab, the multi-array executor once per tile: the
+  FFT kernels are bitwise batch-independent, so blocking could reorder
+  the work but never change the data, and
 * closed-form cost functions charging the machine model — grouped by
   sub-tile size class so simulator cost is O(1) per tile, not O(#sub-
   tiles), which keeps huge parameter sweeps cheap.
 
 Chunk wire format: the message from rank s to rank d for one tile is a
 ``(tz, nxl_s, nyl_d)`` complex array in z-x-y order, independent of the
-transpose variant in use — both ends agree by construction.
+transpose variant in use — both ends agree by construction.  Because z
+leads, a tile's message is a contiguous ``[z0:z1]`` view of a whole-slab
+chunk, and a source's tiles concatenate along z into a whole-slab one.
 """
 
 from __future__ import annotations
@@ -108,8 +112,10 @@ def ffty_pack_real(
     """FFTy + Pack one tile (Algorithm 2), returning per-dest chunks.
 
     ``tile`` is the communication tile in the post-Transpose layout:
-    ``(tz, nxl, ny)`` for ``"zxy"`` or ``(nxl, tz, ny)`` for ``"xzy"``.
-    ``ffty`` is a callable transforming the last axis.
+    ``(tz, nxl, ny)`` for ``"zxy"`` or ``(nxl, tz, ny)`` for ``"xzy"``;
+    the slab pipeline passes its whole slab (``tz = Nz``) and posts
+    z-ranges of the chunks.  ``ffty`` is a callable transforming the
+    last axis.
 
     The ``px`` x ``pz`` sub-tile walk is a cost-model concern
     (:func:`pack_cost`).  The FFT kernels are bitwise batch-independent,
@@ -148,7 +154,9 @@ def unpack_fftx_real(
 ) -> np.ndarray:
     """Unpack + FFTx one tile (Algorithm 3), returning the output tile.
 
-    ``chunks[s]`` is the ``(tz, nxl_s, nyl)`` message from source ``s``.
+    ``chunks[s]`` is the ``(tz, nxl_s, nyl)`` message from source ``s``
+    (the slab pipeline passes each source's tiles joined along z, so
+    ``tz = Nz`` and the output tile is the whole output block).
     The output tile is ``(tz, nyl, nx)`` in z-y-x order for ``"zyx"`` or
     ``(nyl, tz, nx)`` in y-z-x order for ``"yzx"`` (the Nx==Ny variant);
     either way x is contiguous for FFTx.

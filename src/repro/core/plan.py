@@ -6,12 +6,18 @@ executes.  One code path serves every compared method — the
 non-blocking, which steps progress it, and whether Pack/Unpack are loop-
 tiled — and serves both payload modes:
 
-* **real**: the local slab is an actual complex array; every step does
-  the numpy work and the final result is the true distributed FFT
-  (verified against ``numpy.fft.fftn`` in the tests);
+* **real**: the local slab is an actual complex array and the final
+  result is the true distributed FFT (verified against
+  ``numpy.fft.fftn`` in the tests).  The numpy work costs no virtual
+  time, so it runs on the whole slab rather than tile by tile: one
+  FFTy+Pack before the tile loop, one Unpack+FFTx after its last Wait;
+  the loop posts each tile's z-range of the packed send buffers;
 * **virtual**: only byte counts flow; the control flow, communication
   and virtual-time accounting are identical, which is what makes the
   paper's 2048-cubed / 256-rank cases simulatable.
+
+Both modes, traced or not, run the same tile loop (per-tile trace
+attributes are built only when a tracer is installed).
 
 Step labels traced to the engine ("FFTz", "Transpose", "FFTy", "Pack",
 "Unpack", "FFTx", "Ialltoall", "Wait", "Test") are exactly the Figure 8
@@ -182,7 +188,7 @@ class ParallelFFT3D:
         """The transform as a coroutine (``yield from`` in SPMD generators)."""
         real = local is not None
         dec, ctx, P = self.dec, self.ctx, self.params
-        nx, ny, nz = self.shape.nx, self.shape.ny, self.shape.nz
+        ny, nz = self.shape.ny, self.shape.nz
 
         data: np.ndarray | None = None
         if real:
@@ -216,157 +222,121 @@ class ParallelFFT3D:
             )
 
         # ---- tiled exchange pipeline (Algorithm 1) ---------------------------
+        # One loop serves virtual, real and traced runs.  The numpy work
+        # costs no virtual time, so it runs once per rank on the whole
+        # slab (FFTy+Pack before the loop, Unpack+FFTx after the last
+        # Wait) and the loop only charges the per-tile phases and hands
+        # each ialltoall its tile's leading-axis chunk views.  The kernels
+        # are bitwise batch-independent and the movers only copy, so the
+        # spectrum's bits do not depend on the tiling.
         k = len(self.tiles)
-        out = self._alloc_output() if real else None
+        chunks = self._ffty_pack_slab(data) if real else None
+        info = self._tile_info(chunks)
         reqs: list[AlltoallRequest | None] = [None] * k
         recv: list[Any] = [None] * k
-        chunks: list[Any] = [None] * k
-
         live = self._live = []  # posted-but-unwaited window, FIFO
-        fast = not real and not self._obs
-        if fast:
-            # Virtual-mode hot loop: the per-tile helper methods below
-            # reduce to phase advances + post/wait once there is no
-            # payload and no tracer, so they are inlined here with the
-            # loop-invariant lookups hoisted.  Identical label sequence,
-            # budgets and request traffic as the helper path (the
-            # backend-equivalence and pipeline tests pin this).
-            pps = ctx.progress_phases
-            ialltoall = self.comm.ialltoall
-            co_wait = self.comm.co_wait
-            # At most two distinct tile heights (full tiles + remainder),
-            # so resolve times, count vectors, and the two fused phase
-            # batches (FFTy+Pack before the post, Unpack+FFTx after the
-            # wait) once per height up front.
-            by_tz: dict[int, tuple] = {}
-            info = []
-            for z0, z1 in self.tiles:
-                tz = z1 - z0
-                entry = by_tz.get(tz)
-                if entry is None:
-                    t_ffty, t_pack, t_unpack, t_fftx = self._phase_times(tz)
-                    entry = (
-                        ((t_ffty, P.Fy, "FFTy"), (t_pack, P.Fp, "Pack")),
-                        ((t_unpack, P.Fu, "Unpack"), (t_fftx, P.Fx, "FFTx")),
-                        self.dec.sendcounts_bytes(tz),
-                        self.dec.recvcounts_bytes(tz),
-                    )
-                    by_tz[tz] = entry
-                info.append(entry)
-            if self.spec.overlap and P.W > 0:
-                w = min(P.W, k)
-                for i in range(k + w):
-                    if i < k:
-                        pre, _, send, recvc = info[i]
-                        pps(pre, live)
-                    if i >= w:
-                        recv[i - w] = yield from co_wait(reqs[i - w], label="Wait")
-                        live.pop(0)  # waits retire the window head in order
-                    if i < k:
-                        reqs[i] = req = ialltoall(send, recvc)
-                        live.append(req)
-                    if i >= w:
-                        pps(info[i - w][1], live)
-            else:
-                for i in range(k):
-                    pre, post_, send, recvc = info[i]
-                    pps(pre, live)
-                    reqs[i] = req = ialltoall(send, recvc)
-                    live.append(req)
-                    recv[i] = yield from co_wait(req, label="Wait")
-                    live.pop(0)
-                    pps(post_, live)
-            return None
-
+        pps = ctx.progress_phases
+        ialltoall = self.comm.ialltoall
+        co_wait = self.comm.co_wait
         if self.spec.overlap and P.W > 0:
             w = min(P.W, k)
             for i in range(k + w):
                 if i < k:
-                    self._ffty_pack(i, data, chunks, reqs)
+                    pre, _, send, recvc, payload, a_pre, _ = info[i]
+                    pps(pre, live, a_pre)
                 if i >= w:
-                    recv[i - w] = yield from self.comm.co_wait(
-                        reqs[i - w], label="Wait"
-                    )
+                    recv[i - w] = yield from co_wait(reqs[i - w], label="Wait")
                     live.pop(0)  # waits retire the window head in order
                 if i < k:
-                    self._post(i, chunks, reqs)
+                    reqs[i] = req = ialltoall(send, recvc, payload)
+                    live.append(req)
                 if i >= w:
-                    self._unpack_fftx(i - w, recv, reqs, out if real else None)
+                    _, post, _, _, _, _, a_post = info[i - w]
+                    pps(post, live, a_post)
         else:
             for i in range(k):
-                self._ffty_pack(i, data, chunks, reqs)
-                self._post(i, chunks, reqs)
-                recv[i] = yield from self.comm.co_wait(reqs[i], label="Wait")
+                pre, post, send, recvc, payload, a_pre, a_post = info[i]
+                pps(pre, live, a_pre)
+                reqs[i] = req = ialltoall(send, recvc, payload)
+                live.append(req)
+                recv[i] = yield from co_wait(req, label="Wait")
                 live.pop(0)
-                self._unpack_fftx(i, recv, reqs, out if real else None)
-
-        return out if real else None
+                pps(post, live, a_post)
+        return self._unpack_fftx_slab(recv) if real else None
 
     # -- pipeline stages -----------------------------------------------------
+
+    def _tile_info(self, chunks: list[np.ndarray] | None) -> list[tuple]:
+        """Per tile: the fused (FFTy, Pack) and (Unpack, FFTx) phase
+        batches, the send and receive count vectors, the chunk views to
+        post, and the FFTy/Pack and Unpack/FFTx trace attributes.
+
+        Tiles come in at most two heights (full tiles and a remainder);
+        a virtual untraced run shares one entry per height, so its loop
+        does no per-tile work beyond indexing this list."""
+        P, dec = self.params, self.dec
+        by_tz: dict[int, tuple] = {}
+        info = []
+        for i, (z0, z1) in enumerate(self.tiles):
+            tz = z1 - z0
+            entry = by_tz.get(tz)
+            if entry is None:
+                t_ffty, t_pack, t_unpack, t_fftx = self._phase_times(tz)
+                entry = by_tz[tz] = (
+                    ((t_ffty, P.Fy, "FFTy"), (t_pack, P.Fp, "Pack")),
+                    ((t_unpack, P.Fu, "Unpack"), (t_fftx, P.Fx, "FFTx")),
+                    dec.sendcounts_bytes(tz),
+                    dec.recvcounts_bytes(tz),
+                    None, None, None,
+                )
+            if chunks is not None or self._obs:
+                a_pre = a_post = None
+                if self._obs:
+                    a_pre = {"tile": i, "tz": tz, "bytes": self._tile_bytes(tz)}
+                    a_post = {"tile": i, "tz": tz,
+                              "bytes": tz * dec.nyl * self.shape.nx * ITEMSIZE}
+                views = None if chunks is None else [c[z0:z1] for c in chunks]
+                entry = entry[:4] + (views, a_pre, a_post)
+            info.append(entry)
+        return info
+
+    def _ffty_pack_slab(self, data: np.ndarray) -> list[np.ndarray]:
+        """FFTy + Pack of the whole transposed slab: per-destination
+        ``(nz, nxl, nyl_d)`` send buffers, cut into tiles along z."""
+        P, plan = self.params, self._plan("y", self.shape.ny)
+        return ffty_pack_real(
+            data,
+            lambda a: plan.execute(a, axis=-1),
+            self.dec.y_counts,
+            P.Px if self.spec.tiled_pack else self.dec.nxl,
+            P.Pz if self.spec.tiled_pack else self.shape.nz,
+            self.tile_layout,
+        )
+
+    def _unpack_fftx_slab(self, recv: list[list[np.ndarray]]) -> np.ndarray:
+        """Unpack + FFTx of every tile's received chunks, joined per
+        source along z, into the whole output block."""
+        P, plan = self.params, self._plan("x", self.shape.nx)
+        joined = recv[0] if len(recv) == 1 else [
+            np.concatenate(parts) for parts in zip(*recv)
+        ]
+        return unpack_fftx_real(
+            joined,
+            lambda a: plan.execute(a, axis=-1),
+            self.dec.x_counts,
+            self.dec.nyl,
+            P.Uy if self.spec.tiled_pack else self.dec.nyl,
+            P.Uz if self.spec.tiled_pack else self.shape.nz,
+            self.output_layout,
+        )
+
+    # -- per-tile helpers for repro.core.multiarray ----------------------------
 
     def _tile_view(self, i: int, data: np.ndarray) -> np.ndarray:
         z0, z1 = self.tiles[i]
         if self.tile_layout == "zxy":
             return data[z0:z1]
         return data[:, z0:z1, :]
-
-    def _ffty_pack(self, i, data, chunks, reqs) -> None:
-        z0, z1 = self.tiles[i]
-        tz = z1 - z0
-        P = self.params
-        t_ffty, t_pack, _, _ = self._phase_times(tz)
-        a = {"tile": i, "tz": tz, "bytes": self._tile_bytes(tz)} if self._obs else None
-        self.ctx.progress_phase(t_ffty, self._live, P.Fy, "FFTy", attrs=a)
-        if data is not None:
-            plan = self._plan("y", self.shape.ny)
-            chunks[i] = ffty_pack_real(
-                self._tile_view(i, data),
-                lambda a: plan.execute(a, axis=-1),
-                self.dec.y_counts,
-                P.Px if self.spec.tiled_pack else self.dec.nxl,
-                P.Pz if self.spec.tiled_pack else tz,
-                self.tile_layout,
-            )
-        self.ctx.progress_phase(t_pack, self._live, P.Fp, "Pack", attrs=a)
-
-    def _post(self, i, chunks, reqs) -> None:
-        z0, z1 = self.tiles[i]
-        tz = z1 - z0
-        reqs[i] = req = self.comm.ialltoall(
-            self.dec.sendcounts_bytes(tz),
-            self.dec.recvcounts_bytes(tz),
-            payload=chunks[i],
-        )
-        self._live.append(req)
-        chunks[i] = None  # buffer handed to the library
-
-    def _unpack_fftx(self, j, recv, reqs, out) -> None:
-        z0, z1 = self.tiles[j]
-        tz = z1 - z0
-        P = self.params
-        _, _, t_unpack, t_fftx = self._phase_times(tz)
-        a = None
-        if self._obs:
-            a = {"tile": j, "tz": tz,
-                 "bytes": tz * self.dec.nyl * self.shape.nx * ITEMSIZE}
-        self.ctx.progress_phase(t_unpack, self._live, P.Fu, "Unpack", attrs=a)
-        if out is not None:
-            plan = self._plan("x", self.shape.nx)
-            tile_out = unpack_fftx_real(
-                recv[j],
-                lambda a: plan.execute(a, axis=-1),
-                self.dec.x_counts,
-                self.dec.nyl,
-                P.Uy if self.spec.tiled_pack else self.dec.nyl,
-                P.Uz if self.spec.tiled_pack else tz,
-                self.output_layout,
-            )
-            if self.output_layout == "zyx":
-                out[z0:z1] = tile_out
-            else:
-                out[:, z0:z1, :] = tile_out
-        recv[j] = None
-        self.ctx.progress_phase(t_fftx, self._live, P.Fx, "FFTx", attrs=a)
 
     def _alloc_output(self) -> np.ndarray:
         if self.output_layout == "zyx":

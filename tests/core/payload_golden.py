@@ -9,14 +9,23 @@ reworked:
   order, and ``by_label_sha`` — a digest of every rank's own per-step
   seconds (``float.hex``), which pins them bit for bit,
 * ``sched`` — the engine's scheduler counters,
-* ``spectrum_sha`` — SHA-256 of the gathered spectrum's bytes, and
+* ``spectrum_sha`` — SHA-256 of the gathered spectrum's bytes,
 * ``err`` — its max abs error against ``numpy.fft.fftn`` (information
-  only; the test holds spectra to the digest, not to a tolerance).
+  only; the test holds spectra to the digest, not to a tolerance), and
+* ``events_sha`` — a digest of every rank's event timeline, ``(t0, t1,
+  label)`` bit for bit plus each event's attributes, from a second run
+  with ``record_events=True`` under a rank-span tracer.  This pins the
+  traced path, which builds per-tile attributes.
 
 The cases are the ``apps`` benchmark cell (16^3 on 4 ranks with its
 tuned parameters, run forward and, through the conjugation identity,
-backward) and a composite-size matrix over NEW, TH and FFTW, both tile
-layouts (``xzy`` when Nx == Ny, ``zxy`` otherwise) and p from 1 to 8.
+backward), a composite-size matrix over NEW, TH and FFTW, both tile
+layouts (``xzy`` when Nx == Ny, ``zxy`` otherwise) and p from 1 to 8,
+and real-to-complex cases (direction ``"r2c"``): the ``apps`` cell and
+composite even-Nz cells run through
+:class:`repro.core.realfft3d.ParallelRFFT3D` the way
+:func:`~repro.core.realfft3d.parallel_rfft3d` drives it, checked
+against ``numpy.fft.rfftn``.
 
 The committed ``payload_golden.json`` was captured before the FFT
 kernels became bitwise batch-independent.  Before that change a
@@ -27,7 +36,10 @@ the batch-independent kernels.  All their other fields are unchanged.
 
 Regenerate with ``PYTHONPATH=src python -m tests.core.payload_golden``;
 ``--annotate`` instead keeps the committed capture and adds the
-``*_after`` fields to the cases whose spectra differ from it.
+``*_after`` fields to the cases whose spectra differ from it, and
+``--extend`` keeps every captured field and adds only the fields and
+cases the committed file lacks (``events_sha`` and the r2c cases were
+added this way, before the tile loop that produces them was reworked).
 ``tests/core/test_payload_golden.py`` compares the live pipeline with
 the committed file.
 """
@@ -45,8 +57,10 @@ import numpy as np
 from repro.core.decompose import gather_spectrum, scatter_slabs
 from repro.core.params import ProblemShape, TuningParams
 from repro.core.plan import ParallelFFT3D
+from repro.core.realfft3d import ParallelRFFT3D
 from repro.core.variants import baseline_params, get_variant
 from repro.machine.platforms import get_platform
+from repro.obs import Tracer, tracing
 from repro.simmpi.spmd import run_spmd
 
 FIXTURE = Path(__file__).with_name("payload_golden.json")
@@ -73,6 +87,9 @@ TILINGS = (
     (2, 2, 2, 2, 2, 2, 1, 1, 1, 1),
     (3, 3, 2, 3, 1, 2, 4, 0, 2, 1),
 )
+#: (nx, ny, nz, p) even-Nz cells for the r2c cases; their half z
+#: extents are 6, 8, 7 and 5, so some tilings end in a short tile
+R2C_CELLS = ((12, 12, 10, 4), (12, 10, 14, 3), (10, 7, 12, 6), (9, 6, 8, 5))
 
 
 def cases() -> list[dict]:
@@ -107,19 +124,59 @@ def cases() -> list[dict]:
             "variant": "NEW", "shape": [13, 13, 13], "p": 1,
             "params": list(values), "direction": "forward",
         })
+    out.append({"id": "apps-16x16x16-p4-NEW-r2c", "variant": "NEW",
+                "shape": [16, 16, 16], "p": 4, "params": list(APPS_PARAMS),
+                "direction": "r2c"})
+    for nx, ny, nz, p in R2C_CELLS:
+        half = _half(ProblemShape(nx, ny, nz, p))
+        for variant in VARIANTS:
+            spec = get_variant(variant)
+            for k, values in enumerate((None,) + TILINGS):
+                if values is not None:
+                    # ParallelRFFT3D clamps T, Pz and Uz to the half extent
+                    tz = min(values[0], half.nz)
+                    eff = spec.effective_params(TuningParams(*values).replace(
+                        T=tz, Pz=min(values[3], tz), Uz=min(values[5], tz)), half)
+                    if spec.overlap and not eff.is_feasible(half):
+                        continue
+                out.append({
+                    "id": f"{nx}x{ny}x{nz}-p{p}-{variant}-r2c-t{k}",
+                    "variant": variant, "shape": [nx, ny, nz], "p": p,
+                    "params": None if values is None else list(values),
+                    "direction": "r2c",
+                })
     return out
+
+
+def _half(shape: ProblemShape) -> ProblemShape:
+    """The reduced shape the r2c pipeline exchanges."""
+    return ProblemShape(shape.nx, shape.ny, shape.nz // 2 + 1, shape.p)
 
 
 def _input(case: dict) -> np.ndarray:
     rng = np.random.default_rng(zlib.crc32(case["id"].encode()))
     shape = tuple(case["shape"])
+    if case["direction"] == "r2c":
+        return rng.standard_normal(shape)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _program(ctx, shape, params, spec, blocks):
-    plan = ParallelFFT3D(ctx, shape, params, spec)
+def _program(ctx, plan_cls, shape, params, spec, blocks):
+    plan = plan_cls(ctx, shape, params, spec)
     out = yield from plan.steps(blocks[ctx.rank])
     return out, plan.output_layout, ctx.now
+
+
+def events_digest(traces) -> str:
+    """SHA-256 over every rank's ``(t0, t1, label)`` events (as
+    ``float.hex``) and their attributes, in rank and event order."""
+    h = hashlib.sha256()
+    for tr in traces:
+        for (t0, t1, label), attrs in zip(tr.events, tr.attrs, strict=True):
+            h.update(json.dumps([t0.hex(), t1.hex(), label, attrs],
+                                sort_keys=True).encode())
+        h.update(b"|")
+    return h.hexdigest()
 
 
 def run(case: dict) -> dict:
@@ -127,16 +184,24 @@ def run(case: dict) -> dict:
     nx, ny, nz = case["shape"]
     shape = ProblemShape(nx, ny, nz, case["p"])
     spec = get_variant(case["variant"])
-    params = (baseline_params(spec, shape) if case["params"] is None
-              else TuningParams(*case["params"]))
+    r2c = case["direction"] == "r2c"
+    plan_cls = ParallelRFFT3D if r2c else ParallelFFT3D
+    params = (baseline_params(spec, _half(shape) if r2c else shape)
+              if case["params"] is None else TuningParams(*case["params"]))
     arr = _input(case)
-    src = arr if case["direction"] == "forward" else np.conj(arr)
-    sim = run_spmd(shape.p, _program, get_platform(PLATFORM),
-                   shape, params, spec, scatter_slabs(src, shape.p))
-    spectrum = gather_spectrum([r[0] for r in sim.results], (nx, ny, nz),
+    src = np.conj(arr) if case["direction"] == "inverse" else arr
+    args = (plan_cls, shape, params, spec, scatter_slabs(src, shape.p))
+    sim = run_spmd(shape.p, _program, get_platform(PLATFORM), *args)
+    with tracing(Tracer(rank_spans=True)):
+        traced = run_spmd(shape.p, _program, get_platform(PLATFORM), *args,
+                          record_events=True)
+    out_shape = (nx, ny, nz // 2 + 1) if r2c else (nx, ny, nz)
+    spectrum = gather_spectrum([r[0] for r in sim.results], out_shape,
                                sim.results[0][1])
     if case["direction"] == "forward":
         oracle = np.fft.fftn(arr)
+    elif r2c:
+        oracle = np.fft.rfftn(arr)
     else:
         spectrum = np.conj(spectrum) / arr.size
         oracle = np.fft.ifftn(arr)
@@ -156,6 +221,7 @@ def run(case: dict) -> dict:
                   "wakeups": sim.stats.wakeups},
         "spectrum_sha": hashlib.sha256(spectrum.tobytes()).hexdigest(),
         "err": float(np.max(np.abs(spectrum - oracle))),
+        "events_sha": events_digest(traced.traces),
     }
 
 
@@ -174,9 +240,23 @@ def annotate(data: dict) -> dict:
     return data
 
 
+def extend(data: dict) -> dict:
+    """Add the fields and cases ``data`` lacks; captured fields stay."""
+    have = {case["id"]: case for case in data["cases"]}
+    out = []
+    for case in cases():
+        now = dict(case, **run(case))
+        old = have.get(case["id"])
+        out.append(now if old is None else dict(now, **old))
+    data["cases"] = out
+    return data
+
+
 def main(argv: list[str]) -> None:
     if argv == ["--annotate"]:
         data = annotate(json.loads(FIXTURE.read_text()))
+    elif argv == ["--extend"]:
+        data = extend(json.loads(FIXTURE.read_text()))
     else:
         data = generate()
     rows = ",\n".join(json.dumps(case) for case in data["cases"])

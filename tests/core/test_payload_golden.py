@@ -1,7 +1,8 @@
 """The real-payload pipeline against its committed golden fixture.
 
 Virtual time (per-rank clocks, per-step seconds, scheduler counters)
-must match the capture bit for bit on every case.  Spectra must match
+and the traced event timeline must match the capture bit for bit on
+every case.  Spectra must match
 the captured digest, or — for the cases that had a one-row codelet
 product before the kernels became batch-independent — the recorded
 ``spectrum_sha_after``.  See :mod:`tests.core.payload_golden`.
@@ -24,6 +25,7 @@ def test_matches_golden(case):
     assert got["by_label"] == case["by_label"]
     assert got["by_label_sha"] == case["by_label_sha"]
     assert got["sched"] == case["sched"]
+    assert got["events_sha"] == case["events_sha"]
     assert got["spectrum_sha"] == case.get("spectrum_sha_after", case["spectrum_sha"])
     assert got["err"] <= 1e-11
 

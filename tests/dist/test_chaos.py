@@ -111,8 +111,11 @@ class TestLeaseExpiry:
             assert stats.cells_done == len(GRID)
             assert coord.queue.finished
         finally:
-            if zombie is not None and zombie.poll() is None:
-                zombie.kill()
+            if zombie is not None:
+                if zombie.poll() is None:
+                    zombie.kill()
+                    zombie.wait(timeout=10)
+                zombie.stdout.close()
             coord.stop()
 
 

@@ -42,6 +42,12 @@ def spawn_serve(root, extra_env=None, *extra_args):
     return proc, url
 
 
+def close_pipes(proc) -> None:
+    """Close a reaped server's stdout/stderr pipes."""
+    proc.stdout.close()
+    proc.stderr.close()
+
+
 def post_plan(url: str, p: int, n: int) -> tuple[int, dict]:
     req = urllib.request.Request(
         f"{url}/plan",
@@ -82,6 +88,7 @@ class TestKillAndRecover:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+            close_pipes(proc)
 
         # journal's last word for the job is non-terminal
         journal_text = (root / "jobs.journal.jsonl").read_text()
@@ -106,6 +113,7 @@ class TestKillAndRecover:
         finally:
             proc2.send_signal(signal.SIGTERM)
             proc2.wait(timeout=60)
+            close_pipes(proc2)
 
     def test_sigterm_drains_and_exits_zero(self, tmp_path):
         root = tmp_path / "store"
