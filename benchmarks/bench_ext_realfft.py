@@ -14,7 +14,7 @@ from repro.simmpi import run_spmd
 
 def r2c_time(shape):
     def prog(ctx):
-        ParallelRFFT3D(ctx, shape).execute(None)
+        yield from ParallelRFFT3D(ctx, shape).steps(None)
 
     return run_spmd(shape.p, prog, UMD_CLUSTER).elapsed
 

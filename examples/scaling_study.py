@@ -21,7 +21,7 @@ N = 128
 
 def pencil_time(p: int) -> float:
     def prog(ctx):
-        PencilFFT3D(ctx, (N, N, N)).execute(None)
+        yield from PencilFFT3D(ctx, (N, N, N)).steps(None)
 
     return run_spmd(p, prog, HOPPER).elapsed
 

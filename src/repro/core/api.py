@@ -56,9 +56,6 @@ class RunResult:
 
 
 def _spmd_fft(ctx, shape, params, spec, include_fixed, local_blocks):
-    # Generator SPMD program: run_spmd auto-selects the no-threads
-    # ``tasks`` engine backend, which cuts the simulation's wall-clock
-    # cost several-fold on the tuning/benchmark hot path.
     plan = ParallelFFT3D(ctx, shape, params, spec, include_fixed)
     local = None if local_blocks is None else local_blocks[ctx.rank]
     out = yield from plan.steps(local)

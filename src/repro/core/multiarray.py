@@ -22,11 +22,13 @@ the whole spectrum so the comparison is runnable:
 All modes share the machine-model costs of :class:`ParallelFFT3D`; real
 payloads are supported (each array verified against numpy in the tests).
 
-Like the single-array pipelines, the executor is written in the ``co_*``
-coroutine spelling (:meth:`MultiArrayFFT3D.steps`), so a generator SPMD
-program runs every mode on the fast tasks backend; :meth:`execute`
-drives the same generator on the thread backend — bit-identical either
-way (``tests/core/test_multiarray.py::TestBackendBitIdentity``).
+Like the single-array pipelines, the executor is a ``co_*`` coroutine
+(:meth:`MultiArrayFFT3D.steps`) run with ``yield from`` in a generator
+SPMD program, and every compute phase that progresses in-flight
+exchanges is charged through
+:meth:`~repro.simmpi.comm.SimContext.progress_phases`.  The golden
+fixture ``tests/core/payload_golden.json`` pins every mode's clocks,
+scheduler counters, event timelines and spectra.
 """
 
 from __future__ import annotations
@@ -77,16 +79,10 @@ class MultiArrayFFT3D:
 
     # -- execution -------------------------------------------------------
 
-    def execute(
-        self, locals_: list[np.ndarray] | None = None
-    ) -> list[np.ndarray] | None:
-        """Blocking spelling of :meth:`steps` (thread backend)."""
-        return self.ctx.drive(self.steps(locals_))
-
     def steps(self, locals_: list[np.ndarray] | None = None):
-        """Transform all arrays as a ``co_*`` coroutine; returns per-array
-        local outputs (real mode) or ``None``.  ``yield from`` it in a
-        generator SPMD program — bit-identical to :meth:`execute`."""
+        """Transform all arrays as a ``co_*`` coroutine (``yield from``
+        it in a generator SPMD program); returns per-array local outputs
+        (real mode) or ``None``."""
         if locals_ is not None and len(locals_) != self.n_arrays:
             raise ParameterError(
                 f"expected {self.n_arrays} local blocks, got {len(locals_)}"
@@ -114,27 +110,16 @@ class MultiArrayFFT3D:
         ctx, shape = self.ctx, self.shape
         plans = self.plans
         p = self.params
+        nz = shape.nz
         outs: list[Any] = [None] * self.n_arrays
-        pending: list[tuple[int, AlltoallRequest, Any]] = []
+        # posted-but-unwaited exchanges, FIFO: owning array and request
+        owners: list[int] = []
+        live: list[AlltoallRequest] = []
         data: list[Any] = [None] * self.n_arrays
         chunks: list[Any] = [None] * self.n_arrays
 
-        def active_reqs():
-            return [req for (_a, req, _rc) in pending]
-
-        def tests(budget):
-            live = active_reqs()
-            if not live or budget <= 0:
-                return []
-            share, extra = divmod(budget, len(live))
-            return [
-                (r, share + (1 if i < extra else 0))
-                for i, r in enumerate(live)
-            ]
-
         for a, plan in enumerate(plans):
             local = None if locals_ is None else locals_[a]
-            nz = shape.nz
             # FFTz + Transpose with progression on the in-flight array.
             if local is not None:
                 from ..fft.transpose import xyz_to_xzy, xyz_to_zxy
@@ -142,75 +127,75 @@ class MultiArrayFFT3D:
                 d = plan._plan("z", nz).execute(local, axis=2)
                 d = xyz_to_xzy(d) if plan.use_fast_transpose else xyz_to_zxy(d)
                 data[a] = d
-            ctx.compute_with_progress(
-                ctx.cpu.fft_time(nz, plan.dec.nxl * shape.ny),
-                tests(p.Fy), "FFTz",
-            )
             kind = "xzy" if plan.use_fast_transpose else plan.spec.transpose_kind
-            ctx.compute_with_progress(
-                ctx.cpu.transpose_time(plan._tile_bytes(nz), kind),
-                tests(p.Fy), "Transpose",
-            )
+            ctx.progress_phases((
+                (ctx.cpu.fft_time(nz, plan.dec.nxl * shape.ny), p.Fy, "FFTz"),
+                (ctx.cpu.transpose_time(plan._tile_bytes(nz), kind), p.Fy,
+                 "Transpose"),
+            ), live)
             # FFTy + Pack on the whole slab.
-            self._whole_slab_ffty_pack(plan, a, data, chunks, tests(p.Fy))
+            self._whole_slab_ffty_pack(plan, a, data, chunks, live)
             # Drain the previous array's exchange, then post this one.
-            if pending:
-                pa, preq, _ = pending.pop(0)
-                recv = yield from ctx.comm.co_wait(preq, label="Wait")
-                outs[pa] = self._whole_slab_unpack_fftx(
-                    plans[pa], recv, tests(p.Fu)
-                )
-            req = ctx.comm.ialltoall(
+            if live:
+                pa = owners.pop(0)
+                recv = yield from ctx.comm.co_wait(live.pop(0), label="Wait")
+                outs[pa] = self._whole_slab_unpack_fftx(plans[pa], recv, live)
+            live.append(ctx.comm.ialltoall(
                 plan.dec.sendcounts_bytes(nz),
                 plan.dec.recvcounts_bytes(nz),
                 payload=chunks[a],
-            )
+            ))
+            owners.append(a)
             chunks[a] = None
-            pending.append((a, req, None))
         # Tail: drain the last exchange.
-        while pending:
-            pa, preq, _ = pending.pop(0)
-            recv = yield from ctx.comm.co_wait(preq, label="Wait")
-            outs[pa] = self._whole_slab_unpack_fftx(plans[pa], recv, [])
+        while live:
+            pa = owners.pop(0)
+            recv = yield from ctx.comm.co_wait(live.pop(0), label="Wait")
+            outs[pa] = self._whole_slab_unpack_fftx(plans[pa], recv, live)
         return None if locals_ is None else outs
 
-    def _whole_slab_ffty_pack(self, plan, a, data, chunks, test_list):
-        shape, ctx = self.shape, self.ctx
-        nz = shape.nz
-        ctx.compute_with_progress(plan._ffty_time(nz), test_list, "FFTy")
+    def _whole_slab_ffty_pack(self, plan, a, data, chunks, live):
+        nz = self.shape.nz
         if data[a] is not None:
             from .packing import ffty_pack_real
 
-            yplan = plan._plan("y", shape.ny)
+            yplan = plan._plan("y", self.shape.ny)
             chunks[a] = ffty_pack_real(
-                data[a] if plan.tile_layout == "zxy" else data[a],
+                data[a],
                 lambda arr: yplan.execute(arr, axis=-1),
                 plan.dec.y_counts,
                 plan.params.Px, min(plan.params.Pz, nz),
                 plan.tile_layout,
             )
             data[a] = None
-        ctx.compute_with_progress(plan._pack_time(nz), test_list, "Pack")
+        # Both phases progress with the FFTy budget.
+        Fy = self.params.Fy
+        self.ctx.progress_phases((
+            (plan._ffty_time(nz), Fy, "FFTy"),
+            (plan._pack_time(nz), Fy, "Pack"),
+        ), live)
 
-    def _whole_slab_unpack_fftx(self, plan, recv, test_list):
-        shape, ctx = self.shape, self.ctx
-        nz = shape.nz
-        ctx.compute_with_progress(plan._unpack_time(nz), test_list, "Unpack")
-        out = None
-        if recv is not None and recv[0] is not None:
-            from .packing import unpack_fftx_real
+    def _whole_slab_unpack_fftx(self, plan, recv, live):
+        nz = self.shape.nz
+        # Both phases progress with the Unpack budget.
+        Fu = self.params.Fu
+        self.ctx.progress_phases((
+            (plan._unpack_time(nz), Fu, "Unpack"),
+            (plan._fftx_time(nz), Fu, "FFTx"),
+        ), live)
+        if recv is None or recv[0] is None:
+            return None
+        from .packing import unpack_fftx_real
 
-            xplan = plan._plan("x", shape.nx)
-            out = unpack_fftx_real(
-                recv,
-                lambda arr: xplan.execute(arr, axis=-1),
-                plan.dec.x_counts,
-                plan.dec.nyl,
-                plan.params.Uy, min(plan.params.Uz, nz),
-                plan.output_layout,
-            )
-        ctx.compute_with_progress(plan._fftx_time(nz), test_list, "FFTx")
-        return out
+        xplan = plan._plan("x", self.shape.nx)
+        return unpack_fftx_real(
+            recv,
+            lambda arr: xplan.execute(arr, axis=-1),
+            plan.dec.x_counts,
+            plan.dec.nyl,
+            plan.params.Uy, min(plan.params.Uz, nz),
+            plan.output_layout,
+        )
 
     # -- combined intra + inter -------------------------------------------
 
@@ -224,39 +209,34 @@ class MultiArrayFFT3D:
         """
         ctx = self.ctx
         p = self.params
-        outs: list[Any] = [None] * self.n_arrays
-        # Global pending window across arrays: (array, tile_idx, req).
-        window: list[tuple[int, int, AlltoallRequest]] = []
+        # Global pending window across arrays: (array, tile) of each
+        # request in ``live``, FIFO.
+        window: list[tuple[int, int]] = []
+        live: list[AlltoallRequest] = []
         per_array_data: list[Any] = [None] * self.n_arrays
         per_array_out: list[Any] = [None] * self.n_arrays
 
-        def reqs():
-            return [r for (_a, _j, r) in window]
-
         def drain_one():
-            a, j, req = window.pop(0)
-            recv = yield from ctx.comm.co_wait(req, label="Wait")
-            plan = self.plans[a]
-            self._tile_unpack_fftx(plan, a, j, recv, per_array_out, reqs())
+            a, j = window.pop(0)
+            recv = yield from ctx.comm.co_wait(live.pop(0), label="Wait")
+            self._tile_unpack_fftx(self.plans[a], a, j, recv, per_array_out, live)
 
         for a, plan in enumerate(self.plans):
             local = None if locals_ is None else locals_[a]
-            per_array_data[a] = self._fixed_steps(plan, local, reqs())
+            per_array_data[a] = self._fixed_steps(plan, local, live)
             if local is not None:
                 per_array_out[a] = plan._alloc_output()
             for j in range(len(plan.tiles)):
-                chunks = self._tile_ffty_pack(
-                    plan, a, j, per_array_data, reqs()
-                )
+                chunks = self._tile_ffty_pack(plan, a, j, per_array_data, live)
                 if len(window) >= max(p.W, 1):
                     yield from drain_one()
                 z0, z1 = plan.tiles[j]
-                req = ctx.comm.ialltoall(
+                live.append(ctx.comm.ialltoall(
                     plan.dec.sendcounts_bytes(z1 - z0),
                     plan.dec.recvcounts_bytes(z1 - z0),
                     payload=chunks,
-                )
-                window.append((a, j, req))
+                ))
+                window.append((a, j))
             per_array_data[a] = None
         while window:
             yield from drain_one()
@@ -264,74 +244,69 @@ class MultiArrayFFT3D:
             return None
         return per_array_out
 
-    def _fixed_steps(self, plan, local, active):
+    def _fixed_steps(self, plan, local, live):
         ctx, shape = self.ctx, self.shape
-        p = self.params
         data = None
         if local is not None:
             from ..fft.transpose import xyz_to_xzy, xyz_to_zxy
 
             data = plan._plan("z", shape.nz).execute(local, axis=2)
             data = xyz_to_xzy(data) if plan.use_fast_transpose else xyz_to_zxy(data)
-        share = [(r, max(1, p.Fy // max(len(active), 1))) for r in active]
-        ctx.compute_with_progress(
-            ctx.cpu.fft_time(shape.nz, plan.dec.nxl * shape.ny), share, "FFTz"
-        )
+        # Every in-flight request gets at least one test per phase.
+        n = len(live)
+        total = n * max(1, self.params.Fy // max(n, 1))
         kind = "xzy" if plan.use_fast_transpose else plan.spec.transpose_kind
-        ctx.compute_with_progress(
-            ctx.cpu.transpose_time(plan._tile_bytes(shape.nz), kind),
-            share, "Transpose",
-        )
+        ctx.progress_phases((
+            (ctx.cpu.fft_time(shape.nz, plan.dec.nxl * shape.ny), total, "FFTz"),
+            (ctx.cpu.transpose_time(plan._tile_bytes(shape.nz), kind), total,
+             "Transpose"),
+        ), live)
         return data
 
-    def _tile_ffty_pack(self, plan, a, j, data, active):
-        ctx = self.ctx
+    def _tile_ffty_pack(self, plan, a, j, data, live):
         p = self.params
         z0, z1 = plan.tiles[j]
-        tz = z1 - z0
-        tests = ParallelFFT3D._share_tests(list(active), p.Fy)
-        ctx.compute_with_progress(plan._ffty_time(tz), tests, "FFTy")
-        chunks = None
-        if data[a] is not None:
-            from .packing import ffty_pack_real
+        t_ffty, t_pack, _, _ = plan._phase_times(z1 - z0)
+        self.ctx.progress_phases(
+            ((t_ffty, p.Fy, "FFTy"), (t_pack, p.Fp, "Pack")), live
+        )
+        if data[a] is None:
+            return None
+        from .packing import ffty_pack_real
 
-            yplan = plan._plan("y", self.shape.ny)
-            chunks = ffty_pack_real(
-                plan._tile_view(j, data[a]),
-                lambda arr: yplan.execute(arr, axis=-1),
-                plan.dec.y_counts,
-                p.Px, p.Pz,
-                plan.tile_layout,
-            )
-        tests = ParallelFFT3D._share_tests(active, p.Fp)
-        ctx.compute_with_progress(plan._pack_time(tz), tests, "Pack")
-        return chunks
+        yplan = plan._plan("y", self.shape.ny)
+        return ffty_pack_real(
+            plan._tile_view(j, data[a]),
+            lambda arr: yplan.execute(arr, axis=-1),
+            plan.dec.y_counts,
+            p.Px, p.Pz,
+            plan.tile_layout,
+        )
 
-    def _tile_unpack_fftx(self, plan, a, j, recv, outs, active):
-        ctx = self.ctx
+    def _tile_unpack_fftx(self, plan, a, j, recv, outs, live):
         p = self.params
         z0, z1 = plan.tiles[j]
-        tz = z1 - z0
-        tests = ParallelFFT3D._share_tests(active, p.Fu)
-        ctx.compute_with_progress(plan._unpack_time(tz), tests, "Unpack")
-        if outs[a] is not None and recv is not None and recv[0] is not None:
-            from .packing import unpack_fftx_real
+        _, _, t_unpack, t_fftx = plan._phase_times(z1 - z0)
+        self.ctx.progress_phases(
+            ((t_unpack, p.Fu, "Unpack"), (t_fftx, p.Fx, "FFTx")), live
+        )
+        if outs[a] is None or recv is None or recv[0] is None:
+            return
+        from .packing import unpack_fftx_real
 
-            xplan = plan._plan("x", self.shape.nx)
-            tile_out = unpack_fftx_real(
-                recv,
-                lambda arr: xplan.execute(arr, axis=-1),
-                plan.dec.x_counts,
-                plan.dec.nyl,
-                p.Uy, p.Uz,
-                plan.output_layout,
-            )
-            if plan.output_layout == "zyx":
-                outs[a][z0:z1] = tile_out
-            else:
-                outs[a][:, z0:z1, :] = tile_out
-        tests = ParallelFFT3D._share_tests(active, p.Fx)
-        ctx.compute_with_progress(plan._fftx_time(tz), tests, "FFTx")
+        xplan = plan._plan("x", self.shape.nx)
+        tile_out = unpack_fftx_real(
+            recv,
+            lambda arr: xplan.execute(arr, axis=-1),
+            plan.dec.x_counts,
+            plan.dec.nyl,
+            p.Uy, p.Uz,
+            plan.output_layout,
+        )
+        if plan.output_layout == "zyx":
+            outs[a][z0:z1] = tile_out
+        else:
+            outs[a][:, z0:z1, :] = tile_out
 
 
 def run_multi_array(
@@ -351,7 +326,6 @@ def run_multi_array(
         blocks = [scatter_slabs(a, shape.p) for a in global_arrays]
 
     def prog(ctx):
-        # Generator SPMD program: auto-selects the fast tasks backend.
         exe = MultiArrayFFT3D(ctx, shape, n_arrays, mode, params)
         locals_ = (
             None if blocks is None else [blocks[a][ctx.rank] for a in range(n_arrays)]

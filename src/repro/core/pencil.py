@@ -14,13 +14,11 @@ overlap machinery applied to the second (x-gathering) exchange, tiled
 along z — a direct transplant of the 1-D method's Algorithm 1.
 
 Like :class:`~repro.core.plan.ParallelFFT3D`, the pipeline is written in
-the ``co_*`` coroutine spelling (:meth:`PencilFFT3D.steps`), so a
-generator SPMD program runs it on the fast tasks backend with
-``yield from``; :meth:`PencilFFT3D.execute` drives the same generator on
-the thread backend via ``ctx.drive`` — bit-identical either way.  The
-row/column sub-communicators are created lazily by the first step (a
-``split`` is collective, and the tasks backend needs its coroutine
-form), not in ``__init__``.
+the ``co_*`` coroutine spelling (:meth:`PencilFFT3D.steps`), which a
+generator SPMD program runs with ``yield from``.  The row/column
+sub-communicators are created lazily by the first step (a split is
+collective, so it needs its ``co_split`` coroutine form), not in
+``__init__``.
 """
 
 from __future__ import annotations
@@ -117,10 +115,6 @@ class PencilFFT3D:
             self.col_comm = yield from self.world.co_split(
                 color=self.pr + self.c, key=self.r
             )
-
-    def execute(self, local: np.ndarray | None = None) -> np.ndarray | None:
-        """Blocking spelling of :meth:`steps` (thread backend)."""
-        return self.ctx.drive(self.steps(local))
 
     def steps(self, local: np.ndarray | None = None):
         """Run the transform as a ``co_*`` coroutine (``yield from`` it
@@ -268,7 +262,6 @@ def parallel_fft3d_pencil(
     blocks = scatter_pencils(arr, pr, pc)
 
     def prog(ctx):
-        # Generator SPMD program: auto-selects the fast tasks backend.
         plan = PencilFFT3D(ctx, arr.shape, (pr, pc))
         return (yield from plan.steps(blocks[ctx.rank]))
 

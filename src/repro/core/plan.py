@@ -19,6 +19,11 @@ tiled — and serves both payload modes:
 Both modes, traced or not, run the same tile loop (per-tile trace
 attributes are built only when a tracer is installed).
 
+The pipeline is a ``co_*`` coroutine (:meth:`ParallelFFT3D.steps`) that
+a generator SPMD program runs with ``yield from``; every compute phase
+that progresses the in-flight exchanges is charged through the one
+primitive :meth:`~repro.simmpi.comm.SimContext.progress_phases`.
+
 Step labels traced to the engine ("FFTz", "Transpose", "FFTy", "Pack",
 "Unpack", "FFTx", "Ialltoall", "Wait", "Test") are exactly the Figure 8
 legend.
@@ -157,35 +162,16 @@ class ParallelFFT3D:
             self._phase_cache[tz] = cached
         return cached
 
-    # -- test-call budgeting -----------------------------------------------
-
-    @staticmethod
-    def _share_tests(
-        reqs: list[AlltoallRequest], total: int
-    ) -> list[tuple[AlltoallRequest, int]]:
-        """Spread a phase's test budget over the active window, the way
-        Algorithms 2-3 call MPI_Test "on W previous/next tiles F times in
-        total"."""
-        live = [r for r in reqs if r is not None and not r.consumed]
-        if not live or total <= 0:
-            return []
-        n = len(live)
-        base, extra = divmod(total, n)
-        return [(r, base + (1 if i < extra else 0)) for i, r in enumerate(live)]
-
     # -- execution ---------------------------------------------------------------
 
-    def execute(self, local: np.ndarray | None = None) -> np.ndarray | None:
-        """Run the transform; returns the local output block (real mode)
-        in :attr:`output_layout` order, or ``None`` (virtual mode).
-
-        Thread-backend facade over :meth:`steps`; generator SPMD
-        programs should ``yield from plan.steps(local)`` instead so the
-        engine can run them on the no-threads ``tasks`` backend."""
-        return self.ctx.drive(self.steps(local))
-
     def steps(self, local: np.ndarray | None = None):
-        """The transform as a coroutine (``yield from`` in SPMD generators)."""
+        """Run the transform as a coroutine (``yield from`` it in a
+        generator SPMD program); returns the local output block (real
+        mode) in :attr:`output_layout` order, or ``None`` (virtual
+        mode).  Each phase's MPI_Test budget (``Fy/Fp/Fu/Fx``) is spread
+        over the in-flight window by :meth:`SimContext.progress_phases`,
+        the way Algorithms 2-3 call MPI_Test "on W previous/next tiles F
+        times in total"."""
         real = local is not None
         dec, ctx, P = self.dec, self.ctx, self.params
         ny, nz = self.shape.ny, self.shape.nz

@@ -10,7 +10,9 @@ r2c transform (via the packed half-length trick in
 everything downstream — Transpose, the tiled overlapped exchange, FFTy,
 FFTx — runs the unchanged complex pipeline on the reduced z extent, so
 both the computation on z and the *entire communication volume* are
-nearly halved.
+nearly halved.  Like the complex pipeline, :meth:`ParallelRFFT3D.steps`
+is a ``co_*`` coroutine run with ``yield from`` in a generator SPMD
+program.
 """
 
 from __future__ import annotations
@@ -76,13 +78,9 @@ class ParallelRFFT3D:
         """Output block layout: ``"zyx"`` or ``"yzx"``."""
         return self.inner.output_layout
 
-    def execute(self, local: np.ndarray | None = None) -> np.ndarray | None:
-        """r2c transform of the local block (or virtual timing run)."""
-        return self.ctx.drive(self.steps(local))
-
     def steps(self, local: np.ndarray | None = None):
-        """The r2c transform as a coroutine (``yield from`` in SPMD
-        generators)."""
+        """r2c transform of the local block (or a virtual timing run) as
+        a coroutine (``yield from`` it in a generator SPMD program)."""
         ctx = self.ctx
         dec = self.inner.dec
         ny, nz = self.shape.ny, self.shape.nz

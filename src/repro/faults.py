@@ -27,8 +27,7 @@ Determinism: per-message randomness (jitter, spikes) is drawn from a
 stateless splitmix64 hash of ``(seed, rank, per-rank draw counter)``.
 Ranks draw in program order and the engine's single-token min-time
 scheduler makes that order a pure function of the program, so the same
-spec and seed always yield the same simulated times — on both rank
-backends.
+spec and seed always yield the same simulated times.
 
 Installation mirrors :mod:`repro.obs`: faults are *ambient*.
 :func:`install_faults` / :func:`injected_faults` put a spec on a

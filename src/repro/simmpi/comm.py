@@ -4,29 +4,22 @@
 ``comm`` attribute is the world :class:`Communicator`.  The API mirrors
 the MPI operations the paper's code and common substrates need:
 
-* point-to-point: ``send/recv/isend/irecv/sendrecv``
-* blocking collectives: ``barrier, bcast, reduce, allreduce, gather,
-  allgather, scatter, alltoall, alltoallv``
+* point-to-point: ``isend/irecv`` and the blocking ``co_send/co_recv/
+  co_sendrecv``
+* blocking collectives: ``co_barrier, co_bcast, co_reduce,
+  co_allreduce, co_gather, co_allgather, co_scatter, co_alltoall,
+  co_alltoallv``
 * non-blocking: ``ialltoall / ialltoallv`` returning
-  :class:`~repro.simmpi.request.AlltoallRequest`, progressed manually via
-  ``test`` / ``progress_segment`` and finished with ``wait``
-* ``split`` for sub-communicators (used by the 2-D decomposition
+  :class:`~repro.simmpi.request.AlltoallRequest`, progressed by
+  :meth:`SimContext.progress_phases` (compute with MPI_Test calls) or
+  ``co_test`` and finished with ``co_wait``
+* ``co_split`` for sub-communicators (used by the 2-D decomposition
   extension).
 
-Every *blocking* operation exists in two spellings sharing one
-implementation:
-
-* the plain method (``wait``, ``barrier``, ...) blocks the calling rank
-  **thread** — use it from ordinary SPMD callables;
-* the ``co_`` twin (``co_wait``, ``co_barrier``, ...) is a coroutine to
-  be delegated with ``yield from`` — use it from generator SPMD
-  functions, which the engine then runs on its no-threads ``tasks``
-  backend (see :mod:`repro.simmpi.engine`).
-
-The coroutine form is the primary implementation: it yields engine
-commands (block / reschedule) to whoever drives it — the task scheduler
-directly, or :meth:`Engine.drive`'s trampoline on a rank thread — so the
-two spellings take bit-identical scheduling decisions.
+Every *blocking* operation is a ``co_`` coroutine, delegated to with
+``yield from`` inside a generator SPMD function: it yields engine
+commands (block on a probe / give the token back) to the scheduler in
+:mod:`repro.simmpi.engine`.
 
 Payloads are optional everywhere: in virtual mode callers pass byte
 counts only, in real mode actual numpy arrays travel with the messages.
@@ -75,11 +68,6 @@ class SimContext:
         """Current virtual time of this rank."""
         return self._r.clock
 
-    def drive(self, gen) -> Any:
-        """Run a ``co_*`` coroutine to completion on this rank's thread
-        (threads backend only; generator programs use ``yield from``)."""
-        return self.engine.drive(self.rank, gen)
-
     def compute(
         self, seconds: float, label: str = "compute",
         attrs: dict | None = None,
@@ -87,94 +75,38 @@ class SimContext:
         """Advance virtual time by ``seconds`` of local computation."""
         self.engine.advance(self.rank, seconds, label, attrs)
 
-    def compute_with_progress(
-        self,
-        seconds: float,
-        tests: Sequence[tuple[AlltoallRequest, int]],
-        label: str = "compute",
-        attrs: dict | None = None,
-    ) -> None:
-        """Compute for ``seconds`` while manually progressing requests.
-
-        ``tests`` is a sequence of ``(request, n_tests)``: during the
-        segment the rank calls MPI_Test ``n_tests`` times on each given
-        request (the paper's Algorithms 2-3, where ``Fy/Fp/Fu/Fx`` tests
-        are spread over each computation phase).  Test-call overhead is
-        charged on top of ``seconds`` and traced under ``"Test"``.
-
-        Never suspends, so it is safe in both SPMD spellings.
-
-        Injected faults act here: a straggler's segment stretches by its
-        CPU slowdown (the test epochs spread over the stretched window,
-        matching what :meth:`Engine.advance` charges), and a poll-delay
-        fault thins the *progression* epochs to ``ntests / factor`` — a
-        descheduled process enters the MPI library late and irregularly.
-        Test-call overhead stays charged at the requested count: the CPU
-        time is burned either way, so a poll fault can only slow a run.
-        """
-        t0 = self._r.clock
-        stretch = self._cpu_stretch
-        duration = seconds if stretch is None else seconds * stretch
-        poll_faults = self._poll_faults
-        total_tests = 0
-        for req, ntests in tests:
-            if ntests < 0:
-                raise MPIUsageError(f"negative test count {ntests}")
-            if req is not None and ntests > 0:
-                eff = (
-                    self.engine.faults.effective_tests(self.rank, ntests)
-                    if poll_faults
-                    else ntests
-                )
-                req.progress_segment(t0, duration, eff)
-                total_tests += ntests
-        advance = self.engine.advance
-        advance(self.rank, seconds, label, attrs)
-        if total_tests:
-            advance(self.rank, total_tests * self._test_overhead, "Test")
-
-    def progress_phase(
-        self,
-        seconds: float,
-        live: Sequence[AlltoallRequest],
-        total: int,
-        label: str,
-        attrs: dict | None = None,
-    ) -> None:
-        """One pipeline phase: compute ``seconds`` while spreading a
-        ``total`` test budget over the ``live`` request window.
-
-        Semantically identical to ``compute_with_progress(seconds,
-        ParallelFFT3D._share_tests(live, total), label, attrs)`` — same
-        budget split, same progression, same two clock advances (phase
-        label, then aggregated Test overhead).  Thin wrapper over
-        :meth:`progress_phases`.
-        """
-        self.progress_phases(((seconds, total, label),), live, attrs)
-
     def progress_phases(
         self,
         phases: Sequence[tuple[float, int, str]],
         live: Sequence[AlltoallRequest],
         attrs: dict | None = None,
     ) -> None:
-        """Run consecutive ``(seconds, test_total, label)`` pipeline
-        phases against the same ``live`` request window.
+        """Run consecutive ``(seconds, test_total, label)`` compute
+        phases while manually progressing the ``live`` request window.
 
-        Each phase is semantically identical to ``compute_with_progress(
-        seconds, ParallelFFT3D._share_tests(live, total), label, attrs)``
-        — same budget split, same progression, same two clock advances
-        (phase label, then aggregated Test overhead) — but fused into one
-        pass: no intermediate (request, count) list, no per-call
-        attribute walks, and segments that provably cannot post a round
-        (all sends already injected, or a zero-length window) are skipped
-        with only their library-entry counter bumped, exactly as the
-        skipped call would have done.  Accepting a phase *batch* lets the
-        tile pipeline charge its back-to-back compute steps (FFTy+Pack,
-        Unpack+FFTx) in one call.  This runs twice per tile and dominates
-        pipeline overhead, hence the inlining; equivalence with the
-        unfused spelling is covered by tests/core/test_pipeline.py and
-        the backend-equivalence suite.
+        During each phase the rank calls MPI_Test ``test_total`` times
+        in total, spread over the window's unfinished requests (the
+        first ``test_total % n`` get one extra) — the paper's Algorithms
+        2-3, where ``Fy/Fp/Fu/Fx`` tests on the ``W`` in-flight tiles are
+        spread over each computation phase.  Each request's share posts
+        rounds exactly as :meth:`AlltoallRequest.progress_segment` does
+        over the phase's window; the clock then advances by ``seconds``
+        under ``label`` and by the test-call overhead under ``"Test"``.
+
+        Injected faults act here: a straggler's phase stretches by its
+        CPU slowdown (the test epochs spread over the stretched window),
+        and a poll-delay fault thins each request's *progression* epochs
+        to ``ntests / factor`` — a descheduled process enters the MPI
+        library late and irregularly.  Test-call overhead stays charged
+        at the requested count, so a poll fault can only slow a run.
+
+        Never suspends.  ``progress_segment``'s posting loop is inlined
+        here, and segments that provably cannot post a round (all sends
+        already injected, or a zero-length window) are skipped with only
+        their library-entry counter bumped.  This runs twice per tile and
+        dominates pipeline overhead; ``tests/core/test_pipeline.py``
+        holds it to the ``progress_segment`` + ``Engine.advance``
+        spelling.
         """
         r = self._r
         stretch = self._cpu_stretch
@@ -227,8 +159,7 @@ class SimContext:
                             # Inlined body of AlltoallRequest.progress_segment
                             # (verbatim expressions — any rearrangement could
                             # shift a posted time by a ULP).  The method is
-                            # kept as the reference implementation for
-                            # compute_with_progress and direct callers.
+                            # kept as the readable reference.
                             (rank_w, rate_q, lat, thr, infl, sc, pending, row,
                              cnts, cmax, np_, waiters, notify, jdraw) = q._hot
                             fabric = q.fabric
@@ -344,10 +275,6 @@ class Communicator:
     ) -> None:
         self.engine.advance(self.ctx.rank, seconds, label, attrs)
 
-    def _drive(self, gen) -> Any:
-        """Run a co_* coroutine thread-blockingly (threads backend)."""
-        return self.engine.drive(self.ctx.rank, gen)
-
     @property
     def net(self):
         """The platform's network model (shortcut)."""
@@ -384,47 +311,35 @@ class Communicator:
         return RecvRequest(self.fabric, self.group[self.rank], world_src, tag)
 
     def co_send(self, dest: int, nbytes: int, payload: Any = None, tag: int = 0):
-        """Coroutine form of :meth:`send`."""
+        """Blocking standard-mode send (completes locally at injection)."""
         req = self.isend(dest, nbytes, payload, tag)
         yield from self.co_wait(req, label="Send")
 
-    def send(self, dest: int, nbytes: int, payload: Any = None, tag: int = 0) -> None:
-        """Blocking standard-mode send (completes locally at injection)."""
-        return self._drive(self.co_send(dest, nbytes, payload, tag))
 
     def co_recv(self, source: int | None = None, tag: int | None = None):
-        """Coroutine form of :meth:`recv`."""
+        """Blocking receive; returns ``(payload, src, tag, nbytes)`` with
+        ``src`` translated back to this communicator's ranks."""
         req = self.irecv(source, tag)
         payload, world_src, mtag, nbytes = yield from self.co_wait(req, label="Recv")
         return payload, self.group.index(world_src), mtag, nbytes
 
-    def recv(self, source: int | None = None, tag: int | None = None):
-        """Blocking receive; returns ``(payload, src, tag, nbytes)`` with
-        ``src`` translated back to this communicator's ranks."""
-        return self._drive(self.co_recv(source, tag))
 
     def co_sendrecv(
         self, dest: int, nbytes: int, payload: Any = None,
         source: int | None = None, tag: int = 0,
     ):
-        """Coroutine form of :meth:`sendrecv`."""
+        """Combined send+recv without deadlock (both posted, then both waited)."""
         rreq = self.irecv(source, tag)
         sreq = self.isend(dest, nbytes, payload, tag)
         yield from self.co_wait(sreq, label="Send")
         payload_in, world_src, mtag, nb = yield from self.co_wait(rreq, label="Recv")
         return payload_in, self.group.index(world_src), mtag, nb
 
-    def sendrecv(
-        self, dest: int, nbytes: int, payload: Any = None,
-        source: int | None = None, tag: int = 0,
-    ):
-        """Combined send+recv without deadlock (both posted, then both waited)."""
-        return self._drive(self.co_sendrecv(dest, nbytes, payload, source, tag))
 
     # ------------------------------------------------------------ wait/test
 
     def co_wait(self, req: Request, label: str = "Wait"):
-        """Coroutine form of :meth:`wait`."""
+        """Block until ``req`` completes; returns the op's result value."""
         if req.consumed:
             raise MPIUsageError("request already waited on")
         t = self.ctx._r.clock
@@ -438,23 +353,17 @@ class Communicator:
         req.consumed = True
         return req.on_complete(done)
 
-    def wait(self, req: Request, label: str = "Wait"):
-        """Block until ``req`` completes; returns the op's result value."""
-        return self._drive(self.co_wait(req, label))
 
     def co_waitall(self, reqs: Sequence[Request], label: str = "Wait"):
-        """Coroutine form of :meth:`waitall`."""
+        """Wait on every request; returns their results in order."""
         out = []
         for r in reqs:
             out.append((yield from self.co_wait(r, label)))
         return out
 
-    def waitall(self, reqs: Sequence[Request], label: str = "Wait") -> list[Any]:
-        """Wait on every request; returns their results in order."""
-        return [self.wait(r, label) for r in reqs]
-
     def co_test(self, req: Request):
-        """Coroutine form of :meth:`test`."""
+        """Non-blocking completion check (one MPI_Test): progresses the
+        request, charges the call overhead, returns ``(flag, result)``."""
         if req.consumed:
             raise MPIUsageError("request already waited on")
         t = self.ctx._r.clock
@@ -472,10 +381,6 @@ class Communicator:
         yield ("yield",)
         return False, None
 
-    def test(self, req: Request) -> tuple[bool, Any]:
-        """Non-blocking completion check (one MPI_Test): progresses the
-        request, charges the call overhead, returns ``(flag, result)``."""
-        return self._drive(self.co_test(req))
 
     # -------------------------------------------------------------- alltoall
 
@@ -528,8 +433,8 @@ class Communicator:
         ``sendcounts``/``recvcounts`` are bytes per peer (scalar = uniform
         — plain ``MPI_Ialltoall``; vector = ``MPI_Ialltoallv``).
         ``payload`` optionally carries one object per destination (real
-        mode).  The returned request is progressed by ``test`` /
-        ``SimContext.compute_with_progress`` and finished by ``wait``.
+        mode).  The returned request is progressed by ``co_test`` /
+        :meth:`SimContext.progress_phases` and finished by ``co_wait``.
         """
         send, send_list, send_uniform = self._alltoall_counts(sendcounts)
         recv, _, _ = self._alltoall_counts(
@@ -572,16 +477,12 @@ class Communicator:
     ialltoallv = ialltoall
 
     def co_alltoall(self, sendcounts, recvcounts=None, payload: list[Any] | None = None):
-        """Coroutine form of :meth:`alltoall`."""
+        """Blocking all-to-all(v): post then wait (library-resident, so it
+        progresses at full NIC rate — the FFTW-baseline communication)."""
         req = self.ialltoall(sendcounts, recvcounts, payload)
         return (yield from self.co_wait(req, label="A2A"))
 
-    def alltoall(self, sendcounts, recvcounts=None, payload: list[Any] | None = None):
-        """Blocking all-to-all(v): post then wait (library-resident, so it
-        progresses at full NIC rate — the FFTW-baseline communication)."""
-        return self._drive(self.co_alltoall(sendcounts, recvcounts, payload))
 
-    alltoallv = alltoall
     co_alltoallv = co_alltoall
 
     # ---------------------------------------------------------- collectives
@@ -627,17 +528,14 @@ class Communicator:
         return result
 
     def co_barrier(self):
-        """Coroutine form of :meth:`barrier`."""
+        """Synchronize all ranks (dissemination-barrier time model)."""
         yield from self._co_sync_collective(
             "barrier", self._tree_depth() * self.net.latency, "Barrier"
         )
 
-    def barrier(self) -> None:
-        """Synchronize all ranks (dissemination-barrier time model)."""
-        return self._drive(self.co_barrier())
 
     def co_bcast(self, payload: Any = None, nbytes: int = 0, root: int = 0):
-        """Coroutine form of :meth:`bcast`."""
+        """Broadcast ``root``'s payload to everyone (binomial-tree model)."""
         depth = self._tree_depth()
         t_extra = depth * (self.net.latency + nbytes / self.fabric.rank_rate)
         me = self.rank
@@ -650,13 +548,11 @@ class Communicator:
             "bcast", t_extra, "Bcast", payload=marker, root=root, combine=combine
         ))
 
-    def bcast(self, payload: Any = None, nbytes: int = 0, root: int = 0):
-        """Broadcast ``root``'s payload to everyone (binomial-tree model)."""
-        return self._drive(self.co_bcast(payload, nbytes, root))
 
     def co_reduce(self, value: Any, op: Callable[[Any, Any], Any] = None,
                   nbytes: int = 0, root: int = 0):
-        """Coroutine form of :meth:`reduce`."""
+        """Reduce values to ``root`` (returns the reduction on root, the
+        local value elsewhere).  ``op`` defaults to elementwise add."""
         depth = self._tree_depth()
         t_extra = depth * (self.net.latency + nbytes / self.fabric.rank_rate)
         combiner = op if op is not None else (lambda a, b: a + b)
@@ -674,15 +570,10 @@ class Communicator:
             "reduce", t_extra, "Reduce", payload=value, root=root, combine=combine
         ))
 
-    def reduce(self, value: Any, op: Callable[[Any, Any], Any] = None,
-               nbytes: int = 0, root: int = 0):
-        """Reduce values to ``root`` (returns the reduction on root, the
-        local value elsewhere).  ``op`` defaults to elementwise add."""
-        return self._drive(self.co_reduce(value, op, nbytes, root))
 
     def co_allreduce(self, value: Any, op: Callable[[Any, Any], Any] = None,
                      nbytes: int = 0):
-        """Coroutine form of :meth:`allreduce`."""
+        """Reduce-to-all (recursive-doubling time model)."""
         depth = self._tree_depth()
         t_extra = depth * (self.net.latency + nbytes / self.fabric.rank_rate)
         combiner = op if op is not None else (lambda a, b: a + b)
@@ -697,13 +588,9 @@ class Communicator:
             "allreduce", t_extra, "Allreduce", payload=value, combine=combine
         ))
 
-    def allreduce(self, value: Any, op: Callable[[Any, Any], Any] = None,
-                  nbytes: int = 0):
-        """Reduce-to-all (recursive-doubling time model)."""
-        return self._drive(self.co_allreduce(value, op, nbytes))
 
     def co_gather(self, value: Any, nbytes: int = 0, root: int = 0):
-        """Coroutine form of :meth:`gather`."""
+        """Gather values to ``root`` (list in rank order on root, else None)."""
         t_extra = self._tree_depth() * self.net.latency + (
             (self.size - 1) * nbytes / self.fabric.rank_rate
         )
@@ -716,12 +603,9 @@ class Communicator:
             "gather", t_extra, "Gather", payload=value, root=root, combine=combine
         ))
 
-    def gather(self, value: Any, nbytes: int = 0, root: int = 0):
-        """Gather values to ``root`` (list in rank order on root, else None)."""
-        return self._drive(self.co_gather(value, nbytes, root))
 
     def co_allgather(self, value: Any, nbytes: int = 0):
-        """Coroutine form of :meth:`allgather`."""
+        """Gather values to all ranks (list in rank order)."""
         t_extra = self._tree_depth() * self.net.latency + (
             (self.size - 1) * nbytes / self.fabric.rank_rate
         )
@@ -729,13 +613,10 @@ class Communicator:
             "allgather", t_extra, "Allgather", payload=value, combine=list
         ))
 
-    def allgather(self, value: Any, nbytes: int = 0):
-        """Gather values to all ranks (list in rank order)."""
-        return self._drive(self.co_allgather(value, nbytes))
 
     def co_scatter(self, values: Sequence[Any] | None = None, nbytes: int = 0,
                    root: int = 0):
-        """Coroutine form of :meth:`scatter`."""
+        """Scatter ``root``'s list of per-rank values."""
         if self.rank == root:
             if values is None or len(values) != self.size:
                 raise MPIUsageError(
@@ -754,15 +635,16 @@ class Communicator:
             "scatter", t_extra, "Scatter", payload=marker, root=root, combine=combine
         ))
 
-    def scatter(self, values: Sequence[Any] | None = None, nbytes: int = 0,
-                root: int = 0):
-        """Scatter ``root``'s list of per-rank values."""
-        return self._drive(self.co_scatter(values, nbytes, root))
 
     # -------------------------------------------------------------------- split
 
     def co_split(self, color: int, key: int | None = None):
-        """Coroutine form of :meth:`split`."""
+        """Partition the communicator by ``color`` (MPI_Comm_split).
+
+        Ranks with equal color form a new communicator ordered by
+        ``key`` (default: current rank).  Collective — all members must
+        call it.
+        """
         me_key = self.rank if key is None else key
         triples = yield from self.co_allgather(
             (color, me_key, self.group[self.rank])
@@ -777,11 +659,3 @@ class Communicator:
         agreed = yield from self.co_allreduce(self.engine.new_comm_id(), op=min)
         return Communicator(self.ctx, new_group, (agreed, color))
 
-    def split(self, color: int, key: int | None = None) -> "Communicator":
-        """Partition the communicator by ``color`` (MPI_Comm_split).
-
-        Ranks with equal color form a new communicator ordered by
-        ``key`` (default: current rank).  Collective — all members must
-        call it.
-        """
-        return self._drive(self.co_split(color, key))

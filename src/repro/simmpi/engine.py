@@ -1,33 +1,17 @@
 """Deterministic discrete-event engine for the simulated cluster.
 
-Each simulated rank executes ordinary Python code (the SPMD function),
-but exactly one rank is awake at any moment: the scheduler always
-resumes the rank with the smallest *virtual* clock.  This single-token,
-min-time policy gives conservative parallel-discrete-event correctness —
-when a rank at virtual time ``t`` runs, every peer's clock is already
-``>= t``, so every message that could influence it by time ``t`` has
-been posted — and bit-for-bit determinism (ties break by rank id).
-
-Two **rank backends** share that scheduler:
-
-``threads``
-    every rank is a parked OS thread; suspension points hand the token
-    over through a pair of ``threading.Event`` waits.  Works for any
-    SPMD callable, but each handoff costs two kernel round-trips — at
-    p=256 the handoffs, not the model, dominate wall-clock time.
-``tasks``
-    every rank is a *generator* resumed by ``gen.send`` on the
-    scheduler's own stack — no threads, no locks, no context switches.
-    Requires the SPMD function to be a generator function whose
-    blocking operations are expressed as ``yield from`` of the comm
-    layer's ``co_*`` coroutines (all pipelines in :mod:`repro.core` are
-    written this way).
-
-Backend selection is automatic: a generator SPMD function runs on the
-``tasks`` backend, a plain callable on ``threads``.  Virtual-time
-results are bit-identical between the two because every scheduling
-decision is taken by the same code on the same ordered events; the
-equivalence is enforced by ``tests/simmpi/test_backends.py``.
+Each simulated rank is a *generator* — the SPMD function, called once
+per rank — resumed by ``gen.send`` on the scheduler's own stack: no
+threads, no locks, no context switches.  Its blocking operations are
+``yield from`` of the comm layer's ``co_*`` coroutines, which yield
+engine commands (block on a probe, or give the token back) to the
+scheduler.  Exactly one rank is awake at any moment: the scheduler
+always resumes the rank with the smallest *virtual* clock.  This
+single-token, min-time policy gives conservative parallel-discrete-event
+correctness — when a rank at virtual time ``t`` runs, every peer's clock
+is already ``>= t``, so every message that could influence it by time
+``t`` has been posted — and bit-for-bit determinism (ties break by rank
+id).
 
 Virtual time advances only through :meth:`SimContext.compute` /
 communication calls; real numpy work done by the rank costs *zero*
@@ -50,14 +34,20 @@ exact either way.  The completion-time heap also feeds the pick itself:
 a blocked rank whose wakeup time precedes every ready clock runs first,
 so a rank spinning in a ``test()`` poll loop (which stays ready between
 polls) cannot starve peers parked in ``wait``.
+
+Two order-preserving fast paths skip scheduler round trips whose outcome
+is already known: a block whose completion is determined at the rank's
+own clock while it is provably still the next pick returns at once, and
+a rank that gives the token back while it is still the unique minimum
+keeps running.  They only save handoffs and wakeups; the golden fixtures
+``tests/simmpi/sched_golden.json`` and ``tests/core/payload_golden.json``
+pin the clocks, results and counters the scheduler produces.
 """
 
 from __future__ import annotations
 
 import heapq
 import inspect
-import os
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -65,8 +55,6 @@ from ..errors import DeadlockError, SimulationError
 from ..faults import FaultSpec, current_faults, parse_faults
 from ..machine.platforms import Platform
 from .fabric import Fabric
-
-_STACK_SIZE = 512 * 1024  # rank threads are shallow; keep 256-rank jobs light
 
 #: engine commands a rank coroutine may yield to the scheduler
 _CMD_BLOCK = "block"
@@ -80,10 +68,9 @@ class SchedStats:
     ``handoffs`` counts rank resumptions (token grants); ``probe_polls``
     counts completion-probe invocations made by the scheduler;
     ``wakeups`` counts blocked→runnable transitions (a rank leaving a
-    ``wait`` because its completion time became determinable).  All are
-    backend-independent — the thread and task backends take identical
-    scheduling decisions — so they double as a cheap equivalence check,
-    and their wall-clock cost is what the ``tasks`` backend removes.
+    ``wait`` because its completion time became determinable).  They are
+    deterministic, so the golden fixtures pin them exactly.  ``backend``
+    is always ``"tasks"`` (the label the metrics registry publishes).
     """
 
     backend: str = ""
@@ -143,20 +130,18 @@ class _Rank:
     """Scheduler-side bookkeeping for one simulated rank."""
 
     __slots__ = (
-        "idx", "clock", "state", "event", "probe", "probe_label",
-        "thread", "gen", "block_t0", "result", "exc", "trace", "coll_seq",
+        "idx", "clock", "state", "probe", "probe_label",
+        "gen", "block_t0", "result", "exc", "trace", "coll_seq",
     )
 
     def __init__(self, idx: int, record_events: bool) -> None:
         self.idx = idx
         self.clock = 0.0
         self.state = "ready"  # ready | running | blocked | done
-        self.event = None  # threading.Event, created by the threads backend only
         self.probe: Callable[[], float | None] | None = None
         self.probe_label = ""
-        self.thread: threading.Thread | None = None
-        self.gen = None  # rank coroutine (tasks backend)
-        self.block_t0: float | None = None  # pending-block entry time (tasks)
+        self.gen = None  # the rank's SPMD generator
+        self.block_t0: float | None = None  # pending-block entry time
         self.result: Any = None
         self.exc: BaseException | None = None
         self.trace = RankTrace(
@@ -174,7 +159,6 @@ class Engine:
         nprocs: int,
         platform: Platform,
         record_events: bool = False,
-        backend: str = "auto",
         tracer=None,
         faults: "FaultSpec | str | None" = None,
     ) -> None:
@@ -188,13 +172,8 @@ class Engine:
         picks up the ambient spec installed with
         :func:`repro.faults.injected_faults`.  Pass an empty spec to
         force a fault-free run inside an injected scope."""
-        if backend not in ("auto", "threads", "tasks"):
-            raise SimulationError(
-                f"unknown backend {backend!r}; use 'auto', 'threads' or 'tasks'"
-            )
         self.nprocs = nprocs
         self.platform = platform
-        self.backend = backend
         self.tracer = tracer
         if faults is None:
             faults = current_faults()
@@ -210,21 +189,15 @@ class Engine:
         )
         self.fabric = Fabric(platform, nprocs, faults=self.faults)
         self.ranks = [_Rank(i, record_events) for i in range(nprocs)]
-        self.stats = SchedStats()
-        self._active_backend = "threads"
-        self._sched_event: threading.Event | None = None  # threads backend only
+        self.stats = SchedStats(backend="tasks")
         self._comm_counter = 0
         self._blocked: set[int] = set()
         #: (completion time, idx) heap of blocked ranks whose completion
-        #: is already determinable (fed by Fabric.notify_rank / block())
+        #: is already determinable (fed by Fabric.notify_rank / blocks)
         self._ready_heap: list[tuple[float, int]] = []
         #: the scheduler's (clock, idx) ready heap, shared with the
-        #: fast-path checks in block()/_resume_task (see _next_is)
+        #: block fast path in _resume (see _next_is)
         self._run_heap: list[tuple[float, int]] = []
-        #: REPRO_SIM_FASTPATH=0 disables the order-preserving scheduler
-        #: fast paths; the slow path is kept as a regression oracle
-        #: (tests/simmpi/test_fastpath_equivalence.py)
-        self._fastpath = os.environ.get("REPRO_SIM_FASTPATH", "1") != "0"
         self.fabric.notify_rank = self._notify
 
     def _notify(self, world_rank: int) -> None:
@@ -286,55 +259,118 @@ class Engine:
                 trace.attrs.append(attrs)
         r.clock = t1
 
-    def reschedule(self, rank: int) -> None:
-        """Yield the token without blocking (stay ready).
+    # -- run -----------------------------------------------------------------
 
-        Used by polling patterns (``while not test(): ...``): the polling
-        rank has usually run ahead of its peers' virtual clocks, so
-        giving the token back lets them post the events the poll is
-        looking for.
+    def run(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> list[Any]:
+        """Execute ``fn(ctx, *args, **kwargs)`` on every rank; returns the
+        per-rank return values.  Any rank exception is re-raised.
+
+        ``fn`` must be a generator function whose blocking operations
+        are ``yield from`` of the comm layer's ``co_*`` coroutines.
         """
-        self._yield(self.ranks[rank])
+        if not inspect.isgeneratorfunction(fn):
+            raise SimulationError(
+                "the engine runs generator SPMD functions; write the "
+                "program's blocking calls as 'yield from' of the co_* forms"
+            )
+        from .comm import Communicator, SimContext  # cycle-free at runtime
 
-    def block(
-        self,
-        rank: int,
-        probe: Callable[[], float | None],
-        label: str,
-    ) -> float:
-        """Suspend ``rank`` until ``probe`` yields a completion time.
+        world = list(range(self.nprocs))
+        try:
+            for r in self.ranks:
+                ctx = SimContext(self, r.idx)
+                ctx.comm = Communicator(ctx, group=world, comm_id=0)
+                r.gen = fn(ctx, *args, **kwargs)
+            self._schedule()
+            return self._collect()
+        finally:
+            TOTALS.merge(self.stats)
+            # Publish into the telemetry-plane registry (repro.obs.registry).
+            # Imported lazily: repro.obs imports this module at package
+            # init, so a top-level import here would be circular.
+            from ..obs.registry import publish_sched_stats
 
-        Returns the completion time; the rank's clock is advanced to it
-        and the blocked interval is traced under ``label``.
-        """
-        r = self.ranks[rank]
-        t0 = r.clock
-        self.stats.probe_polls += 1
-        t_ready = probe()
-        if (
-            self._fastpath
-            and t_ready is not None
-            and t_ready <= t0
-            and self._next_is(t0, rank)
-        ):
-            # Immediate completion while this rank is provably still the
-            # scheduler's next pick: the slow path would park the rank
-            # and re-resume it at the same clock, so collapsing the
-            # round trip preserves execution order exactly and removes
-            # one handoff + one wakeup (see DESIGN.md, engine fast paths).
-            r.trace.add(t0, t0, label)
-            return t0
-        r.state = "blocked"
-        r.probe = probe
-        r.probe_label = label
-        if t_ready is not None:
-            heapq.heappush(self._ready_heap, (max(t_ready, t0), rank))
-        else:
-            self._blocked.add(rank)
-        self._yield(r, keep_state=True)
-        # Scheduler set clock to the completion time before resuming us.
-        r.trace.add(t0, r.clock, label)
-        return r.clock
+            publish_sched_stats(self.stats)
+            if self.tracer is not None:
+                self.tracer.count("sched.runs")
+                self.tracer.count("sched.handoffs", self.stats.handoffs)
+                self.tracer.count("sched.probe_polls", self.stats.probe_polls)
+                self.tracer.count("sched.wakeups", self.stats.wakeups)
+                if self.faults is not None:
+                    self.tracer.count("faults.runs")
+                    for name, value in self.faults.counters().items():
+                        if value:
+                            self.tracer.count(name, value)
+
+    def _collect(self) -> list[Any]:
+        for r in self.ranks:
+            if r.exc is not None:
+                raise SimulationError(f"rank {r.idx} failed") from r.exc
+        return [r.result for r in self.ranks]
+
+    # -- scheduling ----------------------------------------------------------
+
+    def _resume(self, r: _Rank) -> None:
+        """Grant ``r`` the token: run its generator until it blocks,
+        gives the token back, or finishes."""
+        r.state = "running"
+        stats = self.stats
+        stats.handoffs += 1
+        value = None
+        if r.block_t0 is not None:
+            # Waking from a block: the scheduler set the clock to the
+            # completion time; account the blocked interval.
+            r.trace.add(r.block_t0, r.clock, r.probe_label)
+            value = r.clock
+            r.block_t0 = None
+        send = r.gen.send
+        while True:
+            try:
+                cmd = send(value)
+            except StopIteration as stop:
+                r.result = stop.value
+                r.state = "done"
+                return
+            except BaseException as exc:
+                r.exc = exc
+                r.state = "done"
+                return
+            kind = cmd[0]
+            if kind == _CMD_BLOCK:
+                probe, label = cmd[1], cmd[2]
+                stats.probe_polls += 1
+                t_ready = probe()
+                t0 = r.clock
+                if (
+                    t_ready is not None
+                    and t_ready <= t0
+                    and self._next_is(t0, r.idx)
+                ):
+                    # Immediate completion while still the scheduler's
+                    # next pick: parking the rank would only re-resume
+                    # it at the same clock, so re-send the resolved
+                    # completion without the round trip.  Order-
+                    # preserving; saves one handoff and one wakeup.
+                    r.trace.add(t0, t0, label)
+                    value = t0
+                    continue
+                r.block_t0 = t0
+                r.state = "blocked"
+                r.probe = probe
+                r.probe_label = label
+                if t_ready is not None:
+                    heapq.heappush(
+                        self._ready_heap, (max(t_ready, t0), r.idx)
+                    )
+                else:
+                    self._blocked.add(r.idx)
+                return
+            if kind == _CMD_YIELD:
+                r.state = "ready"
+                return
+            r.exc = SimulationError(f"unknown engine command {kind!r}")
+            r.state = "done"
+            return
 
     def _next_is(self, c: float, idx: int) -> bool:
         """Would the scheduler resume rank ``idx`` next at clock ``c`` if
@@ -367,248 +403,19 @@ class Engine:
             return t > c or (t == c and i > idx)
         return True
 
-    def _yield(self, r: _Rank, keep_state: bool = False) -> None:
-        # Thread-parking handoff: only the threads backend ever gets
-        # here; the tasks backend suspends by returning from gen.send.
-        if not keep_state:
-            r.state = "ready"
-        self._sched_event.set()
-        r.event.wait()
-        r.event.clear()
-
-    def drive(self, rank: int, gen) -> Any:
-        """Run a comm-layer coroutine to completion on a rank *thread*.
-
-        This is the bridge that lets the coroutine-style blocking
-        operations (``co_wait``, ``co_barrier``, ...) serve the thread
-        backend too: each yielded engine command is executed with the
-        ordinary thread-parking primitives.  On the ``tasks`` backend
-        the command must instead propagate to the scheduler via
-        ``yield from`` — calling the synchronous facade there is a
-        programming error, reported eagerly.
-        """
-        if self._active_backend == "tasks":
-            raise SimulationError(
-                "synchronous blocking call on the coroutine backend; "
-                "use the co_* form via 'yield from'"
-            )
-        value = None
-        while True:
-            try:
-                cmd = gen.send(value)
-            except StopIteration as stop:
-                return stop.value
-            value = self._perform(rank, cmd)
-
-    def _perform(self, rank: int, cmd: tuple) -> Any:
-        """Execute one yielded engine command, thread-blocking style."""
-        kind = cmd[0]
-        if kind == _CMD_BLOCK:
-            return self.block(rank, cmd[1], cmd[2])
-        if kind == _CMD_YIELD:
-            self.reschedule(rank)
-            return None
-        raise SimulationError(f"unknown engine command {kind!r}")
-
-    # -- run -----------------------------------------------------------------
-
-    def run(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> list[Any]:
-        """Execute ``fn(ctx, *args, **kwargs)`` on every rank; returns the
-        per-rank return values.  Any rank exception is re-raised.
-
-        ``fn`` may be a plain callable (runs on the ``threads`` backend)
-        or a generator function whose blocking operations are
-        ``yield from`` of the comm layer's ``co_*`` coroutines (runs on
-        the ``tasks`` backend unless ``backend="threads"`` forces the
-        thread trampoline — same virtual times either way).
-        """
-        is_gen = inspect.isgeneratorfunction(fn)
-        backend = self.backend
-        if backend == "auto":
-            backend = "tasks" if is_gen else "threads"
-        if backend == "tasks" and not is_gen:
-            raise SimulationError(
-                "the tasks backend needs a generator SPMD function; "
-                "pass a plain callable to the threads backend instead"
-            )
-        self._active_backend = backend
-        self.stats.backend = backend
-        try:
-            if backend == "tasks":
-                return self._run_tasks(fn, args, kwargs)
-            return self._run_threads(fn, args, kwargs, is_gen)
-        finally:
-            TOTALS.merge(self.stats)
-            # Publish into the telemetry-plane registry (repro.obs.registry).
-            # Imported lazily: repro.obs imports this module at package
-            # init, so a top-level import here would be circular.
-            from ..obs.registry import publish_sched_stats
-
-            publish_sched_stats(self.stats)
-            if self.tracer is not None:
-                self.tracer.count("sched.runs")
-                self.tracer.count("sched.handoffs", self.stats.handoffs)
-                self.tracer.count("sched.probe_polls", self.stats.probe_polls)
-                self.tracer.count("sched.wakeups", self.stats.wakeups)
-                if self.faults is not None:
-                    self.tracer.count("faults.runs")
-                    for name, value in self.faults.counters().items():
-                        if value:
-                            self.tracer.count(name, value)
-
-    def _collect(self) -> list[Any]:
-        for r in self.ranks:
-            if r.exc is not None:
-                raise SimulationError(f"rank {r.idx} failed") from r.exc
-        return [r.result for r in self.ranks]
-
-    # -- threads backend -----------------------------------------------------
-
-    def _run_threads(self, fn, args, kwargs, is_gen: bool) -> list[Any]:
-        from .comm import Communicator, SimContext  # cycle-free at runtime
-
-        world = list(range(self.nprocs))
-
-        def main(rank_idx: int) -> None:
-            r = self.ranks[rank_idx]
-            r.event.wait()  # wait to be scheduled the first time
-            r.event.clear()
-            ctx = SimContext(self, rank_idx)
-            ctx.comm = Communicator(ctx, group=world, comm_id=0)
-            try:
-                if is_gen:
-                    r.result = self.drive(rank_idx, fn(ctx, *args, **kwargs))
-                else:
-                    r.result = fn(ctx, *args, **kwargs)
-            except BaseException as exc:  # surfaced by the scheduler
-                r.exc = exc
-            finally:
-                r.state = "done"
-                self._sched_event.set()
-
-        # The Event pairs exist only on this backend; the tasks backend
-        # never allocates or touches them (pure gen.send suspension).
-        self._sched_event = threading.Event()
-        for r in self.ranks:
-            r.event = threading.Event()
-        old_stack = threading.stack_size(_STACK_SIZE)
-        try:
-            for r in self.ranks:
-                r.thread = threading.Thread(
-                    target=main, args=(r.idx,), name=f"simrank-{r.idx}", daemon=True
-                )
-                r.thread.start()
-        finally:
-            threading.stack_size(old_stack)
-
-        try:
-            self._schedule(self._resume_thread)
-        finally:
-            for r in self.ranks:
-                if r.thread is not None and r.thread.is_alive() and r.state != "done":
-                    # A failed run leaves threads parked; they are daemons
-                    # and die with the process, but unblock what we can.
-                    r.state = "done"
-        return self._collect()
-
-    def _resume_thread(self, r: _Rank) -> None:
-        r.state = "running"
-        self.stats.handoffs += 1
-        self._sched_event.clear()
-        r.event.set()
-        self._sched_event.wait()
-
-    # -- tasks backend -------------------------------------------------------
-
-    def _run_tasks(self, fn, args, kwargs) -> list[Any]:
-        from .comm import Communicator, SimContext  # cycle-free at runtime
-
-        world = list(range(self.nprocs))
-        for r in self.ranks:
-            ctx = SimContext(self, r.idx)
-            ctx.comm = Communicator(ctx, group=world, comm_id=0)
-            r.gen = fn(ctx, *args, **kwargs)
-        self._schedule(self._resume_task)
-        return self._collect()
-
-    def _resume_task(self, r: _Rank) -> None:
-        r.state = "running"
-        stats = self.stats
-        stats.handoffs += 1
-        value = None
-        if r.block_t0 is not None:
-            # Waking from a block: the scheduler set the clock to the
-            # completion time; account the blocked interval exactly the
-            # way the thread backend does on its side of block().
-            r.trace.add(r.block_t0, r.clock, r.probe_label)
-            value = r.clock
-            r.block_t0 = None
-        send = r.gen.send
-        fastpath = self._fastpath
-        while True:
-            try:
-                cmd = send(value)
-            except StopIteration as stop:
-                r.result = stop.value
-                r.state = "done"
-                return
-            except BaseException as exc:
-                r.exc = exc
-                r.state = "done"
-                return
-            kind = cmd[0]
-            if kind == _CMD_BLOCK:
-                probe, label = cmd[1], cmd[2]
-                stats.probe_polls += 1
-                t_ready = probe()
-                t0 = r.clock
-                if (
-                    fastpath
-                    and t_ready is not None
-                    and t_ready <= t0
-                    and self._next_is(t0, r.idx)
-                ):
-                    # Immediate completion while still the scheduler's
-                    # next pick: re-send the resolved completion without
-                    # a scheduler round trip.  Order-preserving (mirror
-                    # of the fast path in block()); drops one handoff
-                    # and one wakeup relative to the slow path.
-                    r.trace.add(t0, t0, label)
-                    value = t0
-                    continue
-                r.block_t0 = t0
-                r.state = "blocked"
-                r.probe = probe
-                r.probe_label = label
-                if t_ready is not None:
-                    heapq.heappush(
-                        self._ready_heap, (max(t_ready, t0), r.idx)
-                    )
-                else:
-                    self._blocked.add(r.idx)
-                return
-            if kind == _CMD_YIELD:
-                r.state = "ready"
-                return
-            r.exc = SimulationError(f"unknown engine command {kind!r}")
-            r.state = "done"
-            return
-
-    # -- shared scheduling core ----------------------------------------------
-
-    def _schedule(self, resume: Callable[[_Rank], None]) -> None:
+    def _schedule(self) -> None:
         ranks = self.ranks
         stats = self.stats
         rh = self._ready_heap
         heappush = heapq.heappush
         heappop = heapq.heappop
-        fastpath = self._fastpath
+        resume = self._resume
         # Lazy min-heap of (clock, idx) for ready ranks; stale entries
         # (rank no longer ready, or re-queued with a newer clock) are
         # discarded on pop.  Blocked ranks are probed only when the heap
         # runs dry, which is when their completion can matter.  The heap
-        # is published on the engine so the block()-side fast path can
-        # consult it (_next_is).
+        # is published on the engine so the block fast path in _resume
+        # can consult it (_next_is).
         heap: list[tuple[float, int]] = [(r.clock, r.idx) for r in ranks]
         heapq.heapify(heap)
         self._run_heap = heap
@@ -649,14 +456,11 @@ class Engine:
                 if best.state != "ready":
                     break
                 c = best.clock
-                if not fastpath:
-                    heappush(heap, (c, best.idx))
-                    break
                 # Same-rank run-through: if the resumed rank is still the
-                # unique minimum, the slow path would push it and pop it
-                # right back — keep the token instead.  Order-preserving
-                # and counter-neutral (resume() still counts a handoff
-                # per grant, exactly like the push/pop round trip).
+                # unique minimum, pushing it would pop it right back —
+                # keep the token instead.  Order-preserving and
+                # counter-neutral (resume() still counts a handoff per
+                # grant, exactly like the push/pop round trip).
                 keep = True
                 while heap:
                     t, i = heap[0]

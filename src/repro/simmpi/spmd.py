@@ -7,7 +7,6 @@ step-time breakdowns the benchmarks aggregate (Figure 8 of the paper).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -54,22 +53,16 @@ def run_spmd(
     platform: Platform,
     *args: Any,
     record_events: bool = False,
-    backend: str = "auto",
     **kwargs: Any,
 ) -> SimResult:
     """Run ``fn(ctx, *args, **kwargs)`` on ``nprocs`` simulated ranks.
 
-    ``ctx`` is a :class:`~repro.simmpi.comm.SimContext`; ``ctx.comm`` is
-    the world communicator.  The function must be SPMD-correct: every
-    rank must participate in every collective it reaches.
-
-    ``backend`` selects the rank substrate: ``"threads"`` (one OS thread
-    per rank), ``"tasks"`` (ranks as coroutines — requires ``fn`` to be
-    a generator function using the ``co_*`` comm spellings), or
-    ``"auto"`` (tasks for generator functions, threads otherwise).
-    ``$REPRO_SIM_BACKEND`` overrides ``"auto"`` — the benchmarking knob
-    for timing the thread substrate against the task one on the same
-    generator program.
+    ``fn`` is a generator function: each rank runs as a coroutine whose
+    blocking operations are ``yield from`` of the ``co_*`` comm
+    spellings.  ``ctx`` is a :class:`~repro.simmpi.comm.SimContext`;
+    ``ctx.comm`` is the world communicator.  The function must be
+    SPMD-correct: every rank must participate in every collective it
+    reaches.
 
     When a :mod:`repro.obs` tracer is installed, the run's scheduler
     counters flow into it, and — for tracers with ``rank_spans`` — event
@@ -79,14 +72,11 @@ def run_spmd(
     """
     from ..obs.tracer import current_tracer  # cycle-free: obs never imports spmd
 
-    if backend == "auto":
-        backend = os.environ.get("REPRO_SIM_BACKEND", "").strip() or "auto"
     tracer = current_tracer()
     want_rank_spans = tracer is not None and tracer.rank_spans
     engine = Engine(
         nprocs, platform,
         record_events=record_events or want_rank_spans,
-        backend=backend,
         tracer=tracer,
     )
     results = engine.run(fn, *args, **kwargs)

@@ -1,15 +1,17 @@
 """Golden fixture for the real-payload 3-D FFT pipeline.
 
-Each case runs :class:`repro.core.plan.ParallelFFT3D` on a seeded
-complex array and records what must not drift when the data path is
-reworked:
+Each case runs a distributed transform (the slab pipeline
+:class:`repro.core.plan.ParallelFFT3D`, its r2c front end, the
+multi-array executor or the pencil pipeline) on seeded input and records
+what must not drift when the data path or the simulator is reworked:
 
 * ``clocks`` — every rank's final virtual clock,
 * ``by_label`` — per-step virtual seconds summed over ranks in rank
   order, and ``by_label_sha`` — a digest of every rank's own per-step
   seconds (``float.hex``), which pins them bit for bit,
 * ``sched`` — the engine's scheduler counters,
-* ``spectrum_sha`` — SHA-256 of the gathered spectrum's bytes,
+* ``spectrum_sha`` — SHA-256 of the gathered spectrum's bytes (every
+  array's, in order, for a multi-array case),
 * ``err`` — its max abs error against ``numpy.fft.fftn`` (information
   only; the test holds spectra to the digest, not to a tolerance), and
 * ``events_sha`` — a digest of every rank's event timeline, ``(t0, t1,
@@ -27,6 +29,15 @@ composite even-Nz cells run through
 :func:`~repro.core.realfft3d.parallel_rfft3d` drives it, checked
 against ``numpy.fft.rfftn``.
 
+Multi-array cases (``"pipeline": "multi"``) run
+:class:`repro.core.multiarray.MultiArrayFFT3D` in all four modes on one
+to three arrays, and pencil cases (``"pipeline": "pencil"``) run
+:class:`repro.core.pencil.PencilFFT3D` on its default grid, both over p
+from 2 to 16.  Each of them runs once fault-free and once under the
+seeded spec :data:`FAULTS` (straggler, jitter and poll delay).  They
+were captured while the simulator still had its thread backend and its
+other compute-with-progression spellings, before those were removed.
+
 The committed ``payload_golden.json`` was captured before the FFT
 kernels became bitwise batch-independent.  Before that change a
 one-row dense product went through BLAS gemv rather than gemm and
@@ -38,8 +49,9 @@ Regenerate with ``PYTHONPATH=src python -m tests.core.payload_golden``;
 ``--annotate`` instead keeps the committed capture and adds the
 ``*_after`` fields to the cases whose spectra differ from it, and
 ``--extend`` keeps every captured field and adds only the fields and
-cases the committed file lacks (``events_sha`` and the r2c cases were
-added this way, before the tile loop that produces them was reworked).
+cases the committed file lacks (``events_sha``, the r2c cases and the
+multi-array and pencil cases were added this way, each before the code
+they pin was reworked).
 ``tests/core/test_payload_golden.py`` compares the live pipeline with
 the committed file.
 """
@@ -54,11 +66,14 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core import pencil
 from repro.core.decompose import gather_spectrum, scatter_slabs
+from repro.core.multiarray import MODES, MultiArrayFFT3D
 from repro.core.params import ProblemShape, TuningParams
 from repro.core.plan import ParallelFFT3D
 from repro.core.realfft3d import ParallelRFFT3D
-from repro.core.variants import baseline_params, get_variant
+from repro.core.variants import NEW, baseline_params, get_variant
+from repro.faults import injected_faults
 from repro.machine.platforms import get_platform
 from repro.obs import Tracer, tracing
 from repro.simmpi.spmd import run_spmd
@@ -90,6 +105,24 @@ TILINGS = (
 #: (nx, ny, nz, p) even-Nz cells for the r2c cases; their half z
 #: extents are 6, 8, 7 and 5, so some tilings end in a short tile
 R2C_CELLS = ((12, 12, 10, 4), (12, 10, 14, 3), (10, 7, 12, 6), (9, 6, 8, 5))
+#: the seeded fault spec every multi-array and pencil case also runs under
+FAULTS = "straggler:rank=1,slow=1.7;jitter:amp=0.2;poll:rank=0,factor=3;seed:5"
+#: (nx, ny, nz, p) cells for :mod:`repro.core.multiarray`, p from 2 to 16
+MULTI_CELLS = (
+    (8, 8, 8, 2), (12, 10, 9, 3), (16, 16, 16, 4),
+    (15, 15, 10, 5), (12, 12, 10, 8), (16, 16, 12, 16),
+)
+#: the default parameters plus two explicit tilings (NEW-feasible only)
+MULTI_TILINGS = (
+    None,
+    (2, 2, 2, 2, 2, 2, 1, 1, 1, 1),
+    (3, 3, 1, 3, 1, 2, 4, 0, 2, 1),
+)
+#: (nx, ny, nz, p) cells for :mod:`repro.core.pencil` on its default grid
+PENCIL_CELLS = (
+    (8, 8, 8, 2), (9, 7, 6, 3), (8, 8, 8, 4), (12, 10, 9, 6),
+    (12, 12, 12, 8), (9, 9, 9, 9), (12, 12, 10, 12), (16, 16, 16, 16),
+)
 
 
 def cases() -> list[dict]:
@@ -145,6 +178,29 @@ def cases() -> list[dict]:
                     "params": None if values is None else list(values),
                     "direction": "r2c",
                 })
+    for faults in (None, FAULTS):
+        tag = "-faults" if faults else ""
+        for mode in MODES:
+            for i, (nx, ny, nz, p) in enumerate(MULTI_CELLS):
+                shape = ProblemShape(nx, ny, nz, p)
+                for k, values in enumerate(MULTI_TILINGS):
+                    if values is not None and not NEW.effective_params(
+                            TuningParams(*values), shape).is_feasible(shape):
+                        continue
+                    n_arrays = 1 + (i + k) % 3
+                    out.append({
+                        "id": f"multi-{mode}-{nx}x{ny}x{nz}-p{p}-a{n_arrays}-t{k}{tag}",
+                        "pipeline": "multi", "mode": mode, "n_arrays": n_arrays,
+                        "shape": [nx, ny, nz], "p": p,
+                        "params": None if values is None else list(values),
+                        "direction": "forward", "faults": faults,
+                    })
+        for nx, ny, nz, p in PENCIL_CELLS:
+            out.append({
+                "id": f"pencil-{nx}x{ny}x{nz}-p{p}{tag}", "pipeline": "pencil",
+                "shape": [nx, ny, nz], "p": p, "params": None,
+                "direction": "forward", "faults": faults,
+            })
     return out
 
 
@@ -179,10 +235,55 @@ def events_digest(traces) -> str:
     return h.hexdigest()
 
 
-def run(case: dict) -> dict:
-    """Run one case and return its recorded quantities."""
+def _multi_program(ctx, shape, n_arrays, mode, params, blocks):
+    exe = MultiArrayFFT3D(ctx, shape, n_arrays, mode, params)
+    outs = yield from exe.steps([b[ctx.rank] for b in blocks])
+    return outs, exe.plans[0].output_layout, ctx.now
+
+
+def _pencil_program(ctx, shape, grid, blocks):
+    plan = pencil.PencilFFT3D(ctx, shape, grid)
+    out = yield from plan.steps(blocks[ctx.rank])
+    return out, None, ctx.now
+
+
+def _simulate(case: dict, program, args) -> tuple:
+    """The plain run and the traced run (events under a rank-span
+    tracer), both under the case's fault spec."""
+    platform = get_platform(PLATFORM)
+    with injected_faults(case.get("faults")):
+        sim = run_spmd(case["p"], program, platform, *args)
+        with tracing(Tracer(rank_spans=True)):
+            traced = run_spmd(case["p"], program, platform, *args,
+                              record_events=True)
+    return sim, traced
+
+
+def _spectra(case: dict) -> tuple:
+    """Run a case; returns ``(sim, traced, spectra, oracles)``."""
     nx, ny, nz = case["shape"]
     shape = ProblemShape(nx, ny, nz, case["p"])
+    pipeline = case.get("pipeline", "slab")
+    if pipeline == "multi":
+        arrays = [_input(dict(case, id=f"{case['id']}/{a}"))
+                  for a in range(case["n_arrays"])]
+        params = None if case["params"] is None else TuningParams(*case["params"])
+        args = (shape, case["n_arrays"], case["mode"], params,
+                [scatter_slabs(a, shape.p) for a in arrays])
+        sim, traced = _simulate(case, _multi_program, args)
+        layout = sim.results[0][1]
+        spectra = [gather_spectrum([r[0][a] for r in sim.results],
+                                   (nx, ny, nz), layout)
+                   for a in range(case["n_arrays"])]
+        return sim, traced, spectra, [np.fft.fftn(a) for a in arrays]
+    if pipeline == "pencil":
+        arr = _input(case)
+        grid = pencil.choose_grid(shape.p)
+        args = (tuple(case["shape"]), grid, pencil.scatter_pencils(arr, *grid))
+        sim, traced = _simulate(case, _pencil_program, args)
+        spectrum = pencil.gather_spectrum([r[0] for r in sim.results],
+                                          (nx, ny, nz), *grid)
+        return sim, traced, [spectrum], [np.fft.fftn(arr)]
     spec = get_variant(case["variant"])
     r2c = case["direction"] == "r2c"
     plan_cls = ParallelRFFT3D if r2c else ParallelFFT3D
@@ -191,10 +292,7 @@ def run(case: dict) -> dict:
     arr = _input(case)
     src = np.conj(arr) if case["direction"] == "inverse" else arr
     args = (plan_cls, shape, params, spec, scatter_slabs(src, shape.p))
-    sim = run_spmd(shape.p, _program, get_platform(PLATFORM), *args)
-    with tracing(Tracer(rank_spans=True)):
-        traced = run_spmd(shape.p, _program, get_platform(PLATFORM), *args,
-                          record_events=True)
+    sim, traced = _simulate(case, _program, args)
     out_shape = (nx, ny, nz // 2 + 1) if r2c else (nx, ny, nz)
     spectrum = gather_spectrum([r[0] for r in sim.results], out_shape,
                                sim.results[0][1])
@@ -205,13 +303,22 @@ def run(case: dict) -> dict:
     else:
         spectrum = np.conj(spectrum) / arr.size
         oracle = np.fft.ifftn(arr)
-    spectrum = np.ascontiguousarray(spectrum, dtype=np.complex128)
+    return sim, traced, [spectrum], [oracle]
+
+
+def run(case: dict) -> dict:
+    """Run one case and return its recorded quantities."""
+    sim, traced, spectra, oracles = _spectra(case)
+    spectra = [np.ascontiguousarray(s, dtype=np.complex128) for s in spectra]
     totals: dict[str, float] = {}
     for tr in sim.traces:
         for label, secs in tr.by_label.items():
             totals[label] = totals.get(label, 0.0) + secs
     per_rank = json.dumps([sorted((k, v.hex()) for k, v in tr.by_label.items())
                            for tr in sim.traces])
+    digest = hashlib.sha256()
+    for spectrum in spectra:
+        digest.update(spectrum.tobytes())
     return {
         "clocks": [r[2] for r in sim.results],
         "by_label": dict(sorted(totals.items())),
@@ -219,8 +326,9 @@ def run(case: dict) -> dict:
         "sched": {"handoffs": sim.stats.handoffs,
                   "probe_polls": sim.stats.probe_polls,
                   "wakeups": sim.stats.wakeups},
-        "spectrum_sha": hashlib.sha256(spectrum.tobytes()).hexdigest(),
-        "err": float(np.max(np.abs(spectrum - oracle))),
+        "spectrum_sha": digest.hexdigest(),
+        "err": max(float(np.max(np.abs(s - o)))
+                   for s, o in zip(spectra, oracles, strict=True)),
         "events_sha": events_digest(traced.traces),
     }
 

@@ -63,7 +63,7 @@ class TestSimulatorInvariants:
         def prog(ctx):
             from repro.core.plan import ParallelFFT3D
 
-            ParallelFFT3D(ctx, shape, default_params(shape)).execute(None)
+            yield from ParallelFFT3D(ctx, shape, default_params(shape)).steps(None)
 
         eng = Engine(p, UMD_CLUSTER)
         eng.run(prog)
@@ -188,11 +188,11 @@ class TestMixedWorkloads:
             c = ctx.comm
             # neighbor exchange before the transform
             right = (c.rank + 1) % c.size
-            c.send(right, 1024, payload=c.rank)
-            c.recv()
+            yield from c.co_send(right, 1024, payload=c.rank)
+            yield from c.co_recv()
             plan = ParallelFFT3D(ctx, shape, default_params(shape))
-            out = plan.execute(blocks[ctx.rank])
-            c.barrier()
+            out = yield from plan.steps(blocks[ctx.rank])
+            yield from c.co_barrier()
             return out, plan.output_layout
 
         res = run_spmd(p, prog, UMD_CLUSTER)

@@ -2,7 +2,8 @@
 
 A real-payload run moves numpy data the virtual run does not, but the
 data path costs no virtual time: both must take the same scheduling
-decisions and charge the same seconds, bit for bit.  The data path
+decisions and charge the same seconds, bit for bit — for the slab
+pipeline and for every mode of the multi-array executor.  The data path
 itself runs once per rank on the whole slab (one FFTy+Pack and one
 Unpack+FFTx, whatever the tiling), which the call-count test pins.
 """
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core import plan as pipeline
 from repro.core.api import run_case
+from repro.core.multiarray import MODES, run_multi_array
 from repro.core.params import W_MAX, ProblemShape, TuningParams
 from repro.core.variants import get_variant
 from repro.fft.plan import Plan1D
@@ -64,6 +66,50 @@ def test_real_payload_run_times_like_the_virtual_run(cell):
         # every event's (t0, t1, label): the rank's clock at every step
         assert tr.events == tv.events
     assert np.max(np.abs(spectrum - np.fft.fftn(arr))) <= 1e-11
+
+
+@st.composite
+def multi_cells(draw):
+    """A multi-array mode and array count, a shape (x and y extents need
+    not divide by p), p, and the default parameters or a tiling NEW can
+    run (the intra and both modes plan every array with NEW)."""
+    p = draw(st.integers(1, 5))
+    nx = draw(st.integers(p, 3 * p + 2))
+    ny = draw(st.integers(p, 3 * p + 2))
+    nz = draw(st.integers(1, 10))
+    shape = ProblemShape(nx, ny, nz, p)
+    params = None
+    if draw(st.booleans()):
+        t = draw(st.integers(1, nz))
+        f = st.integers(0, shape.f_max)
+        params = TuningParams(
+            T=t, W=draw(st.integers(1, W_MAX)),
+            Px=draw(st.integers(1, shape.nxl_max)), Pz=draw(st.integers(1, t)),
+            Uy=draw(st.integers(1, shape.nyl_max)), Uz=draw(st.integers(1, t)),
+            Fy=draw(f), Fp=draw(f), Fu=draw(f), Fx=draw(f),
+        )
+    mode = draw(st.sampled_from(MODES))
+    return shape, mode, draw(st.integers(1, 3)), params, draw(
+        st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(multi_cells())
+def test_real_multi_array_run_times_like_the_virtual_run(cell):
+    shape, mode, n_arrays, params, seed = cell
+    rng = np.random.default_rng(seed)
+    dims = (shape.nx, shape.ny, shape.nz)
+    arrays = [rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+              for _ in range(n_arrays)]
+    virt, _ = run_multi_array(PLATFORM, shape, n_arrays, mode, params)
+    real, spectra = run_multi_array(PLATFORM, shape, n_arrays, mode, params,
+                                    global_arrays=arrays)
+    assert real.elapsed == virt.elapsed
+    assert real.stats == virt.stats
+    assert [t.by_label for t in real.traces] == [t.by_label for t in virt.traces]
+    for arr, spectrum in zip(arrays, spectra, strict=True):
+        assert np.max(np.abs(spectrum - np.fft.fftn(arr))) <= 1e-11
 
 
 @pytest.mark.parametrize("variant,shape,T,W", [

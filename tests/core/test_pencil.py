@@ -10,7 +10,7 @@ from repro.core.pencil import (
     parallel_fft3d_pencil,
     scatter_pencils,
 )
-from repro.errors import DecompositionError
+from repro.errors import DecompositionError, SimulationError
 from repro.machine import HOPPER, UMD_CLUSTER
 from repro.simmpi import run_spmd
 
@@ -68,16 +68,20 @@ class TestCorrectness:
     def test_grid_mismatch_rejected(self):
         def prog(ctx):
             PencilFFT3D(ctx, (8, 8, 8), (3, 2))  # 6 != 4 ranks
+            yield from ()  # never blocks, but runs as a generator program
 
-        with pytest.raises(Exception):
+        with pytest.raises(SimulationError) as ei:
             run_spmd(4, prog, HOPPER)
+        assert isinstance(ei.value.__cause__, DecompositionError)
 
     def test_oversized_grid_rejected(self):
         def prog(ctx):
             PencilFFT3D(ctx, (2, 2, 2), (4, 1))
+            yield from ()  # never blocks, but runs as a generator program
 
-        with pytest.raises(Exception):
+        with pytest.raises(SimulationError) as ei:
             run_spmd(4, prog, HOPPER)
+        assert isinstance(ei.value.__cause__, DecompositionError)
 
 
 class TestScatterGather:
@@ -106,7 +110,7 @@ class TestTiming:
     def test_virtual_mode_times(self):
         def prog(ctx):
             plan = PencilFFT3D(ctx, (64, 64, 64))
-            plan.execute(None)
+            yield from plan.steps(None)
             return ctx.now
 
         res = run_spmd(8, prog, UMD_CLUSTER)
@@ -125,7 +129,7 @@ class TestTiming:
         slab, _ = run_case("FFTW", UMD_CLUSTER, shape)
 
         def prog(ctx):
-            PencilFFT3D(ctx, (64, 64, 64)).execute(None)
+            yield from PencilFFT3D(ctx, (64, 64, 64)).steps(None)
 
         pencil = run_spmd(8, prog, UMD_CLUSTER)
         assert pencil.elapsed > 0.8 * slab.elapsed

@@ -103,16 +103,32 @@ class TestNumericalCorrectness:
 
 
 class TestProgressPhasesEquivalence:
-    """The fused ``ctx.progress_phases`` spelling must be exactly
-    equivalent to the unfused ``compute_with_progress`` +
-    ``ParallelFFT3D._share_tests`` spelling it replaced in the tile
-    pipeline — same clocks, traces, and event timelines (the
+    """``ctx.progress_phases`` inlines ``AlltoallRequest.progress_segment``
+    and the two clock advances; it must be exactly equivalent to the
+    unfused reference spelling — the phase's test budget split over the
+    live window, one ``progress_segment`` per request, then
+    ``Engine.advance`` for the phase and for the Test overhead — with
+    the same clocks, traces, and event timelines (the
     ``progress_phases`` docstring points here)."""
 
     @staticmethod
-    def _body(ctx, fused):
-        from repro.core.plan import ParallelFFT3D
+    def _unfused(ctx, seconds, total, label, reqs):
+        live = [r for r in reqs if not r.consumed]
+        t0 = ctx.now
+        tests = 0
+        if live and total > 0:
+            base, extra = divmod(total, len(live))
+            for i, req in enumerate(live):
+                ntests = base + (1 if i < extra else 0)
+                if ntests > 0:
+                    req.progress_segment(t0, seconds, ntests)
+                    tests += ntests
+        ctx.engine.advance(ctx.rank, seconds, label)
+        if tests:
+            ctx.engine.advance(ctx.rank, tests * ctx.cpu.test_overhead, "Test")
 
+    @classmethod
+    def _body(cls, ctx, fused):
         comm = ctx.comm
         reqs = [comm.ialltoall([4096 * (k + 1)] * ctx.size) for k in range(3)]
         phases = ((2e-4, 7, "FFTy"), (1.3e-4, 3, "Pack"))
@@ -122,16 +138,13 @@ class TestProgressPhasesEquivalence:
             ctx.progress_phases((idle,), reqs)
         else:
             for seconds, total, label in (*phases, idle):
-                ctx.compute_with_progress(
-                    seconds, ParallelFFT3D._share_tests(reqs, total), label
-                )
+                cls._unfused(ctx, seconds, total, label, reqs)
         out = []
         for r in reqs:
             out.append((yield from comm.co_wait(r)) is None)
         return ctx.now, tuple(out)
 
-    @pytest.mark.parametrize("backend", ["threads", "tasks"])
-    def test_fused_matches_unfused(self, backend):
+    def test_fused_matches_unfused(self):
         from repro.simmpi import run_spmd
 
         def prog_fused(ctx):
@@ -140,10 +153,8 @@ class TestProgressPhasesEquivalence:
         def prog_unfused(ctx):
             return (yield from self._body(ctx, False))
 
-        a = run_spmd(4, prog_fused, UMD_CLUSTER,
-                     record_events=True, backend=backend)
-        b = run_spmd(4, prog_unfused, UMD_CLUSTER,
-                     record_events=True, backend=backend)
+        a = run_spmd(4, prog_fused, UMD_CLUSTER, record_events=True)
+        b = run_spmd(4, prog_unfused, UMD_CLUSTER, record_events=True)
         assert a.elapsed == b.elapsed  # exact, no tolerance
         assert a.results == b.results
         assert [t.by_label for t in a.traces] == [t.by_label for t in b.traces]

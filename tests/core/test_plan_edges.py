@@ -11,7 +11,7 @@ from repro.core import (
     default_params,
     run_case,
 )
-from repro.errors import ParameterError
+from repro.errors import ParameterError, SimulationError
 from repro.machine import UMD_CLUSTER
 from repro.simmpi import run_spmd
 
@@ -95,18 +95,21 @@ class TestPlanValidation:
         def prog(ctx):
             shape = ProblemShape(16, 16, 16, 8)  # but 4 ranks running
             ParallelFFT3D(ctx, shape, default_params(shape))
+            yield from ()  # never blocks, but runs as a generator program
 
-        with pytest.raises(Exception):
+        with pytest.raises(SimulationError) as ei:
             run_spmd(4, prog, UMD_CLUSTER)
+        assert isinstance(ei.value.__cause__, ParameterError)
 
     def test_wrong_local_block_shape(self):
         def prog(ctx):
             shape = ProblemShape(16, 16, 16, 2)
             plan = ParallelFFT3D(ctx, shape, default_params(shape))
-            plan.execute(np.zeros((3, 16, 16), dtype=complex))
+            yield from plan.steps(np.zeros((3, 16, 16), dtype=complex))
 
-        with pytest.raises(Exception):
+        with pytest.raises(SimulationError) as ei:
             run_spmd(2, prog, UMD_CLUSTER)
+        assert isinstance(ei.value.__cause__, ParameterError)
 
     def test_infeasible_params_rejected_for_overlap(self):
         def prog(ctx):
@@ -114,18 +117,22 @@ class TestPlanValidation:
             bad = TuningParams(T=0, W=2, Px=1, Pz=1, Uy=1, Uz=1,
                                Fy=1, Fp=1, Fu=1, Fx=1)
             ParallelFFT3D(ctx, shape, bad, NEW)
+            yield from ()  # never blocks, but runs as a generator program
 
-        with pytest.raises(Exception):
+        with pytest.raises(SimulationError) as ei:
             run_spmd(2, prog, UMD_CLUSTER)
+        assert isinstance(ei.value.__cause__, ParameterError)
 
     def test_bad_fftz_mode(self):
         def prog(ctx):
             shape = ProblemShape(8, 8, 8, 2)
             ParallelFFT3D(ctx, shape, default_params(shape),
                           fftz_mode="quantum")
+            yield from ()  # never blocks, but runs as a generator program
 
-        with pytest.raises(Exception):
+        with pytest.raises(SimulationError) as ei:
             run_spmd(2, prog, UMD_CLUSTER)
+        assert isinstance(ei.value.__cause__, ParameterError)
 
 
 class TestVariantEdgeBehavior:

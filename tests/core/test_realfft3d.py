@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import ProblemShape, default_params, run_case
 from repro.core.realfft3d import ParallelRFFT3D, parallel_rfft3d, r2c_comm_savings
-from repro.errors import ParameterError
+from repro.errors import ParameterError, SimulationError
 from repro.machine import HOPPER, UMD_CLUSTER
 from repro.simmpi import run_spmd
 
@@ -37,9 +37,11 @@ class TestCorrectness:
     def test_odd_nz_rejected(self):
         def prog(ctx):
             ParallelRFFT3D(ctx, ProblemShape(8, 8, 9, 2))
+            yield from ()  # never blocks, but runs as a generator program
 
-        with pytest.raises(Exception):
+        with pytest.raises(SimulationError) as ei:
             run_spmd(2, prog, HOPPER)
+        assert isinstance(ei.value.__cause__, ParameterError)
 
     def test_non3d_rejected(self):
         with pytest.raises(ParameterError):
@@ -63,7 +65,7 @@ class TestPerformance:
         c2c, _ = run_case("NEW", UMD_CLUSTER, shape)
 
         def prog(ctx):
-            ParallelRFFT3D(ctx, shape).execute(None)
+            yield from ParallelRFFT3D(ctx, shape).steps(None)
 
         r2c = run_spmd(p, prog, UMD_CLUSTER)
         assert r2c.elapsed < 0.75 * c2c.elapsed
@@ -77,7 +79,7 @@ class TestPerformance:
 
         def prog(ctx):
             plan = ParallelRFFT3D(ctx, shape)
-            plan.execute(None)
+            yield from plan.steps(None)
             return ctx.now
 
         res = run_spmd(4, prog, UMD_CLUSTER)

@@ -3,7 +3,7 @@
 The apps layer (DESIGN.md §5.15) leans on the conjugation-identity
 inverse in :func:`repro.core.api.parallel_ifft3d` every step; these
 tests pin it — at the API level against numpy, and through all four
-multi-array modes on both engine backends, bit-consistently.
+multi-array modes.
 """
 
 import numpy as np
@@ -52,13 +52,10 @@ class TestApiRoundTrip:
 
 
 class TestMultiArrayRoundTrip:
-    """Round trips through every overlap mode, threads vs tasks."""
+    """Round trips through every overlap mode."""
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("backend", ["threads", "tasks"])
-    def test_roundtrip_all_modes_both_backends(self, mode, backend,
-                                               monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
+    def test_roundtrip_all_modes(self, mode):
         m = 2
         shape = ProblemShape(N, N, N, P)
         globs = [field() for _ in range(m)]
@@ -73,18 +70,3 @@ class TestMultiArrayRoundTrip:
         for orig, inv in zip(globs, inv_specs):
             back = np.conj(inv) / orig.size
             assert np.abs(back - orig).max() < 1e-12 * np.abs(orig).max()
-
-    @pytest.mark.parametrize("mode", MODES)
-    def test_backends_bit_identical_spectra(self, mode, monkeypatch):
-        m = 2
-        shape = ProblemShape(N, N, N, P)
-        globs = [field() for _ in range(m)]
-        per_backend = {}
-        for backend in ("threads", "tasks"):
-            monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
-            _, spectra = run_multi_array(
-                UMD_CLUSTER, shape, m, mode, global_arrays=globs
-            )
-            per_backend[backend] = spectra
-        for a, b in zip(per_backend["threads"], per_backend["tasks"]):
-            assert np.array_equal(a, b)

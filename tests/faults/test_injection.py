@@ -1,10 +1,9 @@
 """Fault injection through the simulated machine.
 
-The contracts under test are the ones ISSUE acceptance names: fault
-injection is bit-for-bit deterministic under a fixed seed (on both rank
-backends), a straggler measurably increases exposed communication in
-the overlap summary, and a fault-free run is byte-identical to one with
-no spec installed.
+The contracts under test: fault injection is bit-for-bit deterministic
+under a fixed seed, a straggler measurably increases exposed
+communication in the overlap summary, and a fault-free run is
+byte-identical to one with no spec installed.
 """
 
 import pytest
@@ -22,9 +21,7 @@ PLAT = get_platform("Hopper")
 SHAPE = ProblemShape(64, 64, 64, 8)
 
 
-def _elapsed(faults=None, variant="NEW", backend=None, monkeypatch=None):
-    if backend is not None:
-        monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
+def _elapsed(faults=None, variant="NEW"):
     with injected_faults(faults):
         result, _ = run_case(variant, PLAT, SHAPE)
     return result
@@ -55,12 +52,6 @@ class TestDeterminism:
         a = _elapsed("jitter:amp=5e-4;seed:1").elapsed
         b = _elapsed("jitter:amp=5e-4;seed:2").elapsed
         assert a != b
-
-    def test_backends_agree_under_faults(self, monkeypatch):
-        spec = "straggler:rank=3,slow=2.0;jitter:amp=2e-6;seed:42"
-        threads = _elapsed(spec, backend="threads", monkeypatch=monkeypatch)
-        tasks = _elapsed(spec, backend="tasks", monkeypatch=monkeypatch)
-        assert threads.elapsed == tasks.elapsed
 
     def test_empty_spec_is_byte_identical_to_no_spec(self, base):
         inside = _elapsed(FaultSpec())
@@ -123,8 +114,8 @@ class TestEngineWiring:
     def test_fault_counters_flow_into_the_tracer(self):
         def prog(ctx):
             req = ctx.comm.ialltoall(32 * 1024)
-            ctx.compute_with_progress(0.003, [(req, 4)])
-            ctx.comm.wait(req)
+            ctx.progress_phases(((0.003, 4, "compute"),), [req])
+            yield from ctx.comm.co_wait(req)
 
         with tracing(Tracer(rank_spans=False)) as tr:
             with injected_faults("jitter:amp=1e-6;seed:3"):
@@ -136,8 +127,8 @@ class TestEngineWiring:
     def test_no_fault_counters_without_faults(self):
         def prog(ctx):
             req = ctx.comm.ialltoall(32 * 1024)
-            ctx.compute_with_progress(0.003, [(req, 4)])
-            ctx.comm.wait(req)
+            ctx.progress_phases(((0.003, 4, "compute"),), [req])
+            yield from ctx.comm.co_wait(req)
 
         with tracing(Tracer(rank_spans=False)) as tr:
             run_spmd(4, prog, PLAT)

@@ -4,11 +4,8 @@ The acceptance bar (tier 1): with tracing disabled nothing changed at
 all, and — stronger — *enabling* a tracer cannot perturb the simulation
 either, because instrumentation only reads virtual clocks.  Virtual
 times, per-rank event timelines, and per-run ``SchedStats`` must be
-bit-identical with and without an installed tracer, on both rank
-backends.
+bit-identical with and without an installed tracer.
 """
-
-import pytest
 
 from repro.core.api import run_case
 from repro.core.params import ProblemShape
@@ -29,7 +26,7 @@ def prog_overlap(ctx):
     scheduler path (handoffs, probe polls, wakeups)."""
     comm = ctx.comm
     req = comm.ialltoall(1 << 22)
-    ctx.compute_with_progress(0.004, [(req, 8)], "FFTy")
+    ctx.progress_phases(((0.004, 8, "FFTy"),), [req])
     yield from comm.co_wait(req, label="Wait")
     total = yield from comm.co_allreduce(ctx.rank, nbytes=8)
     return ctx.now, total
@@ -45,13 +42,10 @@ def fingerprint(sim):
     )
 
 
-@pytest.mark.parametrize("backend", ["threads", "tasks"])
-def test_spmd_run_identical_with_and_without_tracer(backend):
-    baseline = run_spmd(6, prog_overlap, UMD_CLUSTER,
-                        record_events=True, backend=backend)
+def test_spmd_run_identical_with_and_without_tracer():
+    baseline = run_spmd(6, prog_overlap, UMD_CLUSTER, record_events=True)
     with tracing(Tracer(rank_spans=True)) as tr:
-        traced = run_spmd(6, prog_overlap, UMD_CLUSTER,
-                          record_events=True, backend=backend)
+        traced = run_spmd(6, prog_overlap, UMD_CLUSTER, record_events=True)
     assert fingerprint(traced) == fingerprint(baseline)
     # ... and the trace actually captured the run it didn't perturb.
     assert tr.counters["sched.handoffs"] == baseline.stats.handoffs
@@ -60,12 +54,11 @@ def test_spmd_run_identical_with_and_without_tracer(backend):
     assert sum(len(t.events) for t in baseline.traces) == len(tr.spans)
 
 
-@pytest.mark.parametrize("backend", ["threads", "tasks"])
-def test_rank_span_recording_does_not_change_times(backend):
+def test_rank_span_recording_does_not_change_times():
     """rank_spans forces event recording on; that must not move clocks."""
-    baseline = run_spmd(6, prog_overlap, UMD_CLUSTER, backend=backend)
+    baseline = run_spmd(6, prog_overlap, UMD_CLUSTER)
     with tracing(Tracer(rank_spans=True)):
-        traced = run_spmd(6, prog_overlap, UMD_CLUSTER, backend=backend)
+        traced = run_spmd(6, prog_overlap, UMD_CLUSTER)
     assert traced.elapsed == baseline.elapsed
     assert [t.by_label for t in traced.traces] == \
            [t.by_label for t in baseline.traces]

@@ -1,104 +1,21 @@
-"""Thread-vs-tasks backend equivalence.
+"""The engine's rank substrate: generator programs on one scheduler.
 
-The engine promises bit-identical virtual-time results between its two
-rank substrates (DESIGN.md "Execution layer").  Every scenario here is
-written once as a generator SPMD function using the ``co_*`` comm
-spellings, run on both backends, and compared exactly: elapsed time,
-per-rank results, traces, event timelines, and scheduler counters.
-The thread backend executes the very same generator through the
-``Engine.drive`` trampoline, so any scheduling divergence shows up as a
-counter or clock mismatch.
+Every rank is a generator resumed by the scheduler (the ``tasks``
+substrate, the label :class:`~repro.simmpi.SchedStats` reports).  These
+tests pin how a run fails (wrapped rank exceptions, deadlock
+detection), that plain callables, blocking facades and a backend option
+are rejected, and that the scheduler counters are populated.  The
+clocks, results, counters and events of the hand-written scenario
+programs are pinned by ``tests/simmpi/sched_golden.json``.
 """
 
+import numpy as np
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
 from repro.machine import UMD_CLUSTER
 from repro.simmpi import Engine, run_spmd
-
-
-def run_both(nprocs, fn, *args, record_events=False, **kwargs):
-    a = run_spmd(nprocs, fn, UMD_CLUSTER, *args,
-                 record_events=record_events, backend="threads", **kwargs)
-    b = run_spmd(nprocs, fn, UMD_CLUSTER, *args,
-                 record_events=record_events, backend="tasks", **kwargs)
-    return a, b
-
-
-def assert_identical(a, b):
-    assert a.stats.backend == "threads" and b.stats.backend == "tasks"
-    assert a.elapsed == b.elapsed
-    assert a.results == b.results
-    assert [t.by_label for t in a.traces] == [t.by_label for t in b.traces]
-    assert [t.events for t in a.traces] == [t.events for t in b.traces]
-    assert a.stats.handoffs == b.stats.handoffs
-    assert a.stats.probe_polls == b.stats.probe_polls
-
-
-# -- SPMD generator programs -------------------------------------------------
-
-
-def prog_compute(ctx):
-    ctx.compute(0.001 * (ctx.rank + 1), "work")
-    return ctx.now
-    yield  # pragma: no cover - marks this as a generator function
-
-
-def prog_ring(ctx):
-    comm = ctx.comm
-    right = (ctx.rank + 1) % ctx.size
-    yield from comm.co_send(right, 1 << 20, payload=ctx.rank)
-    payload, src, _tag, _nb = yield from comm.co_recv()
-    return payload, src
-
-
-def prog_sendrecv(ctx):
-    comm = ctx.comm
-    right = (ctx.rank + 1) % ctx.size
-    left = (ctx.rank - 1) % ctx.size
-    payload, src, _t, _nb = yield from comm.co_sendrecv(
-        right, 4096, payload=ctx.rank, source=left
-    )
-    return payload, src
-
-
-def prog_collectives(ctx):
-    comm = ctx.comm
-    ctx.compute(0.0005 * ctx.rank, "skew")
-    yield from comm.co_barrier()
-    root_val = yield from comm.co_bcast("hello" if ctx.rank == 0 else None,
-                                        nbytes=64)
-    total = yield from comm.co_allreduce(ctx.rank, nbytes=8)
-    gathered = yield from comm.co_gather(ctx.rank * 10, nbytes=8)
-    everything = yield from comm.co_allgather(ctx.now, nbytes=8)
-    mine = yield from comm.co_scatter(
-        list(range(ctx.size)) if ctx.rank == 0 else None, nbytes=8
-    )
-    return root_val, total, gathered, len(everything), mine
-
-
-def prog_overlap(ctx):
-    """Ialltoall progressed during compute, finished with co_wait — the
-    paper's manual-progression pattern."""
-    comm = ctx.comm
-    req = comm.ialltoall(1 << 22)
-    ctx.compute_with_progress(0.004, [(req, 8)], "FFTy")
-    yield from comm.co_wait(req, label="Wait")
-    req2 = comm.ialltoall(1 << 20)
-    while True:
-        flag, _ = yield from comm.co_test(req2)
-        if flag:
-            break
-        ctx.compute(0.0002, "poll-work")
-    return ctx.now
-
-
-def prog_split(ctx):
-    comm = ctx.comm
-    half = yield from comm.co_split(ctx.rank % 2)
-    local_sum = yield from half.co_allreduce(ctx.rank, nbytes=8)
-    yield from comm.co_barrier()
-    return half.size, local_sum
+from tests.simmpi.sched_golden import prog_overlap, prog_ring
 
 
 def prog_failing(ctx):
@@ -113,33 +30,15 @@ def prog_deadlock(ctx):
         yield from ctx.comm.co_recv(source=1)
 
 
-# -- equivalence -------------------------------------------------------------
+class TestFailures:
+    def test_exception_wrapped(self):
+        with pytest.raises(SimulationError, match="rank 1 failed") as exc:
+            run_spmd(4, prog_failing, UMD_CLUSTER)
+        assert isinstance(exc.value.__cause__, ValueError)
 
-
-class TestBackendEquivalence:
-    @pytest.mark.parametrize("prog,p", [
-        (prog_compute, 4),
-        (prog_ring, 4),
-        (prog_sendrecv, 5),
-        (prog_collectives, 4),
-        (prog_collectives, 7),
-        (prog_overlap, 8),
-        (prog_split, 6),
-    ])
-    def test_bit_identical(self, prog, p):
-        a, b = run_both(p, prog, record_events=True)
-        assert_identical(a, b)
-
-    def test_exception_wrapped_same_way(self):
-        for backend in ("threads", "tasks"):
-            with pytest.raises(SimulationError, match="rank 1 failed") as exc:
-                run_spmd(4, prog_failing, UMD_CLUSTER, backend=backend)
-            assert isinstance(exc.value.__cause__, ValueError)
-
-    def test_deadlock_detected_on_both(self):
-        for backend in ("threads", "tasks"):
-            with pytest.raises(DeadlockError):
-                run_spmd(2, prog_deadlock, UMD_CLUSTER, backend=backend)
+    def test_deadlock_detected(self):
+        with pytest.raises(DeadlockError):
+            run_spmd(2, prog_deadlock, UMD_CLUSTER)
 
 
 class TestBackendSelection:
@@ -147,32 +46,25 @@ class TestBackendSelection:
         sim = run_spmd(4, prog_ring, UMD_CLUSTER)
         assert sim.stats.backend == "tasks"
 
-    def test_auto_picks_threads_for_plain_callables(self):
-        def plain(ctx):
-            ctx.comm.barrier()
-            return ctx.rank
-
-        sim = run_spmd(4, plain, UMD_CLUSTER)
-        assert sim.stats.backend == "threads"
-        assert sim.results == [0, 1, 2, 3]
-
     def test_tasks_backend_rejects_plain_callables(self):
         with pytest.raises(SimulationError, match="generator"):
-            run_spmd(4, lambda ctx: ctx.rank, UMD_CLUSTER, backend="tasks")
+            run_spmd(4, lambda ctx: ctx.rank, UMD_CLUSTER)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(SimulationError, match="backend"):
-            Engine(2, UMD_CLUSTER, backend="fibers")
+        # there is one rank substrate and no option to pick another
+        with pytest.raises(TypeError, match="backend"):
+            Engine(2, UMD_CLUSTER, backend="threads")
+        with pytest.raises(TypeError, match="backend"):
+            run_spmd(2, prog_ring, UMD_CLUSTER, backend="threads")
 
     def test_sync_facade_rejected_on_tasks_backend(self):
         def bad(ctx):
-            ctx.comm.barrier()  # sync spelling inside a generator program
+            ctx.comm.barrier()  # blocking spelling: only co_barrier exists
             yield from ctx.comm.co_barrier()
 
         with pytest.raises(SimulationError, match="rank .* failed") as exc:
-            run_spmd(2, bad, UMD_CLUSTER, backend="tasks")
-        assert isinstance(exc.value.__cause__, SimulationError)
-        assert "co_" in str(exc.value.__cause__)
+            run_spmd(2, bad, UMD_CLUSTER)
+        assert isinstance(exc.value.__cause__, AttributeError)
 
     def test_stats_counters_populated(self):
         sim = run_spmd(4, prog_overlap, UMD_CLUSTER)
@@ -180,40 +72,18 @@ class TestBackendSelection:
         assert sim.stats.probe_polls > 0
 
 
-# -- pencil (2-D decomposition) pipeline --------------------------------------
-
-
-def prog_pencil(ctx):
-    from repro.core.pencil import PencilFFT3D
-
-    plan = PencilFFT3D(ctx, (32, 32, 32))
-    yield from plan.steps(None)
-    return ctx.now
-
-
-def prog_pencil_real(ctx, blocks, shape, grid):
+def prog_pencil(ctx, blocks, shape, grid):
     from repro.core.pencil import PencilFFT3D
 
     plan = PencilFFT3D(ctx, shape, grid)
-    return (yield from plan.steps(blocks[ctx.rank]))
+    out = yield from plan.steps(None if blocks is None else blocks[ctx.rank])
+    return out, ctx.now
 
 
 class TestPencilBackends:
-    """The pencil pipeline's co_* spelling is bit-identical across
-    backends — including its lazy collective sub-communicator splits."""
-
-    def test_virtual_pencil_bit_identical(self):
-        a, b = run_both(4, prog_pencil, record_events=True)
-        assert_identical(a, b)
-
-    def test_virtual_pencil_bit_identical_odd_grid(self):
-        # 6 ranks -> 2x3 grid: uneven slabs in both exchanges
-        a, b = run_both(6, prog_pencil, record_events=True)
-        assert_identical(a, b)
-
     def test_real_pencil_bit_identical_and_correct(self):
-        import numpy as np
-
+        """A real-payload pencil run keeps the virtual run's clocks and
+        counters bit for bit, and its spectrum matches numpy."""
         from repro.core.pencil import (
             choose_grid,
             gather_spectrum,
@@ -225,26 +95,13 @@ class TestPencilBackends:
         arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         grid = choose_grid(4)
         blocks = scatter_pencils(arr, *grid)
-        a, b = run_both(4, prog_pencil_real, blocks, shape, grid)
-        assert a.elapsed == b.elapsed
-        spec_a = gather_spectrum(a.results, shape, *grid)
-        spec_b = gather_spectrum(b.results, shape, *grid)
-        np.testing.assert_array_equal(spec_a, spec_b)
-        np.testing.assert_allclose(spec_a, np.fft.fftn(arr), atol=1e-10)
-
-    def test_auto_backend_is_tasks_for_pencil_generator(self):
-        sim = run_spmd(4, prog_pencil, UMD_CLUSTER)
-        assert sim.stats.backend == "tasks"
-
-    def test_execute_still_works_in_plain_callables(self):
-        from repro.core.pencil import PencilFFT3D
-
-        def plain(ctx):
-            PencilFFT3D(ctx, (32, 32, 32)).execute(None)
-            return ctx.now
-
-        sim = run_spmd(4, plain, UMD_CLUSTER)
-        assert sim.stats.backend == "threads"
-        gen = run_spmd(4, prog_pencil, UMD_CLUSTER, backend="tasks")
-        assert sim.results == gen.results
-        assert sim.elapsed == gen.elapsed
+        real = run_spmd(4, prog_pencil, UMD_CLUSTER, blocks, shape, grid,
+                        record_events=True)
+        virt = run_spmd(4, prog_pencil, UMD_CLUSTER, None, shape, grid,
+                        record_events=True)
+        assert real.elapsed == virt.elapsed
+        assert real.stats == virt.stats
+        assert [r[1] for r in real.results] == [r[1] for r in virt.results]
+        assert [t.events for t in real.traces] == [t.events for t in virt.traces]
+        spectrum = gather_spectrum([r[0] for r in real.results], shape, *grid)
+        np.testing.assert_allclose(spectrum, np.fft.fftn(arr), atol=1e-10)

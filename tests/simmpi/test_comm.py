@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import MPIUsageError
+from repro.errors import MPIUsageError, SimulationError
 from repro.machine import HOPPER, UMD_CLUSTER
 from repro.simmpi import run_spmd
 
@@ -12,8 +12,8 @@ class TestPointToPoint:
     def test_ring_payload(self):
         def prog(ctx):
             c = ctx.comm
-            c.send((c.rank + 1) % c.size, 128, payload=("hi", c.rank))
-            data, src, tag, nb = c.recv()
+            yield from c.co_send((c.rank + 1) % c.size, 128, payload=("hi", c.rank))
+            data, src, tag, nb = yield from c.co_recv()
             assert data == ("hi", src)
             assert nb == 128
             return src
@@ -25,12 +25,12 @@ class TestPointToPoint:
         def prog(ctx):
             c = ctx.comm
             if c.rank == 0:
-                c.send(1, 8, payload="a", tag=5)
-                c.send(1, 8, payload="b", tag=9)
+                yield from c.co_send(1, 8, payload="a", tag=5)
+                yield from c.co_send(1, 8, payload="b", tag=9)
             else:
-                data, _, tag, _ = c.recv(source=0, tag=9)
+                data, _, tag, _ = yield from c.co_recv(source=0, tag=9)
                 assert (data, tag) == ("b", 9)
-                data, _, tag, _ = c.recv(source=0, tag=5)
+                data, _, tag, _ = yield from c.co_recv(source=0, tag=5)
                 assert (data, tag) == ("a", 5)
 
         run_spmd(2, prog, UMD_CLUSTER)
@@ -40,9 +40,11 @@ class TestPointToPoint:
             c = ctx.comm
             if c.rank == 0:
                 for i in range(5):
-                    c.send(1, 8, payload=i)
+                    yield from c.co_send(1, 8, payload=i)
             else:
-                got = [c.recv(source=0)[0] for _ in range(5)]
+                got = []
+                for _ in range(5):
+                    got.append((yield from c.co_recv(source=0))[0])
                 assert got == list(range(5))
 
         run_spmd(2, prog, UMD_CLUSTER)
@@ -51,11 +53,13 @@ class TestPointToPoint:
         def prog(ctx):
             c = ctx.comm
             if c.rank == 0:
-                seen = {c.recv()[1] for _ in range(c.size - 1)}
+                seen = set()
+                for _ in range(c.size - 1):
+                    seen.add((yield from c.co_recv())[1])
                 assert seen == {1, 2, 3}
             else:
                 ctx.compute(1e-4 * c.rank)
-                c.send(0, 64, payload=c.rank)
+                yield from c.co_send(0, 64, payload=c.rank)
 
         run_spmd(4, prog, UMD_CLUSTER)
 
@@ -63,7 +67,9 @@ class TestPointToPoint:
         def prog(ctx):
             c = ctx.comm
             peer = c.size - 1 - c.rank
-            data, src, _, _ = c.sendrecv(peer, 32, payload=c.rank, source=peer)
+            data, src, _, _ = yield from c.co_sendrecv(
+                peer, 32, payload=c.rank, source=peer
+            )
             assert data == peer and src == peer
 
         run_spmd(4, prog, UMD_CLUSTER)
@@ -72,10 +78,10 @@ class TestPointToPoint:
         def prog(ctx):
             c = ctx.comm
             if c.rank == 0:
-                c.send(1, 10 * 1024 * 1024)
+                yield from c.co_send(1, 10 * 1024 * 1024)
                 return ctx.now
             t0 = ctx.now
-            c.recv(source=0)
+            yield from c.co_recv(source=0)
             return ctx.now - t0
 
         res = run_spmd(2, prog, UMD_CLUSTER)
@@ -84,18 +90,19 @@ class TestPointToPoint:
 
     def test_bad_destination(self):
         def prog(ctx):
-            ctx.comm.send(7, 8)
+            yield from ctx.comm.co_send(7, 8)
 
-        with pytest.raises(Exception):
+        with pytest.raises(SimulationError) as ei:
             run_spmd(2, prog, UMD_CLUSTER)
+        assert isinstance(ei.value.__cause__, MPIUsageError)
 
     def test_isend_irecv(self):
         def prog(ctx):
             c = ctx.comm
             sreq = c.isend((c.rank + 1) % c.size, 64, payload=c.rank)
             rreq = c.irecv()
-            c.wait(sreq)
-            payload, src, _, _ = c.wait(rreq)
+            yield from c.co_wait(sreq)
+            payload, src, _, _ = yield from c.co_wait(rreq)
             assert payload == (c.rank - 1) % c.size
 
         run_spmd(3, prog, UMD_CLUSTER)
@@ -103,9 +110,9 @@ class TestPointToPoint:
     def test_request_reuse_rejected(self):
         def prog(ctx):
             c = ctx.comm
-            req = c.isend(c.rank, 8) if False else c.ialltoall(8)
-            c.wait(req)
-            c.wait(req)
+            req = c.ialltoall(8)
+            yield from c.co_wait(req)
+            yield from c.co_wait(req)
 
         with pytest.raises(Exception) as ei:
             run_spmd(2, prog, UMD_CLUSTER)
@@ -116,7 +123,7 @@ class TestCollectives:
     def test_barrier_synchronizes_clocks(self):
         def prog(ctx):
             ctx.compute(0.01 * ctx.rank)
-            ctx.comm.barrier()
+            yield from ctx.comm.co_barrier()
             return ctx.now
 
         res = run_spmd(4, prog, UMD_CLUSTER)
@@ -126,21 +133,23 @@ class TestCollectives:
     def test_bcast(self):
         def prog(ctx):
             val = {"config": 42} if ctx.rank == 1 else None
-            return ctx.comm.bcast(payload=val, nbytes=256, root=1)
+            return (yield from ctx.comm.co_bcast(payload=val, nbytes=256, root=1))
 
         res = run_spmd(4, prog, UMD_CLUSTER)
         assert res.results == [{"config": 42}] * 4
 
     def test_reduce_custom_op(self):
         def prog(ctx):
-            return ctx.comm.reduce(ctx.rank + 1, op=lambda a, b: a * b, root=0)
+            return (yield from ctx.comm.co_reduce(
+                ctx.rank + 1, op=lambda a, b: a * b, root=0
+            ))
 
         res = run_spmd(4, prog, UMD_CLUSTER)
         assert res.results[0] == 24
 
     def test_allreduce_arrays(self):
         def prog(ctx):
-            return ctx.comm.allreduce(np.full(3, ctx.rank), nbytes=24)
+            return (yield from ctx.comm.co_allreduce(np.full(3, ctx.rank), nbytes=24))
 
         res = run_spmd(3, prog, UMD_CLUSTER)
         for arr in res.results:
@@ -148,8 +157,8 @@ class TestCollectives:
 
     def test_gather_and_allgather(self):
         def prog(ctx):
-            g = ctx.comm.gather(ctx.rank**2, root=2)
-            ag = ctx.comm.allgather(ctx.rank)
+            g = yield from ctx.comm.co_gather(ctx.rank**2, root=2)
+            ag = yield from ctx.comm.co_allgather(ctx.rank)
             return g, ag
 
         res = run_spmd(3, prog, UMD_CLUSTER)
@@ -160,24 +169,25 @@ class TestCollectives:
     def test_scatter(self):
         def prog(ctx):
             vals = [f"item{i}" for i in range(ctx.size)] if ctx.rank == 0 else None
-            return ctx.comm.scatter(vals, nbytes=16, root=0)
+            return (yield from ctx.comm.co_scatter(vals, nbytes=16, root=0))
 
         res = run_spmd(3, prog, UMD_CLUSTER)
         assert res.results == ["item0", "item1", "item2"]
 
     def test_scatter_root_must_supply_values(self):
         def prog(ctx):
-            ctx.comm.scatter(None, root=0)
+            yield from ctx.comm.co_scatter(None, root=0)
 
-        with pytest.raises(Exception):
+        with pytest.raises(SimulationError) as ei:
             run_spmd(2, prog, UMD_CLUSTER)
+        assert isinstance(ei.value.__cause__, MPIUsageError)
 
     def test_collective_kind_mismatch_detected(self):
         def prog(ctx):
             if ctx.rank == 0:
-                ctx.comm.barrier()
+                yield from ctx.comm.co_barrier()
             else:
-                ctx.comm.allreduce(1)
+                yield from ctx.comm.co_allreduce(1)
 
         with pytest.raises(Exception) as ei:
             run_spmd(2, prog, UMD_CLUSTER)
@@ -189,7 +199,7 @@ class TestAlltoall:
         def prog(ctx):
             c = ctx.comm
             chunks = [np.array([c.rank, d]) for d in range(c.size)]
-            out = c.alltoall(16, payload=chunks)
+            out = yield from c.co_alltoall(16, payload=chunks)
             for s, arr in enumerate(out):
                 assert arr[0] == s and arr[1] == c.rank
 
@@ -201,7 +211,7 @@ class TestAlltoall:
             send = [16 * (d + 1) for d in range(c.size)]
             recv = [16 * (c.rank + 1)] * c.size
             req = c.ialltoallv(send, recv)
-            c.wait(req)
+            yield from c.co_wait(req)
             return ctx.now
 
         res = run_spmd(3, prog, UMD_CLUSTER)
@@ -209,17 +219,21 @@ class TestAlltoall:
 
     def test_counts_length_validated(self):
         def prog(ctx):
-            ctx.comm.ialltoall([8, 8, 8])  # size is 2
+            req = ctx.comm.ialltoall([8, 8, 8])  # size is 2
+            yield from ctx.comm.co_wait(req)
 
-        with pytest.raises(Exception):
+        with pytest.raises(SimulationError) as ei:
             run_spmd(2, prog, UMD_CLUSTER)
+        assert isinstance(ei.value.__cause__, MPIUsageError)
 
     def test_negative_counts_rejected(self):
         def prog(ctx):
-            ctx.comm.ialltoall([-1, 8])
+            req = ctx.comm.ialltoall([-1, 8])
+            yield from ctx.comm.co_wait(req)
 
-        with pytest.raises(Exception):
+        with pytest.raises(SimulationError) as ei:
             run_spmd(2, prog, UMD_CLUSTER)
+        assert isinstance(ei.value.__cause__, MPIUsageError)
 
     def test_progression_hides_communication(self):
         """With enough compute and tests, Wait shrinks to (near) zero;
@@ -230,9 +244,9 @@ class TestAlltoall:
             def prog(ctx):
                 c = ctx.comm
                 req = c.ialltoall(256 * 1024)
-                ctx.compute_with_progress(0.1, [(req, ntests)])
+                ctx.progress_phases(((0.1, ntests, "compute"),), [req])
                 t0 = ctx.now
-                c.wait(req)
+                yield from c.co_wait(req)
                 return ctx.now - t0
 
             return prog
@@ -245,8 +259,8 @@ class TestAlltoall:
         def make(ntests):
             def prog(ctx):
                 req = ctx.comm.ialltoall(1024)
-                ctx.compute_with_progress(0.01, [(req, ntests)])
-                ctx.comm.wait(req)
+                ctx.progress_phases(((0.01, ntests, "compute"),), [req])
+                yield from ctx.comm.co_wait(req)
                 return ctx.now
 
             return prog
@@ -258,7 +272,7 @@ class TestAlltoall:
     def test_blocking_alltoall_time_scales_with_bytes(self):
         def make(nbytes):
             def prog(ctx):
-                ctx.comm.alltoall(nbytes)
+                yield from ctx.comm.co_alltoall(nbytes)
                 return ctx.now
 
             return prog
@@ -269,7 +283,7 @@ class TestAlltoall:
 
     def test_hopper_faster_than_umd(self):
         def prog(ctx):
-            ctx.comm.alltoall(512 * 1024)
+            yield from ctx.comm.co_alltoall(512 * 1024)
             return ctx.now
 
         umd = run_spmd(8, prog, UMD_CLUSTER).elapsed
@@ -280,8 +294,9 @@ class TestAlltoall:
         def prog(ctx):
             c = ctx.comm
             reqs = [c.ialltoall(64 * 1024) for _ in range(3)]
-            ctx.compute_with_progress(0.05, [(r, 8) for r in reqs])
-            c.waitall(reqs)
+            # 8 tests on each request of the window
+            ctx.progress_phases(((0.05, 8 * len(reqs), "compute"),), reqs)
+            yield from c.co_waitall(reqs)
             return ctx.now
 
         res = run_spmd(4, prog, UMD_CLUSTER)
@@ -292,8 +307,8 @@ class TestSplit:
     def test_split_groups_and_collectives(self):
         def prog(ctx):
             c = ctx.comm
-            sub = c.split(color=ctx.rank % 2)
-            return sub.size, sub.allreduce(ctx.rank)
+            sub = yield from c.co_split(color=ctx.rank % 2)
+            return sub.size, (yield from sub.co_allreduce(ctx.rank))
 
         res = run_spmd(6, prog, UMD_CLUSTER)
         for r, (size, total) in enumerate(res.results):
@@ -302,7 +317,7 @@ class TestSplit:
 
     def test_split_key_reorders(self):
         def prog(ctx):
-            sub = ctx.comm.split(color=0, key=-ctx.rank)
+            sub = yield from ctx.comm.co_split(color=0, key=-ctx.rank)
             return sub.rank
 
         res = run_spmd(4, prog, UMD_CLUSTER)
@@ -310,9 +325,11 @@ class TestSplit:
 
     def test_sub_communicator_p2p(self):
         def prog(ctx):
-            sub = ctx.comm.split(color=ctx.rank // 2)
+            sub = yield from ctx.comm.co_split(color=ctx.rank // 2)
             peer = 1 - sub.rank
-            data, src, _, _ = sub.sendrecv(peer, 16, payload=ctx.rank, source=peer)
+            data, src, _, _ = yield from sub.co_sendrecv(
+                peer, 16, payload=ctx.rank, source=peer
+            )
             # Peer's world rank differs by 1 within each pair.
             assert abs(data - ctx.rank) == 1
             return data

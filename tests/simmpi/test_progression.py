@@ -95,7 +95,7 @@ class TestProgressionSemantics:
             req = c.ialltoall(1024 * 1024)
             ctx.compute(0.5)  # plain compute: no MPI_Test calls
             t0 = ctx.now
-            c.wait(req)
+            yield from c.co_wait(req)
             return ctx.now - t0
 
         plat = tiny_platform()
@@ -108,9 +108,9 @@ class TestProgressionSemantics:
         def prog(ctx):
             c = ctx.comm
             req = c.ialltoall(1024 * 1024)
-            ctx.compute_with_progress(0.5, [(req, 64)])
+            ctx.progress_phases(((0.5, 64, "compute"),), [req])
             t0 = ctx.now
-            c.wait(req)
+            yield from c.co_wait(req)
             return ctx.now - t0
 
         res = run_spmd(8, prog, tiny_platform())
@@ -124,9 +124,9 @@ class TestProgressionSemantics:
             def prog(ctx):
                 c = ctx.comm
                 req = c.ialltoall(512 * 1024)
-                ctx.compute_with_progress(0.5, [(req, ntests)])
+                ctx.progress_phases(((0.5, ntests, "compute"),), [req])
                 t0 = ctx.now
-                c.wait(req)
+                yield from c.co_wait(req)
                 return ctx.now - t0
 
             return prog
@@ -142,7 +142,7 @@ class TestProgressionSemantics:
             flags = []
             for _ in range(50):
                 ctx.compute(1e-4)
-                flag, _ = c.test(req)
+                flag, _ = yield from c.co_test(req)
                 flags.append(flag)
                 if flag:
                     break
@@ -157,7 +157,7 @@ class TestProgressionSemantics:
         serialize back-to-back at NIC rate: elapsed ~ (p-1)*m/rate."""
 
         def prog(ctx):
-            ctx.comm.alltoall(1024 * 1024)
+            yield from ctx.comm.co_alltoall(1024 * 1024)
             return ctx.now
 
         res = run_spmd(8, prog, tiny_platform())
@@ -168,8 +168,8 @@ class TestProgressionSemantics:
         def prog(ctx):
             c = ctx.comm
             req = c.ialltoall(1024)
-            ctx.compute_with_progress(0.01, [(req, 5)])
-            c.wait(req)
+            ctx.progress_phases(((0.01, 5, "compute"),), [req])
+            yield from c.co_wait(req)
             return req.progress_entries
 
         res = run_spmd(3, prog, tiny_platform())
@@ -179,7 +179,7 @@ class TestProgressionSemantics:
     def test_collective_op_records_released(self):
         def prog(ctx):
             for _ in range(10):
-                ctx.comm.alltoall(256)
+                yield from ctx.comm.co_alltoall(256)
             return True
 
         plat = tiny_platform()

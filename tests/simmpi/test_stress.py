@@ -20,16 +20,16 @@ class TestAsymmetricPrograms:
             if c.rank == 0:
                 for item in range(2 * (c.size - 1)):
                     dst = 1 + item % (c.size - 1)
-                    c.send(dst, 64, payload=item, tag=1)
-                results = sorted(
-                    c.recv(tag=2)[0] for _ in range(2 * (c.size - 1))
-                )
-                assert results == [i * i for i in range(2 * (c.size - 1))]
+                    yield from c.co_send(dst, 64, payload=item, tag=1)
+                results = []
+                for _ in range(2 * (c.size - 1)):
+                    results.append((yield from c.co_recv(tag=2))[0])
+                assert sorted(results) == [i * i for i in range(2 * (c.size - 1))]
             else:
                 for _ in range(2):
-                    item, _src, _tag, _ = c.recv(source=0, tag=1)
+                    item, _src, _tag, _ = yield from c.co_recv(source=0, tag=1)
                     ctx.compute(1e-4 * (item + 1))
-                    c.send(0, 64, payload=item * item, tag=2)
+                    yield from c.co_send(0, 64, payload=item * item, tag=2)
 
         run_spmd(5, prog, UMD_CLUSTER)
 
@@ -43,16 +43,16 @@ class TestAsymmetricPrograms:
             nxt = (c.rank + 1) % c.size
             prv = (c.rank - 1) % c.size
             if c.rank == 0:
-                c.send(nxt, 32, payload=0)
+                yield from c.co_send(nxt, 32, payload=0)
                 for lap in range(loops):
-                    val, _, _, _ = c.recv(source=prv)
+                    val, _, _, _ = yield from c.co_recv(source=prv)
                     assert val == (lap + 1) * c.size - 1
                     if lap < loops - 1:
-                        c.send(nxt, 32, payload=val + 1)
+                        yield from c.co_send(nxt, 32, payload=val + 1)
             else:
                 for _lap in range(loops):
-                    val, _, _, _ = c.recv(source=prv)
-                    c.send(nxt, 32, payload=val + 1)
+                    val, _, _, _ = yield from c.co_recv(source=prv)
+                    yield from c.co_send(nxt, 32, payload=val + 1)
             return ctx.now
 
         run_spmd(4, prog, UMD_CLUSTER)
@@ -62,11 +62,11 @@ class TestAsymmetricPrograms:
 
         def prog(ctx):
             c = ctx.comm
-            sub = c.split(color=ctx.rank % 2)
+            sub = yield from c.co_split(color=ctx.rank % 2)
             reps = 3 if ctx.rank % 2 == 0 else 5
             for _ in range(reps):
-                sub.alltoall(512)
-            return sub.allreduce(1)
+                yield from sub.co_alltoall(512)
+            return (yield from sub.co_allreduce(1))
 
         res = run_spmd(6, prog, UMD_CLUSTER)
         assert all(v == 3 for v in res.results)
@@ -76,7 +76,7 @@ class TestAsymmetricPrograms:
 
         def prog(ctx):
             ctx.compute(0.001 * ctx.rank**2)
-            ctx.comm.barrier()
+            yield from ctx.comm.co_barrier()
             return ctx.now
 
         res = run_spmd(5, prog, UMD_CLUSTER)
@@ -100,15 +100,15 @@ class TestRandomizedPrograms:
                                      "bcast", "allgather"])
                     ctx.compute(rng.random() * 1e-4)
                     if op == "barrier":
-                        ctx.comm.barrier()
+                        yield from ctx.comm.co_barrier()
                     elif op == "allreduce":
-                        ctx.comm.allreduce(ctx.rank, nbytes=8)
+                        yield from ctx.comm.co_allreduce(ctx.rank, nbytes=8)
                     elif op == "alltoall":
-                        ctx.comm.alltoall(rng.randrange(1, 4096))
+                        yield from ctx.comm.co_alltoall(rng.randrange(1, 4096))
                     elif op == "bcast":
-                        ctx.comm.bcast(payload=1, nbytes=64, root=0)
+                        yield from ctx.comm.co_bcast(payload=1, nbytes=64, root=0)
                     else:
-                        ctx.comm.allgather(ctx.rank, nbytes=8)
+                        yield from ctx.comm.co_allgather(ctx.rank, nbytes=8)
                 return ctx.now
 
             return prog
@@ -137,8 +137,8 @@ class TestRandomizedPrograms:
                 for (a, b) in pairs
                 if a == c.rank
             ]
-            c.waitall(sreqs)
-            got = [c.wait(r) for r in rreqs]
+            yield from c.co_waitall(sreqs)
+            got = yield from c.co_waitall(rreqs)
             for payload, src, _tag, _n in got:
                 assert payload == src
             return len(got)
@@ -152,9 +152,9 @@ class TestScale:
     def test_large_rank_counts(self, p):
         def prog(ctx):
             req = ctx.comm.ialltoall(1024)
-            ctx.compute_with_progress(0.01, [(req, 16)])
-            ctx.comm.wait(req)
-            return ctx.comm.allreduce(1)
+            ctx.progress_phases(((0.01, 16, "compute"),), [req])
+            yield from ctx.comm.co_wait(req)
+            return (yield from ctx.comm.co_allreduce(1))
 
         res = run_spmd(p, prog, UMD_CLUSTER)
         assert all(v == p for v in res.results)
@@ -162,7 +162,7 @@ class TestScale:
     def test_many_sequential_exchanges(self):
         def prog(ctx):
             for _ in range(100):
-                ctx.comm.alltoall(256)
+                yield from ctx.comm.co_alltoall(256)
             return ctx.now
 
         res = run_spmd(4, prog, UMD_CLUSTER)

@@ -144,27 +144,31 @@ r2c pipeline inherits the overlap machinery at half the exchange volume.
 
 Host-time numbers (not virtual seconds): the cost of *running* the
 simulator, before vs after the engine fast paths (DESIGN.md §5.11).
-`tools/bench_exec.py` times the Table-2a quick grid end to end on the
-same 1-core host, best of 2 cold runs, identical cell results asserted
-modulo the backend label:
+The rows below are the walls `tools/bench_exec.py` recorded for the
+Table-2a quick grid, end to end on one 1-core host, best of 2 cold
+runs, identical cell results asserted:
 
 | configuration | wall (s) | vs pre-exec-layer seed |
 |---|---|---|
 | seed baseline (committed, threads, serial) | 22.17 | 1.0x |
 | exec layer (committed, tasks backend) | 17.31 | 1.28x |
-| + engine fast paths (this code, tasks) | 7.36 | **3.01x** |
-| this code with `REPRO_SIM_FASTPATH=0`, threads | 11.89 | 1.86x |
+| + engine fast paths (tasks) | 7.36 | **3.01x** |
 
-The fastpath-off row shows the batching/vectorization work that is not
-gated by the toggle (fused `progress_phases`, closed-form epochs,
-vectorized payload movers) already roughly halves the seed cost; the
-scheduler fast paths and the coroutine backend take the rest.  The
-recorded per-phase breakdown separates pure scheduling (a virtual
-64^3/p8 pipeline: 7.5 ms -> 4.1 ms per run) from real-payload movement
-(kernel-dominated, ~85 ms, unchanged — the vectorized movers matter at
-larger N).  Scheduler handoff/probe counters are identical across all
-configurations, and `tools/check_perf_smoke.py` guards them in CI
-against the committed `BENCH_smoke.json`.
+The simulator has since lost its thread backend and its fast-path-off
+scheduler (DESIGN.md §5.5, §5.11): the fast paths *are* the scheduler.
+`tools/bench_exec.py` now times the one engine serially (`jobs=1`) and
+sharded over `--jobs` workers, asserts identical cell results, and
+carries the 22.17 s seed wall forward as `historic_seed_wall_s`.  Its
+latest run, on a 2-vCPU host slower than the one above, records
+11.68 s serial and 9.12 s sharded over 2 workers (2.43x the seed wall);
+the commit before the removal times the same serial grid at
+10.65-10.95 s on that host.  The per-phase breakdown separates pure
+scheduling (a virtual 64^3/p8 pipeline, 7.0 ms per run) from
+real-payload movement (kernel-dominated, ~62 ms).  Scheduler
+handoff/probe counters (159648 / 301207 for the serial grid) are the
+ones every earlier configuration recorded, and
+`tools/check_perf_smoke.py` guards them in CI against the committed
+`BENCH_smoke.json`.
 
 ## Application workloads — steady-state throughput (BENCH_apps.json)
 

@@ -6,29 +6,25 @@ Usage:  python tools/bench_exec.py [--jobs N] [--budget B] [--out PATH]
 Times the Table-2a quick grid (the ``REPRO_BENCH_SCALE=quick`` cell
 set) twice, end to end and from a cold start each time (memo and FFT
 wisdom cleared, one warmup evaluation discarded to pay import/planning
-costs outside the timed region):
+costs outside the timed region), both on the one simulator engine:
 
-1. **seed path** — thread rank backend, serial evaluation, scheduler
-   fast paths disabled (``REPRO_SIM_FASTPATH=0``): the closest faithful
-   emulation of what the harness did before the execution layer and the
-   engine fast paths existed;
-2. **new path** — coroutine (tasks) rank backend, fast paths on, grid
-   sharded over ``--jobs`` worker processes via
-   :func:`repro.exec.evaluate_cells`.
+1. **serial path** — every cell evaluated in this process (``jobs=1``);
+2. **sharded path** — the grid sharded over ``--jobs`` worker
+   processes via :func:`repro.exec.evaluate_cells`.
 
-Both paths must produce identical ``CellResult`` values — compared
-modulo the ``sched_backend`` metric, which legitimately names the rank
-substrate that ran (everything physical — times, params, evaluations,
-overlap metrics — must match exactly).  ``--faults SPEC`` applies a
+Both paths must produce identical ``CellResult`` values (times, params,
+evaluations, overlap metrics).  ``--faults SPEC`` applies a
 deterministic fault plan to both paths; the identity requirement is
 unchanged.
 
 The JSON records wall seconds, the speedup, the scheduler's handoff /
 probe counters, a per-phase host-time breakdown (virtual scheduling vs
-real-payload data movement) under each configuration, and — when a
-previously committed BENCH_exec.json is present — the cross-commit
-speedups against its recorded walls, so the perf trajectory is
-comparable across commits.
+real-payload data movement), and — when a previously committed
+BENCH_exec.json is present — the cross-commit speedup against its
+recorded sharded wall.  It also carries forward the wall of the
+harness as it was before the execution layer and the engine fast paths
+existed (``historic_seed_wall_s``, measured on the same host), and the
+sharded path's speedup over it.
 """
 
 from __future__ import annotations
@@ -69,31 +65,12 @@ def timed_grid(cells, budget, jobs):
     return out, wall, delta
 
 
-def comparable(cells):
-    """Cell dicts with the substrate-naming metric masked.
-
-    ``run_metrics`` embeds ``sched_backend`` (threads/tasks) into each
-    variant's metrics; the two paths intentionally differ there.  Every
-    physical quantity must still match exactly.
-    """
-    out = []
-    for c in cells:
-        d = cell_to_dict(c)
-        d["metrics"] = {
-            v: {k: val for k, val in m.items() if k != "sched_backend"}
-            for v, m in d["metrics"].items()
-        }
-        out.append(d)
-    return out
-
-
 def phase_breakdown(repeat=3):
     """Host-time attribution for one representative cell.
 
     Separates the scheduler+model cost (virtual run: no payload, pure
     event processing) from the real-payload extra (FFT kernels plus the
-    vectorized pack/unpack movers) under whatever engine configuration
-    is currently in the environment.
+    vectorized pack/unpack movers).
     """
     import numpy as np
 
@@ -124,20 +101,10 @@ def phase_breakdown(repeat=3):
     }
 
 
-def seed_env():
-    os.environ["REPRO_SIM_BACKEND"] = "threads"
-    os.environ["REPRO_SIM_FASTPATH"] = "0"
-
-
-def new_env():
-    os.environ.pop("REPRO_SIM_BACKEND", None)
-    os.environ.pop("REPRO_SIM_FASTPATH", None)
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--jobs", type=int, default=None,
-                    help="workers for the new path (default: $REPRO_JOBS/all cores)")
+                    help="workers for the sharded path (default: $REPRO_JOBS/all cores)")
     ap.add_argument("--budget", type=int, default=40,
                     help="tuning evaluations per cell (default 40 = quick scale)")
     ap.add_argument("--faults", default=None, metavar="SPEC",
@@ -174,10 +141,15 @@ def main(argv=None) -> int:
         try:
             prior = json.loads(prior_text)
             committed = {
-                "seed_wall_s": prior["seed_path"]["wall_s"],
-                "new_wall_s": prior["new_path"]["wall_s"],
+                # files written before the one-engine rework name the
+                # sharded path "new_path" and the historic seed wall
+                # "vs_committed.seed_wall_s"
+                "historic_seed_wall_s": prior.get("historic_seed_wall_s")
+                or prior["vs_committed"]["seed_wall_s"],
+                "sharded_wall_s": prior.get("sharded_path",
+                                            prior.get("new_path"))["wall_s"],
             }
-        except (ValueError, KeyError):
+        except (ValueError, KeyError, TypeError):
             committed = None
 
     from contextlib import nullcontext
@@ -192,7 +164,6 @@ def main(argv=None) -> int:
         evaluate_cells(PLATFORM, cells[:1], jobs=1, max_evaluations=4)
 
         repeat = max(args.repeat, 1)
-        seed_env()
         base_walls = []
         for _ in range(repeat):
             base_cells, wall, base_stats = timed_grid(
@@ -200,11 +171,9 @@ def main(argv=None) -> int:
             )
             base_walls.append(round(wall, 3))
         base_wall = min(base_walls)
-        print(f"seed path (threads, fastpath off, jobs=1): {base_wall:.2f}s "
+        print(f"serial path (jobs=1): {base_wall:.2f}s "
               f"best of {base_walls} ({base_stats.handoffs} handoffs)")
-        base_phases = phase_breakdown()
 
-        new_env()
         new_walls = []
         for _ in range(repeat):
             new_cells, wall, new_stats = timed_grid(
@@ -212,11 +181,11 @@ def main(argv=None) -> int:
             )
             new_walls.append(round(wall, 3))
         new_wall = min(new_walls)
-        print(f"new path (tasks, jobs={jobs}): {new_wall:.2f}s "
+        print(f"sharded path (jobs={jobs}): {new_wall:.2f}s "
               f"best of {new_walls} ({new_stats.handoffs} handoffs in parent)")
-        new_phases = phase_breakdown()
+        phases = phase_breakdown()
 
-    if comparable(base_cells) != comparable(new_cells):
+    if [cell_to_dict(c) for c in base_cells] != [cell_to_dict(c) for c in new_cells]:
         print("ERROR: paths disagree on cell results", file=sys.stderr)
         return 1
 
@@ -227,48 +196,43 @@ def main(argv=None) -> int:
         "budget": args.budget,
         "host_cores": os.cpu_count(),
         "faults": args.faults or "",
-        "seed_path": {
-            "backend": "threads", "fastpath": False, "jobs": 1,
-            "wall_s": round(base_wall, 3), "walls_s": base_walls,
+        "serial_path": {
+            "jobs": 1, "wall_s": round(base_wall, 3), "walls_s": base_walls,
             "handoffs": base_stats.handoffs,
             "probe_polls": base_stats.probe_polls,
-            "phase_breakdown": base_phases,
         },
-        "new_path": {
-            "backend": "tasks", "fastpath": True, "jobs": jobs,
-            "wall_s": round(new_wall, 3), "walls_s": new_walls,
+        "sharded_path": {
+            "jobs": jobs, "wall_s": round(new_wall, 3), "walls_s": new_walls,
             "handoffs": new_stats.handoffs,
             "probe_polls": new_stats.probe_polls,
-            "phase_breakdown": new_phases,
         },
+        "phase_breakdown": phases,
         "speedup": round(base_wall / new_wall, 3),
         "results_identical": True,
     }
     if committed is not None:
+        seed_wall = committed["historic_seed_wall_s"]
+        payload["historic_seed_wall_s"] = seed_wall
+        payload["speedup_vs_historic_seed"] = round(seed_wall / new_wall, 3)
         payload["vs_committed"] = {
-            **committed,
-            "speedup_vs_committed_seed": round(
-                committed["seed_wall_s"] / new_wall, 3
-            ),
-            "speedup_vs_committed_new": round(
-                committed["new_wall_s"] / new_wall, 3
+            "sharded_wall_s": committed["sharded_wall_s"],
+            "speedup_vs_committed": round(
+                committed["sharded_wall_s"] / new_wall, 3
             ),
         }
     if (os.cpu_count() or 1) < 4:
         payload["note"] = (
-            "host has fewer than 4 cores: grid sharding cannot contribute, "
-            "so the speedup shown is the coroutine backend alone; on a "
-            ">=4-core box the new path additionally shards the grid over "
-            "workers (byte-identical results, enforced by tests/exec)"
+            "host has fewer than 4 cores: grid sharding contributes "
+            "little; on a >=4-core box the sharded path spreads the grid "
+            "over more workers (byte-identical results, enforced by "
+            "tests/exec)"
         )
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"speedup: {payload['speedup']}x  ->  {args.out}")
     if committed is not None:
-        print(f"vs committed baseline: "
-              f"{payload['vs_committed']['speedup_vs_committed_seed']}x over "
-              f"its seed path, "
-              f"{payload['vs_committed']['speedup_vs_committed_new']}x over "
-              f"its new path")
+        print(f"{payload['speedup_vs_historic_seed']}x over the historic "
+              f"seed wall, {payload['vs_committed']['speedup_vs_committed']}x "
+              f"over the committed sharded path")
     return 0
 
 
