@@ -1,11 +1,13 @@
 """The paper's contribution: overlapped, auto-tunable parallel 3-D FFT.
 
 Public surface: problem/parameter types, the per-rank pipeline plan, the
-compared variants, and the array-level convenience API.
+compared variants, the cached distributed plans and the array-level
+convenience API.
 """
 
 from .api import BREAKDOWN_LABELS, RunResult, parallel_fft3d, parallel_ifft3d, run_case
 from .decompose import Decomposition, gather_spectrum, scatter_slabs
+from .distplan import DistributedFFT3D, fft3d_plan
 from .multiarray import MultiArrayFFT3D, run_multi_array
 from .pencil import PencilFFT3D, parallel_fft3d_pencil
 from .realfft3d import ParallelRFFT3D, parallel_rfft3d
@@ -26,6 +28,7 @@ from .variants import (
 __all__ = [
     "BREAKDOWN_LABELS",
     "Decomposition",
+    "DistributedFFT3D",
     "FFTW_BASELINE",
     "MultiArrayFFT3D",
     "NEW",
@@ -43,6 +46,7 @@ __all__ = [
     "VariantSpec",
     "baseline_params",
     "default_params",
+    "fft3d_plan",
     "gather_spectrum",
     "get_variant",
     "parallel_fft3d",

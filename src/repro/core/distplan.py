@@ -1,0 +1,238 @@
+"""Plan once, execute many: cached distributed 3-D FFT plans.
+
+FFTW splits planning from execution, and so do the distributed FFT
+libraries built on it: P3DFFT plans a decomposition once and executes it
+many times, and mpi4py-fft's ``PFFT`` object holds its decomposition,
+transfer plan and serial FFT plans across calls (Dalcin et al.).
+:class:`DistributedFFT3D` is that object for the simulated slab
+pipeline.  It holds, for one (platform, shape, variant, effective
+parameters), every rank's :class:`~repro.core.plan.SlabDataPath` (its
+decomposition and layouts) and one shared set of 1-D plans.
+
+**Replay.**  The first execute runs the engine with payloads, as
+:func:`~repro.core.api.run_case` does, and keeps the run's timeline
+(elapsed, per-rank breakdowns, scheduler stats) without its payloads.
+Later executes run only the numpy data path — per rank FFTz,
+Transpose, one FFTy+Pack, the exchange as a list shuffle
+(``recv[d][s] = send[s][d]``), one Unpack+FFTx — and return the kept
+timeline.  This is sound because the timeline does not depend on the
+data: a real-payload run times exactly like the virtual run with the
+same parameters (``tests/core/test_payload_paths.py``), and injected
+faults are seeded per engine run and part of the cache key.  The first
+execute also replays its input and requires the replayed outputs to
+equal the engine's bit for bit (:class:`~repro.errors.SimulationError`
+otherwise).  A :mod:`repro.obs` tracer with ``rank_spans`` needs a
+fresh timeline, so it always gets an engine run.
+
+:func:`fft3d_plan` is the process-wide cache the functional
+``parallel_fft3d``/``parallel_ifft3d``/``parallel_rfft3d`` calls go
+through.  Its key adds the active fault spec and the planner effort to
+the plan's own fields; :func:`repro.fft.clear_plan_cache` empties it.
+"""
+
+from __future__ import annotations
+
+import threading
+from collections import OrderedDict
+from dataclasses import replace
+
+import numpy as np
+
+from ..errors import ParameterError, SimulationError
+from ..faults import current_faults
+from ..fft.plan import Plan1D, default_planning_flag, plan_cache_epoch
+from ..fft.realfft import RealPlan1D
+from ..machine.platforms import Platform
+from ..obs.registry import count
+from ..obs.tracer import current_tracer
+from ..simmpi.spmd import SimResult, run_spmd
+from .decompose import gather_spectrum, scatter_slabs
+from .params import ProblemShape, TuningParams
+from .plan import ParallelFFT3D, SlabDataPath
+from .realfft3d import ParallelRFFT3D, half_params, rfft_z
+from .variants import VariantSpec, baseline_params, get_variant
+
+#: plans the process holds; the least recently used is dropped first
+MAX_PLANS = 64
+
+
+def _exchange(
+    shape: ProblemShape,
+    params: TuningParams | None,
+    spec: VariantSpec,
+    real: bool,
+) -> tuple[ProblemShape, TuningParams]:
+    """The shape the pipeline exchanges and its effective parameters.
+
+    A c2c plan exchanges ``shape`` and defaults to the variant's
+    baseline; an r2c plan exchanges the ``Nz//2 + 1`` half spectrum with
+    :func:`~repro.core.realfft3d.half_params`, as
+    :class:`~repro.core.realfft3d.ParallelRFFT3D` does."""
+    if real:
+        if shape.nz % 2 != 0:
+            raise ParameterError(f"real transform needs even Nz, got {shape.nz}")
+        xshape = ProblemShape(shape.nx, shape.ny, shape.nz // 2 + 1, shape.p)
+        params = half_params(params, xshape)
+    else:
+        xshape = shape
+        if params is None:
+            params = baseline_params(spec, shape)
+    return xshape, spec.effective_params(params, xshape)
+
+
+def _rank_program(ctx, plan: DistributedFFT3D, blocks: list[np.ndarray]):
+    """One rank of the plan's engine run, on the plan's data path."""
+    path = plan.paths[ctx.rank]
+    if plan.real:
+        pipeline = ParallelRFFT3D(ctx, plan.shape, plan.params, plan.spec,
+                                  path=path, rplan=plan.rplan)
+    else:
+        pipeline = ParallelFFT3D(ctx, plan.shape, plan.params, plan.spec,
+                                 path=path)
+    return (yield from pipeline.steps(blocks[ctx.rank]))
+
+
+class DistributedFFT3D:
+    """A slab-decomposed 3-D FFT on ``shape.p`` simulated ranks of
+    ``platform``, planned once and executed many times.
+
+    ``real=False`` transforms complex arrays: :meth:`forward` is the
+    paper's pipeline and :meth:`backward` the normalized inverse through
+    the conjugation identity, on the same plan.  ``real=True`` is the
+    r2c pipeline of :mod:`repro.core.realfft3d`: :meth:`forward` returns
+    the ``Nz//2 + 1`` half spectrum.
+    """
+
+    def __init__(
+        self,
+        shape: ProblemShape,
+        platform: Platform,
+        params: TuningParams | None = None,
+        variant: str | VariantSpec = "NEW",
+        real: bool = False,
+    ) -> None:
+        spec = get_variant(variant) if isinstance(variant, str) else variant
+        self.shape = shape
+        self.platform = platform
+        self.spec = spec
+        self.real = real
+        xshape, self.params = _exchange(shape, params, spec, real)
+        if spec.overlap:
+            self.params.check_feasible(xshape)
+        plans = {"y": Plan1D(shape.ny), "x": Plan1D(shape.nx)}
+        if real:
+            self.rplan: RealPlan1D | None = RealPlan1D(shape.nz)
+        else:
+            self.rplan = None
+            plans["z"] = Plan1D(shape.nz)
+        fftz_mode = "none" if real else "complex"
+        self.paths = [
+            SlabDataPath(xshape, self.params, spec, r, fftz_mode, plans)
+            for r in range(shape.p)
+        ]
+        self.output_layout = self.paths[0].output_layout
+        #: the first engine run's timeline, without payloads
+        self.timeline: SimResult | None = None
+        self._first = threading.Lock()
+        count("fft3d_plans_built_total", 1, "Distributed 3-D FFT plans built.")
+
+    # -- execution ---------------------------------------------------------
+
+    def forward(self, array: np.ndarray) -> tuple[np.ndarray, SimResult]:
+        """Transform ``array``; returns ``(spectrum, timeline)``, the
+        spectrum matching ``numpy.fft.fftn`` (``rfftn`` for an r2c
+        plan)."""
+        s = self.shape
+        arr = np.asarray(array, dtype=np.float64 if self.real else np.complex128)
+        if arr.shape != (s.nx, s.ny, s.nz):
+            raise ParameterError(
+                f"array shape {arr.shape} != plan shape ({s.nx}, {s.ny}, {s.nz})"
+            )
+        outs, sim = self._execute(scatter_slabs(arr, s.p))
+        nz_out = s.nz // 2 + 1 if self.real else s.nz
+        return gather_spectrum(outs, (s.nx, s.ny, nz_out), self.output_layout), sim
+
+    def backward(self, spectrum: np.ndarray) -> tuple[np.ndarray, SimResult]:
+        """Normalized inverse, ``ifft(x) = conj(fft(conj(x))) / N`` — the
+        forward pipeline applied backward (Section 2.3)."""
+        if self.real:
+            raise NotImplementedError("the distributed c2r inverse is not implemented")
+        arr = np.asarray(spectrum, dtype=np.complex128)
+        out, sim = self.forward(np.conj(arr))
+        return np.conj(out) / arr.size, sim
+
+    def _execute(self, blocks: list[np.ndarray]) -> tuple[list, SimResult]:
+        tracer = current_tracer()
+        if tracer is not None and tracer.rank_spans:
+            sim = self._run_engine(blocks)
+            return sim.results, sim
+        if self.timeline is None:
+            with self._first:
+                if self.timeline is None:
+                    sim = self._run_engine(blocks)
+                    self._cross_check(sim.results, self._replay(blocks))
+                    self.timeline = replace(sim, results=[None] * sim.nprocs)
+                    return sim.results, self.timeline
+        outs = self._replay(blocks)
+        count("fft3d_replays_total", 1,
+              "Distributed 3-D FFTs run on a plan's kept timeline.")
+        return outs, self.timeline
+
+    def _run_engine(self, blocks: list[np.ndarray]) -> SimResult:
+        return run_spmd(self.shape.p, _rank_program, self.platform, self, blocks)
+
+    def _replay(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
+        """Every rank's output block from the data path alone."""
+        if self.real:
+            blocks = [rfft_z(self.rplan, b) for b in blocks]
+        sends = [path.ffty_pack(path.fftz_transpose(b))
+                 for path, b in zip(self.paths, blocks)]
+        return [path.unpack_fftx([send[d] for send in sends])
+                for d, path in enumerate(self.paths)]
+
+    @staticmethod
+    def _cross_check(engine: list[np.ndarray], replay: list[np.ndarray]) -> None:
+        for rank, (a, b) in enumerate(zip(engine, replay, strict=True)):
+            if a.shape != b.shape or a.tobytes() != b.tobytes():
+                raise SimulationError(
+                    f"rank {rank}: the replayed output differs from the engine run's"
+                )
+
+
+_PLANS: OrderedDict[tuple, DistributedFFT3D] = OrderedDict()
+_PLANS_LOCK = threading.Lock()
+_PLANS_EPOCH = plan_cache_epoch()
+
+
+def fft3d_plan(
+    shape: ProblemShape,
+    platform: Platform,
+    params: TuningParams | None = None,
+    variant: str | VariantSpec = "NEW",
+    real: bool = False,
+) -> DistributedFFT3D:
+    """The process's plan for these arguments, built on first use.
+
+    Plans are keyed by (c2c or r2c, platform, shape, variant, effective
+    parameters, active fault spec, default planner effort), so two
+    calls share a plan exactly when their transforms run the same
+    timeline on the same 1-D plans."""
+    global _PLANS_EPOCH
+    spec = get_variant(variant) if isinstance(variant, str) else variant
+    _, eff = _exchange(shape, params, spec, real)
+    faults = current_faults()
+    key = (real, platform, shape, spec, eff,
+           "" if faults is None else faults.key(), default_planning_flag())
+    with _PLANS_LOCK:
+        epoch = plan_cache_epoch()
+        if epoch != _PLANS_EPOCH:
+            _PLANS.clear()
+            _PLANS_EPOCH = epoch
+        plan = _PLANS.get(key)
+        if plan is None:
+            plan = _PLANS[key] = DistributedFFT3D(shape, platform, eff, spec, real)
+            if len(_PLANS) > MAX_PLANS:
+                _PLANS.popitem(last=False)
+        else:
+            _PLANS.move_to_end(key)
+        return plan

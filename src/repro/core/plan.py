@@ -17,7 +17,9 @@ tiled — and serves both payload modes:
   paper's 2048-cubed / 256-rank cases simulatable.
 
 Both modes, traced or not, run the same tile loop (per-tile trace
-attributes are built only when a tracer is installed).
+attributes are built only when a tracer is installed).  The numpy half
+of a real run lives in :class:`SlabDataPath`, whose three stages the
+engine run and the timeline replay of :mod:`repro.core.distplan` share.
 
 The pipeline is a ``co_*`` coroutine (:meth:`ParallelFFT3D.steps`) that
 a generator SPMD program runs with ``yield from``; every compute phase
@@ -54,6 +56,97 @@ from .params import ProblemShape, TuningParams
 from .variants import NEW, VariantSpec
 
 
+class SlabDataPath:
+    """One rank's numpy data path, with no simulator state.
+
+    It holds the rank's decomposition, its tile and output layouts and
+    the 1-D plans, and runs the three stages of a real-payload
+    transform: :meth:`fftz_transpose`, :meth:`ffty_pack` and
+    :meth:`unpack_fftx`.  The engine run (:meth:`ParallelFFT3D.steps`)
+    and the timeline replay of :mod:`repro.core.distplan` both call
+    these stages, so a replayed spectrum is the engine's bit for bit.
+
+    ``params`` must already be the variant's effective parameters.
+    ``plans`` maps an axis name to its :class:`Plan1D`; a distributed
+    plan passes one dict to all its ranks, so the ranks share their
+    1-D plans.  Missing plans are built on first use.
+    """
+
+    def __init__(
+        self,
+        shape: ProblemShape,
+        params: TuningParams,
+        spec: VariantSpec,
+        rank: int,
+        fftz_mode: str = "complex",
+        plans: dict[str, Plan1D] | None = None,
+    ) -> None:
+        if fftz_mode not in ("complex", "none"):
+            raise ParameterError(f"bad fftz_mode {fftz_mode!r}")
+        self.shape = shape
+        self.params = params
+        self.spec = spec
+        self.fftz_mode = fftz_mode
+        self.dec = Decomposition(shape.nx, shape.ny, shape.nz, shape.p, rank)
+        #: fast x-z-y Transpose is legal only when Nx == Ny (Section 3.5)
+        self.use_fast_transpose = spec.fast_transpose and shape.nx == shape.ny
+        self.tile_layout = "xzy" if self.use_fast_transpose else "zxy"
+        #: output layout: y-z-x under the fast path, z-y-x otherwise
+        self.output_layout = "yzx" if self.use_fast_transpose else "zyx"
+        self.plans = {} if plans is None else plans
+
+    def plan(self, axis: str, n: int) -> Plan1D:
+        """The 1-D plan for ``axis`` (built on first use)."""
+        plan = self.plans.get(axis)
+        if plan is None:
+            plan = self.plans[axis] = Plan1D(n)
+        return plan
+
+    def fftz_transpose(self, local: np.ndarray) -> np.ndarray:
+        """FFTz (unless the caller already transformed z) and the
+        Transpose of the local ``(nxl, ny, nz)`` block."""
+        expected = (self.dec.nxl, self.shape.ny, self.shape.nz)
+        if tuple(local.shape) != expected:
+            raise ParameterError(
+                f"rank {self.dec.rank} expected local block {expected}, "
+                f"got {tuple(local.shape)}"
+            )
+        if self.fftz_mode == "complex":
+            data = self.plan("z", self.shape.nz).execute(local, axis=2)
+        else:
+            data = np.asarray(local, dtype=np.complex128)
+        return xyz_to_xzy(data) if self.use_fast_transpose else xyz_to_zxy(data)
+
+    def ffty_pack(self, data: np.ndarray) -> list[np.ndarray]:
+        """FFTy + Pack of the whole transposed slab: per-destination
+        ``(nz, nxl, nyl_d)`` send buffers."""
+        P, plan = self.params, self.plan("y", self.shape.ny)
+        tiled = self.spec.tiled_pack
+        return ffty_pack_real(
+            data,
+            lambda a: plan.execute(a, axis=-1),
+            self.dec.y_counts,
+            P.Px if tiled else self.dec.nxl,
+            P.Pz if tiled else self.shape.nz,
+            self.tile_layout,
+        )
+
+    def unpack_fftx(self, recv: list[np.ndarray]) -> np.ndarray:
+        """Unpack + FFTx of every source's whole-slab chunk
+        (``recv[s]`` is ``(nz, nxl_s, nyl)``) into the output block."""
+        P, plan = self.params, self.plan("x", self.shape.nx)
+        tiled = self.spec.tiled_pack
+        return unpack_fftx_real(
+            recv,
+            lambda a: plan.execute(a, axis=-1),
+            self.dec.x_counts,
+            self.dec.nyl,
+            P.Uy if tiled else self.dec.nyl,
+            P.Uz if tiled else self.shape.nz,
+            self.output_layout,
+        )
+
+
 class ParallelFFT3D:
     """Per-rank plan for one distributed forward 3-D FFT."""
 
@@ -65,13 +158,14 @@ class ParallelFFT3D:
         spec: VariantSpec = NEW,
         include_fixed_steps: bool = True,
         fftz_mode: str = "complex",
+        path: SlabDataPath | None = None,
     ) -> None:
         """``fftz_mode``: ``"complex"`` runs the standard FFTz step;
         ``"none"`` assumes the caller already transformed z (used by the
         real-to-complex front end, which replaces FFTz with an r2c
-        transform and hands this plan the half-spectrum planes)."""
-        if fftz_mode not in ("complex", "none"):
-            raise ParameterError(f"bad fftz_mode {fftz_mode!r}")
+        transform and hands this plan the half-spectrum planes).
+        ``path`` is a prebuilt data path for this rank (a distributed
+        plan's); by default the plan builds its own."""
         if shape.p != ctx.comm.size:
             raise ParameterError(
                 f"shape expects p={shape.p}, communicator has {ctx.comm.size}"
@@ -81,19 +175,19 @@ class ParallelFFT3D:
         self.cpu: CpuModel = ctx.cpu
         self.shape = shape
         self.spec = spec
-        self.fftz_mode = fftz_mode
         self.params = spec.effective_params(params, shape)
         if spec.overlap:
             self.params.check_feasible(shape)
         self.include_fixed_steps = include_fixed_steps
-        self.dec = Decomposition(shape.nx, shape.ny, shape.nz, shape.p, ctx.comm.rank)
-        #: fast x-z-y Transpose is legal only when Nx == Ny (Section 3.5)
-        self.use_fast_transpose = spec.fast_transpose and shape.nx == shape.ny
-        self.tile_layout = "xzy" if self.use_fast_transpose else "zxy"
-        #: output layout: y-z-x under the fast path, z-y-x otherwise
-        self.output_layout = "yzx" if self.use_fast_transpose else "zyx"
+        if path is None:
+            path = SlabDataPath(shape, self.params, spec, ctx.comm.rank, fftz_mode)
+        self.path = path
+        self.fftz_mode = path.fftz_mode
+        self.dec = path.dec
+        self.use_fast_transpose = path.use_fast_transpose
+        self.tile_layout = path.tile_layout
+        self.output_layout = path.output_layout
         self.tiles = self.dec.tile_ranges(self.params.T)
-        self._plans: dict[str, Plan1D] = {}
         #: tracing active for this run? (checked once; per-tile attr
         #: dicts are only built when a repro.obs tracer is installed)
         self._obs = ctx.engine.tracer is not None
@@ -108,9 +202,7 @@ class ParallelFFT3D:
     # -- lazily planned 1-D kernels (real mode only) -----------------------
 
     def _plan(self, axis: str, n: int) -> Plan1D:
-        if axis not in self._plans:
-            self._plans[axis] = Plan1D(n)
-        return self._plans[axis]
+        return self.path.plan(axis, n)
 
     # -- cost helpers ---------------------------------------------------------
 
@@ -175,34 +267,18 @@ class ParallelFFT3D:
         real = local is not None
         dec, ctx, P = self.dec, self.ctx, self.params
         ny, nz = self.shape.ny, self.shape.nz
-
-        data: np.ndarray | None = None
-        if real:
-            expected = (dec.nxl, ny, nz)
-            if tuple(local.shape) != expected:
-                raise ParameterError(
-                    f"rank {self.comm.rank} expected local block {expected}, "
-                    f"got {tuple(local.shape)}"
-                )
-            if self.include_fixed_steps is False:
-                raise ParameterError(
-                    "real payload requires the fixed steps (FFTz/Transpose)"
-                )
+        if real and not self.include_fixed_steps:
+            raise ParameterError(
+                "real payload requires the fixed steps (FFTz/Transpose)"
+            )
+        data = self.path.fftz_transpose(local) if real else None
 
         # ---- FFTz + Transpose (parameter-independent; skippable while
         # tuning — Section 4.4, technique 3) --------------------------------
         if self.include_fixed_steps:
             if self.fftz_mode == "complex":
-                if real:
-                    data = self._plan("z", nz).execute(local, axis=2)
                 ctx.compute(self.cpu.fft_time(nz, dec.nxl * ny), "FFTz")
-            elif real:
-                data = np.asarray(local, dtype=np.complex128)
             kind = "xzy" if self.use_fast_transpose else self.spec.transpose_kind
-            if real:
-                data = (
-                    xyz_to_xzy(data) if self.use_fast_transpose else xyz_to_zxy(data)
-                )
             ctx.compute(
                 self.cpu.transpose_time(self._tile_bytes(nz), kind), "Transpose"
             )
@@ -216,7 +292,7 @@ class ParallelFFT3D:
         # are bitwise batch-independent and the movers only copy, so the
         # spectrum's bits do not depend on the tiling.
         k = len(self.tiles)
-        chunks = self._ffty_pack_slab(data) if real else None
+        chunks = self.path.ffty_pack(data) if real else None
         info = self._tile_info(chunks)
         reqs: list[AlltoallRequest | None] = [None] * k
         recv: list[Any] = [None] * k
@@ -248,7 +324,11 @@ class ParallelFFT3D:
                 recv[i] = yield from co_wait(req, label="Wait")
                 live.pop(0)
                 pps(post, live, a_post)
-        return self._unpack_fftx_slab(recv) if real else None
+        if not real:
+            return None
+        # each source's tiles joined along z: its whole-slab chunk
+        joined = recv[0] if k == 1 else [np.concatenate(parts) for parts in zip(*recv)]
+        return self.path.unpack_fftx(joined)
 
     # -- pipeline stages -----------------------------------------------------
 
@@ -285,36 +365,6 @@ class ParallelFFT3D:
                 entry = entry[:4] + (views, a_pre, a_post)
             info.append(entry)
         return info
-
-    def _ffty_pack_slab(self, data: np.ndarray) -> list[np.ndarray]:
-        """FFTy + Pack of the whole transposed slab: per-destination
-        ``(nz, nxl, nyl_d)`` send buffers, cut into tiles along z."""
-        P, plan = self.params, self._plan("y", self.shape.ny)
-        return ffty_pack_real(
-            data,
-            lambda a: plan.execute(a, axis=-1),
-            self.dec.y_counts,
-            P.Px if self.spec.tiled_pack else self.dec.nxl,
-            P.Pz if self.spec.tiled_pack else self.shape.nz,
-            self.tile_layout,
-        )
-
-    def _unpack_fftx_slab(self, recv: list[list[np.ndarray]]) -> np.ndarray:
-        """Unpack + FFTx of every tile's received chunks, joined per
-        source along z, into the whole output block."""
-        P, plan = self.params, self._plan("x", self.shape.nx)
-        joined = recv[0] if len(recv) == 1 else [
-            np.concatenate(parts) for parts in zip(*recv)
-        ]
-        return unpack_fftx_real(
-            joined,
-            lambda a: plan.execute(a, axis=-1),
-            self.dec.x_counts,
-            self.dec.nyl,
-            P.Uy if self.spec.tiled_pack else self.dec.nyl,
-            P.Uz if self.spec.tiled_pack else self.shape.nz,
-            self.output_layout,
-        )
 
     # -- per-tile helpers for repro.core.multiarray ----------------------------
 

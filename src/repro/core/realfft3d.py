@@ -23,11 +23,9 @@ from ..errors import ParameterError
 from ..fft.realfft import RealPlan1D
 from ..machine.platforms import Platform
 from ..simmpi.comm import SimContext
-from ..simmpi.spmd import run_spmd
-from .decompose import gather_spectrum, scatter_slabs
 from .params import ProblemShape, TuningParams, default_params
-from .plan import ParallelFFT3D
-from .variants import NEW, VariantSpec
+from .plan import ParallelFFT3D, SlabDataPath
+from .variants import NEW, VariantSpec, get_variant
 
 
 def rfft_z_cost(cpu, nz: int, batch: int) -> float:
@@ -37,11 +35,29 @@ def rfft_z_cost(cpu, nz: int, batch: int) -> float:
     return cpu.fft_time(half, batch) + 8.0 * half * batch / cpu.flops
 
 
+def half_params(params: TuningParams | None, half_shape: ProblemShape) -> TuningParams:
+    """The r2c exchange's parameters: the defaults for the half shape,
+    or ``params`` with its tile extents clamped to the reduced z extent."""
+    if params is None:
+        return default_params(half_shape)
+    nzh = half_shape.nz
+    tz = min(params.T, nzh)
+    return params.replace(T=tz, Pz=min(params.Pz, tz), Uz=min(params.Uz, tz))
+
+
+def rfft_z(rplan: RealPlan1D, local: np.ndarray) -> np.ndarray:
+    """The r2c front end's data stage: the local real block's z lines to
+    their ``Nz//2 + 1`` half-spectrum planes."""
+    return rplan.rfft(np.asarray(local, dtype=np.float64))
+
+
 class ParallelRFFT3D:
     """Per-rank plan: real ``(nxl, ny, nz)`` block in, half spectrum out.
 
     The output block is the complex pipeline's output for the reduced
     shape ``(nx, ny, nz//2 + 1)`` — layout ``zyx``/``yzx`` as usual.
+    ``path`` and ``rplan`` are a distributed plan's prebuilt data path
+    and r2c plan for this rank; by default the plan builds its own.
     """
 
     def __init__(
@@ -49,29 +65,25 @@ class ParallelRFFT3D:
         ctx: SimContext,
         shape: ProblemShape,
         params: TuningParams | None = None,
-        spec: VariantSpec = NEW,
+        spec: str | VariantSpec = NEW,
+        path: SlabDataPath | None = None,
+        rplan: RealPlan1D | None = None,
     ) -> None:
         if shape.nz % 2 != 0:
             raise ParameterError(
                 f"real transform needs even Nz, got {shape.nz}"
             )
+        if isinstance(spec, str):
+            spec = get_variant(spec)
         self.ctx = ctx
         self.shape = shape
         self.nzh = shape.nz // 2 + 1
         self.half_shape = ProblemShape(shape.nx, shape.ny, self.nzh, shape.p)
-        if params is None:
-            params = default_params(self.half_shape)
-        else:
-            # Clamp tile extents to the reduced z extent.
-            params = params.replace(
-                T=min(params.T, self.nzh),
-                Pz=min(params.Pz, min(params.T, self.nzh)),
-                Uz=min(params.Uz, min(params.T, self.nzh)),
-            )
         self.inner = ParallelFFT3D(
-            ctx, self.half_shape, params, spec, fftz_mode="none"
+            ctx, self.half_shape, half_params(params, self.half_shape), spec,
+            fftz_mode="none", path=path,
         )
-        self._rplan: RealPlan1D | None = None
+        self._rplan = rplan
 
     @property
     def output_layout(self) -> str:
@@ -93,7 +105,7 @@ class ParallelRFFT3D:
                 )
             if self._rplan is None:
                 self._rplan = RealPlan1D(nz)
-            half = self._rplan.rfft(np.asarray(local, dtype=np.float64))
+            half = rfft_z(self._rplan, local)
         ctx.compute(rfft_z_cost(ctx.cpu, nz, dec.nxl * ny), "FFTz")
         return (yield from self.inner.steps(half))
 
@@ -103,28 +115,20 @@ def parallel_rfft3d(
     p: int,
     platform: Platform,
     params: TuningParams | None = None,
-    variant: VariantSpec = NEW,
+    variant: str | VariantSpec = NEW,
 ):
     """Forward r2c transform of a real 3-D array on ``p`` simulated
     ranks; returns ``(half_spectrum, SimResult)`` with the half spectrum
-    matching ``numpy.fft.rfftn(array)``."""
+    matching ``numpy.fft.rfftn(array)``.  Runs on the process's cached
+    r2c plan (:func:`~repro.core.distplan.fft3d_plan`)."""
+    from .distplan import fft3d_plan  # distplan builds on this module
+
     arr = np.asarray(array, dtype=np.float64)
     if arr.ndim != 3:
         raise ParameterError(f"expected a 3-D array, got shape {arr.shape}")
-    nx, ny, nz = arr.shape
-    shape = ProblemShape(nx, ny, nz, p)
-    blocks = scatter_slabs(arr, p)
-
-    def prog(ctx):
-        plan = ParallelRFFT3D(ctx, shape, params, variant)
-        out = yield from plan.steps(blocks[ctx.rank])
-        return out, plan.output_layout
-
-    sim = run_spmd(p, prog, platform)
-    outs = [o for (o, _l) in sim.results]
-    layout = sim.results[0][1]
-    spectrum = gather_spectrum(outs, (nx, ny, nz // 2 + 1), layout)
-    return spectrum, sim
+    plan = fft3d_plan(ProblemShape(*arr.shape, p), platform, params, variant,
+                      real=True)
+    return plan.forward(arr)
 
 
 def r2c_comm_savings(nz: int) -> float:

@@ -102,10 +102,24 @@ _KERNEL_CACHE: dict[tuple[str, int, int], object] = {}
 _KERNEL_CACHE_LOCK = threading.Lock()
 
 
+#: Bumped by every :func:`clear_plan_cache`; caches of plans built on
+#: these kernels (:mod:`repro.core.distplan`) drop their entries when it
+#: moves, without this module importing theirs.
+_CACHE_EPOCH = 0
+
+
 def clear_plan_cache() -> None:
-    """Drop all cached kernels (test isolation; wisdom is separate)."""
+    """Drop all cached kernels and, through the cache epoch, every held
+    distributed 3-D FFT plan (test isolation; wisdom is separate)."""
+    global _CACHE_EPOCH
     with _KERNEL_CACHE_LOCK:
         _KERNEL_CACHE.clear()
+        _CACHE_EPOCH += 1
+
+
+def plan_cache_epoch() -> int:
+    """How many times :func:`clear_plan_cache` has run."""
+    return _CACHE_EPOCH
 
 
 def _count(name: str, value: int = 1, **labels: str) -> None:

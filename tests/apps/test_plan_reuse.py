@@ -144,5 +144,13 @@ class TestAppPlanReuse:
             PoissonDriver(cfg).run()
         with scoped_registry(MetricsRegistry()) as reg:
             PoissonDriver(cfg).run()
+            # The first run left its distributed plan in the process
+            # cache, and the plan holds its 1-D plans: no plan is
+            # built, no wisdom is looked up, no engine runs, and every
+            # transform replays the plan's kept timeline.
             assert total(reg, "fft_plans_built_total") == 0
-            assert total(reg, "fft_wisdom_hits_total") > 0
+            assert total(reg, "fft_wisdom_hits_total") == 0
+            assert total(reg, "sim_runs_total") == 0
+            transforms = total(reg, "app_transforms_total")
+            assert transforms == 2 * cfg.steps
+            assert total(reg, "fft3d_replays_total") == transforms

@@ -1,0 +1,299 @@
+"""Cached distributed plans: replayed transforms against engine runs.
+
+A plan's first transform runs the engine and keeps its timeline; later
+transforms run only the numpy data path and return that timeline.  The
+property test holds a replayed spectrum and timeline to a fresh engine
+run bit for bit; the other tests pin what a steady call costs (no
+engine run, no 1-D planning, one mover call per rank and stage), what
+the cache key separates, and when the engine still runs.
+"""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core import plan as pipeline
+from repro.core.api import BREAKDOWN_LABELS, parallel_fft3d, parallel_ifft3d, run_case
+from repro.core.decompose import gather_spectrum, scatter_slabs
+from repro.core.distplan import DistributedFFT3D, fft3d_plan
+from repro.core.params import W_MAX, ProblemShape, TuningParams
+from repro.core.realfft3d import ParallelRFFT3D, parallel_rfft3d
+from repro.errors import SimulationError
+from repro.faults import injected_faults
+from repro.fft import Flag, clear_plan_cache, planning_effort
+from repro.fft.plan import Plan1D
+from repro.machine.platforms import get_platform
+from repro.obs.registry import MetricsRegistry, scoped_registry
+from repro.obs.tracer import Tracer, tracing
+from repro.simmpi import run_spmd
+
+PLATFORM = get_platform("UMD-Cluster")
+VARIANTS = ("NEW", "NEW-0", "TH", "FFTW")
+FAULTS = "straggler:rank=1,slow=1.7;jitter:amp=3e-6;spike:prob=0.2,extra=4e-5;seed:11"
+
+
+def total(reg, name):
+    fam = reg.snapshot().get(name)
+    return sum(v for _, v in fam["samples"]) if fam else 0.0
+
+
+def signal(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.fixture(autouse=True)
+def cold_plans():
+    clear_plan_cache()
+    yield
+    clear_plan_cache()
+
+
+def engine_r2c(arr, p, params, variant):
+    """A fresh engine run of the r2c pipeline and its half spectrum."""
+    nx, ny, nz = arr.shape
+    shape = ProblemShape(nx, ny, nz, p)
+    blocks = scatter_slabs(arr, p)
+
+    def prog(ctx):
+        plan = ParallelRFFT3D(ctx, shape, params, variant)
+        out = yield from plan.steps(blocks[ctx.rank])
+        return out, plan.output_layout
+
+    sim = run_spmd(p, prog, PLATFORM)
+    outs = [out for out, _ in sim.results]
+    return gather_spectrum(outs, (nx, ny, nz // 2 + 1), sim.results[0][1]), sim
+
+
+@st.composite
+def cases(draw):
+    """A direction, a shape (uneven slabs, and Nx == Ny for the fast
+    transpose), p, a variant, feasible parameters and an optional
+    seeded fault spec."""
+    p = draw(st.integers(2, 8))
+    direction = draw(st.sampled_from(("forward", "inverse", "r2c")))
+    nx = draw(st.integers(p, 2 * p + 3))
+    ny = nx if draw(st.booleans()) else draw(st.integers(p, 2 * p + 3))
+    nz = 2 * draw(st.integers(1, 5)) if direction == "r2c" else draw(st.integers(1, 10))
+    xnz = nz // 2 + 1 if direction == "r2c" else nz
+    xshape = ProblemShape(nx, ny, xnz, p)
+    t = draw(st.integers(1, xnz))
+    f = st.integers(0, xshape.f_max)
+    params = TuningParams(
+        T=t, W=draw(st.integers(1, W_MAX)),
+        Px=draw(st.integers(1, xshape.nxl_max)), Pz=draw(st.integers(1, t)),
+        Uy=draw(st.integers(1, xshape.nyl_max)), Uz=draw(st.integers(1, t)),
+        Fy=draw(f), Fp=draw(f), Fu=draw(f), Fx=draw(f),
+    )
+    return (direction, (nx, ny, nz), p, draw(st.sampled_from(VARIANTS)), params,
+            draw(st.sampled_from((None, FAULTS))), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cases())
+def test_replay_equals_a_fresh_engine_run(case):
+    direction, dims, p, variant, params, faults, seed = case
+    arr = signal(dims, seed)
+    if direction == "r2c":
+        arr = arr.real
+    calls = {
+        "forward": lambda a: parallel_fft3d(a, p, PLATFORM, params, variant),
+        "inverse": lambda a: parallel_ifft3d(a, p, PLATFORM, params, variant),
+        "r2c": lambda a: parallel_rfft3d(a, p, PLATFORM, params, variant),
+    }
+    with injected_faults(faults):
+        calls[direction](signal(dims, seed + 1).real)  # builds the plan
+        with scoped_registry(MetricsRegistry()) as reg:
+            out, res = calls[direction](arr)
+            assert total(reg, "fft3d_replays_total") == 1
+            assert total(reg, "sim_runs_total") == 0
+        if direction == "r2c":
+            ref, sim = engine_r2c(arr, p, params, variant)
+        else:
+            src = np.conj(arr) if direction == "inverse" else arr
+            ref_res, ref = run_case(variant, PLATFORM, ProblemShape(*dims, p),
+                                    params, global_array=src)
+            if direction == "inverse":
+                ref = np.conj(ref) / arr.size
+            sim = ref_res.sim
+    assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+    kept = res if direction == "r2c" else res.sim
+    assert kept.elapsed == sim.elapsed
+    assert kept.breakdown(BREAKDOWN_LABELS) == sim.breakdown(BREAKDOWN_LABELS)
+    assert kept.stats == sim.stats
+    assert kept.faults == sim.faults
+
+
+class TestSteadyCalls:
+    def test_second_call_replays_on_the_data_path_alone(self, monkeypatch):
+        shape, p = (16, 12, 10), 4
+        parallel_fft3d(signal(shape), p, PLATFORM)
+        calls = {"fft": 0, "ffty_pack": 0, "unpack_fftx": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # The movers are counted where the data path looks them up.
+        monkeypatch.setattr(Plan1D, "execute", counted("fft", Plan1D.execute))
+        monkeypatch.setattr(pipeline, "ffty_pack_real",
+                            counted("ffty_pack", pipeline.ffty_pack_real))
+        monkeypatch.setattr(pipeline, "unpack_fftx_real",
+                            counted("unpack_fftx", pipeline.unpack_fftx_real))
+        x = signal(shape, 1)
+        with scoped_registry(MetricsRegistry()) as reg:
+            spectrum, result = parallel_fft3d(x, p, PLATFORM)
+            assert total(reg, "sim_runs_total") == 0
+            assert total(reg, "fft_plans_built_total") == 0
+            assert total(reg, "fft_wisdom_hits_total") == 0
+            assert total(reg, "fft3d_plans_built_total") == 0
+            assert total(reg, "fft3d_replays_total") == 1
+        assert calls == {"fft": 3 * p, "ffty_pack": p, "unpack_fftx": p}
+        assert np.max(np.abs(spectrum - np.fft.fftn(x))) <= 1e-11
+        assert result.elapsed > 0
+
+    def test_first_call_runs_the_engine_once_and_keeps_no_payloads(self):
+        x = signal((12, 12, 8))
+        with scoped_registry(MetricsRegistry()) as reg:
+            spectrum, result = parallel_fft3d(x, 3, PLATFORM)
+            assert total(reg, "sim_runs_total") == 1
+            assert total(reg, "fft3d_plans_built_total") == 1
+            assert total(reg, "fft3d_replays_total") == 0
+        assert np.max(np.abs(spectrum - np.fft.fftn(x))) <= 1e-11
+        assert result.sim.results == [None] * 3
+
+    def test_forward_and_inverse_share_one_plan(self):
+        x = signal((8, 8, 8))
+        with scoped_registry(MetricsRegistry()) as reg:
+            spectrum, fwd = parallel_fft3d(x, 2, PLATFORM)
+            back, inv = parallel_ifft3d(spectrum, 2, PLATFORM)
+            assert total(reg, "fft3d_plans_built_total") == 1
+            assert total(reg, "sim_runs_total") == 1
+        assert np.max(np.abs(back - x)) <= 1e-12
+        assert inv.sim is fwd.sim
+
+    def test_concurrent_first_calls_run_the_engine_once(self):
+        # More threads than cores, switching often: a lost update in the
+        # cache or a second first-execute would show in the counters.
+        x = signal((12, 10, 8))
+        ref = np.fft.fftn(x)
+        errors = []
+        reg = MetricsRegistry()
+        n = 6
+        start = threading.Barrier(n, timeout=30)
+
+        def call():
+            with scoped_registry(reg):  # registry scopes are per thread
+                start.wait()
+                spectrum, _ = parallel_fft3d(x, 4, PLATFORM)
+            errors.append(np.max(np.abs(spectrum - ref)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call) for _ in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(errors) == n and max(errors) <= 1e-11
+        assert total(reg, "sim_runs_total") == 1
+        assert total(reg, "fft3d_plans_built_total") == 1
+        assert total(reg, "fft3d_replays_total") == n - 1
+
+
+class TestCacheKey:
+    SHAPE = ProblemShape(12, 12, 8, 4)
+
+    def plans_built(self, fn):
+        with scoped_registry(MetricsRegistry()) as reg:
+            fn()
+            return total(reg, "fft3d_plans_built_total"), total(reg, "sim_runs_total")
+
+    def test_same_arguments_share_a_plan(self):
+        a = fft3d_plan(self.SHAPE, PLATFORM)
+        assert fft3d_plan(self.SHAPE, PLATFORM, variant="new") is a
+        # the baseline, given explicitly, is the same effective point
+        assert fft3d_plan(self.SHAPE, PLATFORM, a.params) is a
+
+    def test_keys_do_not_alias(self):
+        x = signal((12, 12, 8))
+        base = fft3d_plan(self.SHAPE, PLATFORM)
+        parallel_fft3d(x, 4, PLATFORM)
+        other = base.params.replace(T=base.params.T + 1)
+        variants = [
+            lambda: parallel_fft3d(x, 4, PLATFORM, other),
+            lambda: parallel_fft3d(x, 4, get_platform("Hopper")),
+            lambda: parallel_fft3d(x, 4, PLATFORM, variant="TH"),
+        ]
+        for seed in (1, 2):
+            def faulted(seed=seed):
+                with injected_faults(f"jitter:amp=1e-6;seed:{seed}"):
+                    parallel_fft3d(x, 4, PLATFORM)
+            variants.append(faulted)
+
+        def patient():
+            with planning_effort(Flag.MEASURE):
+                parallel_fft3d(x, 4, PLATFORM)
+        variants.append(patient)
+        for fn in variants:
+            assert self.plans_built(fn) == (1, 1)
+            assert self.plans_built(fn) == (0, 0)  # and then it is held
+
+    def test_c2c_and_r2c_plans_are_distinct(self):
+        x = signal((12, 12, 8)).real
+        parallel_fft3d(x, 4, PLATFORM)
+        assert self.plans_built(lambda: parallel_rfft3d(x, 4, PLATFORM)) == (1, 1)
+
+    def test_rank_span_tracer_forces_an_engine_run(self):
+        x = signal((12, 12, 8))
+        parallel_fft3d(x, 4, PLATFORM)
+        with scoped_registry(MetricsRegistry()) as reg:
+            with tracing(Tracer(rank_spans=True)) as tr:
+                spectrum, result = parallel_fft3d(x, 4, PLATFORM)
+            assert total(reg, "sim_runs_total") == 1
+            assert total(reg, "fft3d_replays_total") == 0
+        assert any(s.name == "Wait" for s in tr.spans)
+        assert all(tr_.events for tr_ in result.sim.traces)
+        assert np.max(np.abs(spectrum - np.fft.fftn(x))) <= 1e-11
+
+    def test_clear_plan_cache_makes_the_next_call_cold(self):
+        x = signal((12, 12, 8))
+        parallel_fft3d(x, 4, PLATFORM)
+        clear_plan_cache()
+        with scoped_registry(MetricsRegistry()) as reg:
+            parallel_fft3d(x, 4, PLATFORM)
+            assert total(reg, "sim_runs_total") == 1
+            assert total(reg, "fft3d_plans_built_total") == 1
+            assert total(reg, "fft_plans_built_total") + total(
+                reg, "fft_wisdom_hits_total") > 0
+
+
+class TestCrossCheck:
+    def test_a_replay_that_disagrees_with_the_engine_raises(self, monkeypatch):
+        replay = DistributedFFT3D._replay
+
+        def off_by_one_ulp(self, blocks):
+            outs = replay(self, blocks)
+            outs[-1] = outs[-1].copy()
+            outs[-1].flat[0] = np.nextafter(outs[-1].flat[0].real, np.inf)
+            return outs
+
+        monkeypatch.setattr(DistributedFFT3D, "_replay", off_by_one_ulp)
+        with pytest.raises(SimulationError, match="replayed output differs"):
+            parallel_fft3d(signal((8, 8, 8)), 2, PLATFORM)
+
+    def test_r2c_plans_have_no_backward(self):
+        plan = fft3d_plan(ProblemShape(8, 8, 8, 2), PLATFORM, real=True)
+        with pytest.raises(NotImplementedError):
+            plan.backward(np.zeros((8, 8, 5), dtype=complex))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ProblemShape, default_params, run_case
+from repro.core import VARIANTS, ProblemShape, default_params, run_case
 from repro.core.realfft3d import ParallelRFFT3D, parallel_rfft3d, r2c_comm_savings
 from repro.errors import ParameterError, SimulationError
 from repro.machine import HOPPER, UMD_CLUSTER
@@ -33,6 +33,15 @@ class TestCorrectness:
         a = RNG.standard_normal((16, 16, 16))
         spec, _ = parallel_rfft3d(a, 4, HOPPER, params=params)
         assert np.allclose(spec, np.fft.rfftn(a), atol=1e-8)
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_every_variant_by_name(self, variant):
+        # Variant names resolve like parallel_fft3d's, not only specs.
+        a = RNG.standard_normal((12, 10, 8))
+        half, _ = parallel_rfft3d(a, 3, HOPPER, variant=variant)
+        assert np.allclose(half, np.fft.rfftn(a), atol=1e-8)
+        spec_half, _ = parallel_rfft3d(a, 3, HOPPER, variant=VARIANTS[variant])
+        assert np.array_equal(half, spec_half)
 
     def test_odd_nz_rejected(self):
         def prog(ctx):

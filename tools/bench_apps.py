@@ -20,7 +20,9 @@ Proves the `repro.apps` traffic story (PR 10) end to end:
    server saves (warm fetch wall vs local tuning wall).
 4. **apps sweep** — all three drivers run once; steady-state
    transforms/sec and the serial-oracle error are recorded and must
-   pass.
+   pass, and so are each steady step's engine runs (`sim_runs_total`,
+   0 once the cached distributed plan holds the timeline) and plan
+   replays (`fft3d_replays_total`, one per transform).
 
 The JSON keeps raw counters so the trajectory is comparable across
 commits, same shape discipline as BENCH_serve.json.
@@ -42,11 +44,17 @@ from repro.apps import APPS, AppConfig, PoissonDriver  # noqa: E402
 from repro.core.params import ProblemShape  # noqa: E402
 from repro.fft import GLOBAL_WISDOM, clear_plan_cache  # noqa: E402
 from repro.machine.platforms import get_platform  # noqa: E402
-from repro.obs.registry import MetricsRegistry, scoped_registry  # noqa: E402
+from repro.obs.registry import (  # noqa: E402
+    MetricsRegistry,
+    current_registry,
+    scoped_registry,
+)
 from repro.serve import PlanServer, ServeConfig, request_plan, wait_for_plan  # noqa: E402
 
 PLATFORM = "UMD-Cluster"
 SERVE_P, SERVE_N = 4, 32
+#: registry counters recorded per app step in the sweep
+STEP_COUNTERS = ("sim_runs_total", "fft3d_replays_total")
 
 
 def reg_total(reg: MetricsRegistry, name: str) -> float:
@@ -179,15 +187,40 @@ def bench_serve_phases(tmp: Path, budget: int, steps: int) -> tuple[dict, dict]:
     return warm, cold
 
 
+def count_steps(app) -> list[tuple[int, int]]:
+    """Record each step's (engine runs, plan replays) from the ambient
+    registry: wraps ``app.step``; returns the list it fills."""
+    rows: list[tuple[int, int]] = []
+    step = app.step
+
+    def counted(index):
+        reg = current_registry()
+        before = [reg_total(reg, n) for n in STEP_COUNTERS]
+        info = step(index)
+        rows.append(tuple(int(reg_total(reg, n) - b)
+                          for n, b in zip(STEP_COUNTERS, before)))
+        return info
+
+    app.step = counted
+    return rows
+
+
 def bench_apps_sweep(steps: int) -> list[dict]:
-    """Phase 4: every driver once, throughput + oracle error."""
+    """Phase 4: every app once, throughput + oracle error, and each
+    steady step's engine runs and plan replays."""
     platform = get_platform(PLATFORM)
     out = []
     for name, cls in sorted(APPS.items()):
         cfg = AppConfig(shape=ProblemShape(16, 16, 16, 4), platform=platform,
                         steps=steps, warmup=1)
-        res = cls(cfg).run()
+        app = cls(cfg)
+        with scoped_registry(MetricsRegistry()):
+            rows = count_steps(app)
+            res = app.run()
         assert res.numerics_ok, f"{name}: error {res.numerics_error}"
+        # steady steps: the ones the p50 covers (the first process step
+        # may build the distributed plan and run the engine once)
+        steady = rows[max(cfg.warmup, 1):]
         out.append({
             "app": name,
             "shape": [16, 16, 16],
@@ -197,9 +230,13 @@ def bench_apps_sweep(steps: int) -> list[dict]:
             "step_p95_s": round(res.step_p95_s, 5),
             "virtual_step_s": round(res.virtual_step_s, 6),
             "numerics_error": float(f"{res.numerics_error:.3e}"),
+            "steady_step_sim_runs": [sims for sims, _ in steady],
+            "steady_step_replays": [replays for _, replays in steady],
         })
         print(f"  {name}: {out[-1]['transforms_per_sec']} transforms/s, "
-              f"err {out[-1]['numerics_error']:.1e}")
+              f"err {out[-1]['numerics_error']:.1e}, steady steps "
+              f"{out[-1]['steady_step_sim_runs']} engine runs, "
+              f"{out[-1]['steady_step_replays']} replays")
     return out
 
 

@@ -32,7 +32,7 @@ against the committed baseline and enforces two kinds of bounds:
   wall guards above never require it).
 
 * **Application workloads** (DESIGN.md §5.15): when a fresh
-  ``BENCH_apps.json`` (``tools/bench_apps.py``) is present, three
+  ``BENCH_apps.json`` (``tools/bench_apps.py``) is present, four
   checks run.  The plan-reuse speedup must stay >= ``--apps-speedup``
   (default 1.5x — a wall-clock *ratio* on one host, so it transfers
   across hosts).  The warm plan-server steady-state *virtual*
@@ -43,7 +43,10 @@ against the committed baseline and enforces two kinds of bounds:
   steady-state *wall* throughput only guards catastrophic slowdowns:
   it may not drop below ``1 / --wall-tol`` of the committed baseline
   (throughput is inverse wall, so the cross-host slack applies
-  reciprocally).  A missing ``BENCH_apps.json`` skips the checks.
+  reciprocally).  Last, every app's steady steps must run the engine
+  exactly zero times (``steady_step_sim_runs``): they replay their
+  cached distributed plan's timeline, a deterministic count, so the
+  bound is exact.  A missing ``BENCH_apps.json`` skips the checks.
 
 The baseline is read from ``git show HEAD:BENCH_smoke.json`` when
 available (so running the guard after regenerating the file still
@@ -211,6 +214,17 @@ def main(argv=None) -> int:
                 f"warm-plan steady throughput regressed: {tps} < "
                 f"{base_tps} / {args.wall_tol:g}"
             )
+        # 4. deterministic: steady app steps replay their cached plans'
+        # kept timelines and run the engine exactly zero times.
+        for app in apps["apps"]:
+            runs = app.get("steady_step_sim_runs")
+            ok = bool(runs) and not any(runs)
+            print(f"{'OK' if ok else 'FAIL'}: apps {app['app']} steady engine "
+                  f"runs per step: {runs} (must be 0)")
+            if not ok:
+                failures.append(
+                    f"{app['app']} steady steps ran the engine: {runs}"
+                )
         print(f"apps baseline: {apps_base_src}")
     else:
         print(f"skip: application workloads ({args.apps} not present)")
