@@ -23,14 +23,8 @@ from ..simmpi.spmd import SimResult, run_spmd
 from .decompose import gather_spectrum, scatter_slabs
 from .distplan import DistributedFFT3D, fft3d_plan
 from .params import ProblemShape, TuningParams
-from .plan import ParallelFFT3D
+from .plan import BREAKDOWN_LABELS, ParallelFFT3D
 from .variants import VariantSpec, baseline_params, get_variant
-
-#: Step labels in the paper's Figure 8 stacking order.
-BREAKDOWN_LABELS = [
-    "FFTz", "Transpose", "FFTy", "Pack", "Unpack", "FFTx",
-    "Ialltoall", "Wait", "Test",
-]
 
 
 @dataclass
@@ -117,13 +111,17 @@ def run_case(
 
 
 def _plan_result(plan: DistributedFFT3D, sim: SimResult) -> RunResult:
+    # A kept timeline's breakdown was averaged once, when the plan kept
+    # it; a rank-span engine run brings a fresh timeline of its own.
+    breakdown = (dict(plan.breakdown) if sim is plan.timeline
+                 else sim.breakdown(BREAKDOWN_LABELS))
     return RunResult(
         variant=plan.spec.name,
         platform=plan.platform.name,
         shape=plan.shape,
         params=plan.params,
         elapsed=sim.elapsed,
-        breakdown=sim.breakdown(BREAKDOWN_LABELS),
+        breakdown=breakdown,
         sim=sim,
     )
 

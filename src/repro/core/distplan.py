@@ -6,23 +6,38 @@ many times, and mpi4py-fft's ``PFFT`` object holds its decomposition,
 transfer plan and serial FFT plans across calls (Dalcin et al.).
 :class:`DistributedFFT3D` is that object for the simulated slab
 pipeline.  It holds, for one (platform, shape, variant, effective
-parameters), every rank's :class:`~repro.core.plan.SlabDataPath` (its
-decomposition and layouts) and one shared set of 1-D plans.
+parameters), one shared set of 1-D plans and every rank's
+:class:`~repro.core.plan.SlabDataPath` (its decomposition and layouts)
+for the engine run.
 
 **Replay.**  The first execute runs the engine with payloads, as
 :func:`~repro.core.api.run_case` does, and keeps the run's timeline
-(elapsed, per-rank breakdowns, scheduler stats) without its payloads.
-Later executes run only the numpy data path — per rank FFTz,
-Transpose, one FFTy+Pack, the exchange as a list shuffle
-(``recv[d][s] = send[s][d]``), one Unpack+FFTx — and return the kept
-timeline.  This is sound because the timeline does not depend on the
-data: a real-payload run times exactly like the virtual run with the
-same parameters (``tests/core/test_payload_paths.py``), and injected
-faults are seeded per engine run and part of the cache key.  The first
-execute also replays its input and requires the replayed outputs to
-equal the engine's bit for bit (:class:`~repro.errors.SimulationError`
-otherwise).  A :mod:`repro.obs` tracer with ``rank_spans`` needs a
-fresh timeline, so it always gets an engine run.
+(elapsed, per-rank breakdowns, scheduler stats) without its payloads,
+together with its Figure 8 breakdown.  Later executes run only the
+numpy data path and return the kept timeline.  This is sound because
+the timeline does not depend on the data: a real-payload run times
+exactly like the virtual run with the same parameters
+(``tests/core/test_payload_paths.py``), and injected faults are seeded
+per engine run and part of the cache key.  A :mod:`repro.obs` tracer
+with ``rank_spans`` needs a fresh timeline, so it always gets an engine
+run.
+
+**Whole-array data path.**  The replay takes the global array in and
+gives the global spectrum out, with one kernel call per axis: FFTz (an
+r2c transform for r2c plans) on the ``(x, y, z)`` input, FFTy on its
+``(x, z, y)`` copy, then Pack, the exchange and Unpack as one
+axis-permuting copy to ``(y, z, x)`` — a slab transpose is a reshape
+plus an axis permutation (Hunt, Mullin et al.) — FFTx on that, and one
+copy back to a fresh C-contiguous ``(x, y, z)`` spectrum; the
+intermediates live in two per-thread work arrays that every replay
+reuses, and the 1-D kernels write into them.  Every 1-D line of
+an axis gets the same plan whatever the decomposition, the kernels are
+bitwise batch-independent (``tests/fft/test_batch_independence.py``) and
+the movers only copy, so this equals the per-rank engine run bit for
+bit for every shape, uneven slabs and ``Nx != Ny`` included.  The first
+execute proves it for each plan: it replays its own input and requires
+the gathered engine spectrum and the replayed one to agree bit for bit
+(:class:`~repro.errors.SimulationError` otherwise).
 
 :func:`fft3d_plan` is the process-wide cache the functional
 ``parallel_fft3d``/``parallel_ifft3d``/``parallel_rfft3d`` calls go
@@ -32,6 +47,7 @@ the plan's own fields; :func:`repro.fft.clear_plan_cache` empties it.
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
 from dataclasses import replace
@@ -48,14 +64,15 @@ from ..obs.tracer import current_tracer
 from ..simmpi.spmd import SimResult, run_spmd
 from .decompose import gather_spectrum, scatter_slabs
 from .params import ProblemShape, TuningParams
-from .plan import ParallelFFT3D, SlabDataPath
-from .realfft3d import ParallelRFFT3D, half_params, rfft_z
+from .plan import BREAKDOWN_LABELS, ParallelFFT3D, SlabDataPath
+from .realfft3d import ParallelRFFT3D, half_params
 from .variants import VariantSpec, baseline_params, get_variant
 
 #: plans the process holds; the least recently used is dropped first
 MAX_PLANS = 64
 
 
+@functools.lru_cache(maxsize=4 * MAX_PLANS)
 def _exchange(
     shape: ProblemShape,
     params: TuningParams | None,
@@ -67,7 +84,9 @@ def _exchange(
     A c2c plan exchanges ``shape`` and defaults to the variant's
     baseline; an r2c plan exchanges the ``Nz//2 + 1`` half spectrum with
     :func:`~repro.core.realfft3d.half_params`, as
-    :class:`~repro.core.realfft3d.ParallelRFFT3D` does."""
+    :class:`~repro.core.realfft3d.ParallelRFFT3D` does.  A pure function
+    of frozen arguments, memoized: every plan lookup derives its key
+    here."""
     if real:
         if shape.nz % 2 != 0:
             raise ParameterError(f"real transform needs even Nz, got {shape.nz}")
@@ -125,14 +144,16 @@ class DistributedFFT3D:
         else:
             self.rplan = None
             plans["z"] = Plan1D(shape.nz)
+        self.plans = plans
         fftz_mode = "none" if real else "complex"
         self.paths = [
             SlabDataPath(xshape, self.params, spec, r, fftz_mode, plans)
             for r in range(shape.p)
         ]
-        self.output_layout = self.paths[0].output_layout
         #: the first engine run's timeline, without payloads
         self.timeline: SimResult | None = None
+        #: the kept timeline's Figure 8 breakdown, averaged once
+        self.breakdown: dict[str, float] = {}
         self._first = threading.Lock()
         count("fft3d_plans_built_total", 1, "Distributed 3-D FFT plans built.")
 
@@ -140,17 +161,39 @@ class DistributedFFT3D:
 
     def forward(self, array: np.ndarray) -> tuple[np.ndarray, SimResult]:
         """Transform ``array``; returns ``(spectrum, timeline)``, the
-        spectrum matching ``numpy.fft.fftn`` (``rfftn`` for an r2c
-        plan)."""
+        spectrum a fresh C-contiguous array matching ``numpy.fft.fftn``
+        (``rfftn`` for an r2c plan)."""
         s = self.shape
+        if self.real and np.iscomplexobj(array):
+            raise ParameterError(
+                "an r2c plan transforms real input; got a complex array"
+            )
         arr = np.asarray(array, dtype=np.float64 if self.real else np.complex128)
         if arr.shape != (s.nx, s.ny, s.nz):
             raise ParameterError(
                 f"array shape {arr.shape} != plan shape ({s.nx}, {s.ny}, {s.nz})"
             )
-        outs, sim = self._execute(scatter_slabs(arr, s.p))
-        nz_out = s.nz // 2 + 1 if self.real else s.nz
-        return gather_spectrum(outs, (s.nx, s.ny, nz_out), self.output_layout), sim
+        tracer = current_tracer()
+        if tracer is not None and tracer.rank_spans:
+            return self._run_engine(arr)
+        if self.timeline is None:
+            with self._first:
+                if self.timeline is None:
+                    spectrum, sim = self._run_engine(arr)
+                    replayed = self._replay(arr)
+                    if (spectrum.shape != replayed.shape
+                            or spectrum.tobytes() != replayed.tobytes()):
+                        raise SimulationError(
+                            "the replayed output differs from the engine run's"
+                        )
+                    kept = replace(sim, results=[None] * sim.nprocs)
+                    self.breakdown = kept.breakdown(BREAKDOWN_LABELS)
+                    self.timeline = kept
+                    return spectrum, kept
+        spectrum = self._replay(arr)
+        count("fft3d_replays_total", 1,
+              "Distributed 3-D FFTs run on a plan's kept timeline.")
+        return spectrum, self.timeline
 
     def backward(self, spectrum: np.ndarray) -> tuple[np.ndarray, SimResult]:
         """Normalized inverse, ``ifft(x) = conj(fft(conj(x))) / N`` — the
@@ -159,44 +202,55 @@ class DistributedFFT3D:
             raise NotImplementedError("the distributed c2r inverse is not implemented")
         arr = np.asarray(spectrum, dtype=np.complex128)
         out, sim = self.forward(np.conj(arr))
-        return np.conj(out) / arr.size, sim
+        # the forward output is fresh, so conjugate and scale it in place
+        np.conj(out, out=out)
+        out /= arr.size
+        return out, sim
 
-    def _execute(self, blocks: list[np.ndarray]) -> tuple[list, SimResult]:
-        tracer = current_tracer()
-        if tracer is not None and tracer.rank_spans:
-            sim = self._run_engine(blocks)
-            return sim.results, sim
-        if self.timeline is None:
-            with self._first:
-                if self.timeline is None:
-                    sim = self._run_engine(blocks)
-                    self._cross_check(sim.results, self._replay(blocks))
-                    self.timeline = replace(sim, results=[None] * sim.nprocs)
-                    return sim.results, self.timeline
-        outs = self._replay(blocks)
-        count("fft3d_replays_total", 1,
-              "Distributed 3-D FFTs run on a plan's kept timeline.")
-        return outs, self.timeline
+    def _run_engine(self, arr: np.ndarray) -> tuple[np.ndarray, SimResult]:
+        """The engine run with payloads and its gathered spectrum."""
+        s = self.shape
+        sim = run_spmd(s.p, _rank_program, self.platform, self,
+                       scatter_slabs(arr, s.p))
+        nz_out = s.nz // 2 + 1 if self.real else s.nz
+        layout = self.paths[0].output_layout
+        return gather_spectrum(sim.results, (s.nx, s.ny, nz_out), layout), sim
 
-    def _run_engine(self, blocks: list[np.ndarray]) -> SimResult:
-        return run_spmd(self.shape.p, _rank_program, self.platform, self, blocks)
+    def _replay(self, arr: np.ndarray) -> np.ndarray:
+        """The spectrum from the whole-array data path alone: one kernel
+        call per axis, Pack → exchange → Unpack as one axis permutation.
+        The intermediates live in this thread's work arrays; only the
+        returned spectrum is fresh."""
+        s = self.shape
+        nz = s.nz // 2 + 1 if self.real else s.nz
+        a, b = _work_arrays(s.nx * s.ny * nz)
+        fftz = self.rplan.rfft if self.real else self.plans["z"].execute
+        xyz = fftz(arr, out=a.reshape(s.nx, s.ny, nz))
+        xzy = b.reshape(s.nx, nz, s.ny)
+        np.copyto(xzy, xyz.transpose(0, 2, 1))
+        xzy = self.plans["y"].execute(xzy, out=a.reshape(xzy.shape))
+        yzx = b.reshape(s.ny, nz, s.nx)
+        np.copyto(yzx, xzy.transpose(2, 1, 0))
+        yzx = self.plans["x"].execute(yzx, out=a.reshape(yzx.shape))
+        return yzx.transpose(2, 0, 1).copy()
 
-    def _replay(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
-        """Every rank's output block from the data path alone."""
-        if self.real:
-            blocks = [rfft_z(self.rplan, b) for b in blocks]
-        sends = [path.ffty_pack(path.fftz_transpose(b))
-                 for path, b in zip(self.paths, blocks)]
-        return [path.unpack_fftx([send[d] for send in sends])
-                for d, path in enumerate(self.paths)]
 
-    @staticmethod
-    def _cross_check(engine: list[np.ndarray], replay: list[np.ndarray]) -> None:
-        for rank, (a, b) in enumerate(zip(engine, replay, strict=True)):
-            if a.shape != b.shape or a.tobytes() != b.tobytes():
-                raise SimulationError(
-                    f"rank {rank}: the replayed output differs from the engine run's"
-                )
+#: each thread's two replay work arrays (see :func:`_work_arrays`)
+_WORK = threading.local()
+
+
+def _work_arrays(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's two flat complex work arrays of ``size`` elements.
+
+    Allocating, freeing and re-faulting a replay's whole-array
+    intermediates on every call made a 32³ replay ~1.5x slower on a
+    2-vCPU host, so a thread keeps two arrays, grown to its largest
+    replay, and every replay reuses them."""
+    bufs = getattr(_WORK, "bufs", None)
+    if bufs is None or bufs[0].size < size:
+        bufs = _WORK.bufs = (np.empty(size, np.complex128),
+                             np.empty(size, np.complex128))
+    return bufs[0][:size], bufs[1][:size]
 
 
 _PLANS: OrderedDict[tuple, DistributedFFT3D] = OrderedDict()

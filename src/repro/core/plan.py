@@ -18,17 +18,17 @@ tiled — and serves both payload modes:
 
 Both modes, traced or not, run the same tile loop (per-tile trace
 attributes are built only when a tracer is installed).  The numpy half
-of a real run lives in :class:`SlabDataPath`, whose three stages the
-engine run and the timeline replay of :mod:`repro.core.distplan` share.
+of a real run lives in :class:`SlabDataPath`, the engine run's per-rank
+data path; the timeline replay of :mod:`repro.core.distplan` runs the
+same 1-D plans on the whole array instead.
 
 The pipeline is a ``co_*`` coroutine (:meth:`ParallelFFT3D.steps`) that
 a generator SPMD program runs with ``yield from``; every compute phase
 that progresses the in-flight exchanges is charged through the one
 primitive :meth:`~repro.simmpi.comm.SimContext.progress_phases`.
 
-Step labels traced to the engine ("FFTz", "Transpose", "FFTy", "Pack",
-"Unpack", "FFTx", "Ialltoall", "Wait", "Test") are exactly the Figure 8
-legend.
+Step labels traced to the engine (:data:`BREAKDOWN_LABELS`) are exactly
+the Figure 8 legend.
 """
 
 from __future__ import annotations
@@ -55,6 +55,12 @@ from .packing import (
 from .params import ProblemShape, TuningParams
 from .variants import NEW, VariantSpec
 
+#: Step labels in the paper's Figure 8 stacking order.
+BREAKDOWN_LABELS = [
+    "FFTz", "Transpose", "FFTy", "Pack", "Unpack", "FFTx",
+    "Ialltoall", "Wait", "Test",
+]
+
 
 class SlabDataPath:
     """One rank's numpy data path, with no simulator state.
@@ -63,8 +69,9 @@ class SlabDataPath:
     the 1-D plans, and runs the three stages of a real-payload
     transform: :meth:`fftz_transpose`, :meth:`ffty_pack` and
     :meth:`unpack_fftx`.  The engine run (:meth:`ParallelFFT3D.steps`)
-    and the timeline replay of :mod:`repro.core.distplan` both call
-    these stages, so a replayed spectrum is the engine's bit for bit.
+    calls these stages; the timeline replay of
+    :mod:`repro.core.distplan` runs the same 1-D plans on the whole
+    array and is checked against them bit for bit.
 
     ``params`` must already be the variant's effective parameters.
     ``plans`` maps an axis name to its :class:`Plan1D`; a distributed

@@ -120,10 +120,13 @@ def parallel_rfft3d(
     """Forward r2c transform of a real 3-D array on ``p`` simulated
     ranks; returns ``(half_spectrum, SimResult)`` with the half spectrum
     matching ``numpy.fft.rfftn(array)``.  Runs on the process's cached
-    r2c plan (:func:`~repro.core.distplan.fft3d_plan`)."""
+    r2c plan (:func:`~repro.core.distplan.fft3d_plan`); complex input
+    raises :class:`~repro.errors.ParameterError`."""
     from .distplan import fft3d_plan  # distplan builds on this module
 
-    arr = np.asarray(array, dtype=np.float64)
+    arr = np.asarray(array)
+    if np.iscomplexobj(arr):
+        raise ParameterError("an r2c transform takes real input; got a complex array")
     if arr.ndim != 3:
         raise ParameterError(f"expected a 3-D array, got shape {arr.shape}")
     plan = fft3d_plan(ProblemShape(*arr.shape, p), platform, params, variant,

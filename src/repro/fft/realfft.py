@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import PlanError
 from .dftmat import BACKWARD, FORWARD
-from .plan import Plan1D
+from .plan import Plan1D, in_row_blocks
 
 
 class RealPlan1D:
@@ -35,15 +35,20 @@ class RealPlan1D:
         k = np.arange(self.half + 1)
         self._w = np.exp(-2j * np.pi * k / n)  # post-processing twiddles
 
-    def rfft(self, x: np.ndarray) -> np.ndarray:
+    def rfft(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Forward real-to-complex transform along the last axis.
 
         Input shape ``(..., n)`` real; output ``(..., n//2 + 1)`` complex,
-        matching ``numpy.fft.rfft``.
+        matching ``numpy.fft.rfft``, written into ``out`` when given.
+        Large batches run in row blocks, as :meth:`Plan1D.execute` does.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.n:
             raise PlanError(f"plan is for size {self.n}, got {x.shape[-1]}")
+        return in_row_blocks(self._rfft_rows, np.ascontiguousarray(x),
+                             self.half + 1, out)
+
+    def _rfft_rows(self, x: np.ndarray) -> np.ndarray:
         # Pack even/odd samples into one complex sequence of length n/2.
         z = x[..., 0::2] + 1j * x[..., 1::2]
         zf = self._fwd.execute(z)

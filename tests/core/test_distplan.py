@@ -1,11 +1,11 @@
 """Cached distributed plans: replayed transforms against engine runs.
 
 A plan's first transform runs the engine and keeps its timeline; later
-transforms run only the numpy data path and return that timeline.  The
-property test holds a replayed spectrum and timeline to a fresh engine
-run bit for bit; the other tests pin what a steady call costs (no
-engine run, no 1-D planning, one mover call per rank and stage), what
-the cache key separates, and when the engine still runs.
+transforms run only the whole-array data path and return that timeline.
+The property tests hold a replayed spectrum and timeline to a fresh
+engine run bit for bit; the other tests pin what a steady call costs (no
+engine run, no 1-D planning, one kernel call per axis and no mover
+call), what the cache key separates, and when the engine still runs.
 """
 
 import sys
@@ -22,7 +22,7 @@ from repro.core.decompose import gather_spectrum, scatter_slabs
 from repro.core.distplan import DistributedFFT3D, fft3d_plan
 from repro.core.params import W_MAX, ProblemShape, TuningParams
 from repro.core.realfft3d import ParallelRFFT3D, parallel_rfft3d
-from repro.errors import SimulationError
+from repro.errors import ParameterError, SimulationError
 from repro.faults import injected_faults
 from repro.fft import Flag, clear_plan_cache, planning_effort
 from repro.fft.plan import Plan1D
@@ -69,6 +69,21 @@ def engine_r2c(arr, p, params, variant):
     return gather_spectrum(outs, (nx, ny, nz // 2 + 1), sim.results[0][1]), sim
 
 
+def feasible_params(draw, direction, dims, p):
+    """Parameters drawn feasible for the shape the pipeline exchanges."""
+    nx, ny, nz = dims
+    xnz = nz // 2 + 1 if direction == "r2c" else nz
+    xshape = ProblemShape(nx, ny, xnz, p)
+    t = draw(st.integers(1, xnz))
+    f = st.integers(0, xshape.f_max)
+    return TuningParams(
+        T=t, W=draw(st.integers(1, W_MAX)),
+        Px=draw(st.integers(1, xshape.nxl_max)), Pz=draw(st.integers(1, t)),
+        Uy=draw(st.integers(1, xshape.nyl_max)), Uz=draw(st.integers(1, t)),
+        Fy=draw(f), Fp=draw(f), Fu=draw(f), Fx=draw(f),
+    )
+
+
 @st.composite
 def cases(draw):
     """A direction, a shape (uneven slabs, and Nx == Ny for the fast
@@ -79,17 +94,30 @@ def cases(draw):
     nx = draw(st.integers(p, 2 * p + 3))
     ny = nx if draw(st.booleans()) else draw(st.integers(p, 2 * p + 3))
     nz = 2 * draw(st.integers(1, 5)) if direction == "r2c" else draw(st.integers(1, 10))
-    xnz = nz // 2 + 1 if direction == "r2c" else nz
-    xshape = ProblemShape(nx, ny, xnz, p)
-    t = draw(st.integers(1, xnz))
-    f = st.integers(0, xshape.f_max)
-    params = TuningParams(
-        T=t, W=draw(st.integers(1, W_MAX)),
-        Px=draw(st.integers(1, xshape.nxl_max)), Pz=draw(st.integers(1, t)),
-        Uy=draw(st.integers(1, xshape.nyl_max)), Uz=draw(st.integers(1, t)),
-        Fy=draw(f), Fp=draw(f), Fu=draw(f), Fx=draw(f),
-    )
-    return (direction, (nx, ny, nz), p, draw(st.sampled_from(VARIANTS)), params,
+    dims = (nx, ny, nz)
+    return (direction, dims, p, draw(st.sampled_from(VARIANTS)),
+            feasible_params(draw, direction, dims, p),
+            draw(st.sampled_from((None, FAULTS))), draw(st.integers(0, 2**32 - 1)))
+
+
+#: (c2c shape, r2c shape, p): Bluestein-only sizes (67, 97 and, for the
+#: r2c z half-length, 67) on each axis, and a slab whose kernel batches
+#: pass the row blocking of Plan1D.execute and the BLAS gemm blocking
+LARGE = [
+    ((67, 12, 10), (67, 12, 10), 4),
+    ((12, 97, 9), (12, 97, 8), 3),
+    ((8, 6, 67), (8, 6, 134), 2),
+    ((97, 97, 16), (97, 97, 16), 8),
+    ((96, 96, 96), (96, 96, 96), 8),
+]
+
+
+@st.composite
+def large_cases(draw, direction, dims, p):
+    """A variant, feasible parameters and an optional seeded fault spec
+    for one of the :data:`LARGE` shapes."""
+    return (direction, dims, p, draw(st.sampled_from(VARIANTS)),
+            feasible_params(draw, direction, dims, p),
             draw(st.sampled_from((None, FAULTS))), draw(st.integers(0, 2**32 - 1)))
 
 
@@ -97,6 +125,25 @@ def cases(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(cases())
 def test_replay_equals_a_fresh_engine_run(case):
+    check_replay_against_engine(case)
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse", "r2c"])
+@pytest.mark.parametrize("c2c,r2c,p", LARGE, ids=[
+    "x".join(map(str, c2c)) + f"-p{p}" for c2c, _, p in LARGE])
+@settings(max_examples=2, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_replay_equals_a_fresh_engine_run_on_bluestein_and_large_batches(
+        direction, c2c, r2c, p, data):
+    dims = r2c if direction == "r2c" else c2c
+    check_replay_against_engine(data.draw(large_cases(direction, dims, p)))
+
+
+def check_replay_against_engine(case):
+    """A replayed transform equals a fresh engine run bit for bit, comes
+    back C-contiguous, and owns its buffer: two consecutive replays
+    share no memory with each other."""
     direction, dims, p, variant, params, faults, seed = case
     arr = signal(dims, seed)
     if direction == "r2c":
@@ -110,8 +157,12 @@ def test_replay_equals_a_fresh_engine_run(case):
         calls[direction](signal(dims, seed + 1).real)  # builds the plan
         with scoped_registry(MetricsRegistry()) as reg:
             out, res = calls[direction](arr)
-            assert total(reg, "fft3d_replays_total") == 1
+            again, _ = calls[direction](arr)
+            assert total(reg, "fft3d_replays_total") == 2
             assert total(reg, "sim_runs_total") == 0
+        assert out.flags.c_contiguous
+        assert not np.shares_memory(out, again)
+        assert out.tobytes() == again.tobytes()
         if direction == "r2c":
             ref, sim = engine_r2c(arr, p, params, variant)
         else:
@@ -141,7 +192,8 @@ class TestSteadyCalls:
                 return fn(*args, **kwargs)
             return wrapper
 
-        # The movers are counted where the data path looks them up.
+        # The movers are counted where the engine's data path looks
+        # them up; the whole-array replay calls neither.
         monkeypatch.setattr(Plan1D, "execute", counted("fft", Plan1D.execute))
         monkeypatch.setattr(pipeline, "ffty_pack_real",
                             counted("ffty_pack", pipeline.ffty_pack_real))
@@ -155,9 +207,36 @@ class TestSteadyCalls:
             assert total(reg, "fft_wisdom_hits_total") == 0
             assert total(reg, "fft3d_plans_built_total") == 0
             assert total(reg, "fft3d_replays_total") == 1
-        assert calls == {"fft": 3 * p, "ffty_pack": p, "unpack_fftx": p}
+        assert calls == {"fft": 3, "ffty_pack": 0, "unpack_fftx": 0}
         assert np.max(np.abs(spectrum - np.fft.fftn(x))) <= 1e-11
         assert result.elapsed > 0
+
+    def test_a_spectrum_outlives_later_replays(self):
+        # replays keep their intermediates in reused per-thread work
+        # arrays; the spectra they return must not live there
+        shape, p = (12, 10, 8), 2
+        for call, x, y in ((parallel_fft3d, signal(shape, 1), signal(shape, 2)),
+                           (parallel_rfft3d, signal(shape, 1).real, signal(shape, 2).real)):
+            call(x, p, PLATFORM)
+            first, _ = call(x, p, PLATFORM)
+            kept = first.copy()
+            second, _ = call(y, p, PLATFORM)
+            assert first.tobytes() == kept.tobytes()
+            assert not np.shares_memory(first, second)
+
+    def test_kept_breakdown_is_averaged_once_and_copied(self, monkeypatch):
+        x = signal((12, 10, 8))
+        _, first = parallel_fft3d(x, 4, PLATFORM)
+        plan = fft3d_plan(ProblemShape(12, 10, 8, 4), PLATFORM)
+        assert first.breakdown == plan.timeline.breakdown(BREAKDOWN_LABELS)
+        averaged = []
+        monkeypatch.setattr(type(plan.timeline), "breakdown",
+                            lambda sim, labels=None: averaged.append(sim) or {})
+        _, steady = parallel_fft3d(x, 4, PLATFORM)
+        assert averaged == []
+        assert steady.breakdown == first.breakdown
+        steady.breakdown["FFTz"] = -1.0
+        assert plan.breakdown["FFTz"] == first.breakdown["FFTz"] > 0
 
     def test_first_call_runs_the_engine_once_and_keeps_no_payloads(self):
         x = signal((12, 12, 8))
@@ -280,18 +359,43 @@ class TestCacheKey:
 
 
 class TestCrossCheck:
-    def test_a_replay_that_disagrees_with_the_engine_raises(self, monkeypatch):
+    @pytest.fixture
+    def off_by_one_ulp(self, monkeypatch):
+        """The whole-array replay, with one ulp flipped in its spectrum."""
         replay = DistributedFFT3D._replay
 
-        def off_by_one_ulp(self, blocks):
-            outs = replay(self, blocks)
-            outs[-1] = outs[-1].copy()
-            outs[-1].flat[0] = np.nextafter(outs[-1].flat[0].real, np.inf)
-            return outs
+        def flipped(self, arr):
+            spectrum = replay(self, arr)
+            last = spectrum.flat[-1]
+            spectrum.flat[-1] = complex(np.nextafter(last.real, np.inf), last.imag)
+            return spectrum
 
-        monkeypatch.setattr(DistributedFFT3D, "_replay", off_by_one_ulp)
+        monkeypatch.setattr(DistributedFFT3D, "_replay", flipped)
+
+    def test_a_replay_that_disagrees_with_the_engine_raises(self, off_by_one_ulp):
         with pytest.raises(SimulationError, match="replayed output differs"):
-            parallel_fft3d(signal((8, 8, 8)), 2, PLATFORM)
+            parallel_fft3d(signal((9, 7, 8)), 2, PLATFORM)
+
+    def test_an_r2c_replay_that_disagrees_with_the_engine_raises(self, off_by_one_ulp):
+        with pytest.raises(SimulationError, match="replayed output differs"):
+            parallel_rfft3d(signal((9, 7, 8)).real, 2, PLATFORM)
+
+    def test_r2c_rejects_complex_input(self):
+        x = np.ones((8, 8, 8)) + 1j
+        with scoped_registry(MetricsRegistry()) as reg:
+            with pytest.raises(ParameterError, match="real input"):
+                parallel_rfft3d(x, 2, PLATFORM)
+            # rejected before planning: no plan built, none evicted
+            assert total(reg, "fft3d_plans_built_total") == 0
+        plan = fft3d_plan(ProblemShape(8, 8, 8, 2), PLATFORM, real=True)
+        with pytest.raises(ParameterError, match="real input"):
+            plan.forward(x)
+
+    def test_r2c_rejects_odd_nz_on_every_call(self):
+        # the key derivation is memoized; a failure must not be
+        for _ in range(2):
+            with pytest.raises(ParameterError, match="even Nz"):
+                parallel_rfft3d(np.ones((8, 8, 7)), 2, PLATFORM)
 
     def test_r2c_plans_have_no_backward(self):
         plan = fft3d_plan(ProblemShape(8, 8, 8, 2), PLATFORM, real=True)

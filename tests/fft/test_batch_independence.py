@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fft import BACKWARD, FORWARD, Plan1D
+from repro.errors import PlanError
+from repro.fft import BACKWARD, FORWARD, Plan1D, RealPlan1D
+from repro.fft import plan as plan_module
 from repro.fft.plan import _candidates, _make_kernel
 
 SIZES = range(1, 131)
@@ -61,3 +63,45 @@ def test_plan_bitwise_independent_of_block_shape(n):
                                   whole[i : i + 1, j : j + 1])
     moved = plan.execute(np.moveaxis(x, -1, 0), axis=0)
     assert np.array_equal(np.moveaxis(moved, 0, -1), whole)
+
+
+@pytest.mark.parametrize("n", [4, 16, 67, 96])
+def test_plan_row_blocks_keep_the_bits(monkeypatch, n):
+    # Plan1D.execute runs a batch bigger than BLOCK_BYTES in row blocks;
+    # with blocks of three rows, every batch here is split, and the
+    # last block is shorter (a lone row in one of them).
+    plan = Plan1D(n)
+    x = _rows(n, 10, n).reshape(2, 5, n)
+    whole = plan._kernel.execute(x)
+    monkeypatch.setattr(plan_module, "BLOCK_BYTES", 3 * 16 * n)
+    assert np.array_equal(plan.execute(x, axis=-1), whole)
+    assert np.array_equal(plan.execute(x[:, :2], axis=-1), whole[:, :2])
+    out = np.empty_like(whole)
+    assert plan.execute(x, out=out) is out
+    assert np.array_equal(out, whole)
+
+
+@pytest.mark.parametrize("n", [4, 16, 134])
+def test_rfft_row_blocks_keep_the_bits(monkeypatch, n):
+    plan = RealPlan1D(n)
+    x = _rows(n, 10, n).real.reshape(2, 5, n)
+    whole = plan.rfft(x)
+    monkeypatch.setattr(plan_module, "BLOCK_BYTES", 3 * 8 * n)
+    assert np.array_equal(plan.rfft(x), whole)
+    out = np.empty_like(whole)
+    assert plan.rfft(x, out=out) is out
+    assert np.array_equal(out, whole)
+
+
+def test_plan_out_must_fit_a_last_axis_transform():
+    plan = Plan1D(8)
+    x = _rows(8, 4, 8)
+    assert np.array_equal(plan.execute(x, out=np.empty_like(x)), plan.execute(x))
+    assert np.array_equal(plan.execute(x, normalize=True, out=np.empty_like(x)),
+                          plan.execute(x, normalize=True))
+    for bad in (np.empty((4, 16), complex)[:, ::2], np.empty((3, 8), complex),
+                np.empty((4, 8), np.complex64)):
+        with pytest.raises(PlanError):
+            plan.execute(x, out=bad)
+    with pytest.raises(PlanError):
+        plan.execute(x.T, axis=0, out=np.empty_like(x.T))

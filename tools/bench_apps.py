@@ -21,8 +21,13 @@ Proves the `repro.apps` traffic story (PR 10) end to end:
 4. **apps sweep** — all three drivers run once; steady-state
    transforms/sec and the serial-oracle error are recorded and must
    pass, and so are each steady step's engine runs (`sim_runs_total`,
-   0 once the cached distributed plan holds the timeline) and plan
-   replays (`fft3d_replays_total`, one per transform).
+   0 once the cached distributed plan holds the timeline), plan
+   replays (`fft3d_replays_total`, one per transform) and 1-D kernel
+   calls (`Plan1D.execute`, 3 per replay: one per axis on the whole
+   array).
+5. **replay vs numpy** — one replayed transform on the apps cell
+   against ``numpy.fft.fftn`` of the same array: the gap the
+   from-scratch kernels leave to a library FFT.
 
 The JSON keeps raw counters so the trajectory is comparable across
 commits, same shape discipline as BENCH_serve.json.
@@ -32,17 +37,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.apps import APPS, AppConfig, PoissonDriver  # noqa: E402
+from repro.core.api import parallel_fft3d  # noqa: E402
 from repro.core.params import ProblemShape  # noqa: E402
-from repro.fft import GLOBAL_WISDOM, clear_plan_cache  # noqa: E402
+from repro.fft import GLOBAL_WISDOM, Plan1D, clear_plan_cache  # noqa: E402
 from repro.machine.platforms import get_platform  # noqa: E402
 from repro.obs.registry import (  # noqa: E402
     MetricsRegistry,
@@ -53,6 +63,10 @@ from repro.serve import PlanServer, ServeConfig, request_plan, wait_for_plan  # 
 
 PLATFORM = "UMD-Cluster"
 SERVE_P, SERVE_N = 4, 32
+#: the apps sweep's cell
+APPS_P, APPS_N = 4, 16
+#: timed calls per side of the replay-vs-numpy row
+NUMPY_REPS = 200
 #: registry counters recorded per app step in the sweep
 STEP_COUNTERS = ("sim_runs_total", "fft3d_replays_total")
 
@@ -187,18 +201,40 @@ def bench_serve_phases(tmp: Path, budget: int, steps: int) -> tuple[dict, dict]:
     return warm, cold
 
 
-def count_steps(app) -> list[tuple[int, int]]:
-    """Record each step's (engine runs, plan replays) from the ambient
-    registry: wraps ``app.step``; returns the list it fills."""
-    rows: list[tuple[int, int]] = []
+@contextmanager
+def counting_kernel_calls():
+    """Count ``Plan1D.execute`` calls while the block runs; yields a
+    one-element list holding the running count."""
+    calls = [0]
+    execute = Plan1D.execute
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return execute(self, *args, **kwargs)
+
+    Plan1D.execute = counted
+    try:
+        yield calls
+    finally:
+        Plan1D.execute = execute
+
+
+def count_steps(app, kernel_calls: list[int]) -> list[tuple[int, int, int]]:
+    """Record each step's (engine runs, plan replays, kernel calls): the
+    first two from the ambient registry, the last from the running
+    ``kernel_calls`` count.  Wraps ``app.step``; returns the list it
+    fills."""
+    rows: list[tuple[int, int, int]] = []
     step = app.step
 
     def counted(index):
         reg = current_registry()
         before = [reg_total(reg, n) for n in STEP_COUNTERS]
+        calls_before = kernel_calls[0]
         info = step(index)
-        rows.append(tuple(int(reg_total(reg, n) - b)
-                          for n, b in zip(STEP_COUNTERS, before)))
+        rows.append((*(int(reg_total(reg, n) - b)
+                       for n, b in zip(STEP_COUNTERS, before)),
+                     kernel_calls[0] - calls_before))
         return info
 
     app.step = counted
@@ -211,11 +247,11 @@ def bench_apps_sweep(steps: int) -> list[dict]:
     platform = get_platform(PLATFORM)
     out = []
     for name, cls in sorted(APPS.items()):
-        cfg = AppConfig(shape=ProblemShape(16, 16, 16, 4), platform=platform,
-                        steps=steps, warmup=1)
+        cfg = AppConfig(shape=ProblemShape(APPS_N, APPS_N, APPS_N, APPS_P),
+                        platform=platform, steps=steps, warmup=1)
         app = cls(cfg)
-        with scoped_registry(MetricsRegistry()):
-            rows = count_steps(app)
+        with scoped_registry(MetricsRegistry()), counting_kernel_calls() as calls:
+            rows = count_steps(app, calls)
             res = app.run()
         assert res.numerics_ok, f"{name}: error {res.numerics_error}"
         # steady steps: the ones the p50 covers (the first process step
@@ -223,21 +259,55 @@ def bench_apps_sweep(steps: int) -> list[dict]:
         steady = rows[max(cfg.warmup, 1):]
         out.append({
             "app": name,
-            "shape": [16, 16, 16],
-            "p": 4,
+            "shape": [APPS_N] * 3,
+            "p": APPS_P,
             "transforms_per_sec": round(res.transforms_per_sec, 2),
             "step_p50_s": round(res.step_p50_s, 5),
             "step_p95_s": round(res.step_p95_s, 5),
             "virtual_step_s": round(res.virtual_step_s, 6),
             "numerics_error": float(f"{res.numerics_error:.3e}"),
-            "steady_step_sim_runs": [sims for sims, _ in steady],
-            "steady_step_replays": [replays for _, replays in steady],
+            "steady_step_sim_runs": [sims for sims, _, _ in steady],
+            "steady_step_replays": [replays for _, replays, _ in steady],
+            "steady_step_kernel_calls": [kernels for _, _, kernels in steady],
         })
         print(f"  {name}: {out[-1]['transforms_per_sec']} transforms/s, "
               f"err {out[-1]['numerics_error']:.1e}, steady steps "
               f"{out[-1]['steady_step_sim_runs']} engine runs, "
-              f"{out[-1]['steady_step_replays']} replays")
+              f"{out[-1]['steady_step_replays']} replays, "
+              f"{out[-1]['steady_step_kernel_calls']} kernel calls")
     return out
+
+
+def bench_replay_vs_numpy() -> dict:
+    """Phase 5: a replayed transform on the apps cell vs numpy.fft.fftn
+    of the same array (median of :data:`NUMPY_REPS` timed calls each)."""
+    platform = get_platform(PLATFORM)
+    shape = (APPS_N, APPS_N, APPS_N)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    parallel_fft3d(x, APPS_P, platform)  # builds the plan (engine run)
+
+    def median_ms(fn) -> float:
+        times = []
+        for _ in range(NUMPY_REPS):
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
+        return statistics.median(times) * 1e3
+
+    replay_ms = median_ms(lambda: parallel_fft3d(x, APPS_P, platform))
+    numpy_ms = median_ms(lambda: np.fft.fftn(x))
+    row = {
+        "shape": list(shape),
+        "p": APPS_P,
+        "reps": NUMPY_REPS,
+        "replay_ms": round(replay_ms, 4),
+        "numpy_fftn_ms": round(numpy_ms, 4),
+        "ratio": round(replay_ms / numpy_ms, 2),
+    }
+    print(f"  replayed transform {row['replay_ms']}ms vs numpy.fft.fftn "
+          f"{row['numpy_fftn_ms']}ms -> {row['ratio']}x")
+    return row
 
 
 def main() -> int:
@@ -262,6 +332,9 @@ def main() -> int:
     print("apps sweep: all drivers")
     apps = bench_apps_sweep(args.serve_steps)
 
+    print("replay vs numpy: one transform on the apps cell")
+    replay_vs_numpy = bench_replay_vs_numpy()
+
     payload = {
         "benchmark": "application workloads: plan reuse + serve-plane startup",
         "platform": PLATFORM,
@@ -269,6 +342,7 @@ def main() -> int:
         "warm_plan_server": warm,
         "cold_local": cold,
         "apps": apps,
+        "replay_vs_numpy": replay_vs_numpy,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"ok  ->  {args.out}")

@@ -44,9 +44,11 @@ against the committed baseline and enforces two kinds of bounds:
   it may not drop below ``1 / --wall-tol`` of the committed baseline
   (throughput is inverse wall, so the cross-host slack applies
   reciprocally).  Last, every app's steady steps must run the engine
-  exactly zero times (``steady_step_sim_runs``): they replay their
-  cached distributed plan's timeline, a deterministic count, so the
-  bound is exact.  A missing ``BENCH_apps.json`` skips the checks.
+  exactly zero times (``steady_step_sim_runs``) and make exactly three
+  1-D kernel calls per plan replay (``steady_step_kernel_calls``, one
+  per axis on the whole array): they replay their cached distributed
+  plan's timeline, deterministic counts, so the bounds are exact.  A
+  missing ``BENCH_apps.json`` skips the checks.
 
 The baseline is read from ``git show HEAD:BENCH_smoke.json`` when
 available (so running the guard after regenerating the file still
@@ -215,7 +217,8 @@ def main(argv=None) -> int:
                 f"{base_tps} / {args.wall_tol:g}"
             )
         # 4. deterministic: steady app steps replay their cached plans'
-        # kept timelines and run the engine exactly zero times.
+        # kept timelines, run the engine exactly zero times and make
+        # exactly one 1-D kernel call per axis per replay.
         for app in apps["apps"]:
             runs = app.get("steady_step_sim_runs")
             ok = bool(runs) and not any(runs)
@@ -224,6 +227,16 @@ def main(argv=None) -> int:
             if not ok:
                 failures.append(
                     f"{app['app']} steady steps ran the engine: {runs}"
+                )
+            kernels = app.get("steady_step_kernel_calls")
+            want = [3 * n for n in app.get("steady_step_replays", [])]
+            ok = bool(kernels) and kernels == want
+            print(f"{'OK' if ok else 'FAIL'}: apps {app['app']} steady kernel "
+                  f"calls per step: {kernels} (must be {want})")
+            if not ok:
+                failures.append(
+                    f"{app['app']} steady steps made {kernels} kernel calls, "
+                    f"not 3 per replay {want}"
                 )
         print(f"apps baseline: {apps_base_src}")
     else:
