@@ -19,14 +19,18 @@ the whole spectrum so the comparison is runnable:
     boundaries, plus progression during the next array's FFTz/Transpose
     — the paper's "both intra-array and inter-array overlap" goal.
 
-All modes share the machine-model costs of :class:`ParallelFFT3D`; real
-payloads are supported (each array verified against numpy in the tests).
+The arrays share shape, variant, tiles and 1-D plans, so a rank builds
+one :class:`ParallelFFT3D` for all of them and the executor keeps only
+the timeline.  Real payloads run through the plan's
+:class:`~repro.core.plan.SlabDataPath` on each array's whole slab, as
+the slab pipeline does: FFTz+Transpose and FFTy+Pack once, each tile's
+exchange posting z-range views of the send buffers, and Unpack+FFTx
+once after the array's last Wait — three 1-D kernel calls and two
+mover calls per array per rank in every mode.
 
-Like the single-array pipelines, the executor is a ``co_*`` coroutine
-(:meth:`MultiArrayFFT3D.steps`) run with ``yield from`` in a generator
-SPMD program, and every compute phase that progresses in-flight
-exchanges is charged through
-:meth:`~repro.simmpi.comm.SimContext.progress_phases`.  The golden
+The executor is a ``co_*`` coroutine (:meth:`MultiArrayFFT3D.steps`)
+charging every phase that progresses in-flight exchanges through
+:meth:`~repro.simmpi.comm.SimContext.progress_phases`; the golden
 fixture ``tests/core/payload_golden.json`` pins every mode's clocks,
 scheduler counters, event timelines and spectra.
 """
@@ -73,9 +77,8 @@ class MultiArrayFFT3D:
         if mode == "inter":
             # One exchange per array, posted non-blocking.
             params = params.replace(T=shape.nz)
-        self.plans = [
-            ParallelFFT3D(ctx, shape, params, spec) for _ in range(n_arrays)
-        ]
+        self.plan = ParallelFFT3D(ctx, shape, params, spec)
+        self.output_layout = self.plan.output_layout
 
     # -- execution -------------------------------------------------------
 
@@ -96,106 +99,65 @@ class MultiArrayFFT3D:
 
     def _co_sequential(self, locals_):
         outs = []
-        for a, plan in enumerate(self.plans):
-            out = yield from plan.steps(
-                None if locals_ is None else locals_[a]
-            )
-            outs.append(out)
+        for local in [None] * self.n_arrays if locals_ is None else locals_:
+            outs.append((yield from self.plan.steps(local)))
         return None if locals_ is None else outs
+
+    def _fixed_phases(self, budget: int, live) -> None:
+        """Charge FFTz + Transpose with ``budget`` tests per phase."""
+        ctx, plan, nz = self.ctx, self.plan, self.shape.nz
+        kind = "xzy" if plan.use_fast_transpose else plan.spec.transpose_kind
+        ctx.progress_phases((
+            (ctx.cpu.fft_time(nz, plan.dec.nxl * self.shape.ny), budget, "FFTz"),
+            (ctx.cpu.transpose_time(plan._tile_bytes(nz), kind), budget,
+             "Transpose"),
+        ), live)
 
     # -- inter-array (Kandalla-style) --------------------------------------
 
     def _co_inter(self, locals_):
         """Whole-slab exchanges pipelined across arrays with depth 1."""
-        ctx, shape = self.ctx, self.shape
-        plans = self.plans
-        p = self.params
-        nz = shape.nz
+        ctx, plan, path = self.ctx, self.plan, self.plan.path
+        Fy, Fu, nz = self.params.Fy, self.params.Fu, self.shape.nz
+        real = locals_ is not None
+        t_ffty, t_pack, t_unpack, t_fftx = plan._phase_times(nz)
         outs: list[Any] = [None] * self.n_arrays
         # posted-but-unwaited exchanges, FIFO: owning array and request
         owners: list[int] = []
         live: list[AlltoallRequest] = []
-        data: list[Any] = [None] * self.n_arrays
-        chunks: list[Any] = [None] * self.n_arrays
 
-        for a, plan in enumerate(plans):
-            local = None if locals_ is None else locals_[a]
-            # FFTz + Transpose with progression on the in-flight array.
-            if local is not None:
-                from ..fft.transpose import xyz_to_xzy, xyz_to_zxy
+        def drain_one():
+            pa = owners.pop(0)
+            recv = yield from ctx.comm.co_wait(live.pop(0), label="Wait")
+            # Both phases progress with the Unpack budget.
+            ctx.progress_phases(
+                ((t_unpack, Fu, "Unpack"), (t_fftx, Fu, "FFTx")), live
+            )
+            if real:
+                outs[pa] = path.unpack_fftx(recv)
 
-                d = plan._plan("z", nz).execute(local, axis=2)
-                d = xyz_to_xzy(d) if plan.use_fast_transpose else xyz_to_zxy(d)
-                data[a] = d
-            kind = "xzy" if plan.use_fast_transpose else plan.spec.transpose_kind
-            ctx.progress_phases((
-                (ctx.cpu.fft_time(nz, plan.dec.nxl * shape.ny), p.Fy, "FFTz"),
-                (ctx.cpu.transpose_time(plan._tile_bytes(nz), kind), p.Fy,
-                 "Transpose"),
-            ), live)
-            # FFTy + Pack on the whole slab.
-            self._whole_slab_ffty_pack(plan, a, data, chunks, live)
+        for a in range(self.n_arrays):
+            chunks = (path.ffty_pack(path.fftz_transpose(locals_[a]))
+                      if real else None)
+            # FFTz + Transpose, then FFTy + Pack on the whole slab, all
+            # progressing the in-flight array with the FFTy budget.
+            self._fixed_phases(Fy, live)
+            ctx.progress_phases(
+                ((t_ffty, Fy, "FFTy"), (t_pack, Fy, "Pack")), live
+            )
             # Drain the previous array's exchange, then post this one.
             if live:
-                pa = owners.pop(0)
-                recv = yield from ctx.comm.co_wait(live.pop(0), label="Wait")
-                outs[pa] = self._whole_slab_unpack_fftx(plans[pa], recv, live)
+                yield from drain_one()
             live.append(ctx.comm.ialltoall(
                 plan.dec.sendcounts_bytes(nz),
                 plan.dec.recvcounts_bytes(nz),
-                payload=chunks[a],
+                payload=chunks,
             ))
             owners.append(a)
-            chunks[a] = None
         # Tail: drain the last exchange.
         while live:
-            pa = owners.pop(0)
-            recv = yield from ctx.comm.co_wait(live.pop(0), label="Wait")
-            outs[pa] = self._whole_slab_unpack_fftx(plans[pa], recv, live)
-        return None if locals_ is None else outs
-
-    def _whole_slab_ffty_pack(self, plan, a, data, chunks, live):
-        nz = self.shape.nz
-        if data[a] is not None:
-            from .packing import ffty_pack_real
-
-            yplan = plan._plan("y", self.shape.ny)
-            chunks[a] = ffty_pack_real(
-                data[a],
-                lambda arr: yplan.execute(arr, axis=-1),
-                plan.dec.y_counts,
-                plan.params.Px, min(plan.params.Pz, nz),
-                plan.tile_layout,
-            )
-            data[a] = None
-        # Both phases progress with the FFTy budget.
-        Fy = self.params.Fy
-        self.ctx.progress_phases((
-            (plan._ffty_time(nz), Fy, "FFTy"),
-            (plan._pack_time(nz), Fy, "Pack"),
-        ), live)
-
-    def _whole_slab_unpack_fftx(self, plan, recv, live):
-        nz = self.shape.nz
-        # Both phases progress with the Unpack budget.
-        Fu = self.params.Fu
-        self.ctx.progress_phases((
-            (plan._unpack_time(nz), Fu, "Unpack"),
-            (plan._fftx_time(nz), Fu, "FFTx"),
-        ), live)
-        if recv is None or recv[0] is None:
-            return None
-        from .packing import unpack_fftx_real
-
-        xplan = plan._plan("x", self.shape.nx)
-        return unpack_fftx_real(
-            recv,
-            lambda arr: xplan.execute(arr, axis=-1),
-            plan.dec.x_counts,
-            plan.dec.nyl,
-            plan.params.Uy, min(plan.params.Uz, nz),
-            plan.output_layout,
-        )
+            yield from drain_one()
+        return outs if real else None
 
     # -- combined intra + inter -------------------------------------------
 
@@ -207,106 +169,54 @@ class MultiArrayFFT3D:
         Transpose, and early tiles, so no window drain happens at array
         boundaries (the paper's §7 combination).
         """
-        ctx = self.ctx
+        ctx, plan, path = self.ctx, self.plan, self.plan.path
         p = self.params
+        tiles = plan.tiles
+        real = locals_ is not None
         # Global pending window across arrays: (array, tile) of each
         # request in ``live``, FIFO.
         window: list[tuple[int, int]] = []
         live: list[AlltoallRequest] = []
-        per_array_data: list[Any] = [None] * self.n_arrays
-        per_array_out: list[Any] = [None] * self.n_arrays
+        recvd: dict[int, list[Any]] = {}  # array -> its tiles' receives
+        outs: list[Any] = [None] * self.n_arrays
 
         def drain_one():
             a, j = window.pop(0)
             recv = yield from ctx.comm.co_wait(live.pop(0), label="Wait")
-            self._tile_unpack_fftx(self.plans[a], a, j, recv, per_array_out, live)
+            z0, z1 = tiles[j]
+            _, _, t_unpack, t_fftx = plan._phase_times(z1 - z0)
+            ctx.progress_phases(
+                ((t_unpack, p.Fu, "Unpack"), (t_fftx, p.Fx, "FFTx")), live
+            )
+            if real:
+                recvd.setdefault(a, []).append(recv)
+                if j == len(tiles) - 1:
+                    # each source's tiles joined along z: its whole-slab chunk
+                    joined = [np.concatenate(src) for src in zip(*recvd.pop(a))]
+                    outs[a] = path.unpack_fftx(joined)
 
-        for a, plan in enumerate(self.plans):
-            local = None if locals_ is None else locals_[a]
-            per_array_data[a] = self._fixed_steps(plan, local, live)
-            if local is not None:
-                per_array_out[a] = plan._alloc_output()
-            for j in range(len(plan.tiles)):
-                chunks = self._tile_ffty_pack(plan, a, j, per_array_data, live)
+        for a in range(self.n_arrays):
+            chunks = (path.ffty_pack(path.fftz_transpose(locals_[a]))
+                      if real else None)
+            # Every in-flight request gets at least one test per phase.
+            n = len(live)
+            self._fixed_phases(n * max(1, p.Fy // max(n, 1)), live)
+            for j, (z0, z1) in enumerate(tiles):
+                t_ffty, t_pack, _, _ = plan._phase_times(z1 - z0)
+                ctx.progress_phases(
+                    ((t_ffty, p.Fy, "FFTy"), (t_pack, p.Fp, "Pack")), live
+                )
                 if len(window) >= max(p.W, 1):
                     yield from drain_one()
-                z0, z1 = plan.tiles[j]
                 live.append(ctx.comm.ialltoall(
                     plan.dec.sendcounts_bytes(z1 - z0),
                     plan.dec.recvcounts_bytes(z1 - z0),
-                    payload=chunks,
+                    payload=None if chunks is None else [c[z0:z1] for c in chunks],
                 ))
                 window.append((a, j))
-            per_array_data[a] = None
         while window:
             yield from drain_one()
-        if locals_ is None:
-            return None
-        return per_array_out
-
-    def _fixed_steps(self, plan, local, live):
-        ctx, shape = self.ctx, self.shape
-        data = None
-        if local is not None:
-            from ..fft.transpose import xyz_to_xzy, xyz_to_zxy
-
-            data = plan._plan("z", shape.nz).execute(local, axis=2)
-            data = xyz_to_xzy(data) if plan.use_fast_transpose else xyz_to_zxy(data)
-        # Every in-flight request gets at least one test per phase.
-        n = len(live)
-        total = n * max(1, self.params.Fy // max(n, 1))
-        kind = "xzy" if plan.use_fast_transpose else plan.spec.transpose_kind
-        ctx.progress_phases((
-            (ctx.cpu.fft_time(shape.nz, plan.dec.nxl * shape.ny), total, "FFTz"),
-            (ctx.cpu.transpose_time(plan._tile_bytes(shape.nz), kind), total,
-             "Transpose"),
-        ), live)
-        return data
-
-    def _tile_ffty_pack(self, plan, a, j, data, live):
-        p = self.params
-        z0, z1 = plan.tiles[j]
-        t_ffty, t_pack, _, _ = plan._phase_times(z1 - z0)
-        self.ctx.progress_phases(
-            ((t_ffty, p.Fy, "FFTy"), (t_pack, p.Fp, "Pack")), live
-        )
-        if data[a] is None:
-            return None
-        from .packing import ffty_pack_real
-
-        yplan = plan._plan("y", self.shape.ny)
-        return ffty_pack_real(
-            plan._tile_view(j, data[a]),
-            lambda arr: yplan.execute(arr, axis=-1),
-            plan.dec.y_counts,
-            p.Px, p.Pz,
-            plan.tile_layout,
-        )
-
-    def _tile_unpack_fftx(self, plan, a, j, recv, outs, live):
-        p = self.params
-        z0, z1 = plan.tiles[j]
-        _, _, t_unpack, t_fftx = plan._phase_times(z1 - z0)
-        self.ctx.progress_phases(
-            ((t_unpack, p.Fu, "Unpack"), (t_fftx, p.Fx, "FFTx")), live
-        )
-        if outs[a] is None or recv is None or recv[0] is None:
-            return
-        from .packing import unpack_fftx_real
-
-        xplan = plan._plan("x", self.shape.nx)
-        tile_out = unpack_fftx_real(
-            recv,
-            lambda arr: xplan.execute(arr, axis=-1),
-            plan.dec.x_counts,
-            plan.dec.nyl,
-            p.Uy, p.Uz,
-            plan.output_layout,
-        )
-        if plan.output_layout == "zyx":
-            outs[a][z0:z1] = tile_out
-        else:
-            outs[a][:, z0:z1, :] = tile_out
+        return outs if real else None
 
 
 def run_multi_array(
@@ -321,18 +231,21 @@ def run_multi_array(
     from ..simmpi.spmd import run_spmd
     from .decompose import gather_spectrum, scatter_slabs
 
+    dims = (shape.nx, shape.ny, shape.nz)
     blocks = None
     if global_arrays is not None:
+        got = [np.shape(a) for a in global_arrays]
+        if got != [dims] * n_arrays:
+            raise ParameterError(
+                f"expected {n_arrays} arrays of shape {dims}, got shapes {got}"
+            )
         blocks = [scatter_slabs(a, shape.p) for a in global_arrays]
 
     def prog(ctx):
         exe = MultiArrayFFT3D(ctx, shape, n_arrays, mode, params)
-        locals_ = (
-            None if blocks is None else [blocks[a][ctx.rank] for a in range(n_arrays)]
-        )
+        locals_ = None if blocks is None else [b[ctx.rank] for b in blocks]
         outs = yield from exe.steps(locals_)
-        layout = exe.plans[0].output_layout
-        return outs, layout
+        return outs, exe.output_layout
 
     sim = run_spmd(shape.p, prog, platform)
     spectra = None
@@ -341,7 +254,5 @@ def run_multi_array(
         spectra = []
         for a in range(n_arrays):
             outs = [res[0][a] for res in sim.results]
-            spectra.append(
-                gather_spectrum(outs, (shape.nx, shape.ny, shape.nz), layout)
-            )
+            spectra.append(gather_spectrum(outs, dims, layout))
     return sim, spectra

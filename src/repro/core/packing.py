@@ -7,10 +7,11 @@ writes a ``Nx x Uy x Uz`` block into the output layout and FFTx consumes
 it likewise.  Two things live here:
 
 * the *real* data movement (numpy) used in real-payload mode, which
-  works on whole blocks — the slab pipeline calls each mover once per
-  rank on its whole slab, the multi-array executor once per tile: the
-  FFT kernels are bitwise batch-independent, so blocking could reorder
-  the work but never change the data, and
+  works on whole blocks — :class:`~repro.core.plan.SlabDataPath` calls
+  each mover once per rank and array on the whole slab, for the slab,
+  r2c and multi-array pipelines alike: the FFT kernels are bitwise
+  batch-independent, so blocking could reorder the work but never
+  change the data, and
 * closed-form cost functions charging the machine model — grouped by
   sub-tile size class so simulator cost is O(1) per tile, not O(#sub-
   tiles), which keeps huge parameter sweeps cheap.
@@ -105,8 +106,6 @@ def ffty_pack_real(
     tile: np.ndarray,
     ffty,
     y_counts: list[int],
-    px: int,
-    pz: int,
     layout: str,
 ) -> list[np.ndarray]:
     """FFTy + Pack one tile (Algorithm 2), returning per-dest chunks.
@@ -117,14 +116,13 @@ def ffty_pack_real(
     z-ranges of the chunks.  ``ffty`` is a callable transforming the
     last axis.
 
-    The ``px`` x ``pz`` sub-tile walk is a cost-model concern
+    The ``Px`` x ``Pz`` sub-tile walk is a cost-model concern
     (:func:`pack_cost`).  The FFT kernels are bitwise batch-independent,
     so the mover transforms the whole tile with one ``ffty`` call and
     carves each destination's chunk out with one strided copy; the
     result is element-identical to the sub-tile walk (pinned by
     tests/core/test_packing_vector.py).
     """
-    del px, pz  # blocking factors shape the cost model, not the data
     if layout not in ("zxy", "xzy"):
         raise ParameterError(f"unknown tile layout {layout!r}")
     if sum(y_counts) != tile.shape[-1]:
@@ -148,8 +146,6 @@ def unpack_fftx_real(
     fftx,
     x_counts: list[int],
     nyl: int,
-    uy: int,
-    uz: int,
     layout: str,
 ) -> np.ndarray:
     """Unpack + FFTx one tile (Algorithm 3), returning the output tile.
@@ -161,12 +157,11 @@ def unpack_fftx_real(
     ``(nyl, tz, nx)`` in y-z-x order for ``"yzx"`` (the Nx==Ny variant);
     either way x is contiguous for FFTx.
 
-    As with :func:`ffty_pack_real`, the ``uy`` x ``uz`` sub-tile walk is
+    As with :func:`ffty_pack_real`, the ``Uy`` x ``Uz`` sub-tile walk is
     a cost-model concern (:func:`unpack_cost`); the mover assembles each
     source's x-slice with one whole-tile strided copy instead (same
     elements, pinned by tests/core/test_packing_vector.py).
     """
-    del uy, uz  # blocking factors shape the cost model, not the data
     nx = sum(x_counts)
     tz = chunks[0].shape[0]
     if layout == "zyx":

@@ -68,8 +68,9 @@ class SlabDataPath:
     It holds the rank's decomposition, its tile and output layouts and
     the 1-D plans, and runs the three stages of a real-payload
     transform: :meth:`fftz_transpose`, :meth:`ffty_pack` and
-    :meth:`unpack_fftx`.  The engine run (:meth:`ParallelFFT3D.steps`)
-    calls these stages; the timeline replay of
+    :meth:`unpack_fftx`.  The engine runs (:meth:`ParallelFFT3D.steps`
+    and every mode of :mod:`repro.core.multiarray`) call these stages
+    once per array on its whole slab; the timeline replay of
     :mod:`repro.core.distplan` runs the same 1-D plans on the whole
     array and is checked against them bit for bit.
 
@@ -127,29 +128,23 @@ class SlabDataPath:
     def ffty_pack(self, data: np.ndarray) -> list[np.ndarray]:
         """FFTy + Pack of the whole transposed slab: per-destination
         ``(nz, nxl, nyl_d)`` send buffers."""
-        P, plan = self.params, self.plan("y", self.shape.ny)
-        tiled = self.spec.tiled_pack
+        plan = self.plan("y", self.shape.ny)
         return ffty_pack_real(
             data,
             lambda a: plan.execute(a, axis=-1),
             self.dec.y_counts,
-            P.Px if tiled else self.dec.nxl,
-            P.Pz if tiled else self.shape.nz,
             self.tile_layout,
         )
 
     def unpack_fftx(self, recv: list[np.ndarray]) -> np.ndarray:
         """Unpack + FFTx of every source's whole-slab chunk
         (``recv[s]`` is ``(nz, nxl_s, nyl)``) into the output block."""
-        P, plan = self.params, self.plan("x", self.shape.nx)
-        tiled = self.spec.tiled_pack
+        plan = self.plan("x", self.shape.nx)
         return unpack_fftx_real(
             recv,
             lambda a: plan.execute(a, axis=-1),
             self.dec.x_counts,
             self.dec.nyl,
-            P.Uy if tiled else self.dec.nyl,
-            P.Uz if tiled else self.shape.nz,
             self.output_layout,
         )
 
@@ -205,11 +200,6 @@ class ParallelFFT3D:
         #: requests posted but not yet waited on (FIFO), replacing the
         #: per-call O(tiles) scan the test-budget split used to do
         self._live: list[AlltoallRequest] = []
-
-    # -- lazily planned 1-D kernels (real mode only) -----------------------
-
-    def _plan(self, axis: str, n: int) -> Plan1D:
-        return self.path.plan(axis, n)
 
     # -- cost helpers ---------------------------------------------------------
 
@@ -372,20 +362,3 @@ class ParallelFFT3D:
                 entry = entry[:4] + (views, a_pre, a_post)
             info.append(entry)
         return info
-
-    # -- per-tile helpers for repro.core.multiarray ----------------------------
-
-    def _tile_view(self, i: int, data: np.ndarray) -> np.ndarray:
-        z0, z1 = self.tiles[i]
-        if self.tile_layout == "zxy":
-            return data[z0:z1]
-        return data[:, z0:z1, :]
-
-    def _alloc_output(self) -> np.ndarray:
-        if self.output_layout == "zyx":
-            return np.empty(
-                (self.shape.nz, self.dec.nyl, self.shape.nx), dtype=np.complex128
-            )
-        return np.empty(
-            (self.dec.nyl, self.shape.nz, self.shape.nx), dtype=np.complex128
-        )

@@ -238,7 +238,7 @@ def events_digest(traces) -> str:
 def _multi_program(ctx, shape, n_arrays, mode, params, blocks):
     exe = MultiArrayFFT3D(ctx, shape, n_arrays, mode, params)
     outs = yield from exe.steps([b[ctx.rank] for b in blocks])
-    return outs, exe.plans[0].output_layout, ctx.now
+    return outs, exe.output_layout, ctx.now
 
 
 def _pencil_program(ctx, shape, grid, blocks):

@@ -66,6 +66,25 @@ class TestCorrectness:
         assert isinstance(ei.value.__cause__, ParameterError)
 
 
+class TestInputValidation:
+    """``run_multi_array`` checks the array count and every array's
+    shape before the engine runs, the same way in every mode."""
+
+    SHAPE = ProblemShape(8, 8, 8, 2)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("dims", [
+        [(8, 8, 8)] * 3,          # one array too many
+        [(8, 8, 8)],              # one too few
+        [(8, 8, 8), (8, 8, 6)],   # short z extent
+        [(12, 8, 8), (8, 8, 8)],  # long x extent
+    ])
+    def test_bad_arrays_rejected(self, mode, dims):
+        globs = [np.zeros(d, dtype=complex) for d in dims]
+        with pytest.raises(ParameterError):
+            run_multi_array(UMD_CLUSTER, self.SHAPE, 2, mode, global_arrays=globs)
+
+
 class TestOverlapEconomics:
     @pytest.fixture(scope="class")
     def times(self):

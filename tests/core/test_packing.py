@@ -15,6 +15,7 @@ from repro.core.packing import (
 )
 from repro.errors import ParameterError
 from repro.machine import UMD_CLUSTER
+from repro.util.intmath import iter_blocks
 
 CPU = UMD_CLUSTER.cpu
 RNG = np.random.default_rng(3)
@@ -99,32 +100,39 @@ class TestPackReal:
         tz, nxl, ny = 5, 4, 9
         tile = RNG.standard_normal((tz, nxl, ny)) + 0j
         y_counts = [4, 3, 2]
-        got = ffty_pack_real(tile, IDENT, y_counts, px, pz, "zxy")
+        got = ffty_pack_real(tile, IDENT, y_counts, "zxy")
         ref = reference_chunks(tile, y_counts)
         for g, r in zip(got, ref):
             assert np.array_equal(g, r)
+        # Packing any px x pz sub-tile alone gives that block of the
+        # whole tile's chunks (posting z-range views relies on this).
+        for x0, x1 in iter_blocks(nxl, px):
+            for z0, z1 in iter_blocks(tz, pz):
+                sub = ffty_pack_real(tile[z0:z1, x0:x1], IDENT, y_counts, "zxy")
+                for b, g in zip(sub, got, strict=True):
+                    assert np.array_equal(b, g[z0:z1, x0:x1])
 
     def test_xzy_layout(self):
         nxl, tz, ny = 4, 5, 6
         tile = RNG.standard_normal((nxl, tz, ny)) + 0j
         y_counts = [3, 3]
-        got = ffty_pack_real(tile, IDENT, y_counts, 2, 2, "xzy")
+        got = ffty_pack_real(tile, IDENT, y_counts, "xzy")
         ref = reference_chunks(np.ascontiguousarray(tile.transpose(1, 0, 2)), y_counts)
         for g, r in zip(got, ref):
             assert np.array_equal(g, r)
 
     def test_ffty_applied_before_packing(self):
         tile = RNG.standard_normal((2, 2, 8)) + 0j
-        got = ffty_pack_real(tile, lambda a: np.fft.fft(a, axis=-1), [8], 2, 2, "zxy")
+        got = ffty_pack_real(tile, lambda a: np.fft.fft(a, axis=-1), [8], "zxy")
         assert np.allclose(got[0], np.fft.fft(tile, axis=-1), atol=1e-10)
 
     def test_bad_layout_rejected(self):
         with pytest.raises(ParameterError):
-            ffty_pack_real(np.zeros((2, 2, 2), complex), IDENT, [2], 1, 1, "abc")
+            ffty_pack_real(np.zeros((2, 2, 2), complex), IDENT, [2], "abc")
 
     def test_mismatched_y_counts_rejected(self):
         with pytest.raises(ParameterError):
-            ffty_pack_real(np.zeros((2, 2, 4), complex), IDENT, [3], 1, 1, "zxy")
+            ffty_pack_real(np.zeros((2, 2, 4), complex), IDENT, [3], "zxy")
 
 
 class TestUnpackReal:
@@ -136,7 +144,7 @@ class TestUnpackReal:
         chunks = [
             RNG.standard_normal((tz, nxl_s, nyl)) + 0j for nxl_s in x_counts
         ]
-        out = unpack_fftx_real(chunks, IDENT, x_counts, nyl, uy, uz, layout)
+        out = unpack_fftx_real(chunks, IDENT, x_counts, nyl, layout)
         # Oracle: concatenate chunk x-slabs and permute.
         full = np.concatenate(chunks, axis=1)  # (tz, nx, nyl)
         if layout == "zyx":
@@ -144,11 +152,19 @@ class TestUnpackReal:
         else:
             ref = full.transpose(2, 0, 1)
         assert np.array_equal(out, ref)
+        # Unpacking any uy x uz sub-tile alone gives that block of the
+        # whole output tile.
+        for y0, y1 in iter_blocks(nyl, uy):
+            for z0, z1 in iter_blocks(tz, uz):
+                sub = unpack_fftx_real([c[z0:z1, :, y0:y1] for c in chunks],
+                                       IDENT, x_counts, y1 - y0, layout)
+                blk = out[z0:z1, y0:y1] if layout == "zyx" else out[y0:y1, z0:z1]
+                assert np.array_equal(sub, blk)
 
     def test_fftx_applied_after_unpack(self):
         chunks = [RNG.standard_normal((2, 4, 3)) + 0j]
         got = unpack_fftx_real(
-            chunks, lambda a: np.fft.fft(a, axis=-1), [4], 3, 2, 2, "zyx"
+            chunks, lambda a: np.fft.fft(a, axis=-1), [4], 3, "zyx"
         )
         ref = np.fft.fft(chunks[0].transpose(0, 2, 1), axis=-1)
         assert np.allclose(got, ref, atol=1e-10)
@@ -156,7 +172,7 @@ class TestUnpackReal:
     def test_bad_layout_rejected(self):
         with pytest.raises(ParameterError):
             unpack_fftx_real(
-                [np.zeros((1, 1, 1), complex)], IDENT, [1], 1, 1, 1, "wat"
+                [np.zeros((1, 1, 1), complex)], IDENT, [1], 1, "wat"
             )
 
 
@@ -175,11 +191,11 @@ class TestPackUnpackRoundTrip:
 
         tile = RNG.standard_normal((tz, nxl, ny)) + 0j
         y_counts = slab_counts(ny, p)
-        chunks = ffty_pack_real(tile, IDENT, y_counts, 2, 2, "zxy")
+        chunks = ffty_pack_real(tile, IDENT, y_counts, "zxy")
         # Single-source unpack of each destination chunk reproduces the
         # tile slice, transposed.
         y0 = 0
         for d, nyl in enumerate(y_counts):
-            out = unpack_fftx_real([chunks[d]], IDENT, [nxl], nyl, 2, 2, "zyx")
+            out = unpack_fftx_real([chunks[d]], IDENT, [nxl], nyl, "zyx")
             assert np.array_equal(out, tile[:, :, y0 : y0 + nyl].transpose(0, 2, 1))
             y0 += nyl

@@ -83,7 +83,7 @@ def test_pack_identical_to_subtiled(px, pz, layout):
     tile = _tile(shape)
     y_counts = [5, 4, 3]
     ffty = _ffty(ny)
-    got = ffty_pack_real(tile, ffty, y_counts, px, pz, layout)
+    got = ffty_pack_real(tile, ffty, y_counts, layout)
     ref = ffty_pack_real_subtiled(tile, ffty, y_counts, px, pz, layout)
     assert len(got) == len(ref)
     for g, r in zip(got, ref):
@@ -98,7 +98,7 @@ def test_pack_identical_across_kernel_types(n):
     # the whole tile, and the kernels are batch-independent.
     tile = _tile((3, 2, n))
     ffty = _ffty(n)
-    got = ffty_pack_real(tile, ffty, [n], 1, 1, "zxy")
+    got = ffty_pack_real(tile, ffty, [n], "zxy")
     ref = ffty_pack_real_subtiled(tile, ffty, [n], 1, 1, "zxy")
     assert np.array_equal(got[0], ref[0])
 
@@ -112,7 +112,7 @@ def test_unpack_identical_to_subtiled(uy, uz, layout):
     chunks = [_tile((tz, nxl_s, nyl)) for nxl_s in x_counts]
     plan = Plan1D(nx)
     fftx = lambda a: plan.execute(a, axis=-1)  # noqa: E731
-    got = unpack_fftx_real(chunks, fftx, x_counts, nyl, uy, uz, layout)
+    got = unpack_fftx_real(chunks, fftx, x_counts, nyl, layout)
     ref = unpack_fftx_real_subtiled(chunks, fftx, x_counts, nyl, uy, uz, layout)
     assert np.array_equal(got, ref)  # bitwise, no tolerance
 
@@ -123,7 +123,7 @@ def test_pack_remainder_subtiles():
     tz, nxl, ny = 7, 5, 10
     tile = _tile((tz, nxl, ny))
     ffty = _ffty(ny)
-    got = ffty_pack_real(tile, ffty, [7, 3], 3, 4, "zxy")
+    got = ffty_pack_real(tile, ffty, [7, 3], "zxy")
     ref = ffty_pack_real_subtiled(tile, ffty, [7, 3], 3, 4, "zxy")
     for g, r in zip(got, ref):
         assert np.array_equal(g, r)

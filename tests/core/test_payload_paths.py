@@ -4,8 +4,9 @@ A real-payload run moves numpy data the virtual run does not, but the
 data path costs no virtual time: both must take the same scheduling
 decisions and charge the same seconds, bit for bit — for the slab
 pipeline and for every mode of the multi-array executor.  The data path
-itself runs once per rank on the whole slab (one FFTy+Pack and one
-Unpack+FFTx, whatever the tiling), which the call-count test pins.
+itself runs once per rank and array on the whole slab (one FFTy+Pack
+and one Unpack+FFTx, whatever the tiling), which the call-count tests
+pin.
 """
 
 import numpy as np
@@ -110,18 +111,24 @@ def test_real_multi_array_run_times_like_the_virtual_run(cell):
     assert [t.by_label for t in real.traces] == [t.by_label for t in virt.traces]
     for arr, spectrum in zip(arrays, spectra, strict=True):
         assert np.max(np.abs(spectrum - np.fft.fftn(arr))) <= 1e-11
+        # the slab pipeline's spectrum, bit for bit
+        _, slab = run_case("NEW", PLATFORM, shape, params, global_array=arr)
+        assert spectrum.tobytes() == slab.tobytes()
 
 
-@pytest.mark.parametrize("variant,shape,T,W", [
+TILINGS = [
     ("NEW", (16, 16, 16), 4, 2),
     ("NEW", (12, 10, 9), 2, 3),
     ("NEW", (12, 10, 9), 9, 1),
     ("TH", (12, 12, 10), 3, 4),
     ("NEW-0", (10, 7, 12), 1, 1),
     ("FFTW", (9, 6, 14), 2, 1),
-])
-def test_one_mover_call_per_rank_whatever_the_tiling(monkeypatch, variant, shape, T, W):
-    p = 3
+]
+
+
+def count_data_path_calls(monkeypatch) -> dict[str, int]:
+    """Count ``Plan1D.execute`` and mover calls (the movers patched
+    where :class:`~repro.core.plan.SlabDataPath` looks them up)."""
     calls = {"fft": 0, "ffty_pack": 0, "unpack_fftx": 0}
 
     def counted(name, fn):
@@ -135,11 +142,42 @@ def test_one_mover_call_per_rank_whatever_the_tiling(monkeypatch, variant, shape
                         counted("ffty_pack", pipeline.ffty_pack_real))
     monkeypatch.setattr(pipeline, "unpack_fftx_real",
                         counted("unpack_fftx", pipeline.unpack_fftx_real))
+    return calls
+
+
+def tiling_params(T, W):
+    return TuningParams(T=T, W=W, Px=1, Pz=1, Uy=1, Uz=1,
+                        Fy=1, Fp=1, Fu=1, Fx=1)
+
+
+@pytest.mark.parametrize("variant,shape,T,W", TILINGS)
+def test_one_mover_call_per_rank_whatever_the_tiling(monkeypatch, variant, shape, T, W):
+    p = 3
+    calls = count_data_path_calls(monkeypatch)
     prob = ProblemShape(*shape, p)
-    params = TuningParams(T=T, W=W, Px=1, Pz=1, Uy=1, Uz=1,
-                          Fy=1, Fp=1, Fu=1, Fx=1)
     arr = np.random.default_rng(7).standard_normal(shape) + 0j
-    result, spectrum = run_case(variant, PLATFORM, prob, params, global_array=arr)
+    result, spectrum = run_case(variant, PLATFORM, prob, tiling_params(T, W),
+                                global_array=arr)
     assert np.max(np.abs(spectrum - np.fft.fftn(arr))) <= 1e-11
     # FFTz, FFTy and FFTx: one kernel call each per rank
     assert calls == {"fft": 3 * p, "ffty_pack": p, "unpack_fftx": p}
+
+
+@pytest.mark.parametrize("n_arrays", [1, 2, 3])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("variant,shape,T,W", TILINGS)
+def test_one_mover_call_per_rank_and_array_in_every_multi_array_mode(
+        monkeypatch, variant, shape, T, W, mode, n_arrays):
+    del variant  # the mode picks the variant; only the tiling is shared
+    p = 3
+    calls = count_data_path_calls(monkeypatch)
+    prob = ProblemShape(*shape, p)
+    rng = np.random.default_rng(7)
+    arrays = [rng.standard_normal(shape) + 0j for _ in range(n_arrays)]
+    _, spectra = run_multi_array(PLATFORM, prob, n_arrays, mode,
+                                 tiling_params(T, W), global_arrays=arrays)
+    for arr, spectrum in zip(arrays, spectra, strict=True):
+        assert np.max(np.abs(spectrum - np.fft.fftn(arr))) <= 1e-11
+    # FFTz, FFTy and FFTx: one kernel call each per rank and array
+    m = n_arrays * p
+    assert calls == {"fft": 3 * m, "ffty_pack": m, "unpack_fftx": m}
