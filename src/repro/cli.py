@@ -69,7 +69,7 @@ from contextlib import contextmanager
 
 from .core.api import BREAKDOWN_LABELS, run_case
 from .core.params import ProblemShape, TuningParams
-from .core.variants import VARIANTS
+from .core.variants import VARIANTS, get_variant
 from .machine.platforms import PLATFORMS, get_platform
 from .report.ascii import format_table
 from .report.cdf import format_cdf, summarize_cdf
@@ -273,6 +273,18 @@ def _print_overlap(sim) -> None:
 
 def cmd_run(args) -> int:
     """``repro run``: simulate one FFT and print the breakdown."""
+    if args.decomposition == "pencil":
+        given = [flag for flag, used in (
+            ("--real", args.real),
+            ("--params", args.params is not None),
+            ("-v/--variant", args.variant is not None),
+        ) if used]
+        if given:
+            print(f"error: --decomposition pencil does not take "
+                  f"{', '.join(given)} (pencil runs are c2c, with one "
+                  f"fixed schedule)", file=sys.stderr)
+            return 2
+    variant = args.variant or "NEW"
     platform = get_platform(args.machine)
     shape = _shape(args)
     with _maybe_faults(args), _maybe_trace(args, rank_spans=True), \
@@ -295,9 +307,11 @@ def cmd_run(args) -> int:
             from .core.realfft3d import ParallelRFFT3D
             from .simmpi.spmd import run_spmd
 
+            spec = get_variant(variant)
+
             def prog(ctx):
                 yield from ParallelRFFT3D(
-                    ctx, shape, _parse_params(args.params)
+                    ctx, shape, _parse_params(args.params), spec
                 ).steps(None)
 
             sim = run_spmd(args.procs, prog, platform)
@@ -305,7 +319,7 @@ def cmd_run(args) -> int:
             print(f"simulated time: {sim.elapsed:.4f} s")
             return 0
         result, _ = run_case(
-            args.variant, platform, shape, _parse_params(args.params)
+            variant, platform, shape, _parse_params(args.params)
         )
         print(f"{result.variant} on {result.platform}: "
               f"N={args.size}^3, p={args.procs}")
@@ -774,7 +788,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_arg(p_run)
     _add_faults_arg(p_run)
     _add_profile_arg(p_run)
-    p_run.set_defaults(func=cmd_run)
+    # variant None = not given (NEW), so pencil runs can reject the flag
+    p_run.set_defaults(func=cmd_run, variant=None)
 
     p_multi = sub.add_parser(
         "multi", help="compare inter/intra/combined multi-array overlap"

@@ -361,13 +361,6 @@ class FaultModel:
         self.extra_latency_s += extra
         return extra
 
-    def draw_extra_latency_batch(self, rank: int, n: int) -> np.ndarray:
-        """Vector of ``n`` sequential draws (same stream as the scalar
-        form: ``batch(r, n)`` equals ``[draw(r) for _ in range(n)]``)."""
-        return np.array(
-            [self.draw_extra_latency(rank) for _ in range(n)]
-        )
-
     def counters(self) -> dict[str, float]:
         """Observability totals (folded into a tracer by the engine)."""
         return {

@@ -9,7 +9,7 @@ drives injection).  See DESIGN.md section 5 for the model.
 from .comm import Communicator, SimContext
 from .engine import Engine, RankTrace, SchedStats
 from .fabric import Fabric
-from .request import AlltoallRequest, P2PRequest, RecvRequest, Request
+from .request import AlltoallRequest
 from .spmd import SimResult, run_spmd
 
 __all__ = [
@@ -17,10 +17,7 @@ __all__ = [
     "Communicator",
     "Engine",
     "Fabric",
-    "P2PRequest",
     "RankTrace",
-    "RecvRequest",
-    "Request",
     "SchedStats",
     "SimContext",
     "SimResult",

@@ -1,18 +1,17 @@
 """MPI-like communicator API over the discrete-event engine.
 
 :class:`SimContext` is the per-rank handle an SPMD function receives; its
-``comm`` attribute is the world :class:`Communicator`.  The API mirrors
-the MPI operations the paper's code and common substrates need:
+``comm`` attribute is the world :class:`Communicator`.  The API is the
+one the pipelines use, which is the paper's (Section 3.3) plus
+sub-communicators:
 
-* point-to-point: ``isend/irecv`` and the blocking ``co_send/co_recv/
-  co_sendrecv``
-* blocking collectives: ``co_barrier, co_bcast, co_reduce,
-  co_allreduce, co_gather, co_allgather, co_scatter, co_alltoall,
-  co_alltoallv``
-* non-blocking: ``ialltoall / ialltoallv`` returning
+* ``ialltoall`` (scalar or per-peer byte counts) returning
   :class:`~repro.simmpi.request.AlltoallRequest`, progressed by
   :meth:`SimContext.progress_phases` (compute with MPI_Test calls) or
-  ``co_test`` and finished with ``co_wait``
+  ``co_test`` (one MPI_Test) and finished with ``co_wait``;
+  ``co_alltoall`` posts and waits at once (the FFTW baseline);
+* the synchronizing collectives ``co_barrier, co_allreduce,
+  co_allgather``, all one path (``_co_sync_collective``);
 * ``co_split`` for sub-communicators (used by the 2-D decomposition
   extension).
 
@@ -34,8 +33,7 @@ import numpy as np
 
 from ..errors import MPIUsageError, SimulationError
 from .engine import Engine
-from .fabric import P2PMessage
-from .request import AlltoallRequest, P2PRequest, RecvRequest, Request
+from .request import AlltoallRequest
 
 
 class SimContext:
@@ -259,7 +257,6 @@ class Communicator:
         self._counts_memo: dict[int, tuple[Any, np.ndarray]] = {}
         #: CPU cost of posting a nonblocking collective (constant here)
         self._post_cost = self.fabric.net.post_cost(self.size)
-        self._advance = self.engine.advance  # per-tile hot path binding
         self._tracer = self.engine.tracer  # fixed at engine construction
 
     # ------------------------------------------------------------------ utils
@@ -280,98 +277,28 @@ class Communicator:
         """The platform's network model (shortcut)."""
         return self.fabric.net
 
-    # ------------------------------------------------------------------ p2p
-
-    def isend(self, dest: int, nbytes: int, payload: Any = None, tag: int = 0) -> P2PRequest:
-        """Non-blocking send; completes locally at injection finish."""
-        if not 0 <= dest < self.size:
-            raise MPIUsageError(f"bad destination {dest} for size {self.size}")
-        t = self.ctx.now
-        world_src = self.group[self.rank]
-        world_dst = self.group[dest]
-        arrivals = self.fabric.inject(
-            world_src, t, np.array([nbytes], dtype=np.int64), np.array([t]), 0.0
-        )
-        self.fabric.post_p2p(
-            P2PMessage(
-                src=world_src,
-                dst=world_dst,
-                tag=tag,
-                nbytes=int(nbytes),
-                arrival=float(arrivals[0]),
-                payload=payload,
-            )
-        )
-        # Local completion: NIC done with this message.
-        return P2PRequest(float(arrivals[0]) - self.net.latency)
-
-    def irecv(self, source: int | None = None, tag: int | None = None) -> RecvRequest:
-        """Non-blocking receive (``None`` source/tag = ANY)."""
-        world_src = None if source is None else self.group[source]
-        return RecvRequest(self.fabric, self.group[self.rank], world_src, tag)
-
-    def co_send(self, dest: int, nbytes: int, payload: Any = None, tag: int = 0):
-        """Blocking standard-mode send (completes locally at injection)."""
-        req = self.isend(dest, nbytes, payload, tag)
-        yield from self.co_wait(req, label="Send")
-
-
-    def co_recv(self, source: int | None = None, tag: int | None = None):
-        """Blocking receive; returns ``(payload, src, tag, nbytes)`` with
-        ``src`` translated back to this communicator's ranks."""
-        req = self.irecv(source, tag)
-        payload, world_src, mtag, nbytes = yield from self.co_wait(req, label="Recv")
-        return payload, self.group.index(world_src), mtag, nbytes
-
-
-    def co_sendrecv(
-        self, dest: int, nbytes: int, payload: Any = None,
-        source: int | None = None, tag: int = 0,
-    ):
-        """Combined send+recv without deadlock (both posted, then both waited)."""
-        rreq = self.irecv(source, tag)
-        sreq = self.isend(dest, nbytes, payload, tag)
-        yield from self.co_wait(sreq, label="Send")
-        payload_in, world_src, mtag, nb = yield from self.co_wait(rreq, label="Recv")
-        return payload_in, self.group.index(world_src), mtag, nb
-
-
     # ------------------------------------------------------------ wait/test
 
-    def co_wait(self, req: Request, label: str = "Wait"):
-        """Block until ``req`` completes; returns the op's result value."""
+    def co_wait(self, req: AlltoallRequest, label: str = "Wait"):
+        """Block until ``req`` completes (MPI_Wait); returns the received
+        chunks in real-payload mode, else ``None``."""
         if req.consumed:
             raise MPIUsageError("request already waited on")
-        t = self.ctx._r.clock
-        if isinstance(req, AlltoallRequest):
-            req.enter_wait(t)
-            if req.completion_probe() is None:
-                # Event-driven wakeup: the peer whose round completes our
-                # arrival row notifies the engine (no polling sweeps).
-                req.op.waiters[req.rank] = self.group[self.rank]
+        req.enter_wait(self.ctx._r.clock)
+        if req.completion_probe() is None:
+            # Event-driven wakeup: the peer whose round completes our
+            # arrival row notifies the engine (no polling sweeps).
+            req.op.waiters[req.rank] = self.group[self.rank]
         done = yield ("block", req.completion_probe, label)
         req.consumed = True
         return req.on_complete(done)
 
-
-    def co_waitall(self, reqs: Sequence[Request], label: str = "Wait"):
-        """Wait on every request; returns their results in order."""
-        out = []
-        for r in reqs:
-            out.append((yield from self.co_wait(r, label)))
-        return out
-
-    def co_test(self, req: Request):
+    def co_test(self, req: AlltoallRequest):
         """Non-blocking completion check (one MPI_Test): progresses the
         request, charges the call overhead, returns ``(flag, result)``."""
         if req.consumed:
             raise MPIUsageError("request already waited on")
-        t = self.ctx._r.clock
-        if isinstance(req, AlltoallRequest):
-            flag = req.test(t)
-        else:
-            done = req.completion_probe()
-            flag = done is not None and done <= t
+        flag = req.test(self.ctx._r.clock)
         self._charge(self.ctx._test_overhead, "Test")
         if flag:
             req.consumed = True
@@ -380,7 +307,6 @@ class Communicator:
         # in virtual time) can post the events this rank is waiting for.
         yield ("yield",)
         return False, None
-
 
     # -------------------------------------------------------------- alltoall
 
@@ -431,15 +357,15 @@ class Communicator:
         """Post a non-blocking all-to-all(v).
 
         ``sendcounts``/``recvcounts`` are bytes per peer (scalar = uniform
-        — plain ``MPI_Ialltoall``; vector = ``MPI_Ialltoallv``).
+        — plain ``MPI_Ialltoall``; vector = ``MPI_Ialltoallv``).  Both
+        are validated; the timing model follows the sends.
         ``payload`` optionally carries one object per destination (real
         mode).  The returned request is progressed by ``co_test`` /
         :meth:`SimContext.progress_phases` and finished by ``co_wait``.
         """
         send, send_list, send_uniform = self._alltoall_counts(sendcounts)
-        recv, _, _ = self._alltoall_counts(
-            recvcounts if recvcounts is not None else sendcounts
-        )
+        if recvcounts is not None:
+            self._alltoall_counts(recvcounts)
         if payload is not None and len(payload) != self.size:
             raise MPIUsageError(
                 f"payload must have one entry per rank ({self.size}), got {len(payload)}"
@@ -447,8 +373,8 @@ class Communicator:
         key = self._coll_key()
         op = self.fabric.get_coll(key, "alltoall", self.size)
         req = AlltoallRequest(
-            self.fabric, op, self.rank, self.group, send, recv, payload,
-            sendcounts_list=send_list, uniform_size=send_uniform,
+            self.fabric, op, self.rank, self.group, send_list, payload,
+            uniform_size=send_uniform,
         )
         attrs = None
         if self._tracer is not None:
@@ -473,17 +399,11 @@ class Communicator:
         req.post(t1)
         return req
 
-    # Alias for the explicit-v spelling.
-    ialltoallv = ialltoall
-
     def co_alltoall(self, sendcounts, recvcounts=None, payload: list[Any] | None = None):
         """Blocking all-to-all(v): post then wait (library-resident, so it
         progresses at full NIC rate — the FFTW-baseline communication)."""
         req = self.ialltoall(sendcounts, recvcounts, payload)
         return (yield from self.co_wait(req, label="A2A"))
-
-
-    co_alltoallv = co_alltoall
 
     # ---------------------------------------------------------- collectives
 
@@ -492,7 +412,7 @@ class Communicator:
 
     def _co_sync_collective(
         self, kind: str, extra_time: float, label: str,
-        payload: Any = None, root: int | None = None,
+        payload: Any = None,
         combine: Callable[[list[Any]], Any] | None = None,
     ):
         """Shared implementation of synchronizing collectives.
@@ -508,9 +428,6 @@ class Communicator:
         op.entered[self.rank] = t
         if payload is not None or combine is not None:
             op.payload[self.rank] = payload
-        op.meta.setdefault("root", root)
-        if root is not None and op.meta["root"] != root:
-            raise MPIUsageError(f"{kind} called with different roots")
 
         def probe() -> float | None:
             if not np.isfinite(op.entered).all():
@@ -533,44 +450,6 @@ class Communicator:
             "barrier", self._tree_depth() * self.net.latency, "Barrier"
         )
 
-
-    def co_bcast(self, payload: Any = None, nbytes: int = 0, root: int = 0):
-        """Broadcast ``root``'s payload to everyone (binomial-tree model)."""
-        depth = self._tree_depth()
-        t_extra = depth * (self.net.latency + nbytes / self.fabric.rank_rate)
-        me = self.rank
-
-        def combine(payloads: list[Any]):
-            return payloads[root]
-
-        marker = payload if me == root else None
-        return (yield from self._co_sync_collective(
-            "bcast", t_extra, "Bcast", payload=marker, root=root, combine=combine
-        ))
-
-
-    def co_reduce(self, value: Any, op: Callable[[Any, Any], Any] = None,
-                  nbytes: int = 0, root: int = 0):
-        """Reduce values to ``root`` (returns the reduction on root, the
-        local value elsewhere).  ``op`` defaults to elementwise add."""
-        depth = self._tree_depth()
-        t_extra = depth * (self.net.latency + nbytes / self.fabric.rank_rate)
-        combiner = op if op is not None else (lambda a, b: a + b)
-        me = self.rank
-
-        def combine(payloads: list[Any]):
-            if me != root:
-                return value
-            acc = payloads[0]
-            for item in payloads[1:]:
-                acc = combiner(acc, item)
-            return acc
-
-        return (yield from self._co_sync_collective(
-            "reduce", t_extra, "Reduce", payload=value, root=root, combine=combine
-        ))
-
-
     def co_allreduce(self, value: Any, op: Callable[[Any, Any], Any] = None,
                      nbytes: int = 0):
         """Reduce-to-all (recursive-doubling time model)."""
@@ -588,22 +467,6 @@ class Communicator:
             "allreduce", t_extra, "Allreduce", payload=value, combine=combine
         ))
 
-
-    def co_gather(self, value: Any, nbytes: int = 0, root: int = 0):
-        """Gather values to ``root`` (list in rank order on root, else None)."""
-        t_extra = self._tree_depth() * self.net.latency + (
-            (self.size - 1) * nbytes / self.fabric.rank_rate
-        )
-        me = self.rank
-
-        def combine(payloads: list[Any]):
-            return list(payloads) if me == root else None
-
-        return (yield from self._co_sync_collective(
-            "gather", t_extra, "Gather", payload=value, root=root, combine=combine
-        ))
-
-
     def co_allgather(self, value: Any, nbytes: int = 0):
         """Gather values to all ranks (list in rank order)."""
         t_extra = self._tree_depth() * self.net.latency + (
@@ -612,29 +475,6 @@ class Communicator:
         return (yield from self._co_sync_collective(
             "allgather", t_extra, "Allgather", payload=value, combine=list
         ))
-
-
-    def co_scatter(self, values: Sequence[Any] | None = None, nbytes: int = 0,
-                   root: int = 0):
-        """Scatter ``root``'s list of per-rank values."""
-        if self.rank == root:
-            if values is None or len(values) != self.size:
-                raise MPIUsageError(
-                    f"scatter root must pass {self.size} values"
-                )
-        t_extra = self._tree_depth() * self.net.latency + (
-            (self.size - 1) * nbytes / self.fabric.rank_rate
-        )
-        me = self.rank
-
-        def combine(payloads: list[Any]):
-            return payloads[root][me] if payloads[root] is not None else None
-
-        marker = list(values) if self.rank == root else None
-        return (yield from self._co_sync_collective(
-            "scatter", t_extra, "Scatter", payload=marker, root=root, combine=combine
-        ))
-
 
     # -------------------------------------------------------------------- split
 

@@ -513,8 +513,8 @@ class Engine:
 
         The event-fed completion heap serves the hot path (all-to-all
         waits); the full ``_blocked`` sweep only runs when the heap is
-        empty (operations without a notification hook: p2p receives,
-        synchronizing collectives)."""
+        empty, for the blocks without a notification hook: the
+        synchronizing collectives (barrier, allreduce, allgather)."""
         ranks = self.ranks
         while self._ready_heap:
             t, idx = heapq.heappop(self._ready_heap)

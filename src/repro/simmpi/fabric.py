@@ -1,12 +1,13 @@
 """Runtime network state for the simulated cluster.
 
-The :class:`Fabric` owns everything ranks share: per-rank NIC schedules,
-in-flight collective operation records, and point-to-point mailboxes.
-Because the engine runs exactly one rank thread at a time (single-token
-scheduling), fabric state needs no locking; determinism follows from the
-scheduler's min-virtual-time rank selection.
+The :class:`Fabric` owns everything ranks share: per-rank NIC schedules
+and the in-flight collective operation records.  Because the engine runs
+exactly one rank at a time (single-token scheduling), fabric state needs
+no locking; determinism follows from the scheduler's min-virtual-time
+rank selection.
 
-Message timing follows a LogGP-flavored model:
+Message timing follows a LogGP-flavored model, applied per message by
+the all-to-all posting loops in :mod:`repro.simmpi.request`:
 
 * a send occupies the sender's NIC for ``nbytes / rank_rate`` seconds
   (injection serialization, with fabric contention folded into the rate);
@@ -50,7 +51,7 @@ class CollOp:
     #: entries one at a time, where list indexing beats ndarray scalars)
     posted_count: list[int]
     #: running max arrival per destination column, maintained by every
-    #: arrivals write — makes incoming_max O(1) instead of a column scan
+    #: arrivals write, so completion needs no column scan
     col_max: list[float]
     payload: dict[int, Any] = field(default_factory=dict)
     meta: dict[str, Any] = field(default_factory=dict)
@@ -79,53 +80,24 @@ class CollOp:
                 f"{self.kind!r}, another {kind!r}"
             )
 
-    def row_complete(self, dst: int) -> bool:
-        """All incoming messages to local index ``dst`` posted?
-
-        O(1): senders bump :attr:`posted_count` as they inject, so probes
-        (which the scheduler issues frequently) avoid scanning arrivals.
-        """
-        return self.posted_count[dst] >= self.p
-
-    def incoming_max(self, dst: int) -> float:
-        """Latest arrival into ``dst`` (valid once the row is complete)."""
-        return self.col_max[dst]
-
-
-@dataclass
-class P2PMessage:
-    """One point-to-point message in flight."""
-
-    src: int
-    dst: int
-    tag: int
-    nbytes: int
-    arrival: float
-    payload: Any = None
-    seq: int = 0
-
 
 class Fabric:
-    """Shared network state: NIC schedules, collectives, p2p mailboxes."""
+    """Shared network state: NIC schedules and collective records."""
 
     def __init__(self, platform: Platform, nprocs: int, faults=None) -> None:
         if nprocs < 1:
             raise MPIUsageError(f"need at least 1 process, got {nprocs}")
-        self.platform = platform
         self.net = platform.net
-        self.p = nprocs
         #: virtual time at which each rank's NIC finishes its queued sends
         self.nic_free = np.zeros(nprocs)
         #: effective sustained per-rank injection rate during dense exchange
         self.rank_rate = self.net.rank_rate(nprocs)
-        #: injected faults (a :class:`repro.faults.FaultModel`, or None).
-        #: Link degradation becomes per-rank rates; latency jitter/spikes
-        #: become the ``lat_draw``/``lat_draw_batch`` hooks the hot send
-        #: paths apply per message (None = fault-free fast path).
-        self.faults = faults
+        #: injected faults (a :class:`repro.faults.FaultModel`, or None):
+        #: link degradation becomes per-rank rates; latency jitter/spikes
+        #: become the ``lat_draw`` hook the hot send paths apply per
+        #: message (None = fault-free fast path).
         self._rates: list[float] | None = None
         self.lat_draw = None
-        self.lat_draw_batch = None
         if faults is not None:
             if (faults.rate_scale != 1.0).any():
                 self._rates = [
@@ -133,19 +105,12 @@ class Fabric:
                 ]
             if faults.has_latency_faults:
                 self.lat_draw = faults.draw_extra_latency
-                self.lat_draw_batch = faults.draw_extra_latency_batch
         self._colls: dict[tuple[Any, ...], CollOp] = {}
-        self._p2p: dict[tuple[int, int], list[P2PMessage]] = {}
-        self._p2p_seq = 0
         #: engine hook: called with a world rank whose blocked operation
         #: just became determinable (set by Engine at construction)
         self.notify_rank = None
         #: bytes ever injected, per rank (observability / tests)
         self.bytes_injected = np.zeros(nprocs)
-
-    def rate_for(self, rank: int) -> float:
-        """Effective injection rate of ``rank`` (fault-degraded links)."""
-        return self._rates[rank] if self._rates is not None else self.rank_rate
 
     # -- collectives -------------------------------------------------------
 
@@ -176,111 +141,3 @@ class Fabric:
         Safe to call more than once; the last finisher wins.
         """
         self._colls.pop(key, None)
-
-    # -- injection ----------------------------------------------------------
-
-    def inject_round(
-        self,
-        rank: int,
-        t_post: float,
-        sizes,
-        epoch_gap: float,
-    ) -> list[float]:
-        """Scalar fast path of :meth:`inject` for one small round.
-
-        Collective rounds are at most ``max_inflight`` messages, where
-        plain-Python arithmetic beats numpy dispatch by an order of
-        magnitude; semantics are identical to :meth:`inject` with all
-        ``postable`` entries equal to ``t_post``.
-        """
-        nic = float(self.nic_free[rank])
-        rate = self.rate_for(rank)
-        lat = self.net.latency
-        thr = self.net.eager_threshold
-        rdv = 2.0 * lat + 0.5 * epoch_gap
-        draw = self.lat_draw
-        arrivals: list[float] = []
-        total = 0
-        for sz in sizes:
-            start = nic if nic > t_post else t_post
-            nic = start + sz / rate
-            a = nic + lat + (rdv if sz > thr else 0.0)
-            if draw is not None:
-                a += draw(rank)
-            arrivals.append(a)
-            total += sz
-        self.nic_free[rank] = nic
-        self.bytes_injected[rank] += total
-        return arrivals
-
-    def inject(
-        self,
-        rank: int,
-        t: float,
-        sizes: np.ndarray,
-        postable: np.ndarray,
-        epoch_gap: float,
-    ) -> np.ndarray:
-        """Serialize a batch of sends on ``rank``'s NIC.
-
-        ``sizes[j]`` bytes become postable (CPU enters the library) no
-        earlier than ``postable[j]``; the NIC transfers them in order at
-        :attr:`rank_rate`.  Returns per-message *arrival* times at their
-        destinations, including eager/rendezvous protocol costs.
-        ``epoch_gap`` is the sender's current gap between library entries,
-        used as the rendezvous-response delay estimate.
-        """
-        if len(sizes) == 0:
-            return np.empty(0)
-        sizes = np.asarray(sizes, dtype=np.float64)
-        durs = sizes / self.rate_for(rank)
-        cum = np.cumsum(durs)
-        # finish_j = max_{k<=j}(postable_k - cum_{k-1}) + cum_j, also
-        # bounded below by the NIC's previous backlog.
-        base = np.maximum.accumulate(postable - (cum - durs))
-        finish = np.maximum(base, self.nic_free[rank]) + cum
-        self.nic_free[rank] = finish[-1]
-        self.bytes_injected[rank] += float(np.sum(sizes))
-        rdv = np.where(
-            sizes > self.net.eager_threshold,
-            2.0 * self.net.latency + 0.5 * epoch_gap,
-            0.0,
-        )
-        del t  # postable already encodes the entry times
-        arrivals = finish + self.net.latency + rdv
-        if self.lat_draw_batch is not None:
-            arrivals = arrivals + self.lat_draw_batch(rank, len(sizes))
-        return arrivals
-
-    # -- point-to-point ------------------------------------------------------
-
-    def post_p2p(self, msg: P2PMessage) -> None:
-        """Deliver a p2p message into the (src, dst) mailbox (FIFO)."""
-        self._p2p_seq += 1
-        msg.seq = self._p2p_seq
-        self._p2p.setdefault((msg.src, msg.dst), []).append(msg)
-
-    def match_p2p(self, dst: int, src: int | None, tag: int | None) -> P2PMessage | None:
-        """Find (without removing) the first matching message for a
-        receive posted by ``dst``.  ``None`` src/tag mean ANY."""
-        best: P2PMessage | None = None
-        sources = [src] if src is not None else range(self.p)
-        for s in sources:
-            for msg in self._p2p.get((s, dst), ()):
-                if tag is not None and msg.tag != tag:
-                    continue
-                # First tag-matching message in this stream (MPI
-                # non-overtaking order); earlier posts win across streams.
-                if best is None or msg.seq < best.seq:
-                    best = msg
-                break
-        return best
-
-    def take_p2p(self, msg: P2PMessage) -> None:
-        """Remove a matched message from its mailbox."""
-        queue = self._p2p.get((msg.src, msg.dst), [])
-        queue.remove(msg)
-
-    def pending_p2p(self) -> int:
-        """Number of posted-but-unmatched p2p messages (diagnostics)."""
-        return sum(len(q) for q in self._p2p.values())

@@ -1,13 +1,13 @@
-"""Request objects for non-blocking simulated-MPI operations.
+"""The request object for the simulated ``MPI_Ialltoall``.
 
-The central class is :class:`AlltoallRequest`, which models the paper's
-``MPI_Ialltoall`` with *manual progression* semantics: like LibNBC's
-schedule, the collective advances in **rounds** of up to ``max_inflight``
-point-to-point sends, and a new round can start only at a *library
-entry* that happens after the previous round completed.  Between library
-entries nothing is posted — this is why too low an ``MPI_Test``
-frequency stalls the exchange (Section 3.3), and why a variant that
-never tests during Unpack/FFTx (TH) leaves rounds exposed at Wait.
+:class:`AlltoallRequest` models the paper's ``MPI_Ialltoall`` with
+*manual progression* semantics: like LibNBC's schedule, the collective
+advances in **rounds** of up to ``max_inflight`` pairwise sends, and a
+new round can start only at a *library entry* that happens after the
+previous round completed.  Between library entries nothing is posted —
+this is why too low an ``MPI_Test`` frequency stalls the exchange
+(Section 3.3), and why a variant that never tests during Unpack/FFTx
+(TH) leaves rounds exposed at Wait.
 
 Library entries come in three forms:
 
@@ -30,7 +30,6 @@ from typing import Any
 
 import numpy as np
 
-from ..errors import MPIUsageError
 from .fabric import CollOp, Fabric
 
 #: rotation orders are identical for every exchange of the same shape;
@@ -46,23 +45,7 @@ def _rotation_order(rank: int, p: int) -> list[int]:
     return order
 
 
-class Request:
-    """Base class for non-blocking operation handles."""
-
-    #: set True once wait() returned; reuse raises.
-    consumed: bool = False
-
-    def completion_probe(self) -> float | None:
-        """Earliest virtual time at which the operation is complete, or
-        ``None`` if not yet determinable from posted events."""
-        raise NotImplementedError
-
-    def on_complete(self, t: float) -> Any:
-        """Hook run when the owner observes completion (payload handoff)."""
-        return None
-
-
-class AlltoallRequest(Request):
+class AlltoallRequest:
     """Non-blocking all-to-all(v) with manual progression.
 
     Parameters
@@ -74,11 +57,15 @@ class AlltoallRequest(Request):
     group:
         World ranks of the participants (``group[rank]`` is the owner).
     sendcounts:
-        Bytes destined to each group member (vector form supports
-        alltoallv; the owner's own slot is copied locally for free).
-    recvcounts:
-        Bytes expected from each member (used for assembly bookkeeping).
+        Bytes destined to each group member, as a list (vector form
+        supports alltoallv; the owner's own slot is copied locally for
+        free).  The communicator validates it and the receive counts.
+    uniform_size:
+        The common entry when all sendcounts are equal, else ``None``.
     """
+
+    #: set True once wait (or a successful test) returned; reuse raises.
+    consumed: bool = False
 
     def __init__(
         self,
@@ -86,33 +73,18 @@ class AlltoallRequest(Request):
         op: CollOp,
         rank: int,
         group: list[int],
-        sendcounts: np.ndarray,
-        recvcounts: np.ndarray,
+        sendcounts: list[int],
         payload: list[Any] | None = None,
-        sendcounts_list: list[int] | None = None,
         uniform_size: int | None = None,
     ) -> None:
         p = len(group)
-        if len(sendcounts) != p or len(recvcounts) != p:
-            raise MPIUsageError(
-                f"alltoall counts must have length {p}, got "
-                f"{len(sendcounts)}/{len(recvcounts)}"
-            )
         self.fabric = fabric
         self.op = op
         self.rank = rank
         self.group = group
-        self.sendcounts = np.asarray(sendcounts, dtype=np.int64)
-        self.recvcounts = np.asarray(recvcounts, dtype=np.int64)
         # Injection order: rank+1, rank+2, ... (pairwise-style rotation).
         self._pending = _rotation_order(rank, p)
-        # The communicator's counts memo passes the list form along so
-        # per-request posting skips a fresh ndarray->list conversion.
-        self._sendcounts_list = (
-            sendcounts_list
-            if sendcounts_list is not None
-            else self.sendcounts.tolist()
-        )
+        self._sendcounts_list = sendcounts
         #: every sendcount equals this (uniform alltoall), else None;
         #: an unset hint just means the flush path re-derives uniformity
         self._uniform_size = uniform_size
@@ -158,16 +130,10 @@ class AlltoallRequest(Request):
 
     # -- progression --------------------------------------------------------
 
-    def remaining_sends(self) -> int:
-        """Messages not yet handed to the NIC."""
-        return self._n - self._next
-
     def _post_round(self, t_post: float, epoch_gap: float) -> None:
-        """Post the next round: up to ``max_inflight`` pending sends.
-
-        The NIC serialization of :meth:`Fabric.inject_round` is inlined
-        into the delivery loop (same IEEE operations in the same order)
-        — one pass per round instead of building sizes/arrivals lists.
+        """Post the next round: up to ``max_inflight`` pending sends,
+        serialized on the owner's NIC in one pass that also records each
+        arrival (per-message arithmetic as in :meth:`progress_segment`).
         """
         (rank_w, rate, lat, thr, infl, sc, pending, row, counts, cmax,
          p, waiters, notify, draw) = self._hot
@@ -403,6 +369,8 @@ class AlltoallRequest(Request):
     # -- completion -----------------------------------------------------------
 
     def completion_probe(self) -> float | None:
+        """Earliest virtual time at which the exchange is complete, or
+        ``None`` while posted events do not determine it yet."""
         if self._cached_completion is None:
             if self._next < self._n:
                 return None
@@ -433,36 +401,3 @@ class AlltoallRequest(Request):
             self.fabric.release_coll(self.op.key)
         return out
 
-
-class P2PRequest(Request):
-    """Handle for isend (completion = injection done) — trivially timed."""
-
-    def __init__(self, finish_time: float) -> None:
-        self.finish_time = finish_time
-
-    def completion_probe(self) -> float | None:
-        return self.finish_time
-
-
-class RecvRequest(Request):
-    """Handle for irecv: completes when a matching message is delivered."""
-
-    def __init__(self, fabric: Fabric, dst: int, src: int | None, tag: int | None) -> None:
-        self.fabric = fabric
-        self.dst = dst
-        self.src = src
-        self.tag = tag
-        self._matched = None
-
-    def completion_probe(self) -> float | None:
-        if self._matched is None:
-            msg = self.fabric.match_p2p(self.dst, self.src, self.tag)
-            if msg is None:
-                return None
-            self.fabric.take_p2p(msg)
-            self._matched = msg
-        return self._matched.arrival
-
-    def on_complete(self, t: float):
-        msg = self._matched
-        return (msg.payload, msg.src, msg.tag, msg.nbytes)

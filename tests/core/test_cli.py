@@ -1,5 +1,6 @@
 """CLI coverage: every subcommand runs and prints sane output."""
 
+import numpy as np
 import pytest
 
 from repro.cli import _parse_params, build_parser, main
@@ -220,6 +221,34 @@ class TestExtensionCommands:
         rc = main(["run", "-n", "32", "-p", "4", "--real"])
         assert rc == 0
         assert "r2c FFT" in capsys.readouterr().out
+
+    def test_run_real_honours_variant(self, capsys):
+        from repro.core.realfft3d import parallel_rfft3d
+        from repro.machine import UMD_CLUSTER
+
+        arr = np.random.default_rng(3).standard_normal((32, 32, 32))
+        printed = {}
+        for variant in ("NEW", "FFTW"):
+            rc = main(["run", "-m", "UMD-Cluster", "-n", "32", "-p", "4",
+                       "--real", "-v", variant])
+            assert rc == 0
+            out = capsys.readouterr().out
+            _, sim = parallel_rfft3d(arr, 4, UMD_CLUSTER, variant=variant)
+            printed[variant] = f"simulated time: {sim.elapsed:.4f} s"
+            assert printed[variant] in out
+        assert printed["NEW"] != printed["FFTW"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--real"], ["--params", "T=4,W=1,Px=4,Pz=4,Uy=4,Uz=4,Fy=1,Fp=1,Fu=1,Fx=1"],
+        ["-v", "FFTW"],
+    ], ids=["real", "params", "variant"])
+    def test_run_pencil_rejects_slab_only_flags(self, capsys, flags):
+        rc = main(["run", "-n", "32", "-p", "4", "--decomposition", "pencil",
+                   *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flags[0] in captured.err
 
     def test_multi(self, capsys):
         rc = main(["multi", "-n", "32", "-p", "4", "--arrays", "2"])

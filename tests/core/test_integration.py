@@ -175,7 +175,8 @@ class TestTuningIntegration:
 class TestMixedWorkloads:
     def test_fft_alongside_other_communication(self):
         """The FFT plan composes with surrounding application traffic on
-        the same communicator (halo-style neighbor exchange)."""
+        the same communicator (an exchange of its own before the
+        transform, and a reduction after it)."""
         n, p = 16, 4
         shape = ProblemShape(n, n, n, p)
         arr = csig(n, n, n)
@@ -186,13 +187,13 @@ class TestMixedWorkloads:
 
         def prog(ctx):
             c = ctx.comm
-            # neighbor exchange before the transform
-            right = (c.rank + 1) % c.size
-            yield from c.co_send(right, 1024, payload=c.rank)
-            yield from c.co_recv()
+            # application exchange before the transform
+            got = yield from c.co_alltoall(1024, payload=[c.rank] * c.size)
+            assert got == list(range(c.size))
             plan = ParallelFFT3D(ctx, shape, default_params(shape))
             out = yield from plan.steps(blocks[ctx.rank])
-            yield from c.co_barrier()
+            total = yield from c.co_allreduce(c.rank, nbytes=8)
+            assert total == sum(range(c.size))
             return out, plan.output_layout
 
         res = run_spmd(p, prog, UMD_CLUSTER)

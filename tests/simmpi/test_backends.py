@@ -15,7 +15,7 @@ import pytest
 from repro.errors import DeadlockError, SimulationError
 from repro.machine import UMD_CLUSTER
 from repro.simmpi import Engine, run_spmd
-from tests.simmpi.sched_golden import prog_overlap, prog_ring
+from tests.simmpi.sched_golden import prog_overlap, prog_sync
 
 
 def prog_failing(ctx):
@@ -26,8 +26,9 @@ def prog_failing(ctx):
 
 
 def prog_deadlock(ctx):
+    # rank 0 waits on an exchange that rank 1 never posts
     if ctx.rank == 0:
-        yield from ctx.comm.co_recv(source=1)
+        yield from ctx.comm.co_alltoall(64)
 
 
 class TestFailures:
@@ -43,7 +44,7 @@ class TestFailures:
 
 class TestBackendSelection:
     def test_auto_picks_tasks_for_generators(self):
-        sim = run_spmd(4, prog_ring, UMD_CLUSTER)
+        sim = run_spmd(4, prog_sync, UMD_CLUSTER)
         assert sim.stats.backend == "tasks"
 
     def test_tasks_backend_rejects_plain_callables(self):
@@ -55,7 +56,7 @@ class TestBackendSelection:
         with pytest.raises(TypeError, match="backend"):
             Engine(2, UMD_CLUSTER, backend="threads")
         with pytest.raises(TypeError, match="backend"):
-            run_spmd(2, prog_ring, UMD_CLUSTER, backend="threads")
+            run_spmd(2, prog_sync, UMD_CLUSTER, backend="threads")
 
     def test_sync_facade_rejected_on_tasks_backend(self):
         def bad(ctx):

@@ -1,4 +1,4 @@
-"""Communicator semantics: p2p, collectives, payloads, split."""
+"""Communicator semantics: alltoall, sync collectives, payloads, split."""
 
 import numpy as np
 import pytest
@@ -6,117 +6,6 @@ import pytest
 from repro.errors import MPIUsageError, SimulationError
 from repro.machine import HOPPER, UMD_CLUSTER
 from repro.simmpi import run_spmd
-
-
-class TestPointToPoint:
-    def test_ring_payload(self):
-        def prog(ctx):
-            c = ctx.comm
-            yield from c.co_send((c.rank + 1) % c.size, 128, payload=("hi", c.rank))
-            data, src, tag, nb = yield from c.co_recv()
-            assert data == ("hi", src)
-            assert nb == 128
-            return src
-
-        res = run_spmd(4, prog, UMD_CLUSTER)
-        assert res.results == [3, 0, 1, 2]
-
-    def test_tag_matching_skips_other_tags(self):
-        def prog(ctx):
-            c = ctx.comm
-            if c.rank == 0:
-                yield from c.co_send(1, 8, payload="a", tag=5)
-                yield from c.co_send(1, 8, payload="b", tag=9)
-            else:
-                data, _, tag, _ = yield from c.co_recv(source=0, tag=9)
-                assert (data, tag) == ("b", 9)
-                data, _, tag, _ = yield from c.co_recv(source=0, tag=5)
-                assert (data, tag) == ("a", 5)
-
-        run_spmd(2, prog, UMD_CLUSTER)
-
-    def test_fifo_same_tag(self):
-        def prog(ctx):
-            c = ctx.comm
-            if c.rank == 0:
-                for i in range(5):
-                    yield from c.co_send(1, 8, payload=i)
-            else:
-                got = []
-                for _ in range(5):
-                    got.append((yield from c.co_recv(source=0))[0])
-                assert got == list(range(5))
-
-        run_spmd(2, prog, UMD_CLUSTER)
-
-    def test_any_source(self):
-        def prog(ctx):
-            c = ctx.comm
-            if c.rank == 0:
-                seen = set()
-                for _ in range(c.size - 1):
-                    seen.add((yield from c.co_recv())[1])
-                assert seen == {1, 2, 3}
-            else:
-                ctx.compute(1e-4 * c.rank)
-                yield from c.co_send(0, 64, payload=c.rank)
-
-        run_spmd(4, prog, UMD_CLUSTER)
-
-    def test_sendrecv_exchange(self):
-        def prog(ctx):
-            c = ctx.comm
-            peer = c.size - 1 - c.rank
-            data, src, _, _ = yield from c.co_sendrecv(
-                peer, 32, payload=c.rank, source=peer
-            )
-            assert data == peer and src == peer
-
-        run_spmd(4, prog, UMD_CLUSTER)
-
-    def test_message_takes_time(self):
-        def prog(ctx):
-            c = ctx.comm
-            if c.rank == 0:
-                yield from c.co_send(1, 10 * 1024 * 1024)
-                return ctx.now
-            t0 = ctx.now
-            yield from c.co_recv(source=0)
-            return ctx.now - t0
-
-        res = run_spmd(2, prog, UMD_CLUSTER)
-        # 10 MB at ~100 MB/s effective must cost on the order of 0.1 s.
-        assert res.results[1] > 0.01
-
-    def test_bad_destination(self):
-        def prog(ctx):
-            yield from ctx.comm.co_send(7, 8)
-
-        with pytest.raises(SimulationError) as ei:
-            run_spmd(2, prog, UMD_CLUSTER)
-        assert isinstance(ei.value.__cause__, MPIUsageError)
-
-    def test_isend_irecv(self):
-        def prog(ctx):
-            c = ctx.comm
-            sreq = c.isend((c.rank + 1) % c.size, 64, payload=c.rank)
-            rreq = c.irecv()
-            yield from c.co_wait(sreq)
-            payload, src, _, _ = yield from c.co_wait(rreq)
-            assert payload == (c.rank - 1) % c.size
-
-        run_spmd(3, prog, UMD_CLUSTER)
-
-    def test_request_reuse_rejected(self):
-        def prog(ctx):
-            c = ctx.comm
-            req = c.ialltoall(8)
-            yield from c.co_wait(req)
-            yield from c.co_wait(req)
-
-        with pytest.raises(Exception) as ei:
-            run_spmd(2, prog, UMD_CLUSTER)
-        assert "already waited" in str(ei.value.__cause__)
 
 
 class TestCollectives:
@@ -130,22 +19,14 @@ class TestCollectives:
         assert max(res.results) - min(res.results) < 1e-12
         assert min(res.results) >= 0.03  # slowest rank dominates
 
-    def test_bcast(self):
-        def prog(ctx):
-            val = {"config": 42} if ctx.rank == 1 else None
-            return (yield from ctx.comm.co_bcast(payload=val, nbytes=256, root=1))
-
-        res = run_spmd(4, prog, UMD_CLUSTER)
-        assert res.results == [{"config": 42}] * 4
-
     def test_reduce_custom_op(self):
         def prog(ctx):
-            return (yield from ctx.comm.co_reduce(
-                ctx.rank + 1, op=lambda a, b: a * b, root=0
+            return (yield from ctx.comm.co_allreduce(
+                ctx.rank + 1, op=lambda a, b: a * b
             ))
 
         res = run_spmd(4, prog, UMD_CLUSTER)
-        assert res.results[0] == 24
+        assert res.results == [24] * 4
 
     def test_allreduce_arrays(self):
         def prog(ctx):
@@ -155,32 +36,12 @@ class TestCollectives:
         for arr in res.results:
             assert np.array_equal(arr, np.full(3, 3))
 
-    def test_gather_and_allgather(self):
+    def test_allgather(self):
         def prog(ctx):
-            g = yield from ctx.comm.co_gather(ctx.rank**2, root=2)
-            ag = yield from ctx.comm.co_allgather(ctx.rank)
-            return g, ag
+            return (yield from ctx.comm.co_allgather(ctx.rank**2, nbytes=8))
 
         res = run_spmd(3, prog, UMD_CLUSTER)
-        assert res.results[2][0] == [0, 1, 4]
-        assert res.results[0][0] is None
-        assert all(r[1] == [0, 1, 2] for r in res.results)
-
-    def test_scatter(self):
-        def prog(ctx):
-            vals = [f"item{i}" for i in range(ctx.size)] if ctx.rank == 0 else None
-            return (yield from ctx.comm.co_scatter(vals, nbytes=16, root=0))
-
-        res = run_spmd(3, prog, UMD_CLUSTER)
-        assert res.results == ["item0", "item1", "item2"]
-
-    def test_scatter_root_must_supply_values(self):
-        def prog(ctx):
-            yield from ctx.comm.co_scatter(None, root=0)
-
-        with pytest.raises(SimulationError) as ei:
-            run_spmd(2, prog, UMD_CLUSTER)
-        assert isinstance(ei.value.__cause__, MPIUsageError)
+        assert res.results == [[0, 1, 4]] * 3
 
     def test_collective_kind_mismatch_detected(self):
         def prog(ctx):
@@ -210,12 +71,23 @@ class TestAlltoall:
             c = ctx.comm
             send = [16 * (d + 1) for d in range(c.size)]
             recv = [16 * (c.rank + 1)] * c.size
-            req = c.ialltoallv(send, recv)
+            req = c.ialltoall(send, recv)  # per-peer counts: Ialltoallv
             yield from c.co_wait(req)
             return ctx.now
 
         res = run_spmd(3, prog, UMD_CLUSTER)
         assert all(t > 0 for t in res.results)
+
+    def test_request_reuse_rejected(self):
+        def prog(ctx):
+            c = ctx.comm
+            req = c.ialltoall(8)
+            yield from c.co_wait(req)
+            yield from c.co_wait(req)
+
+        with pytest.raises(Exception) as ei:
+            run_spmd(2, prog, UMD_CLUSTER)
+        assert "already waited" in str(ei.value.__cause__)
 
     def test_counts_length_validated(self):
         def prog(ctx):
@@ -296,7 +168,8 @@ class TestAlltoall:
             reqs = [c.ialltoall(64 * 1024) for _ in range(3)]
             # 8 tests on each request of the window
             ctx.progress_phases(((0.05, 8 * len(reqs), "compute"),), reqs)
-            yield from c.co_waitall(reqs)
+            for req in reqs:
+                yield from c.co_wait(req)
             return ctx.now
 
         res = run_spmd(4, prog, UMD_CLUSTER)
@@ -323,15 +196,17 @@ class TestSplit:
         res = run_spmd(4, prog, UMD_CLUSTER)
         assert res.results == [3, 2, 1, 0]
 
-    def test_sub_communicator_p2p(self):
+    def test_sub_communicator_alltoall(self):
         def prog(ctx):
-            sub = yield from ctx.comm.co_split(color=ctx.rank // 2)
-            peer = 1 - sub.rank
-            data, src, _, _ = yield from sub.co_sendrecv(
-                peer, 16, payload=ctx.rank, source=peer
-            )
-            # Peer's world rank differs by 1 within each pair.
-            assert abs(data - ctx.rank) == 1
-            return data
+            sub = yield from ctx.comm.co_split(color=ctx.rank % 2)
+            chunks = [(ctx.rank, d) for d in range(sub.size)]
+            out = yield from sub.co_alltoall(16, payload=chunks)
+            return sub.group, out
 
-        run_spmd(4, prog, UMD_CLUSTER)
+        res = run_spmd(6, prog, UMD_CLUSTER)
+        for world, (group, out) in enumerate(res.results):
+            assert group == [r for r in range(6) if r % 2 == world % 2]
+            # chunk s comes from member s (a world rank), addressed to
+            # this rank's index within the sub-communicator
+            me = group.index(world)
+            assert out == [(group[s], me) for s in range(len(group))]

@@ -29,25 +29,22 @@ class TestClockAndScheduling:
             run_spmd(1, prog, UMD_CLUSTER)
 
     def test_blocking_points_respect_virtual_time(self):
-        order = []
-
         def prog(ctx):
             # Ranks run ahead freely through local compute, but a
-            # blocking point (here: matched receives) is observed in
-            # virtual-time order regardless of execution order.
+            # blocking point (here: one barrier per pair of ranks)
+            # releases each rank at its pair's latest entry, whatever
+            # order the ranks were executed in.
+            pair = yield from ctx.comm.co_split(ctx.rank // 2)
+            t0 = ctx.now
             ctx.compute(0.1 * (ctx.size - ctx.rank))
-            if ctx.rank == 0:
-                for _ in range(ctx.size - 1):
-                    _, src, _, _ = yield from ctx.comm.co_recv()
-                    order.append(src)
-            else:
-                yield from ctx.comm.co_send(0, 64, payload=ctx.rank)
+            yield from pair.co_barrier()
+            return ctx.now - t0
 
-        run_spmd(4, prog, UMD_CLUSTER)
-        # ANY_SOURCE matching order is implementation-defined in MPI; the
-        # engine matches in deterministic post order (rank execution
-        # order), and every message is received exactly once.
-        assert order == [1, 2, 3]
+        res = run_spmd(4, prog, UMD_CLUSTER)
+        lat = UMD_CLUSTER.net.latency  # a 2-rank barrier is one hop
+        assert res.results == pytest.approx(
+            [0.4 + lat, 0.4 + lat, 0.2 + lat, 0.2 + lat], rel=1e-9
+        )
 
     def test_deterministic_repeat(self):
         def prog(ctx):
@@ -91,13 +88,15 @@ class TestClockAndScheduling:
 
 
 class TestDeadlockDetection:
-    def test_recv_without_send_deadlocks(self):
+    def test_unposted_alltoall_deadlocks(self):
         def prog(ctx):
-            yield from ctx.comm.co_recv(source=(ctx.rank + 1) % ctx.size)
+            if ctx.rank == 0:
+                yield from ctx.comm.co_alltoall(64)
+            # rank 1 never posts its half of the exchange
 
         with pytest.raises(DeadlockError) as ei:
             run_spmd(2, prog, UMD_CLUSTER)
-        assert "blocked" in str(ei.value)
+        assert "rank 0" in str(ei.value) and "blocked" in str(ei.value)
 
     def test_mismatched_collective_participation_deadlocks(self):
         def prog(ctx):

@@ -1,12 +1,10 @@
 """Manual-progression mechanics: injection pacing, rendezvous, NIC
 serialization — the modeled physics behind the paper's F* parameters."""
 
-import numpy as np
 import pytest
 
-from repro.machine import UMD_CLUSTER, CacheModel, CpuModel, NetworkModel, Platform
-from repro.simmpi import run_spmd
-from repro.simmpi.fabric import Fabric, P2PMessage
+from repro.machine import CacheModel, CpuModel, NetworkModel, Platform
+from repro.simmpi import Engine, run_spmd
 
 
 def tiny_platform(**net_kw):
@@ -29,60 +27,103 @@ def tiny_platform(**net_kw):
     )
 
 
+def exchange(nbytes, before=0.0, nprocs=2):
+    """Each rank computes ``before`` seconds, posts one ``ialltoall`` of
+    ``nbytes`` per peer (at p=2: one message each way) and waits on it.
+    Returns rank 0's ``(post time, wait return time)`` and the fabric."""
+
+    def prog(ctx):
+        if before:
+            ctx.compute(before)
+        req = ctx.comm.ialltoall(nbytes)
+        t_post = ctx.now
+        yield from ctx.comm.co_wait(req)
+        return t_post, ctx.now
+
+    eng = Engine(nprocs, tiny_platform())
+    results = eng.run(prog)
+    return results[0], eng.fabric
+
+
 class TestFabricInject:
+    """NIC injection of the alltoall's messages: serialization at the
+    rank rate, latency, and the rendezvous penalty (tiny platform: 1 us
+    latency, 1 GB/s, eager threshold 4096 B)."""
+
     def test_single_message_timing(self):
-        plat = tiny_platform()
-        fab = Fabric(plat, 2)
-        arr = fab.inject(0, 0.0, np.array([1000]), np.array([0.0]), 0.0)
+        (t_post, t_done), fab = exchange(1000)
         # 1000 B at 1 GB/s = 1 us serialization + 1 us latency (eager).
-        assert arr[0] == pytest.approx(2e-6)
-        assert fab.nic_free[0] == pytest.approx(1e-6)
+        assert t_done - t_post == pytest.approx(2e-6)
+        assert fab.nic_free[0] == pytest.approx(t_post + 1e-6)
 
     def test_serialization_accumulates(self):
-        fab = Fabric(tiny_platform(), 2)
-        arr = fab.inject(0, 0.0, np.array([1000, 1000]), np.zeros(2), 0.0)
-        assert arr[1] - arr[0] == pytest.approx(1e-6)
+        """A second exchange posted while the NIC still sends the first
+        queues behind it."""
+        m = 1 << 20  # ~1 ms on the wire, far longer than the post cost
+
+        def prog(ctx):
+            first = ctx.comm.ialltoall(m)
+            second = ctx.comm.ialltoall(m)
+            yield from ctx.comm.co_wait(first)
+            t1 = ctx.now
+            yield from ctx.comm.co_wait(second)
+            return t1, ctx.now
+
+        t1, t2 = run_spmd(2, prog, tiny_platform()).results[0]
+        assert t2 - t1 == pytest.approx(m / 1e9)
 
     def test_postable_gates_start(self):
-        fab = Fabric(tiny_platform(), 2)
-        arr = fab.inject(0, 0.0, np.array([1000]), np.array([5.0]), 0.0)
-        assert arr[0] == pytest.approx(5.0 + 2e-6)
+        (t_post, t_done), fab = exchange(1000, before=5.0)
+        assert t_post > 5.0
+        assert t_done == pytest.approx(t_post + 2e-6)
+        assert fab.nic_free[0] == pytest.approx(t_post + 1e-6)
 
     def test_rendezvous_penalty_above_threshold(self):
-        fab = Fabric(tiny_platform(), 2)
-        small = fab.inject(0, 0.0, np.array([4096]), np.array([0.0]), 0.01)
-        fab2 = Fabric(tiny_platform(), 2)
-        big = fab2.inject(0, 0.0, np.array([4097]), np.array([0.0]), 0.01)
-        # Big message pays 2*latency + gap/2 on top.
-        extra = big[0] - small[0]
-        assert extra == pytest.approx(2e-6 + 0.005, rel=1e-6, abs=1e-9)
+        (p_small, small), _ = exchange(4096)
+        (p_big, big), _ = exchange(4097)
+        assert p_small == p_big
+        # Posted by the Ialltoall call itself (no epoch gap): the big
+        # message pays 2*latency on top of its one extra byte.
+        assert big - small == pytest.approx(2e-6 + 1e-9, rel=1e-6)
+
+    def test_rendezvous_waits_half_the_epoch_gap(self):
+        """A round posted at an MPI_Test epoch pays half the sender's
+        epoch gap as the rendezvous response delay."""
+
+        def make(nbytes):
+            def prog(ctx):
+                req = ctx.comm.ialltoall(nbytes)
+                if ctx.rank == 0:
+                    # one test in 1 s: epoch gap 0.5 s, and the second
+                    # round (rank 0 -> rank 2) posts at that epoch
+                    ctx.progress_phases(((1.0, 1, "compute"),), [req])
+                yield from ctx.comm.co_wait(req)
+                return ctx.now
+
+            return prog
+
+        plat = tiny_platform(max_inflight=1)
+        small = run_spmd(3, make(4096), plat).results[2]
+        big = run_spmd(3, make(4097), plat).results[2]
+        assert big - small == pytest.approx(2e-6 + 0.25 + 1e-9, rel=1e-6)
 
     def test_empty_batch(self):
-        fab = Fabric(tiny_platform(), 2)
-        assert len(fab.inject(0, 0.0, np.array([]), np.array([]), 0.0)) == 0
+        """A single rank's exchange has no peer: nothing is injected and
+        it completes at its own post time."""
+        (t_post, t_done), fab = exchange(1000, nprocs=1)
+        assert t_done == t_post
+        assert fab.nic_free[0] == 0.0
+        assert fab.bytes_injected[0] == 0
 
     def test_bytes_injected_tracked(self):
-        fab = Fabric(tiny_platform(), 2)
-        fab.inject(0, 0.0, np.array([100, 200]), np.zeros(2), 0.0)
-        assert fab.bytes_injected[0] == 300
+        def prog(ctx):
+            # per-peer counts; the own slot is copied locally, not sent
+            yield from ctx.comm.co_alltoall([100, 200])
+            yield from ctx.comm.co_alltoall(300)
 
-
-class TestP2PMailbox:
-    def test_match_order_across_sources(self):
-        fab = Fabric(tiny_platform(), 3)
-        fab.post_p2p(P2PMessage(src=1, dst=0, tag=0, nbytes=8, arrival=1.0))
-        fab.post_p2p(P2PMessage(src=2, dst=0, tag=0, nbytes=8, arrival=0.5))
-        # Post order wins for ANY_SOURCE (deterministic matching).
-        m = fab.match_p2p(0, None, None)
-        assert m.src == 1
-        fab.take_p2p(m)
-        assert fab.match_p2p(0, None, None).src == 2
-
-    def test_pending_count(self):
-        fab = Fabric(tiny_platform(), 2)
-        assert fab.pending_p2p() == 0
-        fab.post_p2p(P2PMessage(src=0, dst=1, tag=0, nbytes=8, arrival=0.0))
-        assert fab.pending_p2p() == 1
+        eng = Engine(2, tiny_platform())
+        eng.run(prog)
+        assert eng.fabric.bytes_injected.tolist() == [500, 400]
 
 
 class TestProgressionSemantics:
@@ -182,9 +223,6 @@ class TestProgressionSemantics:
                 yield from ctx.comm.co_alltoall(256)
             return True
 
-        plat = tiny_platform()
-        from repro.simmpi.engine import Engine
-
-        eng = Engine(4, plat)
+        eng = Engine(4, tiny_platform())
         eng.run(prog)
         assert len(eng.fabric._colls) == 0  # all retired after completion
