@@ -75,6 +75,15 @@ from .report.ascii import format_table
 from .report.cdf import format_cdf, summarize_cdf
 
 
+def _variant_name(text: str) -> str:
+    """``-v/--variant`` type: the name of a known variant, so an unknown
+    one is an argparse error (exit 2), not a traceback."""
+    try:
+        return get_variant(text).name
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+
+
 def _add_setting_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("-n", "--size", type=int, default=256,
                    help="array extent N (N^3 elements)")
@@ -82,7 +91,7 @@ def _add_setting_args(p: argparse.ArgumentParser) -> None:
                    help="number of simulated ranks")
     p.add_argument("-m", "--machine", default="UMD-Cluster",
                    help="platform model (see `platforms`)")
-    p.add_argument("-v", "--variant", default="NEW",
+    p.add_argument("-v", "--variant", type=_variant_name, default="NEW",
                    help=f"method: {', '.join(sorted(VARIANTS))}")
 
 

@@ -1,5 +1,9 @@
 """From-scratch FFT substrate (the library's stand-in for FFTW).
 
+The 1-D kernels are one gemm family (:mod:`repro.fft.dftmat`), dense
+and two-factor, plus Bluestein for large prime factors; the planner
+(:mod:`repro.fft.plan`) ranks them by a BLAS-aware cost model.
+
 Public surface:
 
 * :class:`Plan1D`, :class:`Plan3D`, :class:`Flag` -- planned transforms

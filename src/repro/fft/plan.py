@@ -1,19 +1,21 @@
 """FFTW-style planning for the from-scratch FFT kernels.
 
 A :class:`Plan1D` selects, for one transform size and direction, the best
-kernel among several candidates:
+kernel of the gemm family (:mod:`repro.fft.dftmat`) among its candidates
+(:func:`_candidates`):
 
-* mixed-radix Cooley-Tukey with different factorization policies
-  (:data:`repro.fft.stockham.POLICIES`),
-* Bluestein chirp-z (always applicable; the only fast option for large
-  prime sizes),
-* a direct dense DFT for tiny sizes.
+* ``direct`` -- one dense DFT product, for sizes up to ``DIRECT_MAX``;
+* ``twofactor:{n1}x{n2}`` -- the four-step kernel on the most balanced
+  split of a composite size, its factors planned like any other size;
+* ``bluestein`` -- chirp-z over a power-of-two convolution (the only
+  option for a prime above ``DIRECT_MAX``).
 
 Candidate selection depends on the planner *flag* — the same four levels
 FFTW exposes and the paper discusses in Section 4.1:
 
 ``ESTIMATE``
-    pick by analytic FLOP estimate, run nothing;
+    pick by a cost model that prices gemm arithmetic, memory passes and
+    numpy calls (:func:`_cost`), build and run nothing;
 ``MEASURE``
     time each candidate once on a small batch;
 ``PATIENT``
@@ -23,24 +25,24 @@ FFTW exposes and the paper discusses in Section 4.1:
     like PATIENT with more repetitions.
 
 Winning kernels are recorded in a :class:`~repro.fft.wisdom.WisdomStore`
-so identical plans are free.
+so identical plans are free; an entry naming a kernel this planner no
+longer has is treated as a miss and re-planned.
 """
 
 from __future__ import annotations
 
 import contextlib
 import enum
+import math
 import threading
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import PlanError
-from ..util.intmath import prime_factors
+from ..util.intmath import next_pow2
 from .bluestein import BluesteinPlan
-from .dftmat import BACKWARD, DIRECT_MAX, FORWARD, direct_dft
-from .stockham import POLICIES, StagePlan
+from .dftmat import BACKWARD, DIRECT_MAX, FORWARD, DirectPlan, TwoFactorPlan
 from .wisdom import GLOBAL_WISDOM, WisdomStore
 
 
@@ -60,13 +62,12 @@ _EFFORT = {
     Flag.EXHAUSTIVE: (7, (4, 32, 128)),
 }
 
-#: Largest input a kernel call transforms at once (:func:`in_row_blocks`).
-#: A block's temporaries are about its size, so at 96 KiB they stay under
-#: glibc's default 128 KiB mmap threshold and come from the heap, not from
-#: fresh pages.  On a 2-vCPU x86 host, 96 KiB blocks ran whole 32³-96³
-#: arrays at least as fast as 64 or 128 KiB; 256 KiB blocks made every
-#: 32³ call fault ~1900 fresh pages.
-BLOCK_BYTES = 96 * 1024
+#: Largest input a kernel call transforms at once (:func:`in_row_blocks`),
+#: which keeps two-factor and Bluestein temporaries cache-sized.  On a
+#: 2-vCPU x86 host the replayed 32³-128³ transforms ran 12-29% faster in
+#: 512 KiB blocks than in 96 KiB ones, faulting no fresh pages either
+#: way, and a 128³ axis in one call ran 50% slower.
+BLOCK_BYTES = 512 * 1024
 
 #: Process-wide default effort used when a plan is built with ``flag=None``.
 _DEFAULT_FLAG = Flag.ESTIMATE
@@ -77,11 +78,12 @@ def in_row_blocks(fn, x: np.ndarray, width: int,
                   out: np.ndarray | None = None) -> np.ndarray:
     """``fn`` on the rows of a contiguous ``(..., m)`` batch, in blocks of
     at most :data:`BLOCK_BYTES` of input so each block's temporaries stay
-    small.  ``fn`` maps ``(b, m)`` rows to ``(b, width)`` complex rows,
-    each row on its own (the kernels are bitwise batch-independent), so
-    the blocking never changes a bit.  The result goes to ``out`` when
-    given: a C-contiguous complex128 ``(..., width)`` array not
-    overlapping ``x``."""
+    small.  ``fn(rows, out=None)`` maps ``(b, m)`` rows to ``(b, width)``
+    complex rows, each row on its own (the kernels are bitwise
+    batch-independent), so the blocking never changes a bit; it writes
+    each block's rows straight into their place in the result.  The
+    result goes to ``out`` when given: a C-contiguous complex128
+    ``(..., width)`` array not overlapping ``x``."""
     lead = x.shape[:-1]
     if out is not None and not (out.shape == (*lead, width)
                                 and out.dtype == np.complex128
@@ -97,7 +99,7 @@ def in_row_blocks(fn, x: np.ndarray, width: int,
         out = np.empty((*lead, width), np.complex128)
     src, dst = x.reshape(rows, m), out.reshape(rows, width)
     for r0 in range(0, rows, step):
-        dst[r0 : r0 + step] = fn(src[r0 : r0 + step])
+        fn(src[r0 : r0 + step], out=dst[r0 : r0 + step])
     return out
 
 
@@ -180,55 +182,101 @@ def _cached_kernel(descriptor: str, n: int, sign: int):
         return _KERNEL_CACHE.setdefault(key, kern)
 
 
-@dataclass(frozen=True)
-class _Direct:
-    """Dense-DFT kernel wrapper with the common kernel interface."""
-
-    n: int
-    sign: int
-
-    def execute(self, x: np.ndarray) -> np.ndarray:
-        """Dense DFT of the last axis (direct O(n^2) product)."""
-        return direct_dft(x, self.sign)
-
-    @property
-    def flop_estimate(self) -> float:
-        """Analytic FLOP count of the dense product."""
-        return 8.0 * self.n * self.n
+def _factors(descriptor: str, n: int) -> tuple[int, int]:
+    """``(n1, n2)`` of a ``twofactor:{n1}x{n2}`` descriptor for size ``n``."""
+    try:
+        n1, n2 = (int(f) for f in descriptor.split(":", 1)[1].split("x"))
+    except ValueError:
+        raise PlanError(f"unknown kernel descriptor {descriptor!r}") from None
+    if min(n1, n2) < 2 or n1 * n2 != n:
+        raise PlanError(f"kernel {descriptor!r} does not split size {n}")
+    return n1, n2
 
 
 def _make_kernel(descriptor: str, n: int, sign: int):
     """Instantiate a kernel from its wisdom descriptor string."""
     if descriptor == "direct":
-        return _Direct(n, sign)
+        return DirectPlan(n, sign)
     if descriptor == "bluestein":
-        return BluesteinPlan(n, sign)
-    if descriptor.startswith("mixed:"):
-        return StagePlan(n, sign, descriptor.split(":", 1)[1])
+        return BluesteinPlan(n, sign, planned_kernel)
+    if descriptor.startswith("twofactor:"):
+        n1, n2 = _factors(descriptor, n)
+        return TwoFactorPlan(n1, n2, planned_kernel(n1, sign),
+                             planned_kernel(n2, sign), sign)
     raise PlanError(f"unknown kernel descriptor {descriptor!r}")
 
 
 def _candidates(n: int) -> list[str]:
-    """Kernel descriptors worth considering for size ``n``."""
+    """Kernel descriptors worth considering for size ``n``: the dense
+    kernel up to :data:`DIRECT_MAX`, the most balanced two-factor split
+    of a composite size, and Bluestein for sizes above 8 that are not
+    powers of two (its own convolution length is one)."""
     out: list[str] = []
     if n <= DIRECT_MAX:
         out.append("direct")
-    factors = prime_factors(n)
-    if n > 1 and max(factors) <= DIRECT_MAX:
-        seen: set[tuple[int, ...]] = set()
-        for policy in POLICIES:
-            from .stockham import radix_path
-
-            path = tuple(radix_path(n, policy))
-            if path in seen:
-                continue
-            seen.add(path)
-            out.append(f"mixed:{policy}")
-    if n > 8:
+    n1 = max((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), default=0)
+    if n1:
+        out.append(f"twofactor:{n1}x{n // n1}")
+    if n > 8 and n & (n - 1):
         out.append("bluestein")
-    if not out:  # n == 1
-        out.append("direct")
     return out
+
+
+#: Cost-model constants for ``Flag.ESTIMATE``, fitted once to a
+#: micro-measurement on a 2-vCPU x86 host (numpy on OpenBLAS 0.3, 96 KiB
+#: blocks of complex128 rows, median of 201 calls): a zgemm
+#: ``(R, K) @ (K, K)`` ran at 56 real flop/ns for K >= 32 but took
+#: 4.0-4.4 ns per output element for any K <= 16, and a transposing
+#: copy 1.7 ns per element, so moving an element costs ~2 ns and a gemm
+#: moves its output twice; a numpy call on a tiny array cost 1.3 us
+#: (ufunc) to 3.5 us (matmul).  The model then puts a 64-point direct
+#: kernel at 0.85 us per row and the 8x8 two-factor one at 1.19 us
+#: (measured 0.6-0.9 and 1.27 us), and the 8x16 two-factor kernel for
+#: n = 128 at 2.5 us (measured 2.7-3.2 us).
+GEMM_NS_PER_FLOP = 1 / 56
+PASS_NS = 2.0
+CALL_NS = 2000.0
+
+
+def _work(descriptor: str, n: int) -> tuple[float, float, float]:
+    """What a kernel does per row of ``n``: ``(gemm flops, elements
+    moved through memory, numpy calls per block)``.  A gemm moves its
+    output twice; the two-factor kernel adds two transposing copies and
+    a fused twiddle-and-transpose (4 moves per element); Bluestein pads
+    into and multiplies on length-``m`` rows."""
+    if descriptor == "direct":
+        return 8.0 * n * n, 2.0 * n, 1.0
+    if descriptor == "bluestein":
+        m = next_pow2(2 * n - 1)
+        flops, moved, calls = _work(_estimate(m), m)
+        return 2 * flops, 2 * moved + 3 * m + 4 * n, 2 * calls + 4
+    if descriptor.startswith("twofactor:"):
+        n1, n2 = _factors(descriptor, n)
+        f1, m1, c1 = _work(_estimate(n1), n1)
+        f2, m2, c2 = _work(_estimate(n2), n2)
+        return n2 * f1 + n1 * f2, n2 * m1 + n1 * m2 + 4 * n, c1 + c2 + 3
+    raise PlanError(f"unknown kernel descriptor {descriptor!r}")
+
+
+def _cost(descriptor: str, n: int) -> float:
+    """Estimated nanoseconds per row of ``n`` when a kernel runs on full
+    :data:`BLOCK_BYTES` blocks (:func:`_work` priced by the constants
+    above; a call's price is shared by the block's rows)."""
+    flops, moved, calls = _work(descriptor, n)
+    per_block = max(BLOCK_BYTES // 16, n)
+    return (GEMM_NS_PER_FLOP * flops + PASS_NS * moved
+            + CALL_NS * calls * n / per_block)
+
+
+def _estimate(n: int) -> str:
+    """The cheapest candidate for size ``n`` under :func:`_cost`."""
+    return min(_candidates(n), key=lambda d: _cost(d, n))
+
+
+def planned_kernel(n: int, sign: int):
+    """The shared kernel ``ESTIMATE`` picks for size ``n``: how factor
+    and Bluestein inner transforms are planned, without wisdom."""
+    return _cached_kernel(_estimate(n), n, sign)
 
 
 class Plan1D:
@@ -265,20 +313,24 @@ class Plan1D:
         self.sign = sign
         self.flag = flag if flag is not None else _DEFAULT_FLAG
         self._wisdom = wisdom if wisdom is not None else GLOBAL_WISDOM
-        self.kernel_name = self._plan()
-        self._kernel = _cached_kernel(self.kernel_name, n, sign)
+        self.kernel_name, self._kernel = self._plan()
 
     # -- planning --------------------------------------------------------
 
-    def _plan(self) -> str:
+    def _plan(self) -> tuple[str, object]:
         cached = self._wisdom.lookup(self.n, self.sign, self.flag.value)
         if cached is not None:
-            _count("fft_wisdom_hits_total")
-            return cached
+            try:
+                kern = _cached_kernel(cached, self.n, self.sign)
+            except PlanError:
+                pass  # a descriptor this planner no longer has: re-plan
+            else:
+                _count("fft_wisdom_hits_total")
+                return cached, kern
         _count("fft_plans_built_total", flag=self.flag.value)
         names = _candidates(self.n)
         if self.flag is Flag.ESTIMATE or len(names) == 1:
-            best = min(names, key=lambda d: _cached_kernel(d, self.n, self.sign).flop_estimate)
+            best = _estimate(self.n)
         else:
             reps, batches = _EFFORT[self.flag]
             best, best_t = names[0], float("inf")
@@ -295,7 +347,7 @@ class Plan1D:
                 if t < best_t:
                     best, best_t = name, t
         self._wisdom.record(self.n, self.sign, self.flag.value, best)
-        return best
+        return best, _cached_kernel(best, self.n, self.sign)
 
     # -- execution ---------------------------------------------------------
 
@@ -330,8 +382,8 @@ class Plan1D:
 
     @property
     def flop_estimate(self) -> float:
-        """Estimated floating-point operations for one transform."""
-        return float(self._kernel.flop_estimate)
+        """Gemm floating-point operations for one transform."""
+        return _work(self.kernel_name, self.n)[0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         d = "forward" if self.sign == FORWARD else "backward"

@@ -48,7 +48,7 @@ class RealPlan1D:
         return in_row_blocks(self._rfft_rows, np.ascontiguousarray(x),
                              self.half + 1, out)
 
-    def _rfft_rows(self, x: np.ndarray) -> np.ndarray:
+    def _rfft_rows(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # Pack even/odd samples into one complex sequence of length n/2.
         z = x[..., 0::2] + 1j * x[..., 1::2]
         zf = self._fwd.execute(z)
@@ -58,7 +58,7 @@ class RealPlan1D:
         rev = np.conj(zf_ext[..., ::-1])  # conj(Z[h-k]) for k=0..h
         fe = 0.5 * (zf_ext + rev)
         fo = -0.5j * (zf_ext - rev)
-        return fe + self._w * fo
+        return np.add(fe, self._w * fo, out=out)
 
     def irfft(self, spec: np.ndarray) -> np.ndarray:
         """Inverse complex-to-real transform (normalized), matching

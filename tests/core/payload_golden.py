@@ -38,16 +38,20 @@ seeded spec :data:`FAULTS` (straggler, jitter and poll delay).  They
 were captured while the simulator still had its thread backend and its
 other compute-with-progression spellings, before those were removed.
 
-The committed ``payload_golden.json`` was captured before the FFT
-kernels became bitwise batch-independent.  Before that change a
-one-row dense product went through BLAS gemv rather than gemm and
-rounded differently, so the cases that had such a product carry a
-second digest, ``spectrum_sha_after`` (with ``err_after``), taken with
-the batch-independent kernels.  All their other fields are unchanged.
+The committed ``payload_golden.json`` was captured with the retired
+mixed-radix kernels, before the FFT kernels became bitwise
+batch-independent.  Two kernel changes since moved spectra at
+round-off: a one-row dense product used to go through BLAS gemv rather
+than gemm, and the planner now picks the dense gemm kernel for every
+size up to 64 where it used to pick the mixed-radix one.  The cases
+whose spectra moved carry a second digest, ``spectrum_sha_after``
+(with ``err_after``), taken with the current kernels.  All their other
+fields are unchanged.
 
 Regenerate with ``PYTHONPATH=src python -m tests.core.payload_golden``;
-``--annotate`` instead keeps the committed capture and adds the
-``*_after`` fields to the cases whose spectra differ from it, and
+``--annotate`` instead keeps the committed capture, sets the
+``*_after`` fields of the cases whose spectra differ from it and drops
+them from the cases whose spectra match it again, and
 ``--extend`` keeps every captured field and adds only the fields and
 cases the committed file lacks (``events_sha``, the r2c cases and the
 multi-array and pencil cases were added this way, each before the code
@@ -339,12 +343,16 @@ def generate() -> dict:
 
 
 def annotate(data: dict) -> dict:
-    """Add ``*_after`` fields where today's spectrum differs from ``data``."""
+    """Set ``*_after`` fields where today's spectrum differs from
+    ``data``'s capture, and drop them where it matches it again."""
     for case in data["cases"]:
         now = run(case)
         if now["spectrum_sha"] != case["spectrum_sha"]:
             case["spectrum_sha_after"] = now["spectrum_sha"]
             case["err_after"] = now["err"]
+        else:
+            case.pop("spectrum_sha_after", None)
+            case.pop("err_after", None)
     return data
 
 

@@ -250,6 +250,22 @@ class TestExtensionCommands:
         assert captured.out == ""
         assert flags[0] in captured.err
 
+    @pytest.mark.parametrize("command", ["run", "tune", "sweep", "multi"])
+    def test_unknown_variant_is_a_usage_error(self, capsys, command):
+        argv = [command, "-n", "32", "-p", "4", "-v", "BOGUS"]
+        if command == "sweep":
+            argv.insert(1, "W")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument" in captured.err and "'BOGUS'" in captured.err
+
+    def test_variant_name_is_case_insensitive(self, capsys):
+        assert main(["run", "-n", "32", "-p", "4", "-v", "fftw"]) == 0
+        assert "FFTW on UMD-Cluster" in capsys.readouterr().out
+
     def test_multi(self, capsys):
         rc = main(["multi", "-n", "32", "-p", "4", "--arrays", "2"])
         assert rc == 0

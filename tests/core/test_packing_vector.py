@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.core.packing import ffty_pack_real, unpack_fftx_real
-from repro.fft.plan import Plan1D
+from repro.fft import FORWARD, Flag, WisdomStore
+from repro.fft.plan import Plan1D, _candidates
 from repro.util.intmath import iter_blocks
 
 
@@ -91,16 +92,22 @@ def test_pack_identical_to_subtiled(px, pz, layout):
         assert np.array_equal(g, r)  # bitwise, no tolerance
 
 
-@pytest.mark.parametrize("n", [8, 12, 13, 30])  # radix-2, mixed, prime, mixed
+@pytest.mark.parametrize("n", [8, 12, 13, 30])  # power of two, composite, prime, composite
 def test_pack_identical_across_kernel_types(n):
-    # Every kernel family (direct, mixed-radix, Bluestein) must come out
-    # bitwise equal: the walk feeds the kernel single rows, the mover
-    # the whole tile, and the kernels are batch-independent.
+    # Every kernel the planner may pick (dense, two-factor, Bluestein)
+    # must come out bitwise equal: the walk feeds the kernel single
+    # rows, the mover the whole tile, and the kernels are
+    # batch-independent.
     tile = _tile((3, 2, n))
-    ffty = _ffty(n)
-    got = ffty_pack_real(tile, ffty, [n], "zxy")
-    ref = ffty_pack_real_subtiled(tile, ffty, [n], 1, 1, "zxy")
-    assert np.array_equal(got[0], ref[0])
+    for name in _candidates(n):
+        wisdom = WisdomStore()
+        wisdom.record(n, FORWARD, "estimate", name)
+        plan = Plan1D(n, flag=Flag.ESTIMATE, wisdom=wisdom)
+        assert plan.kernel_name == name
+        ffty = lambda a: plan.execute(a, axis=-1)  # noqa: E731
+        got = ffty_pack_real(tile, ffty, [n], "zxy")
+        ref = ffty_pack_real_subtiled(tile, ffty, [n], 1, 1, "zxy")
+        assert np.array_equal(got[0], ref[0]), name
 
 
 @pytest.mark.parametrize("uy,uz", [(1, 1), (2, 2), (3, 5), (64, 64)])

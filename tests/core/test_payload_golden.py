@@ -3,8 +3,8 @@
 Virtual time (per-rank clocks, per-step seconds, scheduler counters)
 and the traced event timeline must match the capture bit for bit on
 every case.  Spectra must match
-the captured digest, or — for the cases that had a one-row codelet
-product before the kernels became batch-independent — the recorded
+the captured digest, or — for the cases whose spectra the kernel
+changes since the capture moved at round-off — the recorded
 ``spectrum_sha_after``.  See :mod:`tests.core.payload_golden`.
 """
 
@@ -12,7 +12,8 @@ import json
 
 import pytest
 
-from tests.core.payload_golden import FIXTURE, run
+from tests.core import payload_golden
+from tests.core.payload_golden import FIXTURE, annotate, run
 
 CASES = json.loads(FIXTURE.read_text())["cases"]
 BY_ID = {case["id"]: case for case in CASES}
@@ -36,3 +37,22 @@ def test_tilings_agree_bitwise():
     one_row = dict(BY_ID["13x13x13-p1-NEW-11"], id="13x13x13-p1-tiling")
     blocked = dict(BY_ID["13x13x13-p1-NEW-22"], id="13x13x13-p1-tiling")
     assert run(one_row)["spectrum_sha"] == run(blocked)["spectrum_sha"]
+
+
+def test_annotate_sets_and_drops_after_fields(monkeypatch):
+    # A case whose spectrum matches its capture again loses its stale
+    # *_after fields; one whose spectrum moved gets them (re)set.
+    spectra = {"back": "s0", "moved": "s2"}
+    monkeypatch.setattr(payload_golden, "run", lambda case: {
+        "spectrum_sha": spectra[case["id"]], "err": 0.5})
+    data = {"cases": [
+        {"id": "back", "spectrum_sha": "s0", "spectrum_sha_after": "s1",
+         "err_after": 1.0},
+        {"id": "moved", "spectrum_sha": "s0", "spectrum_sha_after": "s1",
+         "err_after": 1.0},
+    ]}
+    assert annotate(data)["cases"] == [
+        {"id": "back", "spectrum_sha": "s0"},
+        {"id": "moved", "spectrum_sha": "s0", "spectrum_sha_after": "s2",
+         "err_after": 0.5},
+    ]

@@ -3,9 +3,10 @@
 A row's transform must not depend on how many other rows share the
 kernel call: the real-payload pipeline transforms whole tiles, and the
 tiling parameters may change how work is batched but never the bits.
-Checked for every candidate kernel (direct, each mixed-radix policy,
-Bluestein) at every size up to 130 — sizes <= 8, primes and sizes that
-only Bluestein serves included — in both directions.
+Checked for every candidate kernel (direct, two-factor, Bluestein) at
+every size up to 130 — sizes <= 8, primes and sizes that only Bluestein
+serves included — in both directions, and for the two-factor kernel at
+larger sizes, where its factors are two-factor or Bluestein kernels.
 """
 
 import numpy as np
@@ -48,6 +49,24 @@ def test_kernels_bitwise_independent_of_row_split(n, split, sign, seed):
         assert np.array_equal(np.concatenate(parts), whole), name
         single = [kernel.execute(x[i : i + 1]) for i in range(b)]
         assert np.array_equal(np.concatenate(single), whole), name
+
+
+@pytest.mark.parametrize("n", [134, 256, 402, 1024, 4096, 8192])
+@given(split=row_splits(), sign=st.sampled_from([FORWARD, BACKWARD]),
+       seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=2, deadline=None)
+def test_two_factor_bitwise_independent_of_row_split(n, split, sign, seed):
+    # 134 = 2 x 67 and 402 = 6 x 67 have a Bluestein factor, and
+    # 8192 = 64 x 128 a two-factor one.
+    b, bounds = split
+    x = _rows(seed, b, n)
+    name = next(d for d in _candidates(n) if d.startswith("twofactor:"))
+    kernel = _make_kernel(name, n, sign)
+    whole = kernel.execute(x)
+    parts = [kernel.execute(x[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.concatenate(parts), whole)
+    single = [kernel.execute(x[i : i + 1]) for i in range(b)]
+    assert np.array_equal(np.concatenate(single), whole)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 7, 8, 13, 16, 67, 97])

@@ -1,5 +1,7 @@
 """Planner, wisdom, transposes, real transforms, and the serial 3-D FFT."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.fft import (
     irfft,
     rfft,
 )
+from repro.fft.dftmat import DIRECT_MAX
 from repro.fft.plan import _candidates
 from repro.fft.transpose import (
     bytes_moved,
@@ -27,6 +30,7 @@ from repro.fft.transpose import (
     xyz_to_zxy,
     zxy_to_xyz,
 )
+from repro.obs.registry import MetricsRegistry, scoped_registry
 
 RNG = np.random.default_rng(7)
 
@@ -78,7 +82,17 @@ class TestPlan1D:
         assert plan.kernel_name == "bluestein"
 
     def test_tiny_size_uses_direct(self):
-        assert Plan1D(4).kernel_name in ("direct", "mixed:small-first")
+        assert Plan1D(4).kernel_name == "direct"
+
+    def test_estimate_picks_the_gemm_kernels(self):
+        # Fixed by the cost model, whatever the host: one dense gemm up
+        # to DIRECT_MAX, the two-factor kernel above it.
+        w = WisdomStore()
+        for n in range(2, DIRECT_MAX + 1):
+            assert Plan1D(n, flag=Flag.ESTIMATE, wisdom=w).kernel_name == "direct", n
+        for n in (128, 256, 512, 1024, 2048, 4096):
+            name = Plan1D(n, flag=Flag.ESTIMATE, wisdom=w).kernel_name
+            assert name.startswith("twofactor:"), (n, name)
 
     def test_flop_estimate_positive(self):
         assert Plan1D(64).flop_estimate > 0
@@ -96,22 +110,40 @@ class TestWisdom:
 
     def test_replan_uses_cache(self):
         w = WisdomStore()
-        w.record(32, FORWARD, "patient", "mixed:large-first")
+        w.record(32, FORWARD, "patient", "twofactor:4x8")
         plan = Plan1D(32, flag=Flag.PATIENT, wisdom=w)
-        assert plan.kernel_name == "mixed:large-first"
+        assert plan.kernel_name == "twofactor:4x8"
+
+    @pytest.mark.parametrize("retired", ["mixed:radix4", "twofactor:3x5", "twofactor:x"])
+    def test_retired_descriptor_is_a_miss(self, tmp_path, retired):
+        # Wisdom saved by an older planner (or shipped back by a pool
+        # worker) may name a kernel that no longer exists: re-plan.
+        path = tmp_path / "wisdom.json"
+        path.write_text(json.dumps([
+            {"n": 64, "sign": FORWARD, "level": "estimate", "kernel": retired}]))
+        w = WisdomStore()
+        assert w.load(path) == 1
+        with scoped_registry(MetricsRegistry()) as reg:
+            plan = Plan1D(64, flag=Flag.ESTIMATE, wisdom=w)
+            built = reg.snapshot()["fft_plans_built_total"]["samples"]
+        assert plan.kernel_name == "direct"
+        assert sum(v for _, v in built) == 1
+        assert w.lookup(64, FORWARD, "estimate") == "direct"
+        x = csig(2, 64)
+        assert np.allclose(plan.execute(x), np.fft.fft(x), atol=1e-9)
 
     def test_roundtrip_json(self):
         w = WisdomStore()
         w.record(8, FORWARD, "estimate", "direct")
-        w.record(640, FORWARD, "patient", "mixed:radix4")
+        w.record(640, FORWARD, "patient", "twofactor:20x32")
         w2 = WisdomStore()
         added = w2.import_json(w.export_json())
         assert added == 2
-        assert w2.lookup(640, FORWARD, "patient") == "mixed:radix4"
+        assert w2.lookup(640, FORWARD, "patient") == "twofactor:20x32"
 
     def test_save_load(self, tmp_path):
         w = WisdomStore()
-        w.record(16, BACKWARD, "measure", "mixed:small-first")
+        w.record(16, BACKWARD, "measure", "direct")
         path = tmp_path / "wisdom.json"
         w.save(path)
         w2 = WisdomStore()

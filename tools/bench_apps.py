@@ -25,9 +25,10 @@ Proves the `repro.apps` traffic story (PR 10) end to end:
    replays (`fft3d_replays_total`, one per transform) and 1-D kernel
    calls (`Plan1D.execute`, 3 per replay: one per axis on the whole
    array).
-5. **replay vs numpy** — one replayed transform on the apps cell
-   against ``numpy.fft.fftn`` of the same array: the gap the
-   from-scratch kernels leave to a library FFT.
+5. **replay vs numpy** — one replayed transform against
+   ``numpy.fft.fftn`` of the same array, on 16^3 to 128^3 cubes, with
+   the 1-D kernel each axis planned: the gap the from-scratch kernels
+   leave to a library FFT.
 
 The JSON keeps raw counters so the trajectory is comparable across
 commits, same shape discipline as BENCH_serve.json.
@@ -51,6 +52,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro.apps import APPS, AppConfig, PoissonDriver  # noqa: E402
 from repro.core.api import parallel_fft3d  # noqa: E402
+from repro.core.distplan import fft3d_plan  # noqa: E402
 from repro.core.params import ProblemShape  # noqa: E402
 from repro.fft import GLOBAL_WISDOM, Plan1D, clear_plan_cache  # noqa: E402
 from repro.machine.platforms import get_platform  # noqa: E402
@@ -65,8 +67,10 @@ PLATFORM = "UMD-Cluster"
 SERVE_P, SERVE_N = 4, 32
 #: the apps sweep's cell
 APPS_P, APPS_N = 4, 16
-#: timed calls per side of the replay-vs-numpy row
+#: timed calls per side of the replay-vs-numpy row at the apps cell's 16^3
 NUMPY_REPS = 200
+#: cube edges of the replay-vs-numpy rows
+REPLAY_SIZES = (16, 32, 64, 128)
 #: registry counters recorded per app step in the sweep
 STEP_COUNTERS = ("sim_runs_total", "fft3d_replays_total")
 
@@ -278,36 +282,43 @@ def bench_apps_sweep(steps: int) -> list[dict]:
     return out
 
 
-def bench_replay_vs_numpy() -> dict:
-    """Phase 5: a replayed transform on the apps cell vs numpy.fft.fftn
-    of the same array (median of :data:`NUMPY_REPS` timed calls each)."""
+def bench_replay_vs_numpy() -> list[dict]:
+    """Phase 5: a replayed transform vs numpy.fft.fftn of the same array,
+    one row per cube in :data:`REPLAY_SIZES` on the apps cell's p, with
+    the 1-D kernel each axis planned.  Replay and numpy calls alternate;
+    each side reports its median over ``reps`` calls, ``reps`` shrinking
+    with the cube's volume from :data:`NUMPY_REPS` to a floor of 5."""
     platform = get_platform(PLATFORM)
-    shape = (APPS_N, APPS_N, APPS_N)
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    parallel_fft3d(x, APPS_P, platform)  # builds the plan (engine run)
-
-    def median_ms(fn) -> float:
-        times = []
-        for _ in range(NUMPY_REPS):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        return statistics.median(times) * 1e3
-
-    replay_ms = median_ms(lambda: parallel_fft3d(x, APPS_P, platform))
-    numpy_ms = median_ms(lambda: np.fft.fftn(x))
-    row = {
-        "shape": list(shape),
-        "p": APPS_P,
-        "reps": NUMPY_REPS,
-        "replay_ms": round(replay_ms, 4),
-        "numpy_fftn_ms": round(numpy_ms, 4),
-        "ratio": round(replay_ms / numpy_ms, 2),
-    }
-    print(f"  replayed transform {row['replay_ms']}ms vs numpy.fft.fftn "
-          f"{row['numpy_fftn_ms']}ms -> {row['ratio']}x")
-    return row
+    rows = []
+    for n in REPLAY_SIZES:
+        shape = (n, n, n)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        parallel_fft3d(x, APPS_P, platform)  # builds the plan (engine run)
+        plan = fft3d_plan(ProblemShape(n, n, n, APPS_P), platform)
+        reps = max(5, NUMPY_REPS * APPS_N**3 // n**3)
+        replay, numpy = [], []
+        for _ in range(reps):
+            for fn, times in ((lambda: parallel_fft3d(x, APPS_P, platform), replay),
+                              (lambda: np.fft.fftn(x), numpy)):
+                t0 = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - t0)
+        replay_ms = statistics.median(replay) * 1e3
+        numpy_ms = statistics.median(numpy) * 1e3
+        rows.append({
+            "shape": list(shape),
+            "p": APPS_P,
+            "reps": reps,
+            "kernels": {axis: plan.plans[axis].kernel_name for axis in "zyx"},
+            "replay_ms": round(replay_ms, 4),
+            "numpy_fftn_ms": round(numpy_ms, 4),
+            "ratio": round(replay_ms / numpy_ms, 2),
+        })
+        print(f"  {n}^3 ({rows[-1]['kernels']['z']}): replayed transform "
+              f"{rows[-1]['replay_ms']}ms vs numpy.fft.fftn "
+              f"{rows[-1]['numpy_fftn_ms']}ms -> {rows[-1]['ratio']}x")
+    return rows
 
 
 def main() -> int:
@@ -332,7 +343,7 @@ def main() -> int:
     print("apps sweep: all drivers")
     apps = bench_apps_sweep(args.serve_steps)
 
-    print("replay vs numpy: one transform on the apps cell")
+    print("replay vs numpy: one transform per cube")
     replay_vs_numpy = bench_replay_vs_numpy()
 
     payload = {
