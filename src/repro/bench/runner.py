@@ -15,7 +15,7 @@ this same memo through :func:`prime_cache`.
 from __future__ import annotations
 
 import json
-import os
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,6 +25,7 @@ from ..faults import current_faults
 from ..machine.platforms import Platform, get_platform
 from ..tuning.evalstore import EvalStore
 from ..tuning.tuner import TuningResult, autotune
+from ..util.persist import CorruptStoreWarning, parse_jsonl, write_atomic
 from .workloads import tuning_budget
 
 
@@ -216,33 +217,39 @@ def cell_from_dict(item: dict) -> CellResult:
 
 
 def save_cache(path: str | Path) -> None:
-    """Persist all memoized cells to JSON (atomically: an interrupted or
-    concurrent run can never leave a truncated file for load_cache)."""
-    payload = [cell_to_dict(cell) for cell in _CACHE.values()]
-    target = Path(path)
-    tmp = target.with_name(target.name + f".tmp.{os.getpid()}")
-    tmp.write_text(json.dumps(payload, indent=1))
-    os.replace(tmp, target)
+    """Persist all memoized cells, one JSON cell per line (atomically:
+    an interrupted or concurrent run can never leave a truncated file
+    for load_cache)."""
+    write_atomic(path, "".join(
+        json.dumps(cell_to_dict(cell)) + "\n" for cell in _CACHE.values()
+    ))
 
 
 def load_cache(path: str | Path) -> int:
     """Load previously saved cells; returns the number restored.
 
-    Entries from the pre-budget schema (no ``"budget"`` field) are
-    skipped: their key is ambiguous, and silently aliasing them to some
-    budget would resurrect the stale-cell bug the key exists to fix.
+    A missing file restores nothing.  Lines that do not parse or do not
+    hold a current-schema cell (a foreign or truncated file, or an entry
+    without ``"budget"``, whose key would be ambiguous) are skipped with
+    a :class:`~repro.util.persist.CorruptStoreWarning`, like every other
+    store's unreadable entries: the benchmark just recomputes those
+    cells.
     """
     file = Path(path)
-    if not file.exists():
+    try:
+        text = file.read_text(encoding="utf-8")
+    except FileNotFoundError:
         return 0
-    restored = 0
-    for item in json.loads(file.read_text()):
-        if "budget" not in item:
-            continue
-        cell = cell_from_dict(item)
+    cells, skipped = parse_jsonl(text, cell_from_dict)
+    if skipped:
+        warnings.warn(
+            f"skipping {skipped} unreadable line(s) of cell cache {file}",
+            CorruptStoreWarning,
+            stacklevel=2,
+        )
+    for cell in cells:
         _CACHE[cell.key()] = cell
-        restored += 1
-    return restored
+    return len(cells)
 
 
 def clear_cache() -> None:

@@ -84,12 +84,22 @@ def _variant_name(text: str) -> str:
         raise argparse.ArgumentTypeError(exc.args[0]) from None
 
 
+def _platform_name(text: str) -> str:
+    """``-m/--machine`` type: the name of a known platform, so an unknown
+    one is an argparse error (exit 2), not a traceback."""
+    try:
+        return get_platform(text).name
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+
+
 def _add_setting_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("-n", "--size", type=int, default=256,
                    help="array extent N (N^3 elements)")
     p.add_argument("-p", "--procs", type=int, default=16,
                    help="number of simulated ranks")
-    p.add_argument("-m", "--machine", default="UMD-Cluster",
+    p.add_argument("-m", "--machine", type=_platform_name,
+                   default="UMD-Cluster",
                    help="platform model (see `platforms`)")
     p.add_argument("-v", "--variant", type=_variant_name, default="NEW",
                    help=f"method: {', '.join(sorted(VARIANTS))}")
@@ -873,7 +883,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid = sub.add_parser(
         "grid", help="evaluate a (p, N) benchmark grid, optionally in parallel"
     )
-    p_grid.add_argument("-m", "--machine", default="UMD-Cluster",
+    p_grid.add_argument("-m", "--machine", type=_platform_name,
+                        default="UMD-Cluster",
                         help="platform model (see `platforms`)")
     p_grid.add_argument(
         "--cells", default="16:256,384,512,640;32:256,384,512,640",

@@ -49,10 +49,10 @@ from ..fft.wisdom import GLOBAL_WISDOM
 from ..obs.export import export_fleet_chrome
 from ..obs.registry import current_registry
 from ..obs.tracer import current_tracer
-from ..util.httpd import ServiceHandler, ServiceHTTPServer
+from ..util.httpd import ServicePlane
 from .config import DistConfig
 from .fleet import launch_workers
-from .protocol import PROTOCOL_VERSION, decode
+from .protocol import PROTOCOL_VERSION
 from .queue import WorkQueue
 
 #: ``note(text)`` — one-line fleet status for the live progress ticker
@@ -107,8 +107,10 @@ class _WorkerNote:
     last_seen: float = 0.0
 
 
-class Coordinator:
+class Coordinator(ServicePlane):
     """One grid's coordinator: HTTP server + lease queue + result merge."""
+
+    AUTH_REJECTS = "dist_auth_rejects_total"
 
     def __init__(
         self,
@@ -140,8 +142,6 @@ class Coordinator:
         self._t0 = config.clock()
         #: worker host id -> shipped span records (the fleet trace input)
         self._fleet_spans: dict[str, list[dict]] = {}
-        self._server: ServiceHTTPServer | None = None
-        self._thread: threading.Thread | None = None
         for name, help_ in (
             ("dist_leases_total", "Leases granted to workers."),
             ("dist_heartbeats_total", "Lease renewals received."),
@@ -154,46 +154,21 @@ class Coordinator:
         ):
             self.registry.inc(name, 0, help=help_)
 
-    def authorized(self, header: str | None) -> bool:
-        """Whether a request's ``Authorization`` header passes.  Always
-        true when no token is configured (auth disabled)."""
-        token = self.config.token
-        if not token:
-            return True
-        if header == f"Bearer {token}":
-            return True
-        self.registry.inc("dist_auth_rejects_total")
-        return False
-
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> str:
         """Bind and start serving in a daemon thread; returns the URL."""
-        handler = _make_handler(self)
-        self._server = ServiceHTTPServer(
-            (self.config.host, self.config.port), handler
-        )
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-dist-coordinator",
-            daemon=True,
-        )
-        self._thread.start()
-        return self.url
-
-    @property
-    def url(self) -> str:
-        if self._server is None:
-            raise RuntimeError("coordinator not started")
-        host, port = self._server.server_address[:2]
-        return f"http://{host}:{port}"
+        return self._start_http("repro-dist-coordinator", {
+            ("GET", "/config"): self.job.descriptor,
+            ("GET", "/status"): self.handle_status,
+            ("POST", "/lease"): self.handle_lease,
+            ("POST", "/renew"): self.handle_renew,
+            ("POST", "/complete"): self.handle_complete,
+            ("POST", "/fail"): self.handle_fail,
+        })
 
     def stop(self) -> None:
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
+        self._stop_http()
 
     # -- endpoint logic (called from handler threads) ----------------------
 
@@ -485,56 +460,6 @@ class Coordinator:
             "metrics": str(metrics_path),
             "spans": sum(len(s) for s in spans.values()),
         }
-
-
-def _make_handler(coord: Coordinator) -> type[ServiceHandler]:
-    """A handler class closed over one coordinator instance."""
-
-    class Handler(ServiceHandler):
-        def do_GET(self) -> None:  # noqa: N802 (http.server API)
-            try:
-                if self.path == "/healthz":
-                    # before the auth gate: supervisor probes are
-                    # anonymous and the body leaks nothing sensitive
-                    code, payload = coord.handle_healthz()
-                    self._reply(payload, code)
-                elif not coord.authorized(self.headers.get("Authorization")):
-                    self._reply({"error": "unauthorized"}, 401)
-                elif self.path == "/config":
-                    self._reply(coord.job.descriptor())
-                elif self.path == "/status":
-                    self._reply(coord.handle_status())
-                elif self.path == "/metrics":
-                    self._reply_text(coord.metrics_text())
-                else:
-                    self._reply({"error": f"unknown path {self.path}"}, 404)
-            except Exception as exc:
-                self._reply({"error": str(exc)}, 500)
-
-        def do_POST(self) -> None:  # noqa: N802 (http.server API)
-            try:
-                if not coord.authorized(self.headers.get("Authorization")):
-                    self._reply({"error": "unauthorized"}, 401)
-                    return
-                length = int(self.headers.get("Content-Length", 0))
-                body = decode(self.rfile.read(length)) if length else {}
-                routes = {
-                    "/lease": coord.handle_lease,
-                    "/renew": coord.handle_renew,
-                    "/complete": coord.handle_complete,
-                    "/fail": coord.handle_fail,
-                }
-                handler = routes.get(self.path)
-                if handler is None:
-                    self._reply({"error": f"unknown path {self.path}"}, 404)
-                    return
-                self._reply(handler(body))
-            except ValueError as exc:
-                self._reply({"error": str(exc)}, 400)
-            except Exception as exc:
-                self._reply({"error": str(exc)}, 500)
-
-    return Handler
 
 
 def dist_map(

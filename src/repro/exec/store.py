@@ -1,25 +1,17 @@
 """Concurrency-safe on-disk result store for grid experiments.
 
 One JSON file per cell, named by the full cache key
-(``<platform>__p<p>__n<n>__b<budget>.json``), written atomically: the
-payload goes to a temp file in the same directory and is moved into
-place with ``os.replace``.  Concurrent writers of the *same* key are
-computing the same deterministic value, so last-writer-wins is
-lossless; readers never observe a truncated file because the rename is
-atomic on POSIX.  Unlike :func:`repro.bench.runner.save_cache` (one
-file for the whole memo), per-key files let parallel workers and even
-separate benchmark invocations share results without coordination.
+(``<platform>__p<p>__n<n>__b<budget>.json``), written with
+:func:`~repro.util.persist.write_atomic` (temp file, then rename).
+Concurrent writers of the *same* key are computing the same
+deterministic value, so last-writer-wins is lossless, and readers never
+observe a truncated file.  Unlike :func:`repro.bench.runner.save_cache`
+(one file for the whole memo), per-key files let parallel workers and
+even separate benchmark invocations share results without coordination.
 
-Thread safety (the serve-layer audit, DESIGN.md §5.13): per-cell files
-were always atomic *across processes*, but same-process concurrency had
-two holes once :mod:`repro.serve` started calling one store from many
-``ThreadingHTTPServer`` handler threads — the temp name was keyed by
-pid alone (two threads putting the same cell shared one temp file, so
-an ``os.replace`` could promote a half-written payload), and the
-in-memory hit/miss counters were bare read-modify-writes.  Both now sit
-behind an internal :class:`threading.Lock`, with the thread id added to
-the temp name, matching the :class:`~repro.tuning.evalstore.EvalStore`
-treatment.
+Thread safety (DESIGN.md §5.13): the plan server calls one store from
+many handler threads, so the held cells and the hit/miss counters sit
+behind an internal :class:`threading.Lock`.
 
 Warm hits are served from memory.  A store keeps every cell it has
 validated (on :meth:`ResultStore.get`) or written (on
@@ -36,22 +28,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 import warnings
 from pathlib import Path
 
 from ..bench.runner import CellResult, cell_from_dict, cell_to_dict
-
-
-class CorruptStoreWarning(UserWarning):
-    """A store file existed but could not be used (skipped, not fatal).
-
-    Crash-resilience policy: a truncated or foreign file in a store
-    directory is a *miss*, never an error — an interrupted writer or a
-    stray file must not take down the grid run that finds it.  The
-    warning keeps the skip observable.
-    """
+from ..util.persist import CorruptStoreWarning, write_atomic
 
 
 def _safe(token: str) -> str:
@@ -179,17 +161,13 @@ class ResultStore:
     def put(self, cell: CellResult) -> Path:
         """Persist one cell atomically; returns its file path.
 
-        The temp name carries pid *and* thread id: two handler threads
-        storing the same cell each write their own temp file, and
-        whichever ``os.replace`` lands last wins with a complete
-        payload (the values are identical anyway — cells are pure
-        functions of their keys)."""
+        Two handler threads storing the same cell each write their own
+        temp file (:func:`~repro.util.persist.write_atomic`), and
+        whichever rename lands last wins with a complete payload (the
+        values are identical anyway — cells are pure functions of their
+        keys)."""
         target = self.path_for(*cell.key())
-        tmp = target.with_name(
-            target.name + f".tmp.{os.getpid()}.{threading.get_ident()}"
-        )
-        tmp.write_text(json.dumps(cell_to_dict(cell), indent=1))
-        os.replace(tmp, target)
+        write_atomic(target, json.dumps(cell_to_dict(cell), indent=1))
         sig = _signature(target)
         with self._lock:
             self._memory[cell.key()] = (sig, cell)

@@ -12,6 +12,8 @@ import json
 import threading
 from pathlib import Path
 
+from ..util.persist import write_atomic
+
 
 class WisdomStore:
     """Thread-safe in-memory wisdom cache with JSON import/export."""
@@ -63,8 +65,8 @@ class WisdomStore:
         return added
 
     def save(self, path: str | Path) -> None:
-        """Write wisdom to ``path`` as JSON."""
-        Path(path).write_text(self.export_json())
+        """Write wisdom to ``path`` as JSON, atomically."""
+        write_atomic(path, self.export_json())
 
     def load(self, path: str | Path) -> int:
         """Merge wisdom from a JSON file; returns entries added."""

@@ -35,13 +35,13 @@ terminal (the stores hold their product).
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..util.persist import append_line, parse_jsonl
 from .jobs import DONE, FAILED, QUEUED, RUNNING
 
 #: journal-only state: this incarnation was cut short and (unless a
@@ -70,6 +70,15 @@ class JournalEntry:
     def replayable(self) -> bool:
         """Whether this job was cut short and should be re-enqueued."""
         return self.state in REPLAY_STATES
+
+
+def _checked(rec: dict) -> dict:
+    """One journal record, or an error for a malformed one."""
+    if not isinstance(rec, dict) or not isinstance(rec["job"], str):
+        raise TypeError("malformed record")
+    if rec["state"] not in JOURNAL_STATES:
+        raise ValueError(f"unknown state {rec['state']!r}")
+    return rec
 
 
 class JobJournal:
@@ -113,15 +122,9 @@ class JobJournal:
             rec["request"] = dict(request)
         if error:
             rec["error"] = error
-        line = json.dumps(rec) + "\n"
+        line = json.dumps(rec)
         with self._lock:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line)
-                fh.flush()
-                try:
-                    os.fsync(fh.fileno())
-                except OSError:  # pragma: no cover - exotic filesystems
-                    pass
+            append_line(self.path, line)
 
     # -- recovery ----------------------------------------------------------
 
@@ -141,22 +144,9 @@ class JobJournal:
             text = self.path.read_text(encoding="utf-8")
         except OSError:
             return entries
-        skipped = 0
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                job_id = rec["job"]
-                state = rec["state"]
-                if not isinstance(rec, dict) or not isinstance(job_id, str):
-                    raise TypeError("malformed record")
-                if state not in JOURNAL_STATES:
-                    raise ValueError(f"unknown state {state!r}")
-            except (ValueError, KeyError, TypeError):
-                skipped += 1
-                continue
+        records, skipped = parse_jsonl(text, _checked)
+        for rec in records:
+            job_id, state = rec["job"], rec["state"]
             entry = entries.get(job_id)
             if entry is None:
                 entry = entries[job_id] = JournalEntry(

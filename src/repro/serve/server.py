@@ -62,7 +62,7 @@ from ..errors import FaultSpecError
 from ..faults import injected_faults, parse_faults
 from ..machine.platforms import get_platform
 from ..obs.registry import current_registry, scoped_registry
-from ..util.httpd import ServiceHandler, ServiceHTTPServer
+from ..util.httpd import ServicePlane
 from .config import ServeConfig
 from .jobs import DONE, FAILED, JobManager, JobsDraining, PlanJob
 from .journal import INTERRUPTED, JobJournal
@@ -218,8 +218,11 @@ def plan_key(req: dict) -> tuple:
             req["budget"], req["faults"])
 
 
-class PlanServer:
+class PlanServer(ServicePlane):
     """HTTP front end + job runner for one store root (see module doc)."""
+
+    AUTH_REJECTS = "serve_auth_rejects_total"
+    BAD_REQUESTS = "serve_bad_requests_total"
 
     def __init__(self, config: ServeConfig = ServeConfig()) -> None:
         self.config = config
@@ -244,8 +247,6 @@ class PlanServer:
         self._draining = False
         #: jobs replayed from the journal by the last :meth:`start`
         self.recovered_jobs = 0
-        self._server: ServiceHTTPServer | None = None
-        self._thread: threading.Thread | None = None
         for name, help_ in (
             ("serve_plan_hits_total",
              "Plan requests answered from a warm store."),
@@ -275,19 +276,14 @@ class PlanServer:
     def start(self) -> str:
         """Recover journaled jobs, then bind and serve; returns the URL."""
         self.recovered_jobs = self.recover()
-        handler = _make_handler(self)
-        self._server = ServiceHTTPServer(
-            (self.config.host, self.config.port), handler
-        )
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-serve",
-            daemon=True,
-        )
-        self._thread.start()
+        url = self._start_http("repro-serve", {
+            ("GET", "/status"): self.handle_status,
+            ("GET", "/plan/"): self.handle_plan_poll,
+            ("POST", "/plan"): self.handle_plan,
+        })
         if self.config.announce is not None:
-            self.config.announce(self.url)
-        return self.url
+            self.config.announce(url)
+        return url
 
     def recover(self) -> int:
         """Replay the journal: re-enqueue jobs the previous incarnation
@@ -343,13 +339,6 @@ class PlanServer:
         return recovered
 
     @property
-    def url(self) -> str:
-        if self._server is None:
-            raise RuntimeError("plan server not started")
-        host, port = self._server.server_address[:2]
-        return f"http://{host}:{port}"
-
-    @property
     def draining(self) -> bool:
         return self._draining
 
@@ -381,15 +370,6 @@ class PlanServer:
         self.jobs.shutdown(wait=wait_jobs)
         self.stores.flush_all()
 
-    def _stop_http(self) -> None:
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
     def retry_after_s(self) -> int:
         """Seconds clients should wait before retrying a drained 503."""
         if self.config.retry_after_s is not None:
@@ -400,15 +380,6 @@ class PlanServer:
         self.registry.inc("serve_job_timeouts_total")
 
     # -- request handling (called from handler threads) --------------------
-
-    def authorized(self, header: str | None) -> bool:
-        token = self.config.token
-        if not token:
-            return True
-        if header == f"Bearer {token}":
-            return True
-        self.registry.inc("serve_auth_rejects_total")
-        return False
 
     def handle_plan(self, body: dict) -> tuple[int, dict]:
         """``POST /plan``: warm hit -> 200, cold miss -> 202 + job.
@@ -627,53 +598,3 @@ class PlanServer:
         _chaos_maybe_kill(
             f"{job.id} {req['platform']} p{req['p']} N{req['n']}"
         )
-
-
-def _make_handler(server: PlanServer) -> type[ServiceHandler]:
-    """A handler class closed over one plan server (coordinator idiom)."""
-    from ..dist.protocol import decode
-
-    class Handler(ServiceHandler):
-        def do_GET(self) -> None:  # noqa: N802 (http.server API)
-            try:
-                if self.path == "/healthz":
-                    # deliberately unauthenticated: probes come from
-                    # supervisors without credentials, and the body is
-                    # liveness/readiness only
-                    code, payload = server.handle_healthz()
-                    self._reply(payload, code)
-                elif not server.authorized(self.headers.get("Authorization")):
-                    self._reply({"error": "unauthorized"}, 401)
-                elif self.path == "/status":
-                    self._reply(server.handle_status())
-                elif self.path == "/metrics":
-                    self._reply_text(server.metrics_text())
-                elif self.path.startswith("/plan/"):
-                    code, payload = server.handle_plan_poll(
-                        self.path[len("/plan/"):]
-                    )
-                    self._reply(payload, code)
-                else:
-                    self._reply({"error": f"unknown path {self.path}"}, 404)
-            except Exception as exc:
-                self._reply({"error": str(exc)}, 500)
-
-        def do_POST(self) -> None:  # noqa: N802 (http.server API)
-            try:
-                if not server.authorized(self.headers.get("Authorization")):
-                    self._reply({"error": "unauthorized"}, 401)
-                    return
-                if self.path != "/plan":
-                    self._reply({"error": f"unknown path {self.path}"}, 404)
-                    return
-                length = int(self.headers.get("Content-Length", 0))
-                body = decode(self.rfile.read(length)) if length else {}
-                code, payload = server.handle_plan(body)
-                self._reply(payload, code)
-            except (BadRequest, ValueError) as exc:
-                server.registry.inc("serve_bad_requests_total")
-                self._reply({"error": str(exc)}, 400)
-            except Exception as exc:
-                self._reply({"error": str(exc)}, 500)
-
-    return Handler

@@ -15,7 +15,6 @@ from .initial import initial_simplex
 from .neldermead import NelderMead
 from .random_search import RandomSearchResult, random_search, sample_params
 from .space import Dimension, SearchSpace
-from .store import TuningStore
 from .tuner import TuningResult, autotune, fftw_tuning_time
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "SearchSpace",
     "TuningResult",
     "TuningSession",
-    "TuningStore",
     "autotune",
     "exhaustive_search",
     "fftw_tuning_time",

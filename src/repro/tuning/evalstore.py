@@ -1,21 +1,20 @@
 """Shared persistent evaluation store — every timed configuration, once.
 
-:class:`~repro.tuning.store.TuningStore` is winners-only wisdom: one
-record per setting.  :class:`EvalStore` is the *all-evaluations*
-analogue, the cross-strategy generalization of the paper's history-reuse
-technique (Section 4.4, technique 2): a map from ``(platform, variant,
-shape, objective mode, params)`` to the measured ``(objective, cost,
-executed)``.  Nelder-Mead, coordinate descent, random search, and
-exhaustive/grid sweeps all key their evaluations the same way, so a
-configuration timed by any strategy — in any process, in any past run —
-is a free hit for every other one, the way FFTW wisdom makes planner
-work done anywhere reusable everywhere.
+:class:`EvalStore` maps ``(platform, variant, shape, objective mode,
+params)`` to the measured ``(objective, cost, executed)``: the
+cross-strategy generalization of the paper's history-reuse technique
+(Section 4.4, technique 2).  Nelder-Mead, coordinate descent, random
+search, and exhaustive/grid sweeps all key their evaluations the same
+way, so a configuration timed by any strategy — in any process, in any
+past run — is a free hit for every other one, the way FFTW wisdom makes
+planner work done anywhere reusable everywhere.
 
-Persistence is JSONL with atomic replace (the ``save_cache`` pattern):
-``save`` merges with whatever is on disk before writing a temp file and
-``os.replace``-ing it into place, so concurrent grid workers and
+Persistence is JSONL replaced whole
+(:func:`~repro.util.persist.write_atomic`): ``save`` merges with
+whatever is on disk before writing, so concurrent grid workers and
 interrupted runs can never truncate the store and never lose each
-other's records.  Loading is tolerant: unparseable lines (a partial
+other's records.  Loading is tolerant
+(:func:`~repro.util.persist.parse_jsonl`): unparseable lines (a partial
 trailing line from a killed writer), records missing required fields,
 and unknown extra fields are all skipped or ignored — a store written by
 a future schema still yields every record this schema understands.
@@ -33,20 +32,20 @@ threads.  All mutating and reading paths therefore hold an internal
 ``merge`` may be called under the lock), and same-process saves to one
 path are additionally serialized by a per-path module lock — without
 it two threads can each merge the *same* stale disk snapshot and the
-``os.replace`` loser's new records silently vanish.  Cross-process
+losing rename's new records silently vanish.  Cross-process
 concurrency stays what it always was: first-wins read-merge-replace.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..core.params import ProblemShape, TuningParams
 from ..faults import current_faults
+from ..util.persist import parse_jsonl, write_atomic
 
 #: objective modes a record can be keyed under: ``tuned`` excludes the
 #: parameter-independent FFTz/Transpose steps (technique 3, the tuning
@@ -108,6 +107,18 @@ class EvalRecord:
     objective: float
     cost: float          # simulated seconds spent running the target
     executed: bool = True  # False would mark a derived/replayed record
+
+
+def _record_from_json(item: dict) -> tuple[str, EvalRecord]:
+    """``(key, record)`` from one JSONL record; raises on a malformed one."""
+    key = item["key"]
+    if not isinstance(key, str):
+        raise TypeError(f"record key {key!r} is not a string")
+    return key, EvalRecord(
+        objective=float(item["objective"]),
+        cost=float(item.get("cost", 0.0)),
+        executed=bool(item.get("executed", True)),
+    )
 
 
 class EvalStore:
@@ -262,31 +273,16 @@ class EvalStore:
         missing required fields; ignores unknown extra fields.  Loaded
         records do not count as new."""
         store = cls()
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                item = json.loads(line)
-                key = item["key"]
-                rec = EvalRecord(
-                    objective=float(item["objective"]),
-                    cost=float(item.get("cost", 0.0)),
-                    executed=bool(item.get("executed", True)),
-                )
-            except (ValueError, KeyError, TypeError):
-                continue
-            if not isinstance(key, str):
-                continue
-            if key not in store._records:
-                store._records[key] = rec
+        records, _skipped = parse_jsonl(text, _record_from_json)
+        for key, rec in records:
+            store._records.setdefault(key, rec)
         return store
 
     def save(self, path: str | Path) -> int:
         """Merge with the on-disk store and atomically replace it.
 
         Cross-process, read-merge-replace makes concurrent savers
-        additive: whichever writer loses the ``os.replace`` race has
+        additive: whichever writer loses the rename race has
         already folded the other's records in (both read before
         writing), and a reader never observes a truncated file because
         the rename is atomic.  That argument fails *within* a process —
@@ -294,9 +290,7 @@ class EvalStore:
         replaces it, and the loser's new records vanish — so
         same-process saves to one path are serialized by a per-path
         lock: the second saver's read is guaranteed to see the first
-        saver's file.  The temp name carries the thread id as well as
-        the pid, so two in-flight saves can never clobber each other's
-        temp file.  Returns the number of records written.
+        saver's file.  Returns the number of records written.
         """
         target = Path(path)
         with _save_lock(target):
@@ -309,11 +303,7 @@ class EvalStore:
             with self._lock:
                 payload = self.to_jsonl()
                 count = len(self._records)
-            tmp = target.with_name(
-                target.name + f".tmp.{os.getpid()}.{threading.get_ident()}"
-            )
-            tmp.write_text(payload)
-            os.replace(tmp, target)
+            write_atomic(target, payload)
         return count
 
     @classmethod

@@ -1,5 +1,7 @@
 """Benchmark runner: cell memoization, persistence, paper data sanity."""
 
+import json
+
 import pytest
 
 from repro.bench import (
@@ -16,6 +18,7 @@ from repro.bench import (
 )
 from repro.core import ProblemShape
 from repro.machine import UMD_CLUSTER
+from repro.util.persist import CorruptStoreWarning
 
 
 @pytest.fixture(autouse=True)
@@ -107,3 +110,21 @@ class TestRunner:
 
     def test_load_missing_file(self, tmp_path):
         assert load_cache(tmp_path / "nope.json") == 0
+
+    @pytest.mark.parametrize("damage", ["truncated", "foreign", "json-array"])
+    def test_unreadable_cache_is_a_warned_miss(self, tmp_path, damage):
+        """A damaged cache file restores nothing and the benchmark
+        recomputes: it must not crash the session fixture."""
+        evaluate_cell(UMD_CLUSTER, 4, 64, max_evaluations=10)
+        path = tmp_path / "cache.json"
+        save_cache(path)
+        text = path.read_text()
+        path.write_text({
+            "truncated": text[: len(text) // 2],
+            "foreign": "<html>not a cache</html>\n",
+            # the whole-array format earlier versions wrote
+            "json-array": json.dumps([json.loads(text)], indent=1),
+        }[damage])
+        clear_cache()
+        with pytest.warns(CorruptStoreWarning, match="cell cache"):
+            assert load_cache(path) == 0

@@ -70,9 +70,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "max/min" in out
 
-    def test_bad_platform_errors(self):
-        with pytest.raises(KeyError):
-            main(["run", "-m", "bluegene"])
+    def test_bad_platform_errors(self, capsys):
+        for command in ("run", "tune", "grid"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "-m", "bluegene"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error: argument -m/--machine" in captured.err
+            assert "'bluegene'" in captured.err
 
 
 class TestTracing:

@@ -423,44 +423,3 @@ class TestStoreCorruption:
         with pytest.warns(CorruptStoreWarning):
             readable = store.cells()
         assert [c.key() for c in readable] == [cells[1].key()]
-
-
-class TestTuningStoreCorruption:
-    """Satellite 2, tuning-wisdom side: bad files never take down a run."""
-
-    def _store(self):
-        from repro.core.params import ProblemShape, default_params
-        from repro.tuning import TuningStore
-
-        shape = ProblemShape(64, 64, 64, 8)
-        store = TuningStore()
-        store.record("Hopper", "NEW", shape, default_params(shape),
-                     fft_time=1.0)
-        return store
-
-    def test_truncated_json_yields_empty_store(self, tmp_path):
-        from repro.tuning import TuningStore
-
-        path = tmp_path / "wisdom.json"
-        path.write_text(self._store().to_json()[:25])
-        with pytest.warns(UserWarning, match="unreadable tuning store"):
-            assert len(TuningStore.load(path)) == 0
-
-    def test_bad_entry_is_skipped_good_ones_kept(self):
-        import json
-
-        from repro.tuning import TuningStore
-
-        raw = json.loads(self._store().to_json())
-        raw["Hopper|NEW|32x32x32|p4"] = {"params": {"no_such_field": 1}}
-        with pytest.warns(UserWarning, match="skipping corrupt"):
-            loaded = TuningStore.from_json(json.dumps(raw))
-        assert len(loaded) == 1
-        assert loaded.settings() == ["Hopper|NEW|64x64x64|p8"]
-
-    def test_missing_file_is_silently_empty(self, tmp_path):
-        from repro.tuning import TuningStore
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert len(TuningStore.load(tmp_path / "nope.json")) == 0

@@ -13,6 +13,7 @@ server is stopped, and a finished client thread must close its sockets.
 """
 
 import gc
+import socket
 import threading
 import time
 import urllib.request
@@ -155,5 +156,25 @@ def test_finished_client_thread_closes_its_sockets(tmp_path, start):
             gc.collect()
         leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
         assert leaks == []
+    finally:
+        stop()
+
+
+@PLANES
+@pytest.mark.parametrize("length, body", [("-1", "{}"), ("abc", "{}"),
+                                          ("9", "{not json"), ("2", "[]")])
+def test_malformed_post_is_400(tmp_path, start, length, body):
+    """A negative length once reached ``rfile.read(-1)``, which blocks
+    until the client hangs up; the body reader answers 400 at once, as
+    it does for a body that is not a JSON object."""
+    url, stop = start(tmp_path)
+    host, port = url[len("http://"):].split(":")
+    path = "/plan" if start is _plan_server else "/lease"
+    try:
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(f"POST {path} HTTP/1.1\r\nHost: x\r\n"
+                         f"Content-Length: {length}\r\n\r\n{body}".encode())
+            reply = sock.recv(65536).decode()
+        assert reply.startswith("HTTP/1.1 400"), reply
     finally:
         stop()
