@@ -99,10 +99,7 @@ class PlanResolution:
 
 
 def _registry_total(reg, name: str) -> float:
-    fam = reg.snapshot().get(name)
-    if not fam:
-        return 0.0
-    return sum(value for _key, value in fam["samples"])
+    return reg.total(name)
 
 
 def resolve_plan(config: AppConfig) -> PlanResolution:

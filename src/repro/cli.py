@@ -156,18 +156,20 @@ def _maybe_faults(args):
 
 @contextmanager
 def _maybe_trace(args, rank_spans: bool):
-    """Install a tracer for the command body when ``--trace`` was given,
-    and export it on the way out."""
+    """Install a tracer and a fresh metrics registry for the command body
+    when ``--trace`` was given, and export both on the way out (the
+    registry's snapshot rides in the trace's metadata)."""
     path = getattr(args, "trace", None)
     if not path:
         yield None
         return
-    from .obs import Tracer, tracing, write_trace
+    from .obs import Tracer, scoped_registry, tracing, write_trace
 
     meta = {"command": args.command, "argv": " ".join(sys.argv[1:])}
-    with tracing(Tracer(rank_spans=rank_spans, meta=meta)) as tracer:
+    with scoped_registry() as registry, \
+            tracing(Tracer(rank_spans=rank_spans, meta=meta)) as tracer:
         yield tracer
-    n = write_trace(tracer, path)
+    n = write_trace(tracer, path, registry)
     print(f"trace: {n} records -> {path}")
 
 
@@ -751,12 +753,21 @@ def cmd_trace(args) -> int:
         print()
         print("per-tile step durations (mean across ranks):")
         print(tile_heatmap(tracer))
-    summary = tracer.summary()
-    if summary:
-        rows = [[k, v] for k, v in sorted(summary.items())
-                if not isinstance(v, dict)]
-        if rows:
-            print(format_table(["counter", "value"], rows))
+    if tracer.dropped:
+        print(f"({tracer.dropped} spans dropped past the tracer's cap)")
+    counters = {name: fam for name, fam in
+                (tracer.meta.get("metrics") or {}).items()
+                if fam.get("kind") == "counter"}
+    if counters:
+        from .obs import MetricsRegistry, parse_prometheus
+
+        registry = MetricsRegistry()
+        registry.merge(counters)
+        samples = parse_prometheus(registry.render_prometheus())
+        print(format_table(["counter", "value"], [
+            [name, int(v) if v.is_integer() else v]
+            for name, v in sorted(samples.items())
+        ]))
     return 0
 
 

@@ -48,7 +48,6 @@ from ..exec.store import ResultStore
 from ..fft.wisdom import GLOBAL_WISDOM
 from ..obs.export import export_fleet_chrome
 from ..obs.registry import current_registry
-from ..obs.tracer import current_tracer
 from ..util.httpd import ServicePlane
 from .config import DistConfig
 from .fleet import launch_workers
@@ -134,7 +133,6 @@ class Coordinator(ServicePlane):
         self._notes: dict[str, _WorkerNote] = {}
         self._finished_events = 0
         self._lock = threading.Lock()
-        self._tr = current_tracer()
         # captured at construction: HTTP handler threads have their own
         # (empty) thread-local registry stacks, so a lookup there would
         # miss the registry the grid run installed on the driver thread
@@ -180,8 +178,6 @@ class Coordinator(ServicePlane):
         )
         if indices:
             self.registry.inc("dist_leases_total")
-            if self._tr is not None:
-                self._tr.count("dist.leases")
         return {
             "lease": lease,
             "cells": [
@@ -207,8 +203,6 @@ class Coordinator(ServicePlane):
                 last_seen=self.config.clock(),
             )
         self.registry.inc("dist_heartbeats_total")
-        if self._tr is not None:
-            self._tr.count("dist.heartbeats")
         return {"ok": ok, "finished": self.queue.finished}
 
     def handle_complete(self, body: dict) -> dict:
@@ -358,14 +352,14 @@ class Coordinator(ServicePlane):
         if self.job.evals_snapshot is None:
             value: Any = cell
         else:
-            value = (cell, str(item.get("evals", "")), int(item.get("hits", 0)))
+            # the worker's registry delta already counted its store hits
+            value = (cell, str(item.get("evals", "")),
+                     int(item.get("hits", 0)), 0)
         with self._lock:
             self.results[index] = value
             if self.store is not None:
                 self.store.put(cell)
         self.registry.inc("dist_completions_total")
-        if self._tr is not None:
-            self._tr.count("dist.completions")
         self._bump_finished(index)
 
     def _bump_finished(self, index: int) -> None:
@@ -382,8 +376,6 @@ class Coordinator(ServicePlane):
         requeued = self.queue.expire()
         if requeued:
             self.registry.inc("dist_requeues_total", len(requeued))
-            if self._tr is not None:
-                self._tr.count("dist.requeues", len(requeued))
         if self.note is not None:
             self.note(self._note_text())
 
@@ -478,9 +470,9 @@ def dist_map(
     Serves ``todo`` from a coordinator, optionally launches a worker
     fleet per ``config.workers``, and blocks until every cell reaches a
     terminal state.  Returns values in the exact shape the local pool
-    produces (:class:`CellResult`, or ``(cell, evals_delta, hits)``
-    tuples when ``evals_snapshot`` is given) so ``evaluate_cells``
-    harvests both dispatch modes identically; failures raise
+    produces (:class:`CellResult`, or ``(cell, evals_delta, hits,
+    uncounted_hits)`` tuples when ``evals_snapshot`` is given) so
+    ``evaluate_cells`` harvests both dispatch modes identically; failures raise
     :class:`~repro.errors.ParallelMapError` with partial results.
 
     Raises :class:`~repro.errors.DistWorkersLost` only when a spawned

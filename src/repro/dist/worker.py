@@ -42,6 +42,7 @@ from ..fft.wisdom import GLOBAL_WISDOM
 from ..obs.export import span_records
 from ..obs.registry import MetricsRegistry, scoped_registry
 from ..obs.tracer import Tracer
+from ..tuning.evalstore import count_hits
 from .protocol import PROTOCOL_VERSION, call, close_connections
 
 
@@ -290,7 +291,9 @@ def _evaluate_lease(
         if snapshot is None:
             cell, delta, hits = value, "", 0
         else:
-            cell, delta, hits = value
+            cell, delta, hits, uncounted = value
+            if uncounted:  # counted here, shipped with the registry delta
+                count_hits(uncounted)
         done_payload.append({
             "index": cells[local_i]["index"],
             "cell": cell_to_dict(cell),

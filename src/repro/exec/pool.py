@@ -62,7 +62,7 @@ from ..fft.wisdom import GLOBAL_WISDOM
 from ..machine.platforms import Platform
 from ..obs import registry as metrics
 from ..obs.tracer import WALL, current_tracer
-from ..tuning.evalstore import EvalStore
+from ..tuning.evalstore import EvalStore, count_hits
 from .store import ResultStore
 
 #: completion callback: ``progress(done, total, label)`` — called once
@@ -143,7 +143,13 @@ def _chaos_maybe_kill(label: str) -> None:
     os._exit(1)
 
 
+#: set in pool worker processes, whose metrics registry dies with them
+_IN_POOL_WORKER = False
+
+
 def _worker_init(wisdom_json: str, faults_text: str = "") -> None:
+    global _IN_POOL_WORKER
+    _IN_POOL_WORKER = True
     if wisdom_json:
         GLOBAL_WISDOM.import_json(wisdom_json)
     if faults_text:
@@ -168,7 +174,7 @@ def _tb_text(exc: BaseException) -> str:
 class _Run:
     """State of one :func:`parallel_map` invocation (pool path).
 
-    ``tr`` is the tracer spans/counters go to — normally the ambient
+    ``tr`` is the tracer spans go to — normally the ambient
     :func:`current_tracer`, but callers may pass an explicit tracer to
     :func:`parallel_map` (the distributed worker does, so per-lease
     telemetry never touches the process-global tracer stack).
@@ -204,8 +210,6 @@ class _Run:
                         help="Per-item worker-side wall seconds.")
         if self.tr is not None:
             t1 = self.tr.wall()
-            self.tr.count("pool.items")
-            self.tr.observe("pool.item_s", worker_s)
             self.tr.add_span(
                 "pool", self.labels[i], max(t1 - worker_s, 0.0), t1, WALL,
                 {"mode": mode, "worker_s": worker_s},
@@ -224,15 +228,9 @@ class _Run:
         if timed_out:
             metrics.count("pool_timeouts_total",
                           help="Pool items abandoned past their deadline.")
-        if self.tr is not None:
-            self.tr.count("pool.item_errors")
-            if timed_out:
-                self.tr.count("pool.timeouts")
         if self.attempts[i] <= policy.retries:
             metrics.count("pool_retries_total",
                           help="Pool item retry resubmissions.")
-            if self.tr is not None:
-                self.tr.count("pool.retries")
             self.retry_at[i] = policy.clock() + policy.backoff(self.attempts[i])
             return True
         cls = ItemTimeoutError if timed_out else ItemFailedError
@@ -260,7 +258,7 @@ def _run_serial(run: _Run, items: Sequence[int]) -> None:
     Both the ``jobs=1`` reference path and the pool's graceful
     degradation land here, so the serial path emits the same progress
     events, spans, and counters as the pool path (``worker_s`` measured
-    around the call, ``pool.item_s`` observed) — only the span's
+    around the call, ``pool_item_seconds`` observed) — only the span's
     ``mode`` attribute tells them apart.  Timeouts are not enforceable
     in-process and are ignored.
     """
@@ -303,7 +301,6 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 def _run_pooled(run: _Run, jobs: int) -> None:
     """Drive all items through a (respawnable) process pool."""
     policy = run.policy
-    tr = run.tr
     faults = current_faults()
     faults_text = faults.key() if faults is not None else ""
 
@@ -399,16 +396,12 @@ def _run_pooled(run: _Run, jobs: int) -> None:
             respawns += 1
             metrics.count("pool_respawns_total",
                           help="Process-pool respawns after a broken pool.")
-            if tr is not None:
-                tr.count("pool.respawns")
             if respawns > policy.pool_respawns:
                 # the pool keeps dying: degrade gracefully to serial
                 metrics.count(
                     "pool_serial_fallbacks_total",
                     help="Graceful degradations to in-process execution.",
                 )
-                if tr is not None:
-                    tr.count("pool.serial_fallbacks")
                 _terminate_pool(pool)
                 _run_serial(run, items)
                 return
@@ -552,15 +545,19 @@ def parallel_map(
 
 def _cell_with_evals(
     plat: str, p: int, n: int, budget: int, evals_jsonl: str
-) -> tuple[CellResult, str, int]:
+) -> tuple[CellResult, str, int, int]:
     """One cell evaluation against a private copy of the shared eval
-    store (module-level: pool workers pickle it).  Returns the cell plus
-    the worker's *new* evaluations as JSONL, the way workers ship FFT
-    wisdom back — the parent merges the deltas in input order — and the
-    worker's store-hit count for the parent's totals."""
+    store (module-level: pool workers pickle it).  Returns the cell, the
+    worker's *new* evaluations as JSONL (the way workers ship FFT wisdom
+    back — the parent merges the deltas in input order), its store-hit
+    count for the parent's eval store, and how many of those hits no
+    readable registry has counted: all of them in a pool worker process,
+    none in-process, where the store counted each as it happened.  The
+    process that receives the value counts the uncounted ones."""
     evals = EvalStore.from_jsonl(evals_jsonl)
     cell = evaluate_cell(plat, p, n, budget, eval_store=evals)
-    return cell, evals.new_jsonl(), evals.hits
+    uncounted = evals.hits if _IN_POOL_WORKER else 0
+    return cell, evals.new_jsonl(), evals.hits, uncounted
 
 
 def evaluate_cells(
@@ -635,10 +632,6 @@ def evaluate_cells(
         todo.append(key)
         pending.add(key)
     labels = [f"{plat} p{p} N{n}" for (plat, p, n, _b, _f) in todo]
-    # out-of-process evaluation ships eval-store hit counts back instead
-    # of tracing them live; dist workers always count as out-of-process
-    pooled = dispatch == "dist" or (default_jobs(jobs) > 1 and len(todo) > 1)
-    tr = current_tracer()
 
     def harvest(values: Sequence[Any]) -> None:
         """Fold finished pool values (cells or cell+delta tuples) into
@@ -650,20 +643,14 @@ def evaluate_cells(
             if eval_store is None:
                 cell = value
             else:
-                cell, delta, hits = value
+                cell, delta, hits, uncounted = value
                 # Input-order merge of worker deltas (first-wins per
                 # key, like the wisdom merge: every record is a pure
-                # function of its key).  In-process runs traced their
-                # store hits as they happened; pooled workers have no
-                # tracer, so their shipped hit counts are folded into
-                # the parent's trace here.
+                # function of its key).
                 eval_store.merge(EvalStore.from_jsonl(delta))
                 eval_store.add_hits(hits)
-                if pooled and hits:
-                    metrics.count("tune_store_hits_total", hits,
-                                  help="Eval-store read-through hits.")
-                    if tr is not None:
-                        tr.count("tune.store_hits", hits)
+                if uncounted:
+                    count_hits(uncounted)
             found[cell.key()] = cell
             if store is not None:
                 store.put(cell)

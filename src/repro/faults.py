@@ -362,12 +362,13 @@ class FaultModel:
         return extra
 
     def counters(self) -> dict[str, float]:
-        """Observability totals (folded into a tracer by the engine)."""
+        """This run's totals by metrics-registry counter name (the
+        engine publishes the nonzero ones at the end of the run)."""
         return {
-            "faults.latency_draws": self.latency_draws,
-            "faults.extra_latency_s": self.extra_latency_s,
-            "faults.spikes": self.spikes,
-            "faults.tests_suppressed": self.tests_suppressed,
+            "faults_latency_draws_total": self.latency_draws,
+            "faults_extra_latency_seconds_total": self.extra_latency_s,
+            "faults_spikes_total": self.spikes,
+            "faults_tests_suppressed_total": self.tests_suppressed,
         }
 
 

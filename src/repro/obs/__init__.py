@@ -1,22 +1,22 @@
 """Observability layer: structured tracing, metrics, and live progress.
 
-Threads spans and counters through every layer of the reproduction —
-the discrete-event scheduler, the FFT pipeline, the tuning loop, and
-the process pool — without perturbing the simulation: tracing is
-off by default, instrumentation only *reads* virtual clocks, and a
-disabled tracer costs one ``is None`` check per construct.
+Threads spans through every layer of the reproduction — the
+discrete-event scheduler, the FFT pipeline, the tuning loop, and the
+process pool — without perturbing the simulation: tracing is off by
+default, instrumentation only *reads* virtual clocks, and a disabled
+tracer costs one ``is None`` check per construct.  Counts and samples
+go to the metrics registry, traced or not.
 
 * :class:`Tracer` / :func:`tracing` / :func:`current_tracer` — the
-  collector and its installation scope;
+  span collector and its installation scope;
 * :func:`write_trace` / :func:`load_trace` — Chrome trace-event JSON
-  and JSONL exporters (Perfetto-viewable) and their loaders;
+  and JSONL exporters (Perfetto-viewable, carrying a registry snapshot
+  in their metadata) and their loaders;
 * :func:`run_metrics` — overlap-efficiency / exposed-communication
   summary of one simulated run;
 * :class:`ProgressLine` — live per-cell completion ticker with ETA;
-* :func:`sched_totals` / :func:`reset_sched_totals` — the process-wide
-  scheduler counter accumulator, now resettable per benchmark run;
-* :class:`MetricsRegistry` / :func:`current_registry` — the telemetry
-  plane's labeled counter/gauge/histogram registry with Prometheus
+* :class:`MetricsRegistry` / :func:`current_registry` — the one
+  counter store: labeled counters/gauges/histograms with Prometheus
   text exposition and snapshot/delta/merge semantics (DESIGN.md §5.12);
 * :func:`export_fleet_chrome` / :func:`span_records` — cross-host trace
   aggregation: worker span records merged into one Chrome trace with a
@@ -25,8 +25,6 @@ disabled tracer costs one ``is None`` check per construct.
   fleet dashboard over the coordinator's ``/status`` + ``/metrics``.
 """
 
-from ..simmpi.engine import SchedStats
-from ..simmpi import engine as _engine
 from .export import (
     chrome_events,
     emit_rank_spans,
@@ -37,6 +35,7 @@ from .export import (
     load_trace,
     rank_timelines,
     span_records,
+    trace_meta,
     write_trace,
 )
 from .dashboard import TopDashboard, metric_total, render_top
@@ -44,7 +43,6 @@ from .metrics import EXPOSED_LABELS, OVERLAP_LABELS, run_metrics
 from .progress import ProgressLine
 from .registry import (
     MetricsRegistry,
-    absorb_tracer,
     current_registry,
     global_registry,
     metrics_enabled,
@@ -63,25 +61,6 @@ from .tracer import (
 )
 
 
-def sched_totals() -> SchedStats:
-    """The process-wide cumulative scheduler counters (compatibility
-    accessor for ``repro.simmpi.engine.TOTALS``)."""
-    return _engine.TOTALS
-
-
-def reset_sched_totals() -> SchedStats:
-    """Zero the process-wide scheduler counters; returns a snapshot of
-    the values they held (so callers can log-and-reset atomically)."""
-    snap = SchedStats(
-        backend=_engine.TOTALS.backend,
-        handoffs=_engine.TOTALS.handoffs,
-        probe_polls=_engine.TOTALS.probe_polls,
-        wakeups=_engine.TOTALS.wakeups,
-    )
-    _engine.TOTALS.reset()
-    return snap
-
-
 __all__ = [
     "EXPOSED_LABELS",
     "MetricsRegistry",
@@ -90,7 +69,6 @@ __all__ = [
     "Span",
     "TopDashboard",
     "Tracer",
-    "absorb_tracer",
     "current_registry",
     "global_registry",
     "metrics_enabled",
@@ -110,10 +88,9 @@ __all__ = [
     "metric_total",
     "rank_timelines",
     "render_top",
-    "reset_sched_totals",
     "run_metrics",
-    "sched_totals",
     "span_records",
+    "trace_meta",
     "tracing",
     "uninstall",
     "write_trace",

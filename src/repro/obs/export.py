@@ -8,9 +8,16 @@ Two interchangeable on-disk formats:
   wall-time tracks (driver work) are kept in separate process groups so
   the two clock domains never share a timeline.
 * **JSONL event log** (``.jsonl``) — one self-describing JSON object per
-  line (``meta`` / ``span`` / ``counter`` / ``histogram`` records).
-  Loss-free for this tracer's model and trivially greppable;
-  ``repro trace`` replays it into the ASCII gantt.
+  line (``meta`` / ``span`` records).  Loss-free for this tracer's
+  model and trivially greppable; ``repro trace`` replays it into the
+  ASCII gantt.
+
+Both carry the same metadata (:func:`trace_meta`): the tracer's
+``meta``, its ``spans_dropped`` count and, when the export is given a
+registry, that registry's snapshot under ``metrics`` (Chrome
+``otherData``, the JSONL ``meta`` record).  Traces written before the
+registry held every count have ``counter``/``histogram`` JSONL records
+and a Chrome "run summary" instant event; the loaders skip both.
 
 :func:`write_trace` dispatches on the file suffix; :func:`load_trace`
 reads either format back into a :class:`~repro.obs.tracer.Tracer`.
@@ -93,12 +100,6 @@ def chrome_events(tracer: Tracer) -> list[dict]:
             "tid": tid_for(pid, sp.track),
             "args": sp.attrs,
         })
-    summary = tracer.summary()
-    if summary:
-        events.append({
-            "name": "run summary", "cat": "metrics", "ph": "I", "s": "g",
-            "ts": 0.0, "pid": _PID_WALL, "tid": 0, "args": summary,
-        })
     return events
 
 
@@ -111,11 +112,21 @@ def _prepare(path: str | Path) -> Path:
     return target
 
 
-def export_chrome(tracer: Tracer, path: str | Path) -> int:
+def trace_meta(tracer: Tracer, registry=None) -> dict:
+    """An export's metadata: the tracer's ``meta``, ``spans_dropped``
+    and, with a :class:`~repro.obs.registry.MetricsRegistry`, its
+    snapshot under ``metrics``."""
+    meta = {**tracer.meta, "spans_dropped": tracer.dropped}
+    if registry is not None:
+        meta["metrics"] = registry.snapshot()
+    return meta
+
+
+def export_chrome(tracer: Tracer, path: str | Path, registry=None) -> int:
     """Write the Chrome trace-event JSON file; returns the event count."""
     events = chrome_events(tracer)
     payload = {"traceEvents": events, "displayTimeUnit": "ms",
-               "otherData": dict(tracer.meta)}
+               "otherData": trace_meta(tracer, registry)}
     _prepare(path).write_text(json.dumps(payload, indent=1))
     return len(events)
 
@@ -125,32 +136,25 @@ def export_chrome(tracer: Tracer, path: str | Path) -> int:
 # ---------------------------------------------------------------------------
 
 
-def export_jsonl(tracer: Tracer, path: str | Path) -> int:
+def export_jsonl(tracer: Tracer, path: str | Path, registry=None) -> int:
     """Write the JSONL event log; returns the record count."""
-    lines = [json.dumps({"kind": "meta", **tracer.meta,
-                         "spans_dropped": tracer.dropped})]
+    lines = [json.dumps({"kind": "meta", **trace_meta(tracer, registry)})]
     for sp in tracer.spans:
         rec = {"kind": "span", "track": sp.track, "name": sp.name,
                "t0": sp.t0, "t1": sp.t1, "clock": sp.clock}
         if sp.attrs:
             rec["attrs"] = sp.attrs
         lines.append(json.dumps(rec))
-    for name, value in tracer.counters.items():
-        lines.append(json.dumps({"kind": "counter", "name": name,
-                                 "value": value}))
-    for name, values in tracer.histograms.items():
-        lines.append(json.dumps({"kind": "histogram", "name": name,
-                                 "values": values}))
     _prepare(path).write_text("\n".join(lines) + "\n")
     return len(lines)
 
 
-def write_trace(tracer: Tracer, path: str | Path) -> int:
+def write_trace(tracer: Tracer, path: str | Path, registry=None) -> int:
     """Export by suffix: ``.jsonl`` → event log, anything else → Chrome
     trace JSON.  Returns the number of records written."""
     if str(path).endswith(".jsonl"):
-        return export_jsonl(tracer, path)
-    return export_chrome(tracer, path)
+        return export_jsonl(tracer, path, registry)
+    return export_chrome(tracer, path, registry)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +240,11 @@ def export_fleet_chrome(
 # ---------------------------------------------------------------------------
 
 
+def _set_meta(tracer: Tracer, meta: dict) -> None:
+    tracer.dropped = int(meta.pop("spans_dropped", 0))
+    tracer.meta.update(meta)
+
+
 def _load_jsonl(text: str) -> Tracer:
     tracer = Tracer()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -250,15 +259,9 @@ def _load_jsonl(text: str) -> Tracer:
                     rec["track"], rec["name"], rec["t0"], rec["t1"],
                     rec.get("clock", VIRTUAL), rec.get("attrs"),
                 )
-            elif kind == "counter":
-                tracer.count(rec["name"], rec["value"])
-            elif kind == "histogram":
-                for v in rec["values"]:
-                    tracer.observe(rec["name"], v)
             elif kind == "meta":
-                tracer.meta.update(
-                    {k: v for k, v in rec.items() if k not in ("kind",)}
-                )
+                del rec["kind"]
+                _set_meta(tracer, rec)
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             # a crash mid-write leaves a truncated final record; a
             # corrupted middle line is the same failure to the reader —
@@ -272,10 +275,10 @@ def _load_jsonl(text: str) -> Tracer:
 
 def _load_chrome(payload: dict) -> Tracer:
     tracer = Tracer()
-    tracer.meta.update(payload.get("otherData") or {})
     names: dict[tuple[int, int], str] = {}
     spans: list[tuple[int, int, Span]] = []
     try:
+        _set_meta(tracer, dict(payload.get("otherData") or {}))
         events = payload.get("traceEvents", [])
         for ev in events:
             if ev.get("ph") == "M" and ev.get("name") == "thread_name":

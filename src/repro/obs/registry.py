@@ -3,11 +3,14 @@
 The telemetry-plane substrate (DESIGN.md §5.12): one
 :class:`MetricsRegistry` holds labeled **counters** (monotonic totals),
 **gauges** (last-write-wins levels), and **histograms** (raw value
-samples, exposed as Prometheus summaries).  The instrumented layers —
-the engine scheduler, the process pool, the distributed coordinator and
-workers — publish into :func:`current_registry` through the module-level
-:func:`count` / :func:`observe` / :func:`set_gauge` helpers, which are
-no-ops when metrics are disabled (``REPRO_METRICS=0``).
+samples, exposed as Prometheus summaries).  It is the only place a
+count or a sample lives; the tracer keeps spans only.  The instrumented
+layers — the engine scheduler and fault model, the tuning loop, the
+process pool, the distributed coordinator and workers — publish into
+:func:`current_registry` through the module-level :func:`count` /
+:func:`observe` / :func:`set_gauge` helpers (and the engine through
+:func:`publish_sched_stats`), which are no-ops when metrics are
+disabled (``REPRO_METRICS=0``).
 
 Three operations make registries composable across processes and hosts,
 with the same discipline as the eval store's merge (first-wins where a
@@ -36,7 +39,6 @@ registry (the reset-safety contract, pinned by
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from contextlib import contextmanager
@@ -142,6 +144,13 @@ class MetricsRegistry:
                 return None
             sample = fam.samples.get(_label_key(labels))
             return list(sample) if isinstance(sample, list) else sample
+
+    def total(self, name: str) -> float:
+        """A counter or gauge family's samples summed over every label
+        set (0.0 when the family is absent)."""
+        with self._lock:
+            fam = self._families.get(name)
+            return sum(fam.samples.values()) if fam is not None else 0.0
 
     def names(self) -> list[str]:
         with self._lock:
@@ -394,11 +403,6 @@ def set_gauge(name: str, value: float, help: str = "", **labels) -> None:
         current_registry().set(name, value, help, **labels)
 
 
-# ---------------------------------------------------------------------------
-# adapters for the pre-registry counter holders
-# ---------------------------------------------------------------------------
-
-
 def publish_sched_stats(stats) -> None:
     """Publish one engine run's :class:`~repro.simmpi.engine.SchedStats`
     (called by the engine at the end of every simulated run)."""
@@ -415,23 +419,3 @@ def publish_sched_stats(stats) -> None:
             backend=backend)
     reg.inc("sim_wakeups_total", stats.wakeups,
             "Blocked-to-runnable rank transitions.", backend=backend)
-
-
-def _prom_name(raw: str) -> str:
-    """A tracer counter name as a Prometheus metric name
-    (``pool.item_errors`` -> ``pool_item_errors``)."""
-    return "".join(
-        c if c.isalnum() or c == "_" else "_" for c in raw
-    )
-
-
-def absorb_tracer(tracer, registry: MetricsRegistry | None = None) -> None:
-    """Fold a :class:`~repro.obs.tracer.Tracer`'s ad-hoc counter and
-    histogram dicts into a registry (sanitizing dotted names), so
-    trace-level telemetry shows up on ``/metrics`` too."""
-    reg = registry if registry is not None else current_registry()
-    for name, value in tracer.counters.items():
-        reg.inc(_prom_name(name) + "_total", value)
-    for name, values in tracer.histograms.items():
-        for v in values:
-            reg.observe(_prom_name(name), v)

@@ -1,13 +1,12 @@
 """Zero-dependency structured tracer for simulation and driver code.
 
-One :class:`Tracer` collects three kinds of telemetry:
-
-* **spans** — named intervals on a *track* (a Perfetto/Chrome "thread"):
-  simulated ranks get one virtual-time track each, driver-side work
-  (tuning evaluations, pool cells) gets wall-time tracks;
-* **counters** — monotonic totals (scheduler handoffs, cache hits);
-* **histograms** — value samples summarized at export (per-cell wall
-  seconds, per-evaluation objectives).
+One :class:`Tracer` collects **spans**: named intervals on a *track*
+(a Perfetto/Chrome "thread").  Simulated ranks get one virtual-time
+track each; driver-side work (tuning evaluations, pool cells) gets
+wall-time tracks.  Counts and samples (scheduler handoffs, store hits,
+per-item seconds) live in the metrics registry
+(:mod:`repro.obs.registry`) whether or not a tracer is installed; a
+trace export carries the registry's snapshot in its metadata.
 
 Clock rule (see DESIGN.md "Observability"): a span that happened
 *inside* a simulated run carries **virtual seconds** (the engine's rank
@@ -53,7 +52,7 @@ class Span:
 
 
 class Tracer:
-    """In-memory collector for spans, counters, and histograms.
+    """In-memory span collector.
 
     ``rank_spans`` controls whether simulated runs emit their per-rank
     event timelines into the trace: on for single-run timeline views
@@ -62,7 +61,8 @@ class Tracer:
     with rank tracks nobody asked for.
 
     ``max_spans`` bounds memory on runaway traces; spans past the cap
-    are counted in :attr:`dropped`, never silently lost from the totals.
+    are counted in :attr:`dropped`, which every export reports as
+    ``spans_dropped``.
     """
 
     def __init__(
@@ -75,8 +75,6 @@ class Tracer:
         self.meta: dict = dict(meta or {})
         self.max_spans = max_spans
         self.spans: list[Span] = []
-        self.counters: dict[str, float] = {}
-        self.histograms: dict[str, list[float]] = {}
         self.dropped = 0
         self._wall0 = time.perf_counter()
 
@@ -113,35 +111,6 @@ class Tracer:
             yield out
         finally:
             self.add_span(track, name, t0, self.wall(), WALL, out)
-
-    # -- metrics -------------------------------------------------------------
-
-    def count(self, name: str, n: float = 1) -> None:
-        """Add ``n`` to the named counter."""
-        self.counters[name] = self.counters.get(name, 0) + n
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one sample into the named histogram."""
-        self.histograms.setdefault(name, []).append(float(value))
-
-    # -- summaries -----------------------------------------------------------
-
-    def summary(self) -> dict:
-        """Counters plus histogram digests — the run-summary metrics dict."""
-        out: dict = dict(self.counters)
-        for name, values in self.histograms.items():
-            values = sorted(values)
-            n = len(values)
-            out[name] = {
-                "count": n,
-                "sum": sum(values),
-                "min": values[0],
-                "max": values[-1],
-                "p50": values[n // 2],
-            }
-        if self.dropped:
-            out["spans_dropped"] = self.dropped
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,7 @@ from typing import Any, Callable
 from ..errors import DeadlockError, SimulationError
 from ..faults import FaultSpec, current_faults, parse_faults
 from ..machine.platforms import Platform
+from ..obs import registry as metrics
 from .fabric import Fabric
 
 #: engine commands a rank coroutine may yield to the scheduler
@@ -77,26 +78,6 @@ class SchedStats:
     handoffs: int = 0
     probe_polls: int = 0
     wakeups: int = 0
-
-    def merge(self, other: "SchedStats") -> None:
-        """Accumulate another run's counters into this record."""
-        self.handoffs += other.handoffs
-        self.probe_polls += other.probe_polls
-        self.wakeups += other.wakeups
-
-    def reset(self) -> None:
-        """Zero the counters (per-benchmark isolation of :data:`TOTALS`)."""
-        self.handoffs = 0
-        self.probe_polls = 0
-        self.wakeups = 0
-
-
-#: Process-wide cumulative counters (benchmark/smoke reporting).  Every
-#: run still gets its own :attr:`Engine.stats`; this accumulator only
-#: serves whole-process summaries and is resettable — via
-#: :meth:`SchedStats.reset` or :func:`repro.obs.reset_sched_totals` — so
-#: totals no longer leak between benchmarks or test cases that read it.
-TOTALS = SchedStats(backend="total")
 
 
 @dataclass
@@ -162,10 +143,11 @@ class Engine:
         tracer=None,
         faults: "FaultSpec | str | None" = None,
     ) -> None:
-        """``tracer`` (a :class:`repro.obs.Tracer`, or ``None``) receives
-        the run's scheduler counters; instrumented callers check it to
-        decide whether to build per-event attributes.  It never
-        influences a scheduling decision or a virtual clock.
+        """``tracer`` (a :class:`repro.obs.Tracer`, or ``None``) is what
+        instrumented callers check to decide whether to build per-event
+        attributes.  It never influences a scheduling decision or a
+        virtual clock.  The run's counts go to the current metrics
+        registry either way.
 
         ``faults`` is a :class:`~repro.faults.FaultSpec` (or grammar
         string) perturbing the simulated machine; ``None`` (the default)
@@ -284,23 +266,13 @@ class Engine:
             self._schedule()
             return self._collect()
         finally:
-            TOTALS.merge(self.stats)
-            # Publish into the telemetry-plane registry (repro.obs.registry).
-            # Imported lazily: repro.obs imports this module at package
-            # init, so a top-level import here would be circular.
-            from ..obs.registry import publish_sched_stats
-
-            publish_sched_stats(self.stats)
-            if self.tracer is not None:
-                self.tracer.count("sched.runs")
-                self.tracer.count("sched.handoffs", self.stats.handoffs)
-                self.tracer.count("sched.probe_polls", self.stats.probe_polls)
-                self.tracer.count("sched.wakeups", self.stats.wakeups)
-                if self.faults is not None:
-                    self.tracer.count("faults.runs")
-                    for name, value in self.faults.counters().items():
-                        if value:
-                            self.tracer.count(name, value)
+            metrics.publish_sched_stats(self.stats)
+            if self.faults is not None:
+                metrics.count("faults_runs_total",
+                              help="Simulated runs under a fault plan.")
+                for name, value in self.faults.counters().items():
+                    if value:
+                        metrics.count(name, value)
 
     def _collect(self) -> list[Any]:
         for r in self.ranks:

@@ -64,11 +64,11 @@ def run_spmd(
     SPMD-correct: every rank must participate in every collective it
     reaches.
 
-    When a :mod:`repro.obs` tracer is installed, the run's scheduler
-    counters flow into it, and — for tracers with ``rank_spans`` — event
-    recording is forced on and the per-rank timelines are exported as
-    virtual-time spans.  None of this can change virtual times: tracing
-    only reads clocks (``tests/obs/test_zero_overhead.py``).
+    The run's scheduler counters go to the current metrics registry.
+    When a :mod:`repro.obs` tracer with ``rank_spans`` is installed,
+    event recording is forced on and the per-rank timelines are exported
+    as virtual-time spans.  None of this can change virtual times:
+    tracing only reads clocks (``tests/obs/test_zero_overhead.py``).
     """
     from ..obs.tracer import current_tracer  # cycle-free: obs never imports spmd
 

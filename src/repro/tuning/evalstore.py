@@ -15,9 +15,14 @@ whatever is on disk before writing, so concurrent grid workers and
 interrupted runs can never truncate the store and never lose each
 other's records.  Loading is tolerant
 (:func:`~repro.util.persist.parse_jsonl`): unparseable lines (a partial
-trailing line from a killed writer), records missing required fields,
-and unknown extra fields are all skipped or ignored — a store written by
-a future schema still yields every record this schema understands.
+trailing line from a killed writer) and records missing required fields
+are skipped with a :class:`~repro.util.persist.CorruptStoreWarning`,
+and unknown extra fields are ignored — a store written by a future
+schema still yields every record this schema understands.
+
+A read-through hit counts in the store's own ``hits`` (the per-store
+report ``repro tune`` prints) and as ``tune_store_hits_total`` in the
+current metrics registry.
 
 Keys are opaque strings (see :func:`eval_key`), so merging is a plain
 dict union — first-wins per key, which is lossless because every value
@@ -40,12 +45,14 @@ from __future__ import annotations
 
 import json
 import threading
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..core.params import ProblemShape, TuningParams
 from ..faults import current_faults
-from ..util.persist import parse_jsonl, write_atomic
+from ..obs import registry as metrics
+from ..util.persist import CorruptStoreWarning, parse_jsonl, write_atomic
 
 #: objective modes a record can be keyed under: ``tuned`` excludes the
 #: parameter-independent FFTz/Transpose steps (technique 3, the tuning
@@ -164,7 +171,9 @@ class EvalStore:
                 self.misses += 1
             else:
                 self.hits += 1
-            return rec
+        if rec is not None:
+            count_hits(1)
+        return rec
 
     def add_hits(self, n: int) -> None:
         """Fold ``n`` externally counted hits in (worker-shipped hit
@@ -267,13 +276,22 @@ class EvalStore:
             return self.to_jsonl(set(self._new))
 
     @classmethod
-    def from_jsonl(cls, text: str) -> "EvalStore":
+    def from_jsonl(cls, text: str, source: str = "eval store") -> "EvalStore":
         """Rebuild a store from JSONL; skips lines that do not parse
         (e.g. a partial tail from an interrupted writer) and records
-        missing required fields; ignores unknown extra fields.  Loaded
+        missing required fields, with a :class:`CorruptStoreWarning`
+        naming ``source``; ignores unknown extra fields.  Loaded
         records do not count as new."""
         store = cls()
-        records, _skipped = parse_jsonl(text, _record_from_json)
+        records, skipped = parse_jsonl(text, _record_from_json)
+        if skipped:
+            warnings.warn(
+                f"{source}: skipped {skipped} unreadable record(s) (torn "
+                f"tail from a killed writer, or a foreign schema); kept "
+                f"{len(records)}",
+                CorruptStoreWarning,
+                stacklevel=2,
+            )
         for key, rec in records:
             store._records.setdefault(key, rec)
         return store
@@ -296,8 +314,9 @@ class EvalStore:
         with _save_lock(target):
             if target.exists():
                 try:
-                    self.merge(EvalStore.from_jsonl(target.read_text()),
-                               mark_new=False)
+                    self.merge(EvalStore.from_jsonl(
+                        target.read_text(), f"eval store {target}"
+                    ), mark_new=False)
                 except OSError:
                     pass
             with self._lock:
@@ -314,7 +333,14 @@ class EvalStore:
             text = file.read_text()
         except OSError:
             return cls()
-        return cls.from_jsonl(text)
+        return cls.from_jsonl(text, f"eval store {file}")
+
+
+def count_hits(n: int) -> None:
+    """Count ``n`` read-through hits into the current metrics registry
+    (also for hits a pool worker process counted in its own store)."""
+    metrics.count("tune_store_hits_total", n,
+                  help="Eval-store read-through hits.")
 
 
 class ScopedEvalStore:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from ..core.params import ProblemShape, TuningParams
 from ..core.variants import VariantSpec, baseline_params, get_variant
 from ..machine.platforms import Platform
-from ..obs.tracer import current_tracer
 from .evalstore import EvalStore
 from .space import SearchSpace
 
@@ -58,7 +57,7 @@ def sweep_parameter(
     per evaluated point (``repro.exec.pool.ProgressFn``).
 
     ``eval_store`` skips points the shared evaluation pool has already
-    timed (traced as ``tune.store_hits``) and records the rest."""
+    timed (counted as ``tune_store_hits_total``) and records the rest."""
     from ..exec.pool import parallel_map
 
     spec = get_variant(variant) if isinstance(variant, str) else variant
@@ -84,9 +83,6 @@ def sweep_parameter(
                 known[i] = rec.objective
             else:
                 todo.append(i)
-        tr = current_tracer()
-        if tr is not None and known:
-            tr.count("tune.store_hits", len(known))
     computed = parallel_map(
         _time_point,
         [(spec, platform, shape, points[i][1], include_fixed_steps)
@@ -137,7 +133,6 @@ def exhaustive_search(
         eval_store.scope(platform.name, spec.name, shape, include_fixed_steps)
         if eval_store is not None else None
     )
-    tr = current_tracer()
     best_params, best_val, n = None, math.inf, 0
     for idx in itertools.product(*(range(len(d)) for d in space.dims)):
         params = space.params_at(idx, base)
@@ -146,8 +141,6 @@ def exhaustive_search(
         if scoped is not None:
             rec = scoped.get(params)
             if rec is not None:
-                if tr is not None:
-                    tr.count("tune.store_hits")
                 if rec.objective < best_val:
                     best_params, best_val = params, rec.objective
                 continue

@@ -31,6 +31,7 @@ import numpy as np
 
 from ..core.params import ProblemShape, TuningParams
 from ..errors import InfeasibleConfigError, TuningError
+from ..obs import registry as metrics
 from ..obs.tracer import WALL, current_tracer
 from .evalstore import ScopedEvalStore
 from .neldermead import NelderMead
@@ -128,7 +129,7 @@ class HarmonyClient:
     — the cross-session/cross-strategy generalization of technique 2.  A
     configuration any strategy has already timed under the same setting
     is answered from the store without running the target (free, like a
-    cache hit, traced as ``tune.store_hits``); every executed measurement
+    cache hit, counted as ``tune_store_hits_total``); every executed measurement
     is written through so other strategies and future sessions reuse it.
     """
 
@@ -192,16 +193,18 @@ class HarmonyClient:
         cache_hit: bool, executed: bool = False, cost: float = 0.0,
         store_hit: bool = False,
     ) -> None:
-        """One wall-clock span + counters per tuning-loop evaluation."""
+        """Count one tuning-loop evaluation into the metrics registry
+        (its store hit, if any, the eval store counts itself) and, when
+        tracing, record it as one wall-clock span."""
+        metrics.count("tune_evals_total", help="Tuning-loop evaluations.")
+        if cache_hit:
+            metrics.count("tune_cache_hits_total",
+                          help="Evaluations answered from session history.")
+        elif not store_hit and not math.isfinite(value):
+            metrics.count("tune_infeasible_total",
+                          help="Evaluations rejected as infeasible.")
         if tr is None:
             return
-        tr.count("tune.evals")
-        if cache_hit:
-            tr.count("tune.cache_hits")
-        elif store_hit:
-            tr.count("tune.store_hits")
-        elif not math.isfinite(value):
-            tr.count("tune.infeasible")
         attrs = {
             "index": list(index),
             "cache_hit": cache_hit,
@@ -214,8 +217,6 @@ class HarmonyClient:
         if params is not None:
             attrs["params"] = params.as_dict()
         tr.add_span("tuning", "tune.eval", t0, tr.wall(), WALL, attrs)
-        if executed:
-            tr.observe("tune.objective_s", value)
 
 
 def run_tuning_loop(

@@ -19,7 +19,6 @@ from ..core.params import ProblemShape, TuningParams
 from ..core.variants import VariantSpec, baseline_params, get_variant
 from ..errors import TuningError
 from ..machine.platforms import Platform
-from ..obs.tracer import current_tracer
 from .evalstore import EvalStore
 from .space import SearchSpace
 
@@ -106,8 +105,8 @@ def random_search(
     every worker count.
 
     ``eval_store`` answers already-timed configurations from the shared
-    evaluation pool (traced as ``tune.store_hits``) and records the new
-    ones, so a CDF re-run — or a tuning session after it — is free where
+    evaluation pool (counted as ``tune_store_hits_total``) and records the
+    new ones, so a CDF re-run — or a tuning session after it — is free where
     the pool is warm.  The returned samples are identical either way.
     """
     from ..exec.pool import parallel_map  # local import to avoid cycles
@@ -142,9 +141,6 @@ def random_search(
     if scoped is not None:
         for p, t in zip(todo, computed):
             scoped.put(p, t, t)
-        tr = current_tracer()
-        if tr is not None and known:
-            tr.count("tune.store_hits", len(known))
     fresh = iter(computed)
     elapsed = [
         known[i] if i in known else next(fresh)

@@ -108,7 +108,7 @@ class TestTracing:
         out = capsys.readouterr().out
         assert "legend:" in out and "rank   0" in out
         assert "makespan" in out
-        assert "sched.handoffs" in out
+        assert "sim_handoffs_total" in out  # the registry snapshot
 
     def test_trace_without_rank_spans_lists_tracks(self, capsys, tmp_path):
         path = tmp_path / "t.jsonl"

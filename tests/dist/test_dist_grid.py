@@ -22,6 +22,7 @@ from repro.dist import DistConfig, run_worker
 from repro.errors import GridInterrupted, ItemFailedError
 from repro.exec import ExecPolicy, ResultStore, evaluate_cells
 from repro.faults import injected_faults, parse_faults
+from repro.obs.registry import scoped_registry
 from repro.tuning.evalstore import EvalStore
 
 BUDGET = 4
@@ -41,7 +42,7 @@ def _fresh_cache():
 
 
 def dist_run(cells, store=None, eval_store=None, worker_jobs=1,
-             n_workers=1, policy=FAST_FAIL, faults=None):
+             n_workers=1, policy=FAST_FAIL, faults=None, batch=1):
     """Evaluate ``cells`` via dispatch="dist" with in-process workers.
 
     The coordinator's ``announce`` hands the URL to ``n_workers``
@@ -66,7 +67,8 @@ def dist_run(cells, store=None, eval_store=None, worker_jobs=1,
     ]
     for t in threads:
         t.start()
-    cfg = DistConfig(poll_s=0.02, lease_ttl=10.0, announce=fan_url)
+    cfg = DistConfig(poll_s=0.02, lease_ttl=10.0, announce=fan_url,
+                     batch=batch)
     ctx = injected_faults(faults) if faults else None
     try:
         if ctx:
@@ -156,6 +158,25 @@ class TestByteIdentity:
         _, raised = dist_run(GRID + [(4, 48)], two_store, n_workers=2)
         assert raised is None
         assert store_bytes(tmp_path / "two") == store_bytes(tmp_path / "one")
+
+
+class TestStoreHitCounting:
+    """Each eval-store hit reaches the grid's registry exactly once: a
+    worker ships the hits it counted in-thread, and those its pool's
+    processes ran, in its registry delta."""
+
+    @pytest.mark.parametrize("worker_jobs", [1, 2])
+    def test_registry_counts_each_hit_once(self, worker_jobs):
+        evals = EvalStore()
+        dist_run(GRID, eval_store=evals, worker_jobs=worker_jobs, batch=2)
+        clear_cache()
+        before = evals.hits
+        with scoped_registry() as reg:
+            dist_run(GRID, eval_store=evals, worker_jobs=worker_jobs,
+                     batch=2)
+        known = evals.hits - before
+        assert known > 0
+        assert reg.value("tune_store_hits_total") == known
 
 
 class TestFailuresAndSalvage:

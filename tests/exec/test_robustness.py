@@ -32,6 +32,7 @@ from repro.exec import (
     evaluate_cells,
     parallel_map,
 )
+from repro.obs.registry import scoped_registry
 from repro.obs.tracer import Tracer, tracing
 
 BUDGET = 4
@@ -133,7 +134,7 @@ class TestBackoff:
 class TestRetriesExhausted:
     def test_failure_carries_label_and_traceback(self):
         clk = FakeClock()
-        with tracing(Tracer(rank_spans=False)) as tr:
+        with scoped_registry() as reg:
             with pytest.raises(ParallelMapError) as ei:
                 parallel_map(_boom, [(7,)], jobs=1, labels=["the-bad-one"],
                              policy=_policy(clk, retries=2))
@@ -146,8 +147,8 @@ class TestRetriesExhausted:
         assert failure.attempts == 3  # first try + 2 retries
         assert "ValueError: boom 7" in failure.cause
         assert "Traceback" in failure.cause
-        assert tr.counters["pool.item_errors"] == 3
-        assert tr.counters["pool.retries"] == 2
+        assert reg.value("pool_item_errors_total") == 3
+        assert reg.value("pool_retries_total") == 2
 
     def test_good_items_survive_a_bad_sibling(self):
         clk = FakeClock()
@@ -168,19 +169,19 @@ class TestRetriesExhausted:
 
     def test_flaky_worker_recovers_on_the_pool_path(self, tmp_path):
         args = [(str(tmp_path), i, 2) for i in range(3)]
-        with tracing(Tracer(rank_spans=False)) as tr:
+        with scoped_registry() as reg:
             out = parallel_map(_flaky, args, jobs=2,
                                policy=ExecPolicy(retries=3, backoff_s=0.0))
         assert out == [0, 1, 4]
-        assert tr.counters["pool.item_errors"] == 6  # 2 failures x 3 items
-        assert tr.counters["pool.retries"] == 6
+        assert reg.value("pool_item_errors_total") == 6  # 2 failures x 3
+        assert reg.value("pool_retries_total") == 6
 
 
 class TestTimeouts:
     def test_hung_worker_times_out(self):
         # two items: a single item bypasses the pool, and timeouts are
         # only enforceable on the pool path
-        with tracing(Tracer(rank_spans=False)) as tr:
+        with scoped_registry() as reg:
             with pytest.raises(ParallelMapError) as ei:
                 parallel_map(
                     _square_or_hang, [(-1,), (3,)], jobs=2,
@@ -195,7 +196,7 @@ class TestTimeouts:
         assert failure.label == "hung"
         assert failure.attempts == 2
         assert "timeout" in failure.cause
-        assert tr.counters["pool.timeouts"] == 2
+        assert reg.value("pool_timeouts_total") == 2
 
     def test_quick_siblings_finish_despite_a_hung_item(self):
         with pytest.raises(ParallelMapError) as ei:
@@ -219,10 +220,10 @@ class TestPoolRecovery:
                                                   monkeypatch):
         monkeypatch.setenv("REPRO_EXEC_CHAOS", f"kill-once:[1]@{tmp_path}")
         args = [(i,) for i in range(4)]
-        with tracing(Tracer(rank_spans=False)) as tr:
+        with scoped_registry() as reg:
             out = parallel_map(_square, args, jobs=2)
         assert out == [0, 1, 4, 9]  # the killed item was resubmitted
-        assert tr.counters["pool.respawns"] >= 1
+        assert reg.value("pool_respawns_total") >= 1
         assert (tmp_path / "chaos-killed").exists()  # chaos fired exactly once
 
     def test_crashed_grid_matches_fault_free_serial(self, tmp_path,
@@ -242,11 +243,11 @@ class TestPoolRecovery:
     def test_exhausted_respawns_degrade_to_serial(self, tmp_path,
                                                   monkeypatch):
         monkeypatch.setenv("REPRO_EXEC_CHAOS", f"kill-once:[0]@{tmp_path}")
-        with tracing(Tracer(rank_spans=False)) as tr:
+        with scoped_registry() as reg:
             out = parallel_map(_square, [(i,) for i in range(3)], jobs=2,
                                policy=ExecPolicy(pool_respawns=0))
         assert out == [0, 1, 4]
-        assert tr.counters["pool.serial_fallbacks"] == 1
+        assert reg.value("pool_serial_fallbacks_total") == 1
 
 
 class TestSerialPoolParity:
@@ -255,19 +256,21 @@ class TestSerialPoolParity:
 
     def _telemetry(self, jobs):
         events = []
-        with tracing(Tracer(rank_spans=False)) as tr:
+        with scoped_registry() as reg, \
+                tracing(Tracer(rank_spans=False)) as tr:
             parallel_map(_square, [(1,), (2,), (3,)], jobs=jobs,
                          progress=lambda d, t, lbl: events.append((d, t)))
         spans = [s for s in tr.spans if s.track == "pool"]
-        return tr, spans, events
+        return reg, spans, events
 
     def test_same_progress_and_counters(self):
-        tr_s, spans_s, events_s = self._telemetry(jobs=1)
-        tr_p, spans_p, events_p = self._telemetry(jobs=2)
+        reg_s, spans_s, events_s = self._telemetry(jobs=1)
+        reg_p, spans_p, events_p = self._telemetry(jobs=2)
         assert events_s == events_p == [(1, 3), (2, 3), (3, 3)]
-        assert tr_s.counters["pool.items"] == tr_p.counters["pool.items"] == 3
-        assert len(tr_s.histograms["pool.item_s"]) == 3
-        assert len(tr_p.histograms["pool.item_s"]) == 3
+        assert reg_s.total("pool_items_total") == 3
+        assert reg_p.total("pool_items_total") == 3
+        assert len(reg_s.value("pool_item_seconds")) == 3
+        assert len(reg_p.value("pool_item_seconds")) == 3
 
     def test_same_span_attrs_except_mode(self):
         _, spans_s, _ = self._telemetry(jobs=1)

@@ -13,7 +13,7 @@ from repro.core.params import ProblemShape
 from repro.faults import FaultSpec, injected_faults, parse_faults
 from repro.machine.platforms import get_platform
 from repro.obs import run_metrics
-from repro.obs.tracer import Tracer, tracing
+from repro.obs.registry import scoped_registry
 from repro.simmpi.engine import Engine
 from repro.simmpi.spmd import run_spmd
 
@@ -111,18 +111,18 @@ class TestEngineWiring:
         assert engine.faults is None
         assert engine.cpu_scale_of(3) == 1.0
 
-    def test_fault_counters_flow_into_the_tracer(self):
+    def test_fault_counters_flow_into_the_registry(self):
         def prog(ctx):
             req = ctx.comm.ialltoall(32 * 1024)
             ctx.progress_phases(((0.003, 4, "compute"),), [req])
             yield from ctx.comm.co_wait(req)
 
-        with tracing(Tracer(rank_spans=False)) as tr:
+        with scoped_registry() as reg:
             with injected_faults("jitter:amp=1e-6;seed:3"):
                 run_spmd(4, prog, PLAT)
-        assert tr.counters.get("faults.runs") == 1
-        assert tr.counters.get("faults.latency_draws", 0) > 0
-        assert tr.counters.get("faults.extra_latency_s", 0) > 0
+        assert reg.value("faults_runs_total") == 1
+        assert reg.value("faults_latency_draws_total") > 0
+        assert reg.value("faults_extra_latency_seconds_total") > 0
 
     def test_no_fault_counters_without_faults(self):
         def prog(ctx):
@@ -130,6 +130,6 @@ class TestEngineWiring:
             ctx.progress_phases(((0.003, 4, "compute"),), [req])
             yield from ctx.comm.co_wait(req)
 
-        with tracing(Tracer(rank_spans=False)) as tr:
+        with scoped_registry() as reg:
             run_spmd(4, prog, PLAT)
-        assert "faults.runs" not in tr.counters
+        assert reg.value("faults_runs_total") is None

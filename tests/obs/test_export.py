@@ -7,6 +7,7 @@ pipeline steps — loadable by Perfetto / ``chrome://tracing``.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.core.api import run_case
 from repro.core.params import ProblemShape
 from repro.machine import UMD_CLUSTER
 from repro.obs import (
+    MetricsRegistry,
     Tracer,
     VIRTUAL,
     WALL,
@@ -79,11 +81,16 @@ class TestChromeExport:
                 continue
             assert e["pid"] == (1 if e["cat"] == VIRTUAL else 2)
 
-    def test_summary_instant_event(self, traced_run):
+    def test_registry_snapshot_in_other_data(self, traced_run, tmp_path):
         tracer, _ = traced_run
-        instants = [e for e in chrome_events(tracer) if e["ph"] == "I"]
-        (summary,) = instants
-        assert summary["args"]["sched.handoffs"] > 0
+        reg = MetricsRegistry()
+        reg.inc("sim_handoffs_total", 5, backend="tasks")
+        path = tmp_path / "trace.json"
+        export_chrome(tracer, path, reg)
+        payload = json.loads(path.read_text())
+        assert payload["otherData"]["metrics"] == reg.snapshot()
+        # counts live in the metadata only, never as trace events
+        assert not [e for e in payload["traceEvents"] if e["ph"] == "I"]
 
 
 class TestJsonlRoundTrip:
@@ -95,8 +102,7 @@ class TestJsonlRoundTrip:
         back = load_trace(path)
         assert back.meta["command"] == "test"
         assert len(back.spans) == len(tracer.spans)
-        assert back.counters == tracer.counters
-        assert back.histograms == tracer.histograms
+        assert back.dropped == tracer.dropped
         a, b = tracer.spans[0], back.spans[0]
         assert (a.track, a.name, a.t0, a.t1, a.clock, a.attrs) == \
                (b.track, b.name, b.t0, b.t1, b.clock, b.attrs)
@@ -111,6 +117,16 @@ class TestJsonlRoundTrip:
         assert {f"rank {i}" for i in range(4)} <= tracks
         clocks = {sp.name: sp.clock for sp in back.spans}
         assert clocks["FFTy"] == VIRTUAL
+
+    def test_registry_snapshot_round_trips(self, traced_run, tmp_path):
+        tracer, _ = traced_run
+        reg = MetricsRegistry()
+        reg.inc("tune_evals_total", 4)
+        reg.observe("pool_item_seconds", 0.25)
+        for name in ("t.jsonl", "t.json"):
+            write_trace(tracer, tmp_path / name, reg)
+            assert load_trace(tmp_path / name).meta["metrics"] == \
+                reg.snapshot()
 
     def test_write_trace_dispatches_on_suffix(self, traced_run, tmp_path):
         tracer, _ = traced_run
@@ -156,3 +172,38 @@ def test_jsonl_loader_skips_blank_lines(tmp_path):
     )
     back = load_trace(path)
     assert len(back.spans) == 1 and back.meta["command"] == "x"
+
+
+class TestDroppedSpans:
+    def test_both_exports_report_spans_dropped(self, tmp_path):
+        tr = Tracer(max_spans=2)
+        for i in range(5):
+            tr.add_span("t", f"s{i}", i, i + 1)
+        export_chrome(tr, tmp_path / "t.json")
+        other = json.loads((tmp_path / "t.json").read_text())["otherData"]
+        assert other["spans_dropped"] == 3
+        export_jsonl(tr, tmp_path / "t.jsonl")
+        meta = json.loads((tmp_path / "t.jsonl").read_text().splitlines()[0])
+        assert meta["spans_dropped"] == 3
+        for name in ("t.json", "t.jsonl"):
+            back = load_trace(tmp_path / name)
+            assert back.dropped == 3
+            assert "spans_dropped" not in back.meta
+
+
+class TestLegacyTrace:
+    """``legacy_trace.jsonl`` is a ``repro grid --trace`` capture from
+    before the registry held every count: it has ``counter`` and
+    ``histogram`` records, which the loader skips."""
+
+    PATH = Path(__file__).with_name("legacy_trace.jsonl")
+
+    def test_loads_spans_and_ignores_count_records(self):
+        kinds = [json.loads(line)["kind"]
+                 for line in self.PATH.read_text().splitlines()]
+        assert {"counter", "histogram"} <= set(kinds)
+        back = load_trace(self.PATH)
+        assert len(back.spans) == kinds.count("span")
+        assert {sp.track for sp in back.spans} == {"tuning", "pool"}
+        assert back.meta["command"] == "grid"
+        assert "metrics" not in back.meta

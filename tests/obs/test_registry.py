@@ -22,7 +22,6 @@ from repro.bench import clear_cache
 from repro.exec import evaluate_cells
 from repro.obs.registry import (
     MetricsRegistry,
-    absorb_tracer,
     count,
     current_registry,
     global_registry,
@@ -33,7 +32,6 @@ from repro.obs.registry import (
     scoped_registry,
     set_enabled,
 )
-from repro.obs.tracer import Tracer
 from repro.simmpi.engine import SchedStats
 
 
@@ -43,6 +41,13 @@ class TestFamilies:
         reg.inc("jobs_total", 2)
         reg.inc("jobs_total", 3)
         assert reg.value("jobs_total") == 5
+
+    def test_total_sums_label_sets(self):
+        reg = MetricsRegistry()
+        reg.inc("runs_total", 2, backend="a")
+        reg.inc("runs_total", 3, backend="b")
+        assert reg.total("runs_total") == 5
+        assert reg.total("absent_total") == 0.0
 
     def test_label_order_is_irrelevant(self):
         reg = MetricsRegistry()
@@ -234,15 +239,6 @@ class TestAdapters:
         assert reg.value("sim_handoffs_total", backend="heap") == 7
         assert reg.value("sim_probe_polls_total", backend="heap") == 3
         assert reg.value("sim_wakeups_total", backend="heap") == 2
-
-    def test_absorb_tracer_sanitizes_names(self):
-        tr = Tracer()
-        tr.count("pool.items", 4)
-        tr.observe("pool.item_s", 0.5)
-        reg = MetricsRegistry()
-        absorb_tracer(tr, reg)
-        assert reg.value("pool_items_total") == 4
-        assert reg.value("pool_item_s") == [0.5]
 
 
 class TestResetSafety:

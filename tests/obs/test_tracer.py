@@ -1,17 +1,22 @@
-"""Tracer core: spans, counters, histograms, and the install stack."""
+"""Tracer core: spans and the install stack (counts live in the registry)."""
 
 import pytest
 
 from repro.obs import (
+    MetricsRegistry,
     Span,
     Tracer,
     VIRTUAL,
     WALL,
     current_tracer,
     install,
+    parse_prometheus,
+    scoped_registry,
+    trace_meta,
     tracing,
     uninstall,
 )
+from repro.obs.registry import count
 
 
 class TestSpans:
@@ -54,26 +59,34 @@ class TestSpans:
             tr.add_span("t", f"s{i}", i, i + 1)
         assert len(tr.spans) == 2
         assert tr.dropped == 3
-        assert tr.summary()["spans_dropped"] == 3
 
 
 class TestMetrics:
+    """Counts and samples go to the metrics registry, traced or not; the
+    tracer holds spans only."""
+
     def test_counters_accumulate(self):
-        tr = Tracer()
-        tr.count("sched.handoffs", 5)
-        tr.count("sched.handoffs")
-        assert tr.counters["sched.handoffs"] == 6
+        with scoped_registry() as reg, tracing() as tr:
+            count("sched_handoffs_total", 5)
+            count("sched_handoffs_total")
+        assert reg.value("sched_handoffs_total") == 6
+        for attr in ("counters", "histograms", "count", "observe",
+                     "summary"):
+            assert not hasattr(tr, attr)
 
     def test_histogram_summary_digest(self):
-        tr = Tracer()
+        reg = MetricsRegistry()
         for v in (3.0, 1.0, 2.0):
-            tr.observe("pool.item_s", v)
-        digest = tr.summary()["pool.item_s"]
-        assert digest == {"count": 3, "sum": 6.0, "min": 1.0, "max": 3.0,
-                          "p50": 2.0}
+            reg.observe("pool_item_seconds", v)
+        assert parse_prometheus(reg.render_prometheus()) == {
+            'pool_item_seconds{quantile="0.5"}': 2.0,
+            'pool_item_seconds{quantile="1"}': 3.0,
+            "pool_item_seconds_sum": 6.0,
+            "pool_item_seconds_count": 3.0,
+        }
 
     def test_summary_empty_without_drops(self):
-        assert Tracer().summary() == {}
+        assert trace_meta(Tracer()) == {"spans_dropped": 0}
 
 
 class TestRegistry:

@@ -7,18 +7,15 @@ times, per-rank event timelines, and per-run ``SchedStats`` must be
 bit-identical with and without an installed tracer.
 """
 
+from contextlib import nullcontext
+
+from repro.bench import clear_cache
 from repro.core.api import run_case
 from repro.core.params import ProblemShape
+from repro.exec import evaluate_cells
 from repro.machine import UMD_CLUSTER
-from repro.obs import (
-    Tracer,
-    current_tracer,
-    reset_sched_totals,
-    sched_totals,
-    tracing,
-)
+from repro.obs import Tracer, current_tracer, scoped_registry, tracing
 from repro.simmpi import run_spmd
-from repro.simmpi.engine import SchedStats
 
 
 def prog_overlap(ctx):
@@ -44,13 +41,17 @@ def fingerprint(sim):
 
 def test_spmd_run_identical_with_and_without_tracer():
     baseline = run_spmd(6, prog_overlap, UMD_CLUSTER, record_events=True)
-    with tracing(Tracer(rank_spans=True)) as tr:
+    with scoped_registry() as reg, tracing(Tracer(rank_spans=True)) as tr:
         traced = run_spmd(6, prog_overlap, UMD_CLUSTER, record_events=True)
     assert fingerprint(traced) == fingerprint(baseline)
-    # ... and the trace actually captured the run it didn't perturb.
-    assert tr.counters["sched.handoffs"] == baseline.stats.handoffs
-    assert tr.counters["sched.probe_polls"] == baseline.stats.probe_polls
-    assert tr.counters["sched.wakeups"] == baseline.stats.wakeups
+    # ... and the run it didn't perturb was captured: counts in the
+    # registry, events as spans.
+    assert reg.value("sim_handoffs_total", backend="tasks") == \
+        baseline.stats.handoffs
+    assert reg.value("sim_probe_polls_total", backend="tasks") == \
+        baseline.stats.probe_polls
+    assert reg.value("sim_wakeups_total", backend="tasks") == \
+        baseline.stats.wakeups
     assert sum(len(t.events) for t in baseline.traces) == len(tr.spans)
 
 
@@ -85,28 +86,47 @@ def test_no_tracer_leaks_after_tracing_block():
 
 class TestSchedTotals:
     def test_totals_accumulate_and_reset(self):
-        reset_sched_totals()
-        run_spmd(4, prog_overlap, UMD_CLUSTER)
-        totals = sched_totals()
-        before = (totals.handoffs, totals.probe_polls, totals.wakeups)
-        assert totals.handoffs > 0 and totals.probe_polls > 0
-        snap = reset_sched_totals()
-        # the snapshot keeps the pre-reset values; the live accumulator
-        # (sched_totals() returns the object itself) is zeroed in place
-        assert (snap.handoffs, snap.probe_polls, snap.wakeups) == before
-        assert (totals.handoffs, totals.probe_polls, totals.wakeups) == (0, 0, 0)
-
-    def test_reset_method_on_stats(self):
-        stats = SchedStats(backend="tasks", handoffs=3, probe_polls=2,
-                           wakeups=1)
-        stats.reset()
-        assert (stats.handoffs, stats.probe_polls, stats.wakeups) == (0, 0, 0)
-        assert stats.backend == "tasks"
+        with scoped_registry() as reg:
+            a = run_spmd(4, prog_overlap, UMD_CLUSTER)
+            b = run_spmd(4, prog_overlap, UMD_CLUSTER)
+        assert reg.value("sim_runs_total", backend="tasks") == 2
+        assert reg.value("sim_handoffs_total", backend="tasks") == \
+            a.stats.handoffs + b.stats.handoffs
+        # a fresh scope is the reset: it starts from nothing
+        with scoped_registry() as fresh:
+            assert fresh.value("sim_handoffs_total", backend="tasks") is None
 
     def test_per_run_stats_isolated_from_totals(self):
-        reset_sched_totals()
-        a = run_spmd(4, prog_overlap, UMD_CLUSTER)
-        b = run_spmd(4, prog_overlap, UMD_CLUSTER)
+        with scoped_registry() as reg:
+            a = run_spmd(4, prog_overlap, UMD_CLUSTER)
+            b = run_spmd(4, prog_overlap, UMD_CLUSTER)
         # identical runs -> identical per-run counters (no global bleed)
         assert a.stats.handoffs == b.stats.handoffs
-        assert sched_totals().handoffs == a.stats.handoffs + b.stats.handoffs
+        assert reg.value("sim_probe_polls_total", backend="tasks") == \
+            a.stats.probe_polls + b.stats.probe_polls
+
+
+class TestCountsIndependentOfTracing:
+    """The registry counts a run the same whether or not a tracer is
+    installed — the bench-smoke grid, ``tune_*`` families included."""
+
+    GRID = {"UMD-Cluster": [(4, 32), (8, 32)], "Hopper": [(4, 32)]}
+
+    def _counters(self, traced):
+        clear_cache()
+        with scoped_registry() as reg:
+            with tracing(Tracer(rank_spans=False)) if traced \
+                    else nullcontext():
+                for platform, cells in self.GRID.items():
+                    evaluate_cells(platform, cells, jobs=1,
+                                   max_evaluations=6)
+        clear_cache()
+        return {name: fam["samples"] for name, fam in reg.snapshot().items()
+                if fam["kind"] == "counter"}
+
+    def test_same_counter_samples_with_and_without_tracer(self):
+        traced = self._counters(traced=True)
+        untraced = self._counters(traced=False)
+        assert traced == untraced
+        assert {"sim_handoffs_total", "tune_evals_total",
+                "pool_items_total"} <= set(traced)

@@ -4,9 +4,13 @@ import json
 
 import pytest
 
+from repro.bench import clear_cache
 from repro.core import ProblemShape, default_params
 from repro.errors import TuningError
+from repro.exec import evaluate_cells
 from repro.machine import UMD_CLUSTER
+from repro.obs import Tracer, scoped_registry, tracing
+from repro.util.persist import CorruptStoreWarning
 from repro.tuning import (
     EvalRecord,
     EvalStore,
@@ -89,9 +93,25 @@ class TestPersistence:
             fh.write('{"key": "X|NEW|partial...\n')
             fh.write('{"objective": 1.0}\n')
             fh.write('{"key": 7, "objective": 1.0}\n')
-        again = EvalStore.load(path)
+        with pytest.warns(CorruptStoreWarning, match="skipped 4"):
+            again = EvalStore.load(path)
         assert len(again) == 1
         assert again.get("X", "NEW", shape(), p).objective == 0.25
+
+    def test_torn_tail_warns_with_skipped_count(self, tmp_path):
+        store = EvalStore()
+        base = default_params(shape())
+        for t in (1, 2, 3, 4):
+            store.put("X", "NEW", shape(), base.replace(T=t), 0.1 * t,
+                      0.1 * t)
+        lines = store.to_jsonl().splitlines()
+        assert len(lines) == 4
+        path = tmp_path / "evals.jsonl"
+        path.write_text("\n".join(lines[:3] + [lines[3][:20]]) + "\n")
+        with pytest.warns(CorruptStoreWarning, match="skipped 1") as rec:
+            loaded = EvalStore.load(path)
+        assert len(loaded) == 3
+        assert str(path) in str(rec[0].message)
 
     def test_unknown_fields_ignored(self, tmp_path):
         line = json.dumps({
@@ -191,15 +211,18 @@ class TestWarmTuning:
         assert coord_warm.best_params == coord_cold.best_params
 
     def test_store_hits_traced(self):
-        from repro.obs import Tracer, tracing
-
         s = shape()
         store = EvalStore()
         autotune("NEW", UMD_CLUSTER, s, max_evaluations=80, eval_store=store)
-        with tracing(Tracer(rank_spans=False)) as tr:
+        before = store.hits
+        with scoped_registry() as reg, \
+                tracing(Tracer(rank_spans=False)) as tr:
             autotune("NEW", UMD_CLUSTER, s, max_evaluations=80,
                      eval_store=store)
-        assert tr.counters.get("tune.store_hits", 0) > 0
+        hits = store.hits - before
+        assert hits > 0
+        assert reg.value("tune_store_hits_total") == hits
+        assert sum(sp.attrs["store_hit"] for sp in tr.spans) == hits
 
     def test_th_variant_keys_do_not_collide_with_new(self):
         s = shape()
@@ -209,6 +232,29 @@ class TestWarmTuning:
                       eval_store=store)
         assert th.session.space.ndim == len(TH.tunable)
         assert th.best_params.is_feasible(s)
+
+
+class TestGridHitCounting:
+    """Every read-through hit of a grid run is counted once in the
+    caller's registry, whether the cells run in-process or in a pool."""
+
+    CELLS = [(4, 32), (8, 32)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_registry_counts_each_hit_once(self, jobs):
+        store = EvalStore()
+        clear_cache()
+        evaluate_cells("UMD-Cluster", self.CELLS, jobs=jobs,
+                       max_evaluations=6, eval_store=store)
+        clear_cache()
+        before = store.hits
+        with scoped_registry() as reg:
+            evaluate_cells("UMD-Cluster", self.CELLS, jobs=jobs,
+                           max_evaluations=6, eval_store=store)
+        clear_cache()
+        known = store.hits - before
+        assert known > 0
+        assert reg.value("tune_store_hits_total") == known
 
 
 class TestSearchBaselinesShareTheStore:

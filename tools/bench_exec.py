@@ -45,24 +45,25 @@ from repro.bench import cells_for, clear_cache  # noqa: E402
 from repro.bench.runner import cell_to_dict  # noqa: E402
 from repro.exec import default_jobs, evaluate_cells  # noqa: E402
 from repro.fft.wisdom import GLOBAL_WISDOM  # noqa: E402
-from repro.simmpi.engine import TOTALS, SchedStats  # noqa: E402
+from repro.obs import scoped_registry  # noqa: E402
 
 PLATFORM = "UMD-Cluster"
 
 
 def timed_grid(cells, budget, jobs):
-    """Evaluate the grid cold; returns (cells, wall_s, stats_delta)."""
+    """Evaluate the grid cold; returns (cells, wall_s, counts), where
+    ``counts`` holds this process's scheduler handoffs and probe polls."""
     clear_cache()
     GLOBAL_WISDOM.forget()
-    before = SchedStats(handoffs=TOTALS.handoffs, probe_polls=TOTALS.probe_polls)
-    t0 = time.perf_counter()
-    out = evaluate_cells(PLATFORM, cells, jobs=jobs, max_evaluations=budget)
-    wall = time.perf_counter() - t0
-    delta = SchedStats(
-        handoffs=TOTALS.handoffs - before.handoffs,
-        probe_polls=TOTALS.probe_polls - before.probe_polls,
-    )
-    return out, wall, delta
+    with scoped_registry() as reg:
+        t0 = time.perf_counter()
+        out = evaluate_cells(PLATFORM, cells, jobs=jobs, max_evaluations=budget)
+        wall = time.perf_counter() - t0
+    counts = {
+        "handoffs": int(reg.total("sim_handoffs_total")),
+        "probe_polls": int(reg.total("sim_probe_polls_total")),
+    }
+    return out, wall, counts
 
 
 def phase_breakdown(repeat=3):
@@ -172,7 +173,7 @@ def main(argv=None) -> int:
             base_walls.append(round(wall, 3))
         base_wall = min(base_walls)
         print(f"serial path (jobs=1): {base_wall:.2f}s "
-              f"best of {base_walls} ({base_stats.handoffs} handoffs)")
+              f"best of {base_walls} ({base_stats['handoffs']} handoffs)")
 
         new_walls = []
         for _ in range(repeat):
@@ -182,7 +183,7 @@ def main(argv=None) -> int:
             new_walls.append(round(wall, 3))
         new_wall = min(new_walls)
         print(f"sharded path (jobs={jobs}): {new_wall:.2f}s "
-              f"best of {new_walls} ({new_stats.handoffs} handoffs in parent)")
+              f"best of {new_walls} ({new_stats['handoffs']} handoffs in parent)")
         phases = phase_breakdown()
 
     if [cell_to_dict(c) for c in base_cells] != [cell_to_dict(c) for c in new_cells]:
@@ -198,13 +199,11 @@ def main(argv=None) -> int:
         "faults": args.faults or "",
         "serial_path": {
             "jobs": 1, "wall_s": round(base_wall, 3), "walls_s": base_walls,
-            "handoffs": base_stats.handoffs,
-            "probe_polls": base_stats.probe_polls,
+            **base_stats,
         },
         "sharded_path": {
             "jobs": jobs, "wall_s": round(new_wall, 3), "walls_s": new_walls,
-            "handoffs": new_stats.handoffs,
-            "probe_polls": new_stats.probe_polls,
+            **new_stats,
         },
         "phase_breakdown": phases,
         "speedup": round(base_wall / new_wall, 3),

@@ -14,10 +14,13 @@ This benchmark quantifies the wall-clock side on two workloads:
    (``rank_spans=True``, the ``repro run --trace`` path);
 2. **sweep** — a tile-count parameter sweep (hundreds of inner
    simulations), traced the way ``repro sweep --trace`` does it
-   (``rank_spans=False``: counters and evaluation spans only).
+   (``rank_spans=False``: evaluation spans only).
 
 Each workload is timed with tracing off and on (best of ``--repeats``,
 cold caches per repeat) and the overhead is reported as a percentage.
+Every repeat runs under a fresh scoped metrics registry, which counts
+the same either way; ``counter_total`` sums the counters of the kept
+traced repeat.
 
 A third workload times the **metrics registry** (DESIGN.md §5.12): the
 bench-smoke grid evaluated with the registry disabled
@@ -70,27 +73,29 @@ def sweep():
 
 
 def best_of(fn, repeats, tracer_factory=None):
-    """Best wall time over ``repeats`` cold runs; returns (secs, tracer)."""
-    best, tracer = None, None
+    """Best wall time over ``repeats`` cold runs; returns (secs, tracer,
+    registry) of the best one."""
+    best = None
     for _ in range(repeats):
         GLOBAL_WISDOM.forget()
         tr = tracer_factory() if tracer_factory is not None else None
-        t0 = time.perf_counter()
-        if tr is not None:
-            with tracing(tr):
+        with scoped_registry() as reg:
+            t0 = time.perf_counter()
+            if tr is not None:
+                with tracing(tr):
+                    fn()
+            else:
                 fn()
-        else:
-            fn()
-        wall = time.perf_counter() - t0
-        if best is None or wall < best:
-            best, tracer = wall, tr
-    return best, tracer
+            wall = time.perf_counter() - t0
+        if best is None or wall < best[0]:
+            best = (wall, tr, reg)
+    return best
 
 
 def measure(name, fn, repeats, rank_spans):
-    off, _ = best_of(fn, repeats)
-    on, tr = best_of(fn, repeats,
-                     lambda: Tracer(rank_spans=rank_spans))
+    off, _, _ = best_of(fn, repeats)
+    on, tr, reg = best_of(fn, repeats,
+                          lambda: Tracer(rank_spans=rank_spans))
     return {
         "workload": name,
         "rank_spans": rank_spans,
@@ -98,7 +103,10 @@ def measure(name, fn, repeats, rank_spans):
         "on_s": round(on, 4),
         "overhead_pct": round(100.0 * (on - off) / off, 2),
         "spans_recorded": len(tr.spans),
-        "counter_total": round(sum(tr.counters.values())),
+        "counter_total": round(sum(
+            value for fam in reg.snapshot().values()
+            if fam["kind"] == "counter" for _labels, value in fam["samples"]
+        )),
     }
 
 

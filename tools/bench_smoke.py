@@ -4,11 +4,12 @@ Usage:  python tools/bench_smoke.py [--out PATH] [--trace PATH]
 
 Evaluates a handful of small cells through the execution layer (tasks
 backend, in-process) and records cells evaluated, wall seconds, and the
-scheduler's handoff / probe-poll / wakeup counters — reset at the start
-of the run so the numbers cover exactly this grid, never counters leaked
-from an earlier run in the same process.  Small enough for every CI run;
-the numbers give a commit-over-commit perf trajectory without the cost
-of the full benchmark suite.
+scheduler's handoff / probe-poll / wakeup counters.  The counters are
+read from a metrics registry scoped to the grid plus the cold/warm tune
+below (the span the committed baselines have always covered), never
+counters left by an earlier run in the same process.  Small enough for
+every CI run; the numbers give a commit-over-commit perf trajectory
+without the cost of the full benchmark suite.
 
 The run also exercises the shared evaluation store: one cold autotune
 fills a fresh :class:`~repro.tuning.EvalStore`, a warm rerun on the same
@@ -17,9 +18,10 @@ counts land in BENCH_smoke.json (a regression here means the store key
 or read-through broke).  The store itself is written to ``--eval-store``
 so CI can upload it as an artifact.
 
-``--trace`` additionally runs the grid under a :mod:`repro.obs` tracer
-and writes a Chrome trace-event JSON (Perfetto-viewable) that CI uploads
-as an artifact.
+``--trace`` additionally runs the grid and the tune under a
+:mod:`repro.obs` tracer and writes a Chrome trace-event JSON
+(Perfetto-viewable, with that registry's snapshot in its metadata) that
+CI uploads as an artifact.
 
 Finally the run exercises the fault-tolerant execution path end to end:
 a pooled grid is started with the ``REPRO_EXEC_CHAOS`` kill-once hook
@@ -48,13 +50,7 @@ from repro.core import ProblemShape  # noqa: E402
 from repro.exec import ResultStore, evaluate_cells  # noqa: E402
 from repro.machine import UMD_CLUSTER  # noqa: E402
 from repro.tuning import EvalStore, autotune  # noqa: E402
-from repro.obs import (  # noqa: E402
-    Tracer,
-    reset_sched_totals,
-    sched_totals,
-    tracing,
-    write_trace,
-)
+from repro.obs import Tracer, scoped_registry, tracing, write_trace  # noqa: E402
 
 GRID = {"UMD-Cluster": [(4, 32), (8, 32)], "Hopper": [(4, 32)]}
 BUDGET = 6
@@ -89,7 +85,7 @@ def chaos_resume_check() -> dict:
     hard-exits before its first item); the pool must respawn, resubmit
     the lost items, and complete the grid.  A second run against the
     same result store is the crash-resume path: it must be answered
-    entirely by read-through — ``pool.items == 0``.
+    entirely by read-through — ``pool_items_total == 0``.
     """
     cells = [(4, 32), (8, 32)]
     with tempfile.TemporaryDirectory() as tmp:
@@ -97,8 +93,7 @@ def chaos_resume_check() -> dict:
         clear_cache()
         os.environ["REPRO_EXEC_CHAOS"] = f"kill-once:@{tmp}"
         try:
-            killed = Tracer(rank_spans=False)
-            with tracing(killed):
+            with scoped_registry() as killed:
                 evaluate_cells("UMD-Cluster", cells, jobs=2,
                                max_evaluations=BUDGET, store=store)
         finally:
@@ -106,16 +101,15 @@ def chaos_resume_check() -> dict:
         chaos_fired = (Path(tmp) / "chaos-killed").exists()
 
         clear_cache()  # simulate a fresh process: only the store survives
-        resumed = Tracer(rank_spans=False)
-        with tracing(resumed):
+        with scoped_registry() as resumed:
             evaluate_cells("UMD-Cluster", cells, jobs=2,
                            max_evaluations=BUDGET, store=store)
     clear_cache()
     return {
         "worker_killed": chaos_fired,
-        "pool_respawns": int(killed.counters.get("pool.respawns", 0)),
-        "cells_after_kill": int(killed.counters.get("pool.items", 0)),
-        "resume_resimulated_cells": int(resumed.counters.get("pool.items", 0)),
+        "pool_respawns": int(killed.total("pool_respawns_total")),
+        "cells_after_kill": int(killed.total("pool_items_total")),
+        "resume_resimulated_cells": int(resumed.total("pool_items_total")),
     }
 
 
@@ -130,17 +124,15 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     clear_cache()
-    reset_sched_totals()
     tracer = Tracer(rank_spans=False, meta={"command": "bench_smoke"})
     t0 = time.perf_counter()
     evaluated = 0
-    with tracing(tracer):
+    with scoped_registry() as registry, tracing(tracer):
         for platform, cells in GRID.items():
             evaluate_cells(platform, cells, jobs=1, max_evaluations=BUDGET)
             evaluated += len(cells)
-    wall = time.perf_counter() - t0
-    totals = sched_totals()
-    tune = warm_vs_cold_tune(args.eval_store)
+        wall = time.perf_counter() - t0
+        tune = warm_vs_cold_tune(args.eval_store)
     chaos = chaos_resume_check()
 
     payload = {
@@ -148,9 +140,9 @@ def main(argv=None) -> int:
         "cells_evaluated": evaluated,
         "budget": BUDGET,
         "wall_s": round(wall, 3),
-        "scheduler_handoffs": totals.handoffs,
-        "scheduler_probe_polls": totals.probe_polls,
-        "scheduler_wakeups": totals.wakeups,
+        "scheduler_handoffs": int(registry.total("sim_handoffs_total")),
+        "scheduler_probe_polls": int(registry.total("sim_probe_polls_total")),
+        "scheduler_wakeups": int(registry.total("sim_wakeups_total")),
         "host_cores": os.cpu_count(),
         "eval_store": tune,
         "fault_tolerance": chaos,
@@ -158,7 +150,7 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload, indent=2))
     if args.trace:
-        n = write_trace(tracer, args.trace)
+        n = write_trace(tracer, args.trace, registry)
         print(f"trace: {n} records -> {args.trace}")
     if tune["warm_executed"] != 0:
         print(f"FAIL: warm tune executed {tune['warm_executed']} "
