@@ -5,7 +5,7 @@ PPoPP 2014).
 Subpackages
 -----------
 ``repro.fft``
-    From-scratch FFT substrate (mixed-radix + Bluestein kernels, an
+    From-scratch FFT substrate (gemm kernels + Bluestein, an
     FFTW-style planner with wisdom, layout transposes, real transforms).
 ``repro.machine``
     Analytic machine models of the paper's two platforms.
@@ -40,6 +40,8 @@ from .core import (
     default_params,
     parallel_fft3d,
     parallel_ifft3d,
+    parallel_irfft3d,
+    parallel_rfft3d,
     run_case,
 )
 from .faults import FaultSpec, injected_faults, parse_faults
@@ -65,6 +67,8 @@ __all__ = [
     "get_platform",
     "parallel_fft3d",
     "parallel_ifft3d",
+    "parallel_irfft3d",
+    "parallel_rfft3d",
     "run_case",
     "__version__",
 ]

@@ -37,8 +37,18 @@ from ..core.params import ProblemShape, TuningParams
 from ..errors import ParameterError
 from ..fft import Flag, planning_effort
 from ..machine.platforms import Platform
-from ..obs.registry import count, observe, scoped_registry, set_gauge
+from ..obs.registry import count, observe, run_registry, scoped_registry, set_gauge
 from ..obs.tracer import current_tracer
+
+
+def half_grid(shape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer wavenumbers ``kx, ky, kz`` of the ``Nz//2 + 1`` half
+    spectrum of a real ``shape`` array, broadcast to 3-D: ``fftfreq``
+    on x and y, ``rfftfreq`` on z."""
+    nx, ny, nz = shape
+    return (np.fft.fftfreq(nx, d=1.0 / nx).reshape(-1, 1, 1),
+            np.fft.fftfreq(ny, d=1.0 / ny).reshape(1, -1, 1),
+            np.fft.rfftfreq(nz, d=1.0 / nz).reshape(1, 1, -1))
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -70,6 +80,10 @@ class AppConfig:
     clock: Callable[[], float] | None = None
 
     def __post_init__(self) -> None:
+        if self.shape.nz % 2:
+            raise ParameterError(
+                f"the apps transform real fields r2c/c2r, which needs an "
+                f"even Nz, got {self.shape.nz}")
         if self.steps < 1:
             raise ParameterError(f"steps must be >= 1, got {self.steps}")
         if self.warmup < 0:
@@ -156,7 +170,9 @@ def resolve_plan(config: AppConfig) -> PlanResolution:
         from ..tuning import autotune
 
         t0 = time.perf_counter()
-        with scoped_registry() as reg:
+        # counted where the caller's counts go (its eval-store hits too)
+        with run_registry() as reg:
+            before = _registry_total(reg, "sim_runs_total")
             result = autotune(
                 variant,
                 config.platform,
@@ -164,7 +180,7 @@ def resolve_plan(config: AppConfig) -> PlanResolution:
                 max_evaluations=config.budget,
                 eval_store=config.eval_store,
             )
-            sims = int(_registry_total(reg, "sim_runs_total"))
+            sims = int(_registry_total(reg, "sim_runs_total") - before)
         return PlanResolution(
             "tuned",
             variant,
@@ -351,12 +367,10 @@ class AppDriver:
     # -- shared numerics helpers ------------------------------------------
 
     def wavenumbers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Integer wavenumber grids ``kx, ky, kz`` broadcast to 3-D."""
+        """Integer wavenumber grids ``kx, ky, kz`` of the half spectrum
+        (:func:`half_grid`), broadcast to 3-D."""
         s = self.config.shape
-        kx = np.fft.fftfreq(s.nx, d=1.0 / s.nx).reshape(-1, 1, 1)
-        ky = np.fft.fftfreq(s.ny, d=1.0 / s.ny).reshape(1, -1, 1)
-        kz = np.fft.fftfreq(s.nz, d=1.0 / s.nz).reshape(1, 1, -1)
-        return kx, ky, kz
+        return half_grid((s.nx, s.ny, s.nz))
 
     def ksq(self) -> np.ndarray:
         kx, ky, kz = self.wavenumbers()

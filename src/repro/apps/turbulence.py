@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.api import parallel_fft3d, parallel_ifft3d
-from .driver import AppDriver
+from ..core.api import parallel_irfft3d, parallel_rfft3d
+from .driver import AppDriver, half_grid
 
 
 def synth_velocity(seed: int, n: int) -> np.ndarray:
@@ -58,28 +58,27 @@ def shell_spectrum(half_spec: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
 
 
 def smooth_field(shape: tuple[int, int, int], seed: int) -> np.ndarray:
-    """Low-pass-filtered random real field (any grid shape)."""
+    """Low-pass-filtered random real field (even Nz)."""
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal(shape)
-    spec = np.fft.fftn(raw)
-    axes = [np.fft.fftfreq(n) for n in shape]  # cycles/sample in [-.5, .5)
-    fx = axes[0].reshape(-1, 1, 1)
-    fy = axes[1].reshape(1, -1, 1)
-    fz = axes[2].reshape(1, 1, -1)
+    spec = np.fft.rfftn(raw)
+    # cycles/sample: the half grid over each extent
+    fx, fy, fz = (k / n for k, n in zip(half_grid(shape), shape))
     f2 = fx * fx + fy * fy + fz * fz
     spec *= np.exp(-((f2 / 0.02) ** 2))
-    u = np.fft.ifftn(spec).real
+    u = np.fft.irfftn(spec)
     return u / np.abs(u).max()
 
 
 class TurbulenceDriver(AppDriver):
     """N pseudo-spectral Euler steps of a scalar Burgers-type equation.
 
-    State lives in spectral space; each step is one inverse + one
-    forward distributed transform around the placeholder nonlinearity,
-    with 2/3-rule dealiasing and an exact integrating factor for the
-    viscous term.  The oracle replays the identical evolution with
-    ``numpy.fft`` from the same initial state.
+    State lives in spectral space as the half spectrum of the real
+    field; each step is one c2r inverse + one r2c forward distributed
+    transform around the placeholder nonlinearity, with 2/3-rule
+    dealiasing and an exact integrating factor for the viscous term.
+    The oracle replays the identical evolution with
+    ``numpy.fft.irfftn``/``rfftn`` from the same initial state.
     """
 
     name = "turbulence"
@@ -92,48 +91,49 @@ class TurbulenceDriver(AppDriver):
         s = self.config.shape
         shape3 = (s.nx, s.ny, s.nz)
         u0 = smooth_field(shape3, self.config.seed)
-        self.u_hat0 = np.fft.fftn(u0)
+        self.u_hat0 = np.fft.rfftn(u0)
         self.u_hat = self.u_hat0.copy()
         kx, ky, kz = self.wavenumbers()
-        self.ik_sum = 1j * (kx + ky + kz)
         k2 = self.ksq()
         self.visc = np.exp(-self.nu * k2 * self.dt)
-        self.dealias = (
+        dealias = (
             (np.abs(kx) <= s.nx // 3)
             & (np.abs(ky) <= s.ny // 3)
             & (np.abs(kz) <= s.nz // 3)
-        ).astype(float)
+        )
+        #: dt * i(kx + ky + kz), zero outside the 2/3-rule band
+        self.flux_factor = self.dt * 1j * (kx + ky + kz) * dealias
         self.steps_done = 0
 
-    def _advance(self, u_hat, fftn, ifftn):
-        """One Euler step; ``fftn``/``ifftn`` supply the transform pair."""
-        u = ifftn(u_hat)
-        flux_hat = fftn(0.5 * u * u)
-        return (u_hat - self.dt * self.ik_sum * self.dealias * flux_hat) * self.visc
+    def _advance(self, u_hat, rfftn, irfftn):
+        """One Euler step; ``rfftn``/``irfftn`` supply the transform pair."""
+        u = irfftn(u_hat)
+        flux_hat = rfftn(0.5 * u * u)
+        return (u_hat - self.flux_factor * flux_hat) * self.visc
 
     def step(self, index: int) -> dict:
         s = self.config.shape
         elapsed = [0.0]
 
-        def ifftn(u_hat):
-            out, res = parallel_ifft3d(u_hat, s.p, self.config.platform,
+        def irfftn(u_hat):
+            out, res = parallel_irfft3d(u_hat, s.p, self.config.platform,
+                                        self.params, self.variant)
+            elapsed[0] += res.elapsed
+            return out
+
+        def rfftn(u):
+            out, res = parallel_rfft3d(u, s.p, self.config.platform,
                                        self.params, self.variant)
             elapsed[0] += res.elapsed
             return out
 
-        def fftn(u):
-            out, res = parallel_fft3d(u, s.p, self.config.platform,
-                                      self.params, self.variant)
-            elapsed[0] += res.elapsed
-            return out
-
-        self.u_hat = self._advance(self.u_hat, fftn, ifftn)
+        self.u_hat = self._advance(self.u_hat, rfftn, irfftn)
         self.steps_done += 1
         return {"virtual_s": elapsed[0]}
 
     def oracle_error(self) -> float:
         ref = self.u_hat0.copy()
         for _ in range(self.steps_done):
-            ref = self._advance(ref, np.fft.fftn, np.fft.ifftn)
+            ref = self._advance(ref, np.fft.rfftn, np.fft.irfftn)
         scale = float(np.abs(ref).max()) or 1.0
         return float(np.abs(self.u_hat - ref).max()) / scale

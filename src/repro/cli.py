@@ -241,12 +241,32 @@ def _load_eval_store(args):
     return EvalStore.load(args.eval_store)
 
 
-def _save_eval_store(args, store) -> None:
+@contextmanager
+def _counting_hits():
+    """Count the command body's eval-store hits: yields a callable that
+    returns the summary's hit phrase, from the ``tune_store_hits_total``
+    counted since entry into the installed registry (``--trace``'s), or
+    into a fresh one for the block when none is installed.  With the
+    metrics gate off (``REPRO_METRICS=0``) nothing is counted, so the
+    phrase says so instead of reporting 0 hits."""
+    from .obs.registry import metrics_enabled, run_registry
+
+    def phrase() -> str:
+        if not metrics_enabled():
+            return "hits not counted (REPRO_METRICS=0)"
+        return f"{int(reg.total('tune_store_hits_total') - before)} hits"
+
+    with run_registry() as reg:
+        before = reg.total("tune_store_hits_total")
+        yield phrase
+
+
+def _save_eval_store(args, store, hits: str) -> None:
     """Merge-save the store back and print its hit/record summary."""
     if store is None:
         return
     n = store.save(args.eval_store)
-    print(f"eval store: {store.hits} hits, {store.new_records} new "
+    print(f"eval store: {hits}, {store.new_records} new "
           f"evaluations, {n} records -> {args.eval_store}")
 
 
@@ -378,7 +398,12 @@ def cmd_multi(args) -> int:
 def cmd_app(args) -> int:
     """``repro app``: run a traffic-shaped application workload."""
     from .apps import APPS, AppConfig
-    from .errors import DistProtocolError, DistUnreachableError, ItemTimeoutError
+    from .errors import (
+        DistProtocolError,
+        DistUnreachableError,
+        ItemTimeoutError,
+        ParameterError,
+    )
 
     platform = get_platform(args.machine)
     if args.shape:
@@ -390,21 +415,25 @@ def cmd_app(args) -> int:
     else:
         shape = _shape(args)
     evals = _load_eval_store(args)
-    cfg = AppConfig(
-        shape=shape, platform=platform, variant=args.variant,
-        steps=args.steps, warmup=args.warmup, seed=args.seed,
-        params=_parse_params(args.params),
-        plan_server=args.plan_server, tenant=args.tenant,
-        token=_resolve_token(args), budget=args.budget,
-        eval_store=evals, plan_effort=args.plan_effort,
-    )
-    with _maybe_faults(args), _maybe_trace(args, rank_spans=False):
+    try:
+        cfg = AppConfig(
+            shape=shape, platform=platform, variant=args.variant,
+            steps=args.steps, warmup=args.warmup, seed=args.seed,
+            params=_parse_params(args.params),
+            plan_server=args.plan_server, tenant=args.tenant,
+            token=_resolve_token(args), budget=args.budget,
+            eval_store=evals, plan_effort=args.plan_effort,
+        )
+    except ParameterError as exc:  # an odd Nz, a bad step count
+        raise SystemExit(f"error: {exc}")
+    with _maybe_faults(args), _maybe_trace(args, rank_spans=False), \
+            _counting_hits() as hits:
         try:
             result = APPS[args.app](cfg).run()
         except (DistUnreachableError, DistProtocolError,
                 ItemTimeoutError) as exc:
             raise SystemExit(f"error: {exc}")
-    _save_eval_store(args, evals)
+    _save_eval_store(args, evals, hits())
 
     if args.json:
         import json
@@ -445,10 +474,11 @@ def cmd_tune(args) -> int:
 
     platform = get_platform(args.machine)
     evals = _load_eval_store(args)
-    result = autotune(
-        args.variant, platform, _shape(args), max_evaluations=args.budget,
-        strategy=args.strategy, eval_store=evals,
-    )
+    with _counting_hits() as hits:
+        result = autotune(
+            args.variant, platform, _shape(args), max_evaluations=args.budget,
+            strategy=args.strategy, eval_store=evals,
+        )
     print(f"tuned {result.variant} on {result.platform}: "
           f"N={args.size}^3, p={args.procs}")
     print(f"  FFT time       : {result.fft_time:.4f} s")
@@ -458,7 +488,7 @@ def cmd_tune(args) -> int:
           f"({result.session.executed_evaluations} executed)")
     print(f"  tuning time    : {result.tuning_time:.1f} simulated s")
     print(f"  configuration  : {result.best_params.as_dict()}")
-    _save_eval_store(args, evals)
+    _save_eval_store(args, evals, hits())
     return 0
 
 
@@ -468,12 +498,13 @@ def cmd_sweep(args) -> int:
 
     platform = get_platform(args.machine)
     evals = _load_eval_store(args)
-    with _maybe_faults(args), _maybe_trace(args, rank_spans=False):
+    with _maybe_faults(args), _maybe_trace(args, rank_spans=False), \
+            _counting_hits() as hits:
         pts = sweep_parameter(
             args.variant, platform, _shape(args), args.name, jobs=args.jobs,
             progress=_progress(args), eval_store=evals,
         )
-    _save_eval_store(args, evals)
+    _save_eval_store(args, evals, hits())
     print(format_table(
         [args.name, "time (s)"],
         [[p.value, p.objective] for p in pts],
@@ -542,7 +573,8 @@ def cmd_grid(args) -> int:
     line = _progress(args)
     try:
         with _maybe_faults(args) as spec, \
-                _maybe_trace(args, rank_spans=False), _maybe_profile(args):
+                _maybe_trace(args, rank_spans=False), _maybe_profile(args), \
+                _counting_hits() as hits:
             results, evals = run_grid(
                 args.machine, cells,
                 jobs=args.jobs, max_evaluations=args.budget,
@@ -567,7 +599,7 @@ def cmd_grid(args) -> int:
     if spec is not None:
         print(f"faults: {spec.key()}")
     if evals is not None:
-        print(f"eval store: {evals.hits} hits, {evals.new_records} new "
+        print(f"eval store: {hits()}, {evals.new_records} new "
               f"evaluations, {len(evals)} records -> {args.eval_store}")
     rows = []
     for cell in results:

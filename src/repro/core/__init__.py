@@ -5,12 +5,20 @@ compared variants, the cached distributed plans and the array-level
 convenience API.
 """
 
-from .api import BREAKDOWN_LABELS, RunResult, parallel_fft3d, parallel_ifft3d, run_case
+from .api import (
+    BREAKDOWN_LABELS,
+    RunResult,
+    parallel_fft3d,
+    parallel_ifft3d,
+    parallel_irfft3d,
+    parallel_rfft3d,
+    run_case,
+)
 from .decompose import Decomposition, gather_spectrum, scatter_slabs
 from .distplan import DistributedFFT3D, fft3d_plan
 from .multiarray import MultiArrayFFT3D, run_multi_array
 from .pencil import PencilFFT3D, parallel_fft3d_pencil
-from .realfft3d import ParallelRFFT3D, parallel_rfft3d
+from .realfft3d import ParallelIRFFT3D, ParallelRFFT3D
 from .params import PARAM_NAMES, ProblemShape, TuningParams, default_params
 from .plan import ParallelFFT3D
 from .variants import (
@@ -35,6 +43,7 @@ __all__ = [
     "NEW0",
     "PARAM_NAMES",
     "ParallelFFT3D",
+    "ParallelIRFFT3D",
     "ParallelRFFT3D",
     "PencilFFT3D",
     "ProblemShape",
@@ -52,6 +61,7 @@ __all__ = [
     "parallel_fft3d",
     "parallel_fft3d_pencil",
     "parallel_ifft3d",
+    "parallel_irfft3d",
     "parallel_rfft3d",
     "run_multi_array",
     "run_case",

@@ -7,7 +7,11 @@
   array on the simulated cluster and return the assembled spectrum
   (real-payload mode), through the process's cached distributed plans
   (:mod:`repro.core.distplan`): only a plan's first transform runs the
-  engine.
+  engine;
+* :func:`parallel_rfft3d` / :func:`parallel_irfft3d` — the same for the
+  r2c transform of a real array and its c2r inverse.
+
+Each returns ``(array, RunResult)``.
 """
 
 from __future__ import annotations
@@ -113,7 +117,8 @@ def run_case(
 def _plan_result(plan: DistributedFFT3D, sim: SimResult) -> RunResult:
     # A kept timeline's breakdown was averaged once, when the plan kept
     # it; a rank-span engine run brings a fresh timeline of its own.
-    breakdown = (dict(plan.breakdown) if sim is plan.timeline
+    kept = plan.kept_breakdown(sim)
+    breakdown = (dict(kept) if kept is not None
                  else sim.breakdown(BREAKDOWN_LABELS))
     return RunResult(
         variant=plan.spec.name,
@@ -126,10 +131,18 @@ def _plan_result(plan: DistributedFFT3D, sim: SimResult) -> RunResult:
     )
 
 
-def _array_plan(arr, p, platform, params, variant) -> DistributedFFT3D:
+def _array_plan(arr, p, platform, params, variant,
+                kind: str = "c2c") -> DistributedFFT3D:
+    """The cached plan transforming ``arr``: its input for ``kind``
+    ``"c2c"`` or ``"r2c"``, the half spectrum of an even ``Nz`` for
+    ``"c2r"``."""
     if arr.ndim != 3:
         raise ParameterError(f"expected a 3-D array, got shape {arr.shape}")
-    return fft3d_plan(ProblemShape(*arr.shape, p), platform, params, variant)
+    nx, ny, nz = arr.shape
+    if kind == "c2r":
+        nz = 2 * (nz - 1)
+    return fft3d_plan(ProblemShape(nx, ny, nz, p), platform, params, variant,
+                      real=kind != "c2c")
 
 
 def parallel_fft3d(
@@ -164,5 +177,43 @@ def parallel_ifft3d(
     applied backward (Section 2.3), on the forward transform's plan."""
     arr = np.asarray(spectrum)
     plan = _array_plan(arr, p, platform, params, variant)
+    out, sim = plan.backward(arr)
+    return out, _plan_result(plan, sim)
+
+
+def parallel_rfft3d(
+    array: np.ndarray,
+    p: int,
+    platform: Platform,
+    params: TuningParams | None = None,
+    variant: str | VariantSpec = "NEW",
+) -> tuple[np.ndarray, RunResult]:
+    """Forward r2c transform of a real 3-D array (even ``Nz``) on ``p``
+    simulated ranks; returns ``(half_spectrum, result)`` with the
+    ``(Nx, Ny, Nz//2 + 1)`` half spectrum matching
+    ``numpy.fft.rfftn(array)``.  Runs on the process's cached r2c plan;
+    complex input raises :class:`~repro.errors.ParameterError`."""
+    arr = np.asarray(array)
+    if np.iscomplexobj(arr):
+        raise ParameterError("an r2c transform takes real input; got a complex array")
+    plan = _array_plan(arr, p, platform, params, variant, "r2c")
+    half, sim = plan.forward(arr)
+    return half, _plan_result(plan, sim)
+
+
+def parallel_irfft3d(
+    half_spectrum: np.ndarray,
+    p: int,
+    platform: Platform,
+    params: TuningParams | None = None,
+    variant: str | VariantSpec = "NEW",
+) -> tuple[np.ndarray, RunResult]:
+    """c2r inverse of an ``(Nx, Ny, Nz//2 + 1)`` half spectrum on ``p``
+    simulated ranks, for the even ``Nz`` it implies; returns
+    ``(array, result)`` with the real array matching
+    ``numpy.fft.irfftn(half_spectrum)``.  Runs on the same cached plan
+    as :func:`parallel_rfft3d` for that shape, with its own timeline."""
+    arr = np.asarray(half_spectrum)
+    plan = _array_plan(arr, p, platform, params, variant, "c2r")
     out, sim = plan.backward(arr)
     return out, _plan_result(plan, sim)

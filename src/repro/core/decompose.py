@@ -116,17 +116,21 @@ def gather_spectrum(
     outputs: list[np.ndarray], shape: tuple[int, int, int], layout: str
 ) -> np.ndarray:
     """Reassemble per-rank pipeline outputs into the full spectrum
-    ``F[kx, ky, kz]`` (comparable with ``numpy.fft.fftn``).
+    ``F[kx, ky, kz]`` (comparable with ``numpy.fft.fftn``), or the full
+    real array of a c2r inverse, of the outputs' dtype.
 
     ``layout`` is the pipeline's output layout: ``"zyx"`` for the general
-    path, ``"yzx"`` for the Nx==Ny fast-transpose path (Section 3.5).
+    path, ``"yzx"`` for the Nx==Ny fast-transpose path (Section 3.5),
+    ``"xyz"`` for the c2r inverse's y-slabs.
     """
     nx, ny, nz = shape
     p = len(outputs)
-    full = np.empty(shape, dtype=np.complex128)
+    full = np.empty(shape, dtype=outputs[0].dtype)
     for r, out in enumerate(outputs):
         y0, y1 = slab_range(ny, p, r)
-        if layout == "zyx":
+        if layout == "xyz":
+            full[:, y0:y1, :] = out
+        elif layout == "zyx":
             # out[z, y_local, x] -> full[x, y, z]
             full[:, y0:y1, :] = out.transpose(2, 1, 0)
         elif layout == "yzx":

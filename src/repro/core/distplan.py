@@ -39,10 +39,19 @@ execute proves it for each plan: it replays its own input and requires
 the gathered engine spectrum and the replayed one to agree bit for bit
 (:class:`~repro.errors.SimulationError` otherwise).
 
+**The c2r inverse.**  An r2c plan's :meth:`DistributedFFT3D.backward`
+is the c2r inverse, with its own engine run, kept timeline and
+first-execute check.  Its replay is the whole-array path in reverse,
+in the same work arrays: the backward-sign y and x kernels on the half
+spectrum, one permute to z-last that folds in the ``1/(Nx*Ny)``
+normalization, and the c2r on z (normalized by its matrix) into the
+fresh real result — three kernel calls, no conjugation or scaling pass.
+
 :func:`fft3d_plan` is the process-wide cache the functional
-``parallel_fft3d``/``parallel_ifft3d``/``parallel_rfft3d`` calls go
-through.  Its key adds the active fault spec and the planner effort to
-the plan's own fields; :func:`repro.fft.clear_plan_cache` empties it.
+``parallel_fft3d``/``parallel_ifft3d``/``parallel_rfft3d``/
+``parallel_irfft3d`` calls go through.  Its key adds the active fault
+spec and the planner effort to the plan's own fields;
+:func:`repro.fft.clear_plan_cache` empties it.
 """
 
 from __future__ import annotations
@@ -57,7 +66,6 @@ import numpy as np
 from ..errors import ParameterError, SimulationError
 from ..faults import current_faults
 from ..fft.plan import Plan1D, default_planning_flag, plan_cache_epoch
-from ..fft.realfft import RealPlan1D
 from ..machine.platforms import Platform
 from ..obs.registry import count
 from ..obs.tracer import current_tracer
@@ -65,7 +73,13 @@ from ..simmpi.spmd import SimResult, run_spmd
 from .decompose import gather_spectrum, scatter_slabs
 from .params import ProblemShape, TuningParams
 from .plan import BREAKDOWN_LABELS, ParallelFFT3D, SlabDataPath
-from .realfft3d import ParallelRFFT3D, half_params
+from .realfft3d import (
+    ParallelIRFFT3D,
+    ParallelRFFT3D,
+    half_params,
+    inverse_plans,
+    irfft_z,
+)
 from .variants import VariantSpec, baseline_params, get_variant
 
 #: plans the process holds; the least recently used is dropped first
@@ -99,16 +113,22 @@ def _exchange(
     return xshape, spec.effective_params(params, xshape)
 
 
-def _rank_program(ctx, plan: DistributedFFT3D, blocks: list[np.ndarray]):
-    """One rank of the plan's engine run, on the plan's data path."""
-    path = plan.paths[ctx.rank]
-    if plan.real:
+def _rank_program(ctx, plan: DistributedFFT3D, blocks: list[np.ndarray],
+                  inverse: bool):
+    """One rank of the plan's engine run, on the plan's data path
+    (``inverse``: the c2r inverse of an r2c plan)."""
+    rank = ctx.rank
+    if inverse:
+        pipeline = ParallelIRFFT3D(ctx, plan.shape, plan.params, plan.spec,
+                                   path=plan.inverse_paths[rank],
+                                   zplan=plan.inverse_plans["z"])
+    elif plan.real:
         pipeline = ParallelRFFT3D(ctx, plan.shape, plan.params, plan.spec,
-                                  path=path, rplan=plan.rplan)
+                                  path=plan.paths[rank], zplan=plan.plans["z"])
     else:
         pipeline = ParallelFFT3D(ctx, plan.shape, plan.params, plan.spec,
-                                 path=path)
-    return (yield from pipeline.steps(blocks[ctx.rank]))
+                                 path=plan.paths[rank])
+    return (yield from pipeline.steps(blocks[rank]))
 
 
 class DistributedFFT3D:
@@ -117,9 +137,11 @@ class DistributedFFT3D:
 
     ``real=False`` transforms complex arrays: :meth:`forward` is the
     paper's pipeline and :meth:`backward` the normalized inverse through
-    the conjugation identity, on the same plan.  ``real=True`` is the
-    r2c pipeline of :mod:`repro.core.realfft3d`: :meth:`forward` returns
-    the ``Nz//2 + 1`` half spectrum.
+    the conjugation identity, on the same plan and timeline.
+    ``real=True`` is the r2c/c2r pair of :mod:`repro.core.realfft3d`:
+    :meth:`forward` returns the ``Nz//2 + 1`` half spectrum and
+    :meth:`backward` is the c2r inverse, with its own engine run and
+    kept timeline.
     """
 
     def __init__(
@@ -138,24 +160,38 @@ class DistributedFFT3D:
         xshape, self.params = _exchange(shape, params, spec, real)
         if spec.overlap:
             self.params.check_feasible(xshape)
-        plans = {"y": Plan1D(shape.ny), "x": Plan1D(shape.nx)}
-        if real:
-            self.rplan: RealPlan1D | None = RealPlan1D(shape.nz)
-        else:
-            self.rplan = None
-            plans["z"] = Plan1D(shape.nz)
+        #: z (the r2c kernel on real plans), y and x
+        plans = {"z": Plan1D(shape.nz, real=real), "y": Plan1D(shape.ny),
+                 "x": Plan1D(shape.nx)}
         self.plans = plans
         fftz_mode = "none" if real else "complex"
         self.paths = [
             SlabDataPath(xshape, self.params, spec, r, fftz_mode, plans)
             for r in range(shape.p)
         ]
-        #: the first engine run's timeline, without payloads
-        self.timeline: SimResult | None = None
-        #: the kept timeline's Figure 8 breakdown, averaged once
-        self.breakdown: dict[str, float] = {}
+        #: the c2r inverse's plans (c2r on z, backward-sign y/x) and data paths
+        self.inverse_plans: dict[str, Plan1D] = {}
+        self.inverse_paths: list[SlabDataPath] = []
+        if real:
+            self.inverse_plans = inverse_plans(shape)
+            self.inverse_paths = [
+                SlabDataPath(xshape, self.params, spec, r, "none", self.inverse_plans)
+                for r in range(shape.p)
+            ]
+        #: per direction ("forward", "inverse"): the first engine run's
+        #: timeline, without payloads, and its Figure 8 breakdown,
+        #: averaged once
+        self._kept: dict[str, tuple[SimResult, dict[str, float]]] = {}
         self._first = threading.Lock()
         count("fft3d_plans_built_total", 1, "Distributed 3-D FFT plans built.")
+
+    def kept_breakdown(self, sim: SimResult) -> dict[str, float] | None:
+        """The breakdown averaged when ``sim`` was kept, or ``None`` when
+        ``sim`` is not one of this plan's kept timelines."""
+        for kept, breakdown in self._kept.values():
+            if sim is kept:
+                return breakdown
+        return None
 
     # -- execution ---------------------------------------------------------
 
@@ -173,45 +209,65 @@ class DistributedFFT3D:
             raise ParameterError(
                 f"array shape {arr.shape} != plan shape ({s.nx}, {s.ny}, {s.nz})"
             )
-        tracer = current_tracer()
-        if tracer is not None and tracer.rank_spans:
-            return self._run_engine(arr)
-        if self.timeline is None:
-            with self._first:
-                if self.timeline is None:
-                    spectrum, sim = self._run_engine(arr)
-                    replayed = self._replay(arr)
-                    if (spectrum.shape != replayed.shape
-                            or spectrum.tobytes() != replayed.tobytes()):
-                        raise SimulationError(
-                            "the replayed output differs from the engine run's"
-                        )
-                    kept = replace(sim, results=[None] * sim.nprocs)
-                    self.breakdown = kept.breakdown(BREAKDOWN_LABELS)
-                    self.timeline = kept
-                    return spectrum, kept
-        spectrum = self._replay(arr)
-        count("fft3d_replays_total", 1,
-              "Distributed 3-D FFTs run on a plan's kept timeline.")
-        return spectrum, self.timeline
+        return self._execute(arr, inverse=False)
 
     def backward(self, spectrum: np.ndarray) -> tuple[np.ndarray, SimResult]:
-        """Normalized inverse, ``ifft(x) = conj(fft(conj(x))) / N`` — the
-        forward pipeline applied backward (Section 2.3)."""
-        if self.real:
-            raise NotImplementedError("the distributed c2r inverse is not implemented")
+        """Normalized inverse.  A c2c plan runs the forward pipeline
+        backward, ``ifft(x) = conj(fft(conj(x))) / N`` (Section 2.3).
+        An r2c plan runs its c2r inverse on an ``(Nx, Ny, Nz//2 + 1)``
+        half spectrum and returns a fresh real array matching
+        ``numpy.fft.irfftn``, which ignores the imaginary parts of the
+        ``kz = 0`` and ``kz = Nz/2`` planes after the x and y
+        transforms, as this does."""
         arr = np.asarray(spectrum, dtype=np.complex128)
+        if self.real:
+            s = self.shape
+            if arr.shape != (s.nx, s.ny, s.nz // 2 + 1):
+                raise ParameterError(
+                    f"half spectrum shape {arr.shape} != plan half shape "
+                    f"({s.nx}, {s.ny}, {s.nz // 2 + 1})"
+                )
+            return self._execute(arr, inverse=True)
         out, sim = self.forward(np.conj(arr))
         # the forward output is fresh, so conjugate and scale it in place
         np.conj(out, out=out)
         out /= arr.size
         return out, sim
 
-    def _run_engine(self, arr: np.ndarray) -> tuple[np.ndarray, SimResult]:
-        """The engine run with payloads and its gathered spectrum."""
+    def _execute(self, arr: np.ndarray, inverse: bool) -> tuple[np.ndarray, SimResult]:
+        """One direction's transform: an engine run the first time (and
+        under a rank-span tracer), a replay on the kept timeline after."""
+        tracer = current_tracer()
+        if tracer is not None and tracer.rank_spans:
+            return self._run_engine(arr, inverse)
+        direction = "inverse" if inverse else "forward"
+        replay = self._replay_c2r if inverse else self._replay
+        if direction not in self._kept:
+            with self._first:
+                if direction not in self._kept:
+                    out, sim = self._run_engine(arr, inverse)
+                    replayed = replay(arr)
+                    if (out.shape != replayed.shape
+                            or out.tobytes() != replayed.tobytes()):
+                        raise SimulationError(
+                            "the replayed output differs from the engine run's"
+                        )
+                    kept = replace(sim, results=[None] * sim.nprocs)
+                    self._kept[direction] = (kept, kept.breakdown(BREAKDOWN_LABELS))
+                    return out, kept
+        out = replay(arr)
+        count("fft3d_replays_total", 1,
+              "Distributed 3-D FFTs run on a plan's kept timeline.")
+        return out, self._kept[direction][0]
+
+    def _run_engine(self, arr: np.ndarray,
+                    inverse: bool = False) -> tuple[np.ndarray, SimResult]:
+        """The engine run with payloads and its gathered output."""
         s = self.shape
         sim = run_spmd(s.p, _rank_program, self.platform, self,
-                       scatter_slabs(arr, s.p))
+                       scatter_slabs(arr, s.p), inverse)
+        if inverse:
+            return gather_spectrum(sim.results, (s.nx, s.ny, s.nz), "xyz"), sim
         nz_out = s.nz // 2 + 1 if self.real else s.nz
         layout = self.paths[0].output_layout
         return gather_spectrum(sim.results, (s.nx, s.ny, nz_out), layout), sim
@@ -224,15 +280,35 @@ class DistributedFFT3D:
         s = self.shape
         nz = s.nz // 2 + 1 if self.real else s.nz
         a, b = _work_arrays(s.nx * s.ny * nz)
-        fftz = self.rplan.rfft if self.real else self.plans["z"].execute
-        xyz = fftz(arr, out=a.reshape(s.nx, s.ny, nz))
-        xzy = b.reshape(s.nx, nz, s.ny)
+        xyz = self.plans["z"].execute(arr, out=a.reshape(s.nx, s.ny, nz))
+        return self._yx(xyz, b, a, self.plans).transpose(2, 0, 1).copy()
+
+    def _replay_c2r(self, half: np.ndarray) -> np.ndarray:
+        """The c2r inverse from the whole-array data path: the y and x
+        kernels as in :meth:`_replay`, then one permute to z-last that
+        folds in the ``1/(Nx*Ny)`` normalization, then the c2r on z
+        into the fresh real result."""
+        s = self.shape
+        nzh = s.nz // 2 + 1
+        a, b = _work_arrays(s.nx * s.ny * nzh)
+        yzx = self._yx(half, b, a, self.inverse_plans)
+        return irfft_z(self.inverse_plans["z"], yzx, "yzx", 1.0 / (s.nx * s.ny),
+                       b.reshape(s.nx, s.ny, nzh))
+
+    @staticmethod
+    def _yx(xyz: np.ndarray, work: np.ndarray, dest: np.ndarray,
+            plans: dict[str, Plan1D]) -> np.ndarray:
+        """FFTy on an ``(x, z, y)`` copy of ``xyz`` into ``dest``, then
+        FFTx on its ``(y, z, x)`` copy in ``work``, into ``dest``: the
+        pipeline's y and x stages on the whole array.  Returns the
+        ``(y, z, x)`` result, a view of ``dest``."""
+        nx, ny, nz = xyz.shape
+        xzy = work.reshape(nx, nz, ny)
         np.copyto(xzy, xyz.transpose(0, 2, 1))
-        xzy = self.plans["y"].execute(xzy, out=a.reshape(xzy.shape))
-        yzx = b.reshape(s.ny, nz, s.nx)
+        xzy = plans["y"].execute(xzy, out=dest.reshape(xzy.shape))
+        yzx = work.reshape(ny, nz, nx)
         np.copyto(yzx, xzy.transpose(2, 1, 0))
-        yzx = self.plans["x"].execute(yzx, out=a.reshape(yzx.shape))
-        return yzx.transpose(2, 0, 1).copy()
+        return plans["x"].execute(yzx, out=dest.reshape(yzx.shape))
 
 
 #: each thread's two replay work arrays (see :func:`_work_arrays`)

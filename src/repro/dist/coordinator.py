@@ -353,8 +353,7 @@ class Coordinator(ServicePlane):
             value: Any = cell
         else:
             # the worker's registry delta already counted its store hits
-            value = (cell, str(item.get("evals", "")),
-                     int(item.get("hits", 0)), 0)
+            value = (cell, str(item.get("evals", "")), 0)
         with self._lock:
             self.results[index] = value
             if self.store is not None:
@@ -470,7 +469,7 @@ def dist_map(
     Serves ``todo`` from a coordinator, optionally launches a worker
     fleet per ``config.workers``, and blocks until every cell reaches a
     terminal state.  Returns values in the exact shape the local pool
-    produces (:class:`CellResult`, or ``(cell, evals_delta, hits,
+    produces (:class:`CellResult`, or ``(cell, evals_delta,
     uncounted_hits)`` tuples when ``evals_snapshot`` is given) so
     ``evaluate_cells`` harvests both dispatch modes identically; failures raise
     :class:`~repro.errors.ParallelMapError` with partial results.

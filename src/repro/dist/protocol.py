@@ -25,7 +25,7 @@ path      method  body -> response
                   batch
 /lease    POST    {worker, max_cells} -> {lease, cells, finished}
 /renew    POST    {worker, lease, done, total, label} -> {ok, finished}
-/complete POST    {worker, lease, cells: [{index, cell, evals, hits}],
+/complete POST    {worker, lease, cells: [{index, cell, evals}],
                   wisdom, host, metrics, spans} -> {accepted, finished}
 /fail     POST    {worker, lease, failures: [{index, label, cause,
                   attempts, timed_out}]} -> {accepted, finished}

@@ -289,16 +289,15 @@ def _evaluate_lease(
         if value is None:
             continue
         if snapshot is None:
-            cell, delta, hits = value, "", 0
+            cell, delta = value, ""
         else:
-            cell, delta, hits, uncounted = value
+            cell, delta, uncounted = value
             if uncounted:  # counted here, shipped with the registry delta
                 count_hits(uncounted)
         done_payload.append({
             "index": cells[local_i]["index"],
             "cell": cell_to_dict(cell),
             "evals": delta,
-            "hits": hits,
         })
     if done_payload:
         call(

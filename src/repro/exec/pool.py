@@ -545,19 +545,22 @@ def parallel_map(
 
 def _cell_with_evals(
     plat: str, p: int, n: int, budget: int, evals_jsonl: str
-) -> tuple[CellResult, str, int, int]:
+) -> tuple[CellResult, str, int]:
     """One cell evaluation against a private copy of the shared eval
     store (module-level: pool workers pickle it).  Returns the cell, the
     worker's *new* evaluations as JSONL (the way workers ship FFT wisdom
-    back — the parent merges the deltas in input order), its store-hit
-    count for the parent's eval store, and how many of those hits no
-    readable registry has counted: all of them in a pool worker process,
-    none in-process, where the store counted each as it happened.  The
+    back — the parent merges the deltas in input order), and how many
+    store hits no readable registry has counted: all of them in a pool
+    worker process, whose registry dies with it, none in-process, where
+    each was counted into the caller's registry as it happened.  The
     process that receives the value counts the uncounted ones."""
     evals = EvalStore.from_jsonl(evals_jsonl)
-    cell = evaluate_cell(plat, p, n, budget, eval_store=evals)
-    uncounted = evals.hits if _IN_POOL_WORKER else 0
-    return cell, evals.new_jsonl(), evals.hits, uncounted
+    if not _IN_POOL_WORKER:
+        cell = evaluate_cell(plat, p, n, budget, eval_store=evals)
+        return cell, evals.new_jsonl(), 0
+    with metrics.scoped_registry() as reg:
+        cell = evaluate_cell(plat, p, n, budget, eval_store=evals)
+    return cell, evals.new_jsonl(), int(reg.total("tune_store_hits_total"))
 
 
 def evaluate_cells(
@@ -643,12 +646,11 @@ def evaluate_cells(
             if eval_store is None:
                 cell = value
             else:
-                cell, delta, hits, uncounted = value
+                cell, delta, uncounted = value
                 # Input-order merge of worker deltas (first-wins per
                 # key, like the wisdom merge: every record is a pure
                 # function of its key).
                 eval_store.merge(EvalStore.from_jsonl(delta))
-                eval_store.add_hits(hits)
                 if uncounted:
                     count_hits(uncounted)
             found[cell.key()] = cell

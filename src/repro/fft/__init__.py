@@ -10,7 +10,8 @@ Public surface:
   with FFTW-style effort levels and wisdom;
 * :func:`fft` / :func:`ifft` / :func:`fftn` / :func:`ifftn` -- one-shot
   conveniences;
-* :class:`RealPlan1D`, :func:`rfft`, :func:`irfft` -- real transforms;
+* :func:`rfft`, :func:`irfft` -- one-shot real transforms (a real
+  :class:`Plan1D`, ``real=True``, is the planned form);
 * layout rearrangement in :mod:`repro.fft.transpose`;
 * :data:`GLOBAL_WISDOM` -- the process-wide planner cache.
 """
@@ -28,7 +29,7 @@ from .plan import (
     ifftn,
     planning_effort,
 )
-from .realfft import RealPlan1D, irfft, rfft
+from .realfft import irfft, rfft
 from .wisdom import GLOBAL_WISDOM, WisdomStore
 
 __all__ = [
@@ -38,7 +39,6 @@ __all__ = [
     "GLOBAL_WISDOM",
     "Plan1D",
     "Plan3D",
-    "RealPlan1D",
     "WisdomStore",
     "clear_plan_cache",
     "default_planning_flag",

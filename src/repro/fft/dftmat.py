@@ -7,12 +7,20 @@ DFT matrix, or a composition of such products:
 * :class:`TwoFactorPlan` — for ``n = n1 * n2``, the transforms along
   ``n1`` and ``n2`` of the ``n1 x n2`` view of each row with a twiddle
   multiply between them (the four-step algorithm), its factor kernels
-  chosen by the planner like any other size.
+  chosen by the planner like any other size;
+* :class:`RealDirectPlan` — a real transform (r2c or c2r) of even ``n``
+  as one real ``(B, n) @ (n, n + 2)`` or ``(B, n + 2) @ (n + 2, n)``
+  product against :func:`real_dft_matrix`, read from or written to
+  the half spectrum's interleaved float view;
+* :class:`PackedRealPlan` — the same real transforms through one
+  complex transform of ``n/2`` (the packing trick), for the sizes above
+  ``DIRECT_MAX``.
 
-Every product goes through :func:`rows_matmul`, which keeps a row's
-result bitwise independent of how many rows share the call; the
-two-factor kernel only adds copies and an elementwise multiply, so it
-inherits that independence from its factors.
+Every complex product goes through :func:`rows_matmul` and every real
+one through :func:`stacked_matmul`, which keep a row's result bitwise
+independent of how many rows share the call; the two-factor and packed
+kernels only add copies and elementwise arithmetic, so they inherit
+that independence from their inner kernels.
 """
 
 from __future__ import annotations
@@ -64,6 +72,37 @@ def rows_matmul(x: np.ndarray, w: np.ndarray,
     if out is None:
         return res
     out[...] = res
+    return out
+
+
+#: rows per real product in :func:`stacked_matmul`
+REAL_GEMM_ROWS = 64
+
+
+def stacked_matmul(x: np.ndarray, w: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """``x @ w`` for a C-contiguous real ``(B, k)`` row batch, bitwise
+    independent of ``B``, written into ``out`` (C-contiguous) when given.
+
+    OpenBLAS computes a real gemm whose ``M*N*K`` falls below a
+    shape-dependent threshold with a small-matrix kernel that rounds
+    differently from its blocked kernel, so a row's bits would depend
+    on how many rows share the call.  Here every product is one gemm of
+    exactly :data:`REAL_GEMM_ROWS` rows: numpy's stacked matmul runs the
+    full groups, and the last partial group is zero-padded.
+    """
+    b, k = x.shape
+    r = REAL_GEMM_ROWS
+    if out is None:
+        out = np.empty((b, w.shape[1]))
+    full = b - b % r
+    if full:
+        np.matmul(x[:full].reshape(-1, r, k), w,
+                  out=out[:full].reshape(-1, r, w.shape[1]))
+    if full < b:
+        pad = np.zeros((r, k))
+        pad[: b - full] = x[full:]
+        out[full:] = (pad @ w)[: b - full]
     return out
 
 
@@ -164,4 +203,134 @@ class TwoFactorPlan:
         if out is None:
             return a.reshape(x.shape)
         np.copyto(out.reshape(b, n2, n1), a)
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def real_dft_matrix(n: int, sign: int) -> np.ndarray:
+    """The real matrix of a real transform of even length ``n``.
+
+    With ``h = n // 2``, :data:`FORWARD` (r2c) gives the ``(n, 2h + 2)``
+    matrix whose columns ``2k`` and ``2k + 1`` hold ``cos`` and ``-sin``
+    of ``2πjk/n``: a real row times it is the half spectrum
+    ``X[0..h]`` as interleaved re/im pairs.  :data:`BACKWARD` (c2r)
+    gives the ``(2h + 2, n)`` matrix of the normalized inverse
+    ``x[j] = (1/n) Σ_k w_k Re(X[k] exp(2πijk/n))`` with ``w_0 = w_h = 1``
+    and 2 otherwise; its rows for the imaginary parts of ``X[0]`` and
+    ``X[h]`` are zero, so those parts are ignored, as
+    ``numpy.fft.irfft`` ignores them.  Cached and read-only.
+    """
+    if n < 2 or n % 2:
+        raise ValueError(f"real DFT size must be even and >= 2, got {n}")
+    if sign not in (FORWARD, BACKWARD):
+        raise ValueError(f"sign must be -1 or +1, got {sign}")
+    h = n // 2
+    # reduce jk mod n first: the angle stays in [0, 2π)
+    theta = 2 * np.pi / n * (np.outer(np.arange(n), np.arange(h + 1)) % n)
+    cos, sin = np.cos(theta), np.sin(theta)
+    sin[:, [0, h]] = 0.0  # the DC and Nyquist columns are real
+    if sign == FORWARD:
+        w = np.stack((cos, -sin), axis=-1).reshape(n, 2 * h + 2)
+    else:
+        weight = np.full(h + 1, 2.0 / n)
+        weight[[0, h]] = 1.0 / n
+        w = np.stack((cos.T * weight[:, None], -sin.T * weight[:, None]),
+                     axis=1).reshape(2 * h + 2, n)
+    w.flags.writeable = False
+    return w
+
+
+def _check_real(kernel, x: np.ndarray) -> np.ndarray:
+    """``x`` as the kernel's C-contiguous input: ``(..., n)`` float64
+    for r2c, ``(..., n//2 + 1)`` complex128 for c2r."""
+    width = kernel.n if kernel.sign == FORWARD else kernel.n // 2 + 1
+    if x.shape[-1] != width:
+        raise PlanError(f"real plan of size {kernel.n} takes rows of "
+                        f"{width}, input last axis is {x.shape[-1]}")
+    dtype = np.float64 if kernel.sign == FORWARD else np.complex128
+    return np.ascontiguousarray(x, dtype=dtype)
+
+
+def _check_real_size(n: int, sign: int) -> None:
+    if n < 2 or n % 2:
+        raise PlanError(f"real transforms need an even size >= 2, got {n}")
+    if sign not in (FORWARD, BACKWARD):
+        raise PlanError(f"sign must be -1 or +1, got {sign}")
+
+
+@dataclass(frozen=True)
+class RealDirectPlan:
+    """Dense real kernel of even size ``n``: r2c (``sign`` forward) or
+    the normalized c2r (backward) as one real gemm against
+    :func:`real_dft_matrix`.
+
+    The half spectrum is read or written as its interleaved float view,
+    so the product goes straight between the complex rows and the real
+    ones, with no packing pass."""
+
+    n: int
+    sign: int = FORWARD
+
+    def __post_init__(self) -> None:
+        _check_real_size(self.n, self.sign)
+
+    def execute(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """r2c: ``(..., n)`` reals to ``(..., n//2 + 1)`` complex; c2r:
+        the reverse.  Written into ``out`` (C-contiguous) when given."""
+        x = _check_real(self, x)
+        lead = x.shape[:-1]
+        rows = x.reshape(-1, x.shape[-1])
+        w = real_dft_matrix(self.n, self.sign)
+        if self.sign == FORWARD:
+            dst = (None if out is None
+                   else out.reshape(-1, w.shape[1] // 2).view(np.float64))
+            res = stacked_matmul(rows, w, dst).view(np.complex128)
+        else:
+            dst = None if out is None else out.reshape(-1, self.n)
+            res = stacked_matmul(rows.view(np.float64), w, dst)
+        return res.reshape(*lead, -1) if out is None else out
+
+
+@dataclass
+class PackedRealPlan:
+    """Real kernel of even size ``n`` through one complex transform of
+    ``h = n/2``: r2c packs the even and odd samples into ``h`` complex
+    ones and separates their spectra after the transform; c2r merges
+    them before it and the result's float view is the real output.
+    ``half`` is a size-``h`` complex kernel with this plan's sign.  As
+    in :class:`RealDirectPlan`, c2r is normalized and ignores the
+    imaginary parts of ``X[0]`` and ``X[h]``."""
+
+    n: int
+    half: object = field(repr=False)
+    sign: int = FORWARD
+    tw: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        _check_real_size(self.n, self.sign)
+        k = np.arange(self.n // 2 + 1)
+        #: exp(-2πik/n): the odd subsequence's shift, for k = 0..h
+        self.tw = np.exp(-2j * np.pi * k / self.n)
+
+    def execute(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """As :meth:`RealDirectPlan.execute`."""
+        x = _check_real(self, x)
+        h = self.n // 2
+        if self.sign == FORWARD:
+            zf = self.half.execute(x[..., 0::2] + 1j * x[..., 1::2])
+            ext = np.concatenate([zf, zf[..., :1]], axis=-1)  # Z[h] = Z[0]
+            rev = np.conj(ext[..., ::-1])  # conj(Z[h-k]) for k = 0..h
+            even = 0.5 * (ext + rev)
+            odd = -0.5j * (ext - rev)
+            return np.add(even, self.tw * odd, out=out)
+        rev = np.conj(x[..., ::-1])
+        even = 0.5 * (x + rev)
+        odd = 0.5 * (x - rev) * np.conj(self.tw)
+        z = (even + 1j * odd)[..., :h]
+        # only z[0] reads X[0] and X[h]: rebuild it from their real parts
+        re0, reh = x[..., 0].real, x[..., h].real
+        z[..., 0] = 0.5 * (re0 + reh) + 0.5j * (re0 - reh)
+        if out is None:
+            out = np.empty((*x.shape[:-1], self.n))
+        np.divide(self.half.execute(z), h, out=out.view(np.complex128))
         return out

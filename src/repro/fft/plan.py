@@ -10,6 +10,12 @@ kernel of the gemm family (:mod:`repro.fft.dftmat`) among its candidates
 * ``bluestein`` -- chirp-z over a power-of-two convolution (the only
   option for a prime above ``DIRECT_MAX``).
 
+A *real* plan (``real=True``, even sizes) is an r2c transform when
+forward and the normalized c2r inverse when backward.  Its candidates
+are ``rdirect``, one real gemm, for sizes up to ``DIRECT_MAX``, and
+``rpacked``, the packing trick around the planned complex kernel of
+half the size.
+
 Candidate selection depends on the planner *flag* — the same four levels
 FFTW exposes and the paper discusses in Section 4.1:
 
@@ -25,8 +31,9 @@ FFTW exposes and the paper discusses in Section 4.1:
     like PATIENT with more repetitions.
 
 Winning kernels are recorded in a :class:`~repro.fft.wisdom.WisdomStore`
-so identical plans are free; an entry naming a kernel this planner no
-longer has is treated as a miss and re-planned.
+(real plans under their own keys) so identical plans are free; an entry
+naming a kernel this planner no longer has, or one of the other kind
+(real or complex), is treated as a miss and re-planned.
 """
 
 from __future__ import annotations
@@ -42,7 +49,15 @@ import numpy as np
 from ..errors import PlanError
 from ..util.intmath import next_pow2
 from .bluestein import BluesteinPlan
-from .dftmat import BACKWARD, DIRECT_MAX, FORWARD, DirectPlan, TwoFactorPlan
+from .dftmat import (
+    BACKWARD,
+    DIRECT_MAX,
+    FORWARD,
+    DirectPlan,
+    PackedRealPlan,
+    RealDirectPlan,
+    TwoFactorPlan,
+)
 from .wisdom import GLOBAL_WISDOM, WisdomStore
 
 
@@ -75,28 +90,29 @@ _DEFAULT_FLAG_LOCK = threading.Lock()
 
 
 def in_row_blocks(fn, x: np.ndarray, width: int,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None,
+                  dtype: type = np.complex128) -> np.ndarray:
     """``fn`` on the rows of a contiguous ``(..., m)`` batch, in blocks of
     at most :data:`BLOCK_BYTES` of input so each block's temporaries stay
     small.  ``fn(rows, out=None)`` maps ``(b, m)`` rows to ``(b, width)``
-    complex rows, each row on its own (the kernels are bitwise
+    rows of ``dtype``, each row on its own (the kernels are bitwise
     batch-independent), so the blocking never changes a bit; it writes
     each block's rows straight into their place in the result.  The
-    result goes to ``out`` when given: a C-contiguous complex128
+    result goes to ``out`` when given: a C-contiguous ``dtype``
     ``(..., width)`` array not overlapping ``x``."""
     lead = x.shape[:-1]
     if out is not None and not (out.shape == (*lead, width)
-                                and out.dtype == np.complex128
+                                and out.dtype == dtype
                                 and out.flags.c_contiguous):
-        raise PlanError(f"out must be a C-contiguous complex128 array of "
-                        f"shape {(*lead, width)}")
+        raise PlanError(f"out must be a C-contiguous {np.dtype(dtype).name} "
+                        f"array of shape {(*lead, width)}")
     m = x.shape[-1]
     rows = x.size // m
     step = max(1, BLOCK_BYTES // (x.itemsize * m))
     if out is None:
         if rows <= step:
             return fn(x)
-        out = np.empty((*lead, width), np.complex128)
+        out = np.empty((*lead, width), dtype)
     src, dst = x.reshape(rows, m), out.reshape(rows, width)
     for r0 in range(0, rows, step):
         fn(src[r0 : r0 + step], out=dst[r0 : r0 + step])
@@ -197,6 +213,10 @@ def _make_kernel(descriptor: str, n: int, sign: int):
     """Instantiate a kernel from its wisdom descriptor string."""
     if descriptor == "direct":
         return DirectPlan(n, sign)
+    if descriptor == "rdirect":
+        return RealDirectPlan(n, sign)
+    if descriptor == "rpacked":
+        return PackedRealPlan(n, planned_kernel(n // 2, sign), sign)
     if descriptor == "bluestein":
         return BluesteinPlan(n, sign, planned_kernel)
     if descriptor.startswith("twofactor:"):
@@ -206,11 +226,19 @@ def _make_kernel(descriptor: str, n: int, sign: int):
     raise PlanError(f"unknown kernel descriptor {descriptor!r}")
 
 
-def _candidates(n: int) -> list[str]:
+#: the descriptors of the real (r2c/c2r) kernels
+REAL_KERNELS = ("rdirect", "rpacked")
+
+
+def _candidates(n: int, real: bool = False) -> list[str]:
     """Kernel descriptors worth considering for size ``n``: the dense
     kernel up to :data:`DIRECT_MAX`, the most balanced two-factor split
     of a composite size, and Bluestein for sizes above 8 that are not
-    powers of two (its own convolution length is one)."""
+    powers of two (its own convolution length is one).  A real
+    transform has the dense real kernel up to :data:`DIRECT_MAX` and
+    the packed one."""
+    if real:
+        return [d for d in REAL_KERNELS if d != "rdirect" or n <= DIRECT_MAX]
     out: list[str] = []
     if n <= DIRECT_MAX:
         out.append("direct")
@@ -243,9 +271,18 @@ def _work(descriptor: str, n: int) -> tuple[float, float, float]:
     moved through memory, numpy calls per block)``.  A gemm moves its
     output twice; the two-factor kernel adds two transposing copies and
     a fused twiddle-and-transpose (4 moves per element); Bluestein pads
-    into and multiplies on length-``m`` rows."""
+    into and multiplies on length-``m`` rows.  The dense real kernel is
+    a real gemm onto the ``n/2 + 1`` complex elements of the half
+    spectrum; the packed one adds ~8 elementwise passes over them to
+    its half-size complex kernel."""
     if descriptor == "direct":
         return 8.0 * n * n, 2.0 * n, 1.0
+    if descriptor == "rdirect":
+        return 2.0 * n * (n + 2), n + 2.0, 1.0
+    if descriptor == "rpacked":
+        h = n // 2
+        flops, moved, calls = _work(_estimate(h), h)
+        return flops, moved + 8.0 * (h + 1), calls + 8
     if descriptor == "bluestein":
         m = next_pow2(2 * n - 1)
         flops, moved, calls = _work(_estimate(m), m)
@@ -268,9 +305,9 @@ def _cost(descriptor: str, n: int) -> float:
             + CALL_NS * calls * n / per_block)
 
 
-def _estimate(n: int) -> str:
+def _estimate(n: int, real: bool = False) -> str:
     """The cheapest candidate for size ``n`` under :func:`_cost`."""
-    return min(_candidates(n), key=lambda d: _cost(d, n))
+    return min(_candidates(n, real), key=lambda d: _cost(d, n))
 
 
 def planned_kernel(n: int, sign: int):
@@ -280,7 +317,7 @@ def planned_kernel(n: int, sign: int):
 
 
 class Plan1D:
-    """A reusable plan for 1-D complex-to-complex FFTs of one size.
+    """A reusable plan for 1-D FFTs of one size.
 
     Parameters
     ----------
@@ -296,6 +333,11 @@ class Plan1D:
     wisdom:
         Wisdom store consulted/updated during planning (defaults to the
         process-global store).
+    real:
+        Plan a real transform of even ``n``: forward maps ``n`` reals to
+        the ``n//2 + 1`` complex half spectrum (``numpy.fft.rfft``),
+        backward maps a half spectrum back to ``n`` reals, normalized
+        (``numpy.fft.irfft``).
     """
 
     def __init__(
@@ -304,13 +346,23 @@ class Plan1D:
         sign: int = FORWARD,
         flag: Flag | None = None,
         wisdom: WisdomStore | None = None,
+        real: bool = False,
     ) -> None:
-        if n < 1:
-            raise PlanError(f"FFT size must be >= 1, got {n}")
+        if n < 1 or (real and n % 2):
+            raise PlanError(f"FFT size must be {'even and ' if real else ''}"
+                            f">= 1, got {n}")
         if sign not in (FORWARD, BACKWARD):
             raise PlanError(f"sign must be -1 or +1, got {sign}")
         self.n = n
         self.sign = sign
+        self.real = real
+        rows = ((n, np.float64), (n // 2 + 1, np.complex128))
+        if not real:
+            rows = ((n, np.complex128),) * 2
+        elif sign == BACKWARD:
+            rows = rows[::-1]
+        #: row length and dtype of the input and of the output
+        (self.in_width, self._in_dtype), (self.out_width, self._out_dtype) = rows
         self.flag = flag if flag is not None else _DEFAULT_FLAG
         self._wisdom = wisdom if wisdom is not None else GLOBAL_WISDOM
         self.kernel_name, self._kernel = self._plan()
@@ -318,8 +370,9 @@ class Plan1D:
     # -- planning --------------------------------------------------------
 
     def _plan(self) -> tuple[str, object]:
-        cached = self._wisdom.lookup(self.n, self.sign, self.flag.value)
-        if cached is not None:
+        cached = self._wisdom.lookup(self.n, self.sign, self.flag.value,
+                                     self.real)
+        if cached is not None and (cached in REAL_KERNELS) == self.real:
             try:
                 kern = _cached_kernel(cached, self.n, self.sign)
             except PlanError:
@@ -328,9 +381,9 @@ class Plan1D:
                 _count("fft_wisdom_hits_total")
                 return cached, kern
         _count("fft_plans_built_total", flag=self.flag.value)
-        names = _candidates(self.n)
+        names = _candidates(self.n, self.real)
         if self.flag is Flag.ESTIMATE or len(names) == 1:
-            best = _estimate(self.n)
+            best = _estimate(self.n, self.real)
         else:
             reps, batches = _EFFORT[self.flag]
             best, best_t = names[0], float("inf")
@@ -338,7 +391,7 @@ class Plan1D:
                 kern = _cached_kernel(name, self.n, self.sign)
                 t = 0.0
                 for b in batches:
-                    x = np.ones((b, self.n), dtype=np.complex128)
+                    x = np.ones((b, self.in_width), dtype=self._in_dtype)
                     kern.execute(x)  # warm any lazy caches
                     t0 = time.perf_counter()
                     for _ in range(reps):
@@ -346,7 +399,8 @@ class Plan1D:
                     t += time.perf_counter() - t0
                 if t < best_t:
                     best, best_t = name, t
-        self._wisdom.record(self.n, self.sign, self.flag.value, best)
+        self._wisdom.record(self.n, self.sign, self.flag.value, best,
+                            real=self.real)
         return best, _cached_kernel(best, self.n, self.sign)
 
     # -- execution ---------------------------------------------------------
@@ -358,15 +412,20 @@ class Plan1D:
         normalize: bool = False,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Transform ``x`` along ``axis``; returns a new complex array,
-        or ``out`` when given: a C-contiguous complex array of ``x``'s
-        shape, not overlapping ``x``, that a last-axis transform writes
-        its result into."""
+        """Transform ``x`` along ``axis``; returns a new array (complex,
+        or real for a c2r plan), or ``out`` when given: a C-contiguous
+        array of the result's shape and dtype, not overlapping ``x``,
+        that a last-axis transform writes its result into.  A real
+        plan's axis has :attr:`in_width` elements and ``normalize``
+        does not apply to it (c2r is normalized already)."""
         x = np.asarray(x)
-        if x.shape[axis] != self.n:
+        if x.shape[axis] != self.in_width:
             raise PlanError(
-                f"plan is for size {self.n}, axis {axis} has length {x.shape[axis]}"
+                f"plan takes {self.in_width} elements along the axis "
+                f"(size {self.n}), axis {axis} has length {x.shape[axis]}"
             )
+        if normalize and self.real:
+            raise PlanError("normalize is for complex plans")
         # The pipelines transform the last axis; skip the two moveaxis
         # round trips, which cost more than a small kernel call.
         last = axis == -1 or axis == x.ndim - 1
@@ -374,8 +433,8 @@ class Plan1D:
             raise PlanError("out is for last-axis transforms")
         moved = x if last else np.moveaxis(x, axis, -1)
         res = in_row_blocks(self._kernel.execute,
-                            np.ascontiguousarray(moved, dtype=np.complex128),
-                            self.n, out)
+                            np.ascontiguousarray(moved, dtype=self._in_dtype),
+                            self.out_width, out, self._out_dtype)
         if normalize:
             res = np.divide(res, self.n, out=out)
         return res if last else np.moveaxis(res, -1, axis)
@@ -387,6 +446,8 @@ class Plan1D:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         d = "forward" if self.sign == FORWARD else "backward"
+        if self.real:
+            d = "r2c" if self.sign == FORWARD else "c2r"
         return f"Plan1D(n={self.n}, {d}, {self.flag.value}, kernel={self.kernel_name})"
 
 

@@ -1,8 +1,9 @@
 """FFTW-style "wisdom": a persistent cache of planner decisions.
 
-A wisdom entry maps ``(size, sign, flag-level)`` to the winning kernel
-descriptor (policy string), so that re-planning the same transform is
-instant.  Wisdom can be exported to / imported from JSON, mirroring
+A wisdom entry maps ``(size, sign, flag-level, real)`` to the winning
+kernel descriptor (policy string), so that re-planning the same
+transform is instant; ``real`` tells an r2c/c2r plan from a complex
+one.  Wisdom can be exported to / imported from JSON, mirroring
 ``fftw_export_wisdom``.
 """
 
@@ -20,17 +21,19 @@ class WisdomStore:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._entries: dict[tuple[int, int, str], str] = {}
+        self._entries: dict[tuple[int, int, str, bool], str] = {}
 
-    def lookup(self, n: int, sign: int, level: str) -> str | None:
+    def lookup(self, n: int, sign: int, level: str,
+               real: bool = False) -> str | None:
         """Return the stored kernel descriptor, or ``None`` if unknown."""
         with self._lock:
-            return self._entries.get((n, sign, level))
+            return self._entries.get((n, sign, level, real))
 
-    def record(self, n: int, sign: int, level: str, kernel: str) -> None:
+    def record(self, n: int, sign: int, level: str, kernel: str,
+               real: bool = False) -> None:
         """Remember that ``kernel`` won planning for this transform."""
         with self._lock:
-            self._entries[(n, sign, level)] = kernel
+            self._entries[(n, sign, level, real)] = kernel
 
     def forget(self) -> None:
         """Drop all wisdom (``fftw_forget_wisdom``)."""
@@ -47,8 +50,9 @@ class WisdomStore:
         """Serialize all wisdom to a JSON string."""
         with self._lock:
             payload = [
-                {"n": n, "sign": sign, "level": level, "kernel": kernel}
-                for (n, sign, level), kernel in sorted(self._entries.items())
+                {"n": n, "sign": sign, "level": level, "kernel": kernel,
+                 **({"real": True} if real else {})}
+                for (n, sign, level, real), kernel in sorted(self._entries.items())
             ]
         return json.dumps(payload, indent=0)
 
@@ -58,7 +62,8 @@ class WisdomStore:
         added = 0
         with self._lock:
             for item in payload:
-                key = (int(item["n"]), int(item["sign"]), str(item["level"]))
+                key = (int(item["n"]), int(item["sign"]), str(item["level"]),
+                       bool(item.get("real", False)))
                 if key not in self._entries:
                     added += 1
                 self._entries[key] = str(item["kernel"])

@@ -20,9 +20,9 @@ are skipped with a :class:`~repro.util.persist.CorruptStoreWarning`,
 and unknown extra fields are ignored — a store written by a future
 schema still yields every record this schema understands.
 
-A read-through hit counts in the store's own ``hits`` (the per-store
-report ``repro tune`` prints) and as ``tune_store_hits_total`` in the
-current metrics registry.
+A read-through hit counts as ``tune_store_hits_total`` in the current
+metrics registry, the one place hits are counted (``repro tune`` and
+``repro grid`` read their "eval store: N hits" line from there).
 
 Keys are opaque strings (see :func:`eval_key`), so merging is a plain
 dict union — first-wins per key, which is lossless because every value
@@ -133,19 +133,17 @@ class EvalStore:
 
     Tracks which records were added after construction/loading
     (:meth:`new_jsonl`) so pool workers can ship *only their deltas*
-    back to the parent, and counts hits/misses for reporting.
+    back to the parent.
 
-    All record/counter access holds :attr:`_lock` (re-entrant), so one
-    store can be hammered by many HTTP handler threads without losing
-    records, dropping new-record deltas, or skewing hit/miss counters.
+    All record access holds :attr:`_lock` (re-entrant), so one store can
+    be hammered by many HTTP handler threads without losing records or
+    dropping new-record deltas.
     """
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._records: dict[str, EvalRecord] = {}
         self._new: set[str] = set()
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -164,22 +162,12 @@ class EvalStore:
     # -- queries ---------------------------------------------------------
 
     def get_key(self, key: str) -> EvalRecord | None:
-        """Record for an exact key, or ``None`` (counts hit/miss)."""
+        """Record for an exact key, or ``None`` (a hit is counted)."""
         with self._lock:
             rec = self._records.get(key)
-            if rec is None:
-                self.misses += 1
-            else:
-                self.hits += 1
         if rec is not None:
             count_hits(1)
         return rec
-
-    def add_hits(self, n: int) -> None:
-        """Fold ``n`` externally counted hits in (worker-shipped hit
-        counts; the read-modify-write must happen under the lock)."""
-        with self._lock:
-            self.hits += n
 
     def get(
         self,

@@ -41,6 +41,11 @@ class TestAppCommand:
         with pytest.raises(SystemExit, match="NX,NY,NZ"):
             main(["app", "poisson", "--shape", "16,16", "-p", "4"])
 
+    def test_odd_nz_is_an_error(self):
+        # the apps transform real fields r2c/c2r, which needs an even Nz
+        with pytest.raises(SystemExit, match="even Nz, got 15"):
+            main(["app", "poisson", "--shape", "16,16,15", "-p", "4"])
+
     def test_faults_flag_accepted(self, capsys):
         rc = main(["app", "poisson", "-n", "16", "-p", "4", "--steps", "2",
                    "--warmup", "0",

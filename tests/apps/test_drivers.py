@@ -167,6 +167,8 @@ class TestPlanResolution:
             config(steps=0)
         with pytest.raises(ParameterError):
             config(warmup=-1)
+        with pytest.raises(ParameterError, match="even Nz"):
+            config(shape=ProblemShape(16, 16, 15, 4))
 
 
 class TestFaultsSmoke:

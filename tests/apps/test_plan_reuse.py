@@ -124,8 +124,9 @@ class _PerStepPlans(PoissonDriver):
 
 class TestAppPlanReuse:
     def test_steps_2_to_n_build_zero_new_plans(self):
-        # Anisotropic grid -> three distinct 1-D plan sizes, all planned
-        # during step 1; every later step must be wisdom-only.
+        # Anisotropic grid -> three distinct 1-D plan sizes, each planned
+        # once per direction during step 1; every later step must be
+        # wisdom-only.
         cfg = AppConfig(shape=ProblemShape(12, 16, 20, 4),
                         platform=UMD_CLUSTER, steps=4, warmup=0)
         with scoped_registry(MetricsRegistry()):
@@ -133,8 +134,8 @@ class TestAppPlanReuse:
             res = driver.run()
         assert res.numerics_ok
         after_first, *rest = driver.plans_after_step
-        assert after_first == 3  # one per distinct size (conjugation
-        #                          identity keeps the inverse on FORWARD)
+        assert after_first == 6  # per size, the r2c forward's plan and
+        #                          the c2r inverse's backward-sign one
         assert rest == [after_first] * (len(driver.plans_after_step) - 1)
 
     def test_second_run_in_process_plans_nothing(self):

@@ -23,11 +23,14 @@ The cases are the ``apps`` benchmark cell (16^3 on 4 ranks with its
 tuned parameters, run forward and, through the conjugation identity,
 backward), a composite-size matrix over NEW, TH and FFTW, both tile
 layouts (``xzy`` when Nx == Ny, ``zxy`` otherwise) and p from 1 to 8,
-and real-to-complex cases (direction ``"r2c"``): the ``apps`` cell and
+real-to-complex cases (direction ``"r2c"``): the ``apps`` cell and
 composite even-Nz cells run through
 :class:`repro.core.realfft3d.ParallelRFFT3D` the way
-:func:`~repro.core.realfft3d.parallel_rfft3d` drives it, checked
-against ``numpy.fft.rfftn``.
+:func:`~repro.core.api.parallel_rfft3d` drives it, checked against
+``numpy.fft.rfftn``, and the same cells' complex-to-real inverse
+(direction ``"c2r"``) on a seeded half spectrum through
+:class:`~repro.core.realfft3d.ParallelIRFFT3D`, checked against
+``numpy.fft.irfftn``; for those the digest is of the real output.
 
 Multi-array cases (``"pipeline": "multi"``) run
 :class:`repro.core.multiarray.MultiArrayFFT3D` in all four modes on one
@@ -40,10 +43,12 @@ other compute-with-progression spellings, before those were removed.
 
 The committed ``payload_golden.json`` was captured with the retired
 mixed-radix kernels, before the FFT kernels became bitwise
-batch-independent.  Two kernel changes since moved spectra at
+batch-independent.  Three kernel changes since moved spectra at
 round-off: a one-row dense product used to go through BLAS gemv rather
-than gemm, and the planner now picks the dense gemm kernel for every
-size up to 64 where it used to pick the mixed-radix one.  The cases
+than gemm, the planner now picks the dense gemm kernel for every
+size up to 64 where it used to pick the mixed-radix one, and the r2c
+transform on z is one real gemm up to 64 where it used to pack around
+a half-length complex transform.  The cases
 whose spectra moved carry a second digest, ``spectrum_sha_after``
 (with ``err_after``), taken with the current kernels.  All their other
 fields are unchanged.
@@ -55,7 +60,8 @@ them from the cases whose spectra match it again, and
 ``--extend`` keeps every captured field and adds only the fields and
 cases the committed file lacks (``events_sha``, the r2c cases and the
 multi-array and pencil cases were added this way, each before the code
-they pin was reworked).
+they pin was reworked; the c2r cases were added with the code that
+introduced the c2r inverse).
 ``tests/core/test_payload_golden.py`` compares the live pipeline with
 the committed file.
 """
@@ -75,7 +81,7 @@ from repro.core.decompose import gather_spectrum, scatter_slabs
 from repro.core.multiarray import MODES, MultiArrayFFT3D
 from repro.core.params import ProblemShape, TuningParams
 from repro.core.plan import ParallelFFT3D
-from repro.core.realfft3d import ParallelRFFT3D
+from repro.core.realfft3d import ParallelIRFFT3D, ParallelRFFT3D
 from repro.core.variants import NEW, baseline_params, get_variant
 from repro.faults import injected_faults
 from repro.machine.platforms import get_platform
@@ -182,6 +188,9 @@ def cases() -> list[dict]:
                     "params": None if values is None else list(values),
                     "direction": "r2c",
                 })
+    # the c2r inverse of every r2c case
+    out += [dict(case, id=case["id"].replace("-r2c", "-c2r"), direction="c2r")
+            for case in out if case["direction"] == "r2c"]
     for faults in (None, FAULTS):
         tag = "-faults" if faults else ""
         for mode in MODES:
@@ -218,6 +227,8 @@ def _input(case: dict) -> np.ndarray:
     shape = tuple(case["shape"])
     if case["direction"] == "r2c":
         return rng.standard_normal(shape)
+    if case["direction"] == "c2r":
+        shape = (*shape[:2], shape[2] // 2 + 1)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
@@ -289,9 +300,12 @@ def _spectra(case: dict) -> tuple:
                                           (nx, ny, nz), *grid)
         return sim, traced, [spectrum], [np.fft.fftn(arr)]
     spec = get_variant(case["variant"])
-    r2c = case["direction"] == "r2c"
-    plan_cls = ParallelRFFT3D if r2c else ParallelFFT3D
-    params = (baseline_params(spec, _half(shape) if r2c else shape)
+    direction = case["direction"]
+    r2c = direction == "r2c"
+    plan_cls = {"r2c": ParallelRFFT3D, "c2r": ParallelIRFFT3D}.get(
+        direction, ParallelFFT3D)
+    real = plan_cls is not ParallelFFT3D
+    params = (baseline_params(spec, _half(shape) if real else shape)
               if case["params"] is None else TuningParams(*case["params"]))
     arr = _input(case)
     src = np.conj(arr) if case["direction"] == "inverse" else arr
@@ -300,10 +314,12 @@ def _spectra(case: dict) -> tuple:
     out_shape = (nx, ny, nz // 2 + 1) if r2c else (nx, ny, nz)
     spectrum = gather_spectrum([r[0] for r in sim.results], out_shape,
                                sim.results[0][1])
-    if case["direction"] == "forward":
+    if direction == "forward":
         oracle = np.fft.fftn(arr)
     elif r2c:
         oracle = np.fft.rfftn(arr)
+    elif direction == "c2r":
+        oracle = np.fft.irfftn(arr, s=(nx, ny, nz), axes=(0, 1, 2))
     else:
         spectrum = np.conj(spectrum) / arr.size
         oracle = np.fft.ifftn(arr)
@@ -313,7 +329,7 @@ def _spectra(case: dict) -> tuple:
 def run(case: dict) -> dict:
     """Run one case and return its recorded quantities."""
     sim, traced, spectra, oracles = _spectra(case)
-    spectra = [np.ascontiguousarray(s, dtype=np.complex128) for s in spectra]
+    spectra = [np.ascontiguousarray(s) for s in spectra]
     totals: dict[str, float] = {}
     for tr in sim.traces:
         for label, secs in tr.by_label.items():

@@ -185,6 +185,23 @@ class TestEvalStoreFlag:
         warm = capsys.readouterr().out
         assert "0 new evaluations" in warm
 
+    def test_hits_are_not_reported_when_metrics_are_off(self, capsys,
+                                                         tmp_path, monkeypatch):
+        # REPRO_METRICS=0 turns the registry's counters off, so the hit
+        # line must not claim 0 hits for a rerun served from the store
+        from repro.obs import registry
+
+        path = tmp_path / "evals.jsonl"
+        args = ["tune", "-n", "64", "-p", "4", "--eval-store", str(path)]
+        assert main(args) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(registry, "_ENABLED", False)
+        assert main(args) == 0
+        warm = capsys.readouterr().out
+        assert "eval store: hits not counted (REPRO_METRICS=0), " \
+               "0 new evaluations" in warm
+        assert " hits," not in warm
+
     def test_strategies_share_the_store(self, capsys, tmp_path):
         path = tmp_path / "evals.jsonl"
         base = ["tune", "-n", "64", "-p", "4", "--eval-store", str(path)]
@@ -229,7 +246,7 @@ class TestExtensionCommands:
         assert "r2c FFT" in capsys.readouterr().out
 
     def test_run_real_honours_variant(self, capsys):
-        from repro.core.realfft3d import parallel_rfft3d
+        from repro.core import parallel_rfft3d
         from repro.machine import UMD_CLUSTER
 
         arr = np.random.default_rng(3).standard_normal((32, 32, 32))
@@ -239,8 +256,8 @@ class TestExtensionCommands:
                        "--real", "-v", variant])
             assert rc == 0
             out = capsys.readouterr().out
-            _, sim = parallel_rfft3d(arr, 4, UMD_CLUSTER, variant=variant)
-            printed[variant] = f"simulated time: {sim.elapsed:.4f} s"
+            _, res = parallel_rfft3d(arr, 4, UMD_CLUSTER, variant=variant)
+            printed[variant] = f"simulated time: {res.elapsed:.4f} s"
             assert printed[variant] in out
         assert printed["NEW"] != printed["FFTW"]
 

@@ -2,8 +2,9 @@
 
 A plan's first transform runs the engine and keeps its timeline; later
 transforms run only the whole-array data path and return that timeline.
-The property tests hold a replayed spectrum and timeline to a fresh
-engine run bit for bit; the other tests pin what a steady call costs (no
+The property tests hold a replayed output and timeline to a fresh
+engine run bit for bit, in all four directions (c2c forward and
+inverse, r2c and its c2r inverse); the other tests pin what a steady call costs (no
 engine run, no 1-D planning, one kernel call per axis and no mover
 call), what the cache key separates, and when the engine still runs.
 """
@@ -17,11 +18,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import plan as pipeline
-from repro.core.api import BREAKDOWN_LABELS, parallel_fft3d, parallel_ifft3d, run_case
+from repro.core.api import (
+    BREAKDOWN_LABELS,
+    parallel_fft3d,
+    parallel_ifft3d,
+    parallel_irfft3d,
+    parallel_rfft3d,
+    run_case,
+)
 from repro.core.decompose import gather_spectrum, scatter_slabs
 from repro.core.distplan import DistributedFFT3D, fft3d_plan
 from repro.core.params import W_MAX, ProblemShape, TuningParams
-from repro.core.realfft3d import ParallelRFFT3D, parallel_rfft3d
+from repro.core.realfft3d import ParallelIRFFT3D, ParallelRFFT3D
 from repro.errors import ParameterError, SimulationError
 from repro.faults import injected_faults
 from repro.fft import Flag, clear_plan_cache, planning_effort
@@ -53,26 +61,41 @@ def cold_plans():
     clear_plan_cache()
 
 
-def engine_r2c(arr, p, params, variant):
-    """A fresh engine run of the r2c pipeline and its half spectrum."""
-    nx, ny, nz = arr.shape
+def engine_real(direction, arr, dims, p, params, variant):
+    """A fresh engine run of the r2c pipeline (or its c2r inverse) on
+    ``arr`` and its gathered output, for the real shape ``dims``."""
+    nx, ny, nz = dims
     shape = ProblemShape(nx, ny, nz, p)
     blocks = scatter_slabs(arr, p)
+    cls = ParallelRFFT3D if direction == "r2c" else ParallelIRFFT3D
 
     def prog(ctx):
-        plan = ParallelRFFT3D(ctx, shape, params, variant)
+        plan = cls(ctx, shape, params, variant)
         out = yield from plan.steps(blocks[ctx.rank])
         return out, plan.output_layout
 
     sim = run_spmd(p, prog, PLATFORM)
     outs = [out for out, _ in sim.results]
-    return gather_spectrum(outs, (nx, ny, nz // 2 + 1), sim.results[0][1]), sim
+    out_shape = (nx, ny, nz // 2 + 1) if direction == "r2c" else dims
+    return gather_spectrum(outs, out_shape, sim.results[0][1]), sim
+
+
+def direction_input(direction, dims, seed):
+    """Seeded input for a direction: complex for c2c, real for r2c, and
+    for c2r a half spectrum whose kz = 0 and Nyquist planes are not
+    Hermitian (their imaginary parts must be ignored)."""
+    arr = signal(dims, seed)
+    if direction == "r2c":
+        return arr.real
+    if direction == "c2r":
+        return np.ascontiguousarray(arr[:, :, : dims[2] // 2 + 1])
+    return arr
 
 
 def feasible_params(draw, direction, dims, p):
     """Parameters drawn feasible for the shape the pipeline exchanges."""
     nx, ny, nz = dims
-    xnz = nz // 2 + 1 if direction == "r2c" else nz
+    xnz = nz // 2 + 1 if direction in ("r2c", "c2r") else nz
     xshape = ProblemShape(nx, ny, xnz, p)
     t = draw(st.integers(1, xnz))
     f = st.integers(0, xshape.f_max)
@@ -90,19 +113,21 @@ def cases(draw):
     transpose), p, a variant, feasible parameters and an optional
     seeded fault spec."""
     p = draw(st.integers(2, 8))
-    direction = draw(st.sampled_from(("forward", "inverse", "r2c")))
+    direction = draw(st.sampled_from(("forward", "inverse", "r2c", "c2r")))
     nx = draw(st.integers(p, 2 * p + 3))
     ny = nx if draw(st.booleans()) else draw(st.integers(p, 2 * p + 3))
-    nz = 2 * draw(st.integers(1, 5)) if direction == "r2c" else draw(st.integers(1, 10))
+    real = direction in ("r2c", "c2r")
+    nz = 2 * draw(st.integers(1, 5)) if real else draw(st.integers(1, 10))
     dims = (nx, ny, nz)
     return (direction, dims, p, draw(st.sampled_from(VARIANTS)),
             feasible_params(draw, direction, dims, p),
             draw(st.sampled_from((None, FAULTS))), draw(st.integers(0, 2**32 - 1)))
 
 
-#: (c2c shape, r2c shape, p): Bluestein-only sizes (67, 97 and, for the
-#: r2c z half-length, 67) on each axis, and a slab whose kernel batches
-#: pass the row blocking of Plan1D.execute and the BLAS gemm blocking
+#: (c2c shape, r2c/c2r shape, p): Bluestein-only sizes (67, 97 and, for
+#: the real z half-length, 67) on each axis, and a slab whose kernel
+#: batches pass the row blocking of Plan1D.execute and the BLAS gemm
+#: blocking
 LARGE = [
     ((67, 12, 10), (67, 12, 10), 4),
     ((12, 97, 9), (12, 97, 8), 3),
@@ -128,7 +153,7 @@ def test_replay_equals_a_fresh_engine_run(case):
     check_replay_against_engine(case)
 
 
-@pytest.mark.parametrize("direction", ["forward", "inverse", "r2c"])
+@pytest.mark.parametrize("direction", ["forward", "inverse", "r2c", "c2r"])
 @pytest.mark.parametrize("c2c,r2c,p", LARGE, ids=[
     "x".join(map(str, c2c)) + f"-p{p}" for c2c, _, p in LARGE])
 @settings(max_examples=2, deadline=None,
@@ -136,7 +161,7 @@ def test_replay_equals_a_fresh_engine_run(case):
 @given(data=st.data())
 def test_replay_equals_a_fresh_engine_run_on_bluestein_and_large_batches(
         direction, c2c, r2c, p, data):
-    dims = r2c if direction == "r2c" else c2c
+    dims = c2c if direction in ("forward", "inverse") else r2c
     check_replay_against_engine(data.draw(large_cases(direction, dims, p)))
 
 
@@ -145,16 +170,15 @@ def check_replay_against_engine(case):
     back C-contiguous, and owns its buffer: two consecutive replays
     share no memory with each other."""
     direction, dims, p, variant, params, faults, seed = case
-    arr = signal(dims, seed)
-    if direction == "r2c":
-        arr = arr.real
+    arr = direction_input(direction, dims, seed)
     calls = {
         "forward": lambda a: parallel_fft3d(a, p, PLATFORM, params, variant),
         "inverse": lambda a: parallel_ifft3d(a, p, PLATFORM, params, variant),
         "r2c": lambda a: parallel_rfft3d(a, p, PLATFORM, params, variant),
+        "c2r": lambda a: parallel_irfft3d(a, p, PLATFORM, params, variant),
     }
     with injected_faults(faults):
-        calls[direction](signal(dims, seed + 1).real)  # builds the plan
+        calls[direction](direction_input(direction, dims, seed + 1))  # builds the plan
         with scoped_registry(MetricsRegistry()) as reg:
             out, res = calls[direction](arr)
             again, _ = calls[direction](arr)
@@ -163,8 +187,8 @@ def check_replay_against_engine(case):
         assert out.flags.c_contiguous
         assert not np.shares_memory(out, again)
         assert out.tobytes() == again.tobytes()
-        if direction == "r2c":
-            ref, sim = engine_r2c(arr, p, params, variant)
+        if direction in ("r2c", "c2r"):
+            ref, sim = engine_real(direction, arr, dims, p, params, variant)
         else:
             src = np.conj(arr) if direction == "inverse" else arr
             ref_res, ref = run_case(variant, PLATFORM, ProblemShape(*dims, p),
@@ -173,7 +197,10 @@ def check_replay_against_engine(case):
                 ref = np.conj(ref) / arr.size
             sim = ref_res.sim
     assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
-    kept = res if direction == "r2c" else res.sim
+    if direction == "c2r":
+        oracle = np.fft.irfftn(arr, s=dims, axes=(0, 1, 2))
+        assert np.max(np.abs(out - oracle)) <= 1e-12 * max(1.0, np.abs(oracle).max())
+    kept = res.sim
     assert kept.elapsed == sim.elapsed
     assert kept.breakdown(BREAKDOWN_LABELS) == sim.breakdown(BREAKDOWN_LABELS)
     assert kept.stats == sim.stats
@@ -211,12 +238,53 @@ class TestSteadyCalls:
         assert np.max(np.abs(spectrum - np.fft.fftn(x))) <= 1e-11
         assert result.elapsed > 0
 
+    def test_c2r_replays_on_three_kernel_calls(self, monkeypatch):
+        shape, p = (16, 12, 10), 4
+        x = signal(shape).real
+        half, _ = parallel_rfft3d(x, p, PLATFORM)
+        parallel_irfft3d(half, p, PLATFORM)
+        calls = []
+        execute = Plan1D.execute
+
+        def counted(self, *args, **kwargs):
+            calls.append((self.n, self.real, self.sign))
+            return execute(self, *args, **kwargs)
+
+        monkeypatch.setattr(Plan1D, "execute", counted)
+        for name in ("ffty_pack_real", "unpack_fftx_real"):
+            monkeypatch.setattr(pipeline, name, None)  # the replay calls neither
+        with scoped_registry(MetricsRegistry()) as reg:
+            back, result = parallel_irfft3d(half, p, PLATFORM)
+            assert total(reg, "sim_runs_total") == 0
+            assert total(reg, "fft_plans_built_total") == 0
+            assert total(reg, "fft3d_replays_total") == 1
+        # FFTy and FFTx backward, then the c2r on z
+        assert calls == [(12, False, 1), (16, False, 1), (10, True, 1)]
+        assert np.max(np.abs(back - x)) <= 1e-13
+        assert result.elapsed > 0
+
+    def test_r2c_and_c2r_share_one_plan_with_a_timeline_each(self):
+        x = signal((8, 8, 8)).real
+        with scoped_registry(MetricsRegistry()) as reg:
+            half, fwd = parallel_rfft3d(x, 2, PLATFORM)
+            back, inv = parallel_irfft3d(half, 2, PLATFORM)
+            assert total(reg, "fft3d_plans_built_total") == 1
+            assert total(reg, "sim_runs_total") == 2
+        plan = fft3d_plan(ProblemShape(8, 8, 8, 2), PLATFORM, real=True)
+        assert fwd.breakdown == plan.kept_breakdown(fwd.sim)
+        assert inv.breakdown == plan.kept_breakdown(inv.sim)
+        assert inv.sim is not fwd.sim
+        assert inv.breakdown["FFTz"] > 0 and inv.elapsed != fwd.elapsed
+        assert np.max(np.abs(back - x)) <= 1e-13
+
     def test_a_spectrum_outlives_later_replays(self):
         # replays keep their intermediates in reused per-thread work
         # arrays; the spectra they return must not live there
         shape, p = (12, 10, 8), 2
         for call, x, y in ((parallel_fft3d, signal(shape, 1), signal(shape, 2)),
-                           (parallel_rfft3d, signal(shape, 1).real, signal(shape, 2).real)):
+                           (parallel_rfft3d, signal(shape, 1).real, signal(shape, 2).real),
+                           (parallel_irfft3d, signal((12, 10, 5), 1),
+                            signal((12, 10, 5), 2))):
             call(x, p, PLATFORM)
             first, _ = call(x, p, PLATFORM)
             kept = first.copy()
@@ -228,15 +296,15 @@ class TestSteadyCalls:
         x = signal((12, 10, 8))
         _, first = parallel_fft3d(x, 4, PLATFORM)
         plan = fft3d_plan(ProblemShape(12, 10, 8, 4), PLATFORM)
-        assert first.breakdown == plan.timeline.breakdown(BREAKDOWN_LABELS)
+        assert first.breakdown == first.sim.breakdown(BREAKDOWN_LABELS)
         averaged = []
-        monkeypatch.setattr(type(plan.timeline), "breakdown",
+        monkeypatch.setattr(type(first.sim), "breakdown",
                             lambda sim, labels=None: averaged.append(sim) or {})
         _, steady = parallel_fft3d(x, 4, PLATFORM)
         assert averaged == []
         assert steady.breakdown == first.breakdown
         steady.breakdown["FFTz"] = -1.0
-        assert plan.breakdown["FFTz"] == first.breakdown["FFTz"] > 0
+        assert plan.kept_breakdown(first.sim)["FFTz"] == first.breakdown["FFTz"] > 0
 
     def test_first_call_runs_the_engine_once_and_keeps_no_payloads(self):
         x = signal((12, 12, 8))
@@ -397,7 +465,19 @@ class TestCrossCheck:
             with pytest.raises(ParameterError, match="even Nz"):
                 parallel_rfft3d(np.ones((8, 8, 7)), 2, PLATFORM)
 
-    def test_r2c_plans_have_no_backward(self):
+    def test_a_c2r_replay_that_disagrees_with_the_engine_raises(self, monkeypatch):
+        replay = DistributedFFT3D._replay_c2r
+
+        def flipped(self, half):
+            out = replay(self, half)
+            out.flat[-1] = np.nextafter(out.flat[-1], np.inf)
+            return out
+
+        monkeypatch.setattr(DistributedFFT3D, "_replay_c2r", flipped)
+        with pytest.raises(SimulationError, match="replayed output differs"):
+            parallel_irfft3d(signal((9, 7, 5)), 2, PLATFORM)
+
+    def test_c2r_rejects_a_half_spectrum_of_the_wrong_shape(self):
         plan = fft3d_plan(ProblemShape(8, 8, 8, 2), PLATFORM, real=True)
-        with pytest.raises(NotImplementedError):
-            plan.backward(np.zeros((8, 8, 5), dtype=complex))
+        with pytest.raises(ParameterError, match="half spectrum shape"):
+            plan.backward(np.zeros((8, 8, 8), dtype=complex))

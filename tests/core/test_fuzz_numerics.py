@@ -5,10 +5,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ProblemShape, parallel_fft3d
+from repro.core import ProblemShape, parallel_fft3d, parallel_rfft3d
 from repro.core.multiarray import run_multi_array
 from repro.core.pencil import parallel_fft3d_pencil
-from repro.core.realfft3d import parallel_rfft3d
 from repro.machine import UMD_CLUSTER
 
 RNG = np.random.default_rng(99)

@@ -128,7 +128,7 @@ class TestCompletionIntegrity:
             payload = {
                 "worker": "w", "lease": grant["lease"],
                 "cells": [{"index": 0, "cell": cell_to_dict(cell),
-                           "evals": "", "hits": 0}],
+                           "evals": ""}],
             }
             assert call(url, "/complete", payload)["accepted"] == 1
             assert call(url, "/complete", payload)["accepted"] == 0
@@ -149,7 +149,7 @@ class TestCompletionIntegrity:
                 call(url, "/complete", {
                     "worker": "w", "lease": grant["lease"],
                     "cells": [{"index": 0, "cell": cell_to_dict(wrong),
-                               "evals": "", "hits": 0}],
+                               "evals": ""}],
                 })
             assert coord.queue.counts()["done"] == 0
         finally:
@@ -231,7 +231,7 @@ class TestCoordinatorRestart:
             call(url, "/complete", {
                 "worker": "w", "lease": grant["lease"],
                 "cells": [{"index": index, "cell": cell_to_dict(done),
-                           "evals": "", "hits": 0}],
+                           "evals": ""}],
             })
         finally:
             coord.stop()

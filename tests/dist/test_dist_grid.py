@@ -163,20 +163,27 @@ class TestByteIdentity:
 class TestStoreHitCounting:
     """Each eval-store hit reaches the grid's registry exactly once: a
     worker ships the hits it counted in-thread, and those its pool's
-    processes ran, in its registry delta."""
+    processes ran, in its registry delta, so a distributed warm rerun
+    counts what the same rerun counts serially in-process."""
+
+    @staticmethod
+    def warm_hits(run) -> float:
+        """Registry hits of ``run(evals)`` on a store ``run`` filled."""
+        evals = EvalStore()
+        run(evals)
+        clear_cache()
+        with scoped_registry() as reg:
+            run(evals)
+        clear_cache()
+        return reg.value("tune_store_hits_total")
 
     @pytest.mark.parametrize("worker_jobs", [1, 2])
     def test_registry_counts_each_hit_once(self, worker_jobs):
-        evals = EvalStore()
-        dist_run(GRID, eval_store=evals, worker_jobs=worker_jobs, batch=2)
         clear_cache()
-        before = evals.hits
-        with scoped_registry() as reg:
-            dist_run(GRID, eval_store=evals, worker_jobs=worker_jobs,
-                     batch=2)
-        known = evals.hits - before
-        assert known > 0
-        assert reg.value("tune_store_hits_total") == known
+        serial = self.warm_hits(lambda evals: local_run(GRID, eval_store=evals))
+        assert serial > 0
+        assert self.warm_hits(lambda evals: dist_run(
+            GRID, eval_store=evals, worker_jobs=worker_jobs, batch=2)) == serial
 
 
 class TestFailuresAndSalvage:

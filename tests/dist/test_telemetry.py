@@ -126,7 +126,7 @@ def complete_payload(cell, worker="w1", lease="", **extra) -> dict:
     return {
         "worker": worker, "lease": lease,
         "cells": [{"index": 0, "cell": cell_to_dict(cell),
-                   "evals": "", "hits": 0}],
+                   "evals": ""}],
         **extra,
     }
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro.bench import clear_cache, evaluate_cell
 from repro.exec import ResultStore, default_jobs, evaluate_cells, parallel_map
+from repro.obs.registry import scoped_registry
 
 GRID = [(4, 32), (4, 48), (8, 32)]
 BUDGET = 4
@@ -158,7 +159,8 @@ class TestEvalStorePlumbing:
         evals = EvalStore()
         first = self._grid(1, evals)
         produced = evals.new_records
-        second = self._grid(1, evals)  # memo cleared: cells re-tune
+        with scoped_registry() as reg:
+            second = self._grid(1, evals)  # memo cleared: cells re-tune
         # Same experiment outcome (times, winners, suggestion counts)...
         assert [c.times for c in second] == [c.times for c in first]
         assert [c.params for c in second] == [c.params for c in first]
@@ -168,7 +170,7 @@ class TestEvalStorePlumbing:
         for cell in second:
             assert cell.tuning_times["NEW"] == 0.0
             assert cell.tuning_times["TH"] == 0.0
-        assert evals.hits > 0            # workers answered from the pool
+        assert reg.value("tune_store_hits_total") > 0  # answered from the store
         assert evals.new_records == produced  # and produced nothing new
 
     def test_pooled_identical_to_serial_with_store(self):

@@ -5,8 +5,10 @@ kernel call: the real-payload pipeline transforms whole tiles, and the
 tiling parameters may change how work is batched but never the bits.
 Checked for every candidate kernel (direct, two-factor, Bluestein) at
 every size up to 130 — sizes <= 8, primes and sizes that only Bluestein
-serves included — in both directions, and for the two-factor kernel at
-larger sizes, where its factors are two-factor or Bluestein kernels.
+serves included — in both directions, for every real kernel (dense and
+packed, r2c and c2r) at every even size up to 130, and for the
+two-factor kernel at larger sizes, where its factors are two-factor or
+Bluestein kernels.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PlanError
-from repro.fft import BACKWARD, FORWARD, Plan1D, RealPlan1D
+from repro.fft import BACKWARD, FORWARD, Plan1D
 from repro.fft import plan as plan_module
 from repro.fft.plan import _candidates, _make_kernel
 
@@ -42,13 +44,35 @@ def row_splits(draw):
 def test_kernels_bitwise_independent_of_row_split(n, split, sign, seed):
     b, bounds = split
     x = _rows(seed, b, n)
-    for name in _candidates(n):
-        kernel = _make_kernel(name, n, sign)
+    kernels = [(name, _make_kernel(name, n, sign), x) for name in _candidates(n)]
+    if n % 2 == 0:
+        # r2c takes real rows, c2r half spectra
+        rows = x.real if sign == FORWARD else x[:, : n // 2 + 1]
+        kernels += [(name, _make_kernel(name, n, sign), rows)
+                    for name in _candidates(n, real=True)]
+    for name, kernel, x in kernels:
         whole = kernel.execute(x)
         parts = [kernel.execute(x[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
         assert np.array_equal(np.concatenate(parts), whole), name
         single = [kernel.execute(x[i : i + 1]) for i in range(b)]
         assert np.array_equal(np.concatenate(single), whole), name
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("sign", [FORWARD, BACKWARD])
+def test_real_gemm_is_bitwise_independent_across_blas_kernels(n, sign):
+    # A real gemm small enough for OpenBLAS's small-matrix kernel rounds
+    # differently from a large one; the dense real kernel must not show
+    # it, from one row up to a batch far past that kernel's threshold.
+    rng = np.random.default_rng(n)
+    width = n if sign == FORWARD else n // 2 + 1
+    x = rng.standard_normal((4100, width))
+    if sign == BACKWARD:
+        x = x + 1j * rng.standard_normal(x.shape)
+    kernel = _make_kernel("rdirect", n, sign)
+    whole = kernel.execute(x)
+    for b in (1, 3, 64, 65, 200, 1000):
+        assert np.array_equal(kernel.execute(x[:b]), whole[:b]), b
 
 
 @pytest.mark.parametrize("n", [134, 256, 402, 1024, 4096, 8192])
@@ -102,14 +126,28 @@ def test_plan_row_blocks_keep_the_bits(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [4, 16, 134])
 def test_rfft_row_blocks_keep_the_bits(monkeypatch, n):
-    plan = RealPlan1D(n)
+    plan = Plan1D(n, FORWARD, real=True)
     x = _rows(n, 10, n).real.reshape(2, 5, n)
-    whole = plan.rfft(x)
+    whole = plan.execute(x)
     monkeypatch.setattr(plan_module, "BLOCK_BYTES", 3 * 8 * n)
-    assert np.array_equal(plan.rfft(x), whole)
+    assert np.array_equal(plan.execute(x), whole)
     out = np.empty_like(whole)
-    assert plan.rfft(x, out=out) is out
+    assert plan.execute(x, out=out) is out
     assert np.array_equal(out, whole)
+
+
+@pytest.mark.parametrize("n", [4, 16, 134])
+def test_irfft_row_blocks_keep_the_bits(monkeypatch, n):
+    plan = Plan1D(n, BACKWARD, real=True)
+    spec = _rows(n, 10, n // 2 + 1).reshape(2, 5, n // 2 + 1)
+    whole = plan.execute(spec)
+    monkeypatch.setattr(plan_module, "BLOCK_BYTES", 3 * 16 * (n // 2 + 1))
+    assert np.array_equal(plan.execute(spec), whole)
+    out = np.empty_like(whole)
+    assert plan.execute(spec, out=out) is out
+    assert np.array_equal(out, whole)
+    with pytest.raises(PlanError):
+        plan.execute(spec, out=np.empty(whole.shape, np.complex128))
 
 
 def test_plan_out_must_fit_a_last_axis_transform():

@@ -188,16 +188,21 @@ class TestBluestein:
 
 
 #: 1, primes up to and above DIRECT_MAX, prime powers, and composites
-#: whose two-factor split has a factor above DIRECT_MAX (Bluestein inside)
+#: whose two-factor split has a factor above DIRECT_MAX (Bluestein inside);
+#: the even ones, with even sizes around DIRECT_MAX and ones whose half
+#: is prime (Bluestein inside the packed real kernel), for the real kernels
 SIZES = (1, 2, 3, 5, 7, 11, 13, 31, 61, 67, 97, 127, 9, 25, 27, 49, 81,
-         125, 128, 243, 343, 512, 4096, 134, 201, 268, 4489)
+         125, 128, 243, 343, 512, 4096, 134, 201, 268, 4489,
+         4, 6, 16, 18, 62, 64, 66, 194)
 
 
 @pytest.mark.parametrize("n", SIZES)
 @given(seed=st.integers(0, 2**31 - 1), batch=st.integers(1, 4))
 @settings(max_examples=3, deadline=None)
 def test_every_candidate_matches_numpy(n, seed, batch):
-    # Every descriptor the planner may pick, both directions.
+    # Every descriptor the planner may pick, both directions, and for
+    # an even size every real one: r2c, and the normalized c2r on a half
+    # spectrum whose first and last coefficients are not real.
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))
     for name in _candidates(n):
@@ -205,3 +210,12 @@ def test_every_candidate_matches_numpy(n, seed, batch):
         assert np.allclose(fwd, np.fft.fft(x), atol=tol(n)), name
         back = _make_kernel(name, n, BACKWARD).execute(x)
         assert np.allclose(back, n * np.fft.ifft(x), atol=tol(n)), name
+    if n % 2:
+        return
+    half = x[:, : n // 2 + 1]
+    for name in _candidates(n, real=True):
+        r2c = _make_kernel(name, n, FORWARD).execute(x.real)
+        assert np.allclose(r2c, np.fft.rfft(x.real), atol=tol(n)), name
+        c2r = _make_kernel(name, n, BACKWARD).execute(half)
+        assert c2r.dtype == np.float64
+        assert np.allclose(c2r, np.fft.irfft(half, n), atol=tol(n) / n), name

@@ -12,7 +12,6 @@ from repro.fft import (
     Flag,
     Plan1D,
     Plan3D,
-    RealPlan1D,
     WisdomStore,
     fft,
     fftn,
@@ -114,7 +113,8 @@ class TestWisdom:
         plan = Plan1D(32, flag=Flag.PATIENT, wisdom=w)
         assert plan.kernel_name == "twofactor:4x8"
 
-    @pytest.mark.parametrize("retired", ["mixed:radix4", "twofactor:3x5", "twofactor:x"])
+    @pytest.mark.parametrize("retired", ["mixed:radix4", "twofactor:3x5", "twofactor:x",
+                                         "rdirect", "rpacked"])
     def test_retired_descriptor_is_a_miss(self, tmp_path, retired):
         # Wisdom saved by an older planner (or shipped back by a pool
         # worker) may name a kernel that no longer exists: re-plan.
@@ -136,10 +136,24 @@ class TestWisdom:
         w = WisdomStore()
         w.record(8, FORWARD, "estimate", "direct")
         w.record(640, FORWARD, "patient", "twofactor:20x32")
+        w.record(8, FORWARD, "estimate", "rdirect", real=True)
         w2 = WisdomStore()
         added = w2.import_json(w.export_json())
-        assert added == 2
+        assert added == 3
         assert w2.lookup(640, FORWARD, "patient") == "twofactor:20x32"
+        # real and complex plans of one size keep their own entries
+        assert w2.lookup(8, FORWARD, "estimate") == "direct"
+        assert w2.lookup(8, FORWARD, "estimate", real=True) == "rdirect"
+
+    def test_real_plans_record_their_own_wisdom(self):
+        w = WisdomStore()
+        r2c = Plan1D(16, FORWARD, wisdom=w, real=True)
+        c2r = Plan1D(16, BACKWARD, wisdom=w, real=True)
+        assert (r2c.kernel_name, c2r.kernel_name) == ("rdirect", "rdirect")
+        assert w.lookup(16, FORWARD, "estimate", real=True) == "rdirect"
+        assert w.lookup(16, FORWARD, "estimate") is None
+        assert Plan1D(16, wisdom=w).kernel_name == "direct"
+        assert Plan1D(128, wisdom=w, real=True).kernel_name == "rpacked"
 
     def test_save_load(self, tmp_path):
         w = WisdomStore()
@@ -213,11 +227,11 @@ class TestRealFFT:
 
     def test_odd_length_rejected(self):
         with pytest.raises(PlanError):
-            RealPlan1D(9)
+            Plan1D(9, FORWARD, real=True)
 
     def test_wrong_spectrum_length_rejected(self):
         with pytest.raises(PlanError):
-            RealPlan1D(8).irfft(np.zeros(3, dtype=complex))
+            Plan1D(8, BACKWARD, real=True).execute(np.zeros(3, dtype=complex))
 
     def test_hermitian_output(self):
         # The half spectrum's endpoints must be (numerically) real.

@@ -1,6 +1,7 @@
 """Shared evaluation store: keying, persistence, and cross-strategy reuse."""
 
 import json
+from contextlib import nullcontext
 
 import pytest
 
@@ -48,11 +49,12 @@ class TestKeying:
     def test_get_put_roundtrip_and_counters(self):
         store = EvalStore()
         p = default_params(shape())
-        assert store.get("X", "NEW", shape(), p) is None
-        store.put("X", "NEW", shape(), p, objective=0.5, cost=0.5)
-        rec = store.get("X", "NEW", shape(), p)
+        with scoped_registry() as reg:
+            assert store.get("X", "NEW", shape(), p) is None
+            store.put("X", "NEW", shape(), p, objective=0.5, cost=0.5)
+            rec = store.get("X", "NEW", shape(), p)
         assert rec == EvalRecord(0.5, 0.5, True)
-        assert store.hits == 1 and store.misses == 1
+        assert reg.value("tune_store_hits_total") == 1  # the miss counts nothing
         assert store.new_records == 1
 
     def test_put_is_first_wins(self):
@@ -214,15 +216,14 @@ class TestWarmTuning:
         s = shape()
         store = EvalStore()
         autotune("NEW", UMD_CLUSTER, s, max_evaluations=80, eval_store=store)
-        before = store.hits
         with scoped_registry() as reg, \
                 tracing(Tracer(rank_spans=False)) as tr:
-            autotune("NEW", UMD_CLUSTER, s, max_evaluations=80,
-                     eval_store=store)
-        hits = store.hits - before
+            warm = autotune("NEW", UMD_CLUSTER, s, max_evaluations=80,
+                            eval_store=store)
+        hits = reg.value("tune_store_hits_total")
         assert hits > 0
-        assert reg.value("tune_store_hits_total") == hits
         assert sum(sp.attrs["store_hit"] for sp in tr.spans) == hits
+        assert warm.session.executed_evaluations == 0
 
     def test_th_variant_keys_do_not_collide_with_new(self):
         s = shape()
@@ -236,25 +237,34 @@ class TestWarmTuning:
 
 class TestGridHitCounting:
     """Every read-through hit of a grid run is counted once in the
-    caller's registry, whether the cells run in-process or in a pool."""
+    caller's registry, whether the cells run in-process or in a pool:
+    in-process every hit is a traced evaluation's ``store_hit``, and a
+    pool counts what the same run counts in-process."""
 
     CELLS = [(4, 32), (8, 32)]
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_registry_counts_each_hit_once(self, jobs):
+    def warm_hits(self, jobs, tracer=None):
+        """Registry hits of a warm rerun of :attr:`CELLS` on ``jobs``."""
         store = EvalStore()
         clear_cache()
         evaluate_cells("UMD-Cluster", self.CELLS, jobs=jobs,
                        max_evaluations=6, eval_store=store)
         clear_cache()
-        before = store.hits
-        with scoped_registry() as reg:
+        with scoped_registry() as reg, \
+                (nullcontext() if tracer is None else tracing(tracer)):
             evaluate_cells("UMD-Cluster", self.CELLS, jobs=jobs,
                            max_evaluations=6, eval_store=store)
         clear_cache()
-        known = store.hits - before
-        assert known > 0
-        assert reg.value("tune_store_hits_total") == known
+        return reg.value("tune_store_hits_total")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_registry_counts_each_hit_once(self, jobs):
+        tr = Tracer(rank_spans=False)
+        serial = self.warm_hits(1, tr)
+        assert serial > 0
+        assert sum(sp.attrs.get("store_hit", 0) for sp in tr.spans) == serial
+        if jobs > 1:
+            assert self.warm_hits(jobs) == serial
 
 
 class TestSearchBaselinesShareTheStore:
@@ -265,12 +275,12 @@ class TestSearchBaselinesShareTheStore:
                              eval_store=store)
         produced = store.new_records
         assert produced > 0
-        hits_before = store.hits
-        warm = random_search("NEW", UMD_CLUSTER, s, n_samples=8, seed=5,
-                             eval_store=store)
+        with scoped_registry() as reg:
+            warm = random_search("NEW", UMD_CLUSTER, s, n_samples=8, seed=5,
+                                 eval_store=store)
         assert list(warm.times) == list(cold.times)
         assert store.new_records == produced  # nothing re-simulated
-        assert store.hits - hits_before == 8
+        assert reg.value("tune_store_hits_total") == 8
 
     def test_sweep_warm_is_identical_and_free(self):
         s = shape()

@@ -10,6 +10,7 @@ save serialization.
 
 import threading
 
+from repro.obs.registry import MetricsRegistry, scoped_registry
 from repro.tuning import EvalRecord, EvalStore
 
 THREADS = 8
@@ -23,12 +24,18 @@ def _key(t: int, i: int) -> str:
 class TestConcurrentMutation:
     def test_hammer_put_get_loses_nothing(self):
         """8 threads × 200 disjoint puts + interleaved hits/misses:
-        every record lands, and the hit/miss counters add up exactly."""
+        every record lands, and the registry's hit counter adds up
+        exactly."""
         store = EvalStore()
+        reg = MetricsRegistry()
         barrier = threading.Barrier(THREADS)
 
         def worker(t: int) -> None:
             barrier.wait()
+            with scoped_registry(reg):  # registry scopes are per thread
+                work(t)
+
+        def work(t: int) -> None:
             for i in range(PER_THREAD):
                 key = _key(t, i)
                 store.put_key(key, EvalRecord(1.0, 1.0, True))
@@ -44,8 +51,7 @@ class TestConcurrentMutation:
             th.join()
         assert len(store) == THREADS * PER_THREAD
         assert store.new_records == THREADS * PER_THREAD
-        assert store.hits == THREADS * PER_THREAD
-        assert store.misses == THREADS * PER_THREAD
+        assert reg.value("tune_store_hits_total") == THREADS * PER_THREAD
 
     def test_concurrent_merges_into_one_store(self):
         """Each thread merges its own disjoint store into one shared

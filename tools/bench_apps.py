@@ -25,10 +25,11 @@ Proves the `repro.apps` traffic story (PR 10) end to end:
    replays (`fft3d_replays_total`, one per transform) and 1-D kernel
    calls (`Plan1D.execute`, 3 per replay: one per axis on the whole
    array).
-5. **replay vs numpy** — one replayed transform against
-   ``numpy.fft.fftn`` of the same array, on 16^3 to 128^3 cubes, with
-   the 1-D kernel each axis planned: the gap the from-scratch kernels
-   leave to a library FFT.
+5. **replay vs numpy** — one replayed transform against numpy's of the
+   same array, on 16^3 to 128^3 cubes, with the 1-D kernel each axis
+   planned: a c2c row against ``numpy.fft.fftn``, an r2c row against
+   ``rfftn`` and a c2r row against ``irfftn`` per cube — the gap the
+   from-scratch kernels leave to a library FFT.
 
 The JSON keeps raw counters so the trajectory is comparable across
 commits, same shape discipline as BENCH_serve.json.
@@ -51,7 +52,11 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.apps import APPS, AppConfig, PoissonDriver  # noqa: E402
-from repro.core.api import parallel_fft3d  # noqa: E402
+from repro.core.api import (  # noqa: E402
+    parallel_fft3d,
+    parallel_irfft3d,
+    parallel_rfft3d,
+)
 from repro.core.distplan import fft3d_plan  # noqa: E402
 from repro.core.params import ProblemShape  # noqa: E402
 from repro.fft import GLOBAL_WISDOM, Plan1D, clear_plan_cache  # noqa: E402
@@ -94,9 +99,10 @@ def bench_plan_reuse(steps: int) -> dict:
         plans_built = reg_total(reg, "fft_plans_built_total")
         wisdom_hits = reg_total(reg, "fft_wisdom_hits_total")
     assert res.numerics_ok, f"numerics failed: {res.numerics_error}"
-    # One plan per distinct 1-D size (the inverse rides the forward
-    # pipeline via conjugation); everything after step 1 is wisdom.
-    assert plans_built <= 3, f"{plans_built} plans built for 3 sizes"
+    # Two plans per distinct 1-D size, one per direction (the r2c
+    # forward's and the c2r inverse's); everything after step 1 is
+    # wisdom.
+    assert plans_built <= 6, f"{plans_built} plans built for 3 sizes"
     speedup = res.plan_reuse_speedup
     assert speedup >= 1.5, (
         f"plan-reuse speedup {speedup:.2f}x < 1.5x "
@@ -283,41 +289,58 @@ def bench_apps_sweep(steps: int) -> list[dict]:
 
 
 def bench_replay_vs_numpy() -> list[dict]:
-    """Phase 5: a replayed transform vs numpy.fft.fftn of the same array,
-    one row per cube in :data:`REPLAY_SIZES` on the apps cell's p, with
-    the 1-D kernel each axis planned.  Replay and numpy calls alternate;
-    each side reports its median over ``reps`` calls, ``reps`` shrinking
-    with the cube's volume from :data:`NUMPY_REPS` to a floor of 5."""
+    """Phase 5: a replayed transform vs numpy's on the same array, three
+    rows per cube in :data:`REPLAY_SIZES` on the apps cell's p: c2c
+    against ``numpy.fft.fftn``, r2c against ``rfftn`` and c2r against
+    ``irfftn``, with the 1-D kernel each axis planned.  Replay and numpy
+    calls alternate; each side reports its median over ``reps`` calls,
+    ``reps`` shrinking with the cube's volume from :data:`NUMPY_REPS`
+    to a floor of 5."""
     platform = get_platform(PLATFORM)
     rows = []
     for n in REPLAY_SIZES:
         shape = (n, n, n)
         rng = np.random.default_rng(0)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        parallel_fft3d(x, APPS_P, platform)  # builds the plan (engine run)
-        plan = fft3d_plan(ProblemShape(n, n, n, APPS_P), platform)
+        real = np.ascontiguousarray(x.real)
+        half = np.fft.rfftn(real)
+        c2c = fft3d_plan(ProblemShape(n, n, n, APPS_P), platform)
+        r2c = fft3d_plan(ProblemShape(n, n, n, APPS_P), platform, real=True)
+        cases = (
+            ("c2c", lambda: parallel_fft3d(x, APPS_P, platform),
+             lambda: np.fft.fftn(x),
+             {axis: c2c.plans[axis].kernel_name for axis in "zyx"}),
+            ("r2c", lambda: parallel_rfft3d(real, APPS_P, platform),
+             lambda: np.fft.rfftn(real),
+             {axis: r2c.plans[axis].kernel_name for axis in "zyx"}),
+            ("c2r", lambda: parallel_irfft3d(half, APPS_P, platform),
+             lambda: np.fft.irfftn(half),
+             {axis: r2c.inverse_plans[axis].kernel_name for axis in "zyx"}),
+        )
         reps = max(5, NUMPY_REPS * APPS_N**3 // n**3)
-        replay, numpy = [], []
-        for _ in range(reps):
-            for fn, times in ((lambda: parallel_fft3d(x, APPS_P, platform), replay),
-                              (lambda: np.fft.fftn(x), numpy)):
-                t0 = time.perf_counter()
-                fn()
-                times.append(time.perf_counter() - t0)
-        replay_ms = statistics.median(replay) * 1e3
-        numpy_ms = statistics.median(numpy) * 1e3
-        rows.append({
-            "shape": list(shape),
-            "p": APPS_P,
-            "reps": reps,
-            "kernels": {axis: plan.plans[axis].kernel_name for axis in "zyx"},
-            "replay_ms": round(replay_ms, 4),
-            "numpy_fftn_ms": round(numpy_ms, 4),
-            "ratio": round(replay_ms / numpy_ms, 2),
-        })
-        print(f"  {n}^3 ({rows[-1]['kernels']['z']}): replayed transform "
-              f"{rows[-1]['replay_ms']}ms vs numpy.fft.fftn "
-              f"{rows[-1]['numpy_fftn_ms']}ms -> {rows[-1]['ratio']}x")
+        for transform, ours, theirs, kernels in cases:
+            ours()  # the plan's first call of this direction runs the engine
+            replay, numpy = [], []
+            for _ in range(reps):
+                for fn, times in ((ours, replay), (theirs, numpy)):
+                    t0 = time.perf_counter()
+                    fn()
+                    times.append(time.perf_counter() - t0)
+            replay_ms = statistics.median(replay) * 1e3
+            numpy_ms = statistics.median(numpy) * 1e3
+            rows.append({
+                "transform": transform,
+                "shape": list(shape),
+                "p": APPS_P,
+                "reps": reps,
+                "kernels": kernels,
+                "replay_ms": round(replay_ms, 4),
+                "numpy_ms": round(numpy_ms, 4),
+                "ratio": round(replay_ms / numpy_ms, 2),
+            })
+            print(f"  {n}^3 {transform} ({kernels['z']}): replayed transform "
+                  f"{rows[-1]['replay_ms']}ms vs numpy "
+                  f"{rows[-1]['numpy_ms']}ms -> {rows[-1]['ratio']}x")
     return rows
 
 

@@ -51,6 +51,7 @@ from repro.exec import ResultStore, evaluate_cells  # noqa: E402
 from repro.machine import UMD_CLUSTER  # noqa: E402
 from repro.tuning import EvalStore, autotune  # noqa: E402
 from repro.obs import Tracer, scoped_registry, tracing, write_trace  # noqa: E402
+from repro.obs.registry import metrics_enabled  # noqa: E402
 
 GRID = {"UMD-Cluster": [(4, 32), (8, 32)], "Hopper": [(4, 32)]}
 BUDGET = 6
@@ -64,14 +65,17 @@ def warm_vs_cold_tune(store_path: str) -> dict:
     cold = autotune("NEW", UMD_CLUSTER, TUNE_SHAPE, eval_store=evals)
     cold_wall = time.perf_counter() - t0
     t0 = time.perf_counter()
-    warm = autotune("NEW", UMD_CLUSTER, TUNE_SHAPE, eval_store=evals)
+    with scoped_registry() as reg:
+        warm = autotune("NEW", UMD_CLUSTER, TUNE_SHAPE, eval_store=evals)
     warm_wall = time.perf_counter() - t0
     evals.save(store_path)
     return {
         "shape": "64x64x64 p4",
         "cold_executed": cold.session.executed_evaluations,
         "warm_executed": warm.session.executed_evaluations,
-        "store_hits": evals.hits,
+        # None when the metrics gate is off (REPRO_METRICS=0): no count
+        "store_hits": (int(reg.value("tune_store_hits_total") or 0)
+                       if metrics_enabled() else None),
         "store_records": len(evals),
         "cold_wall_s": round(cold_wall, 3),
         "warm_wall_s": round(warm_wall, 3),
