@@ -4,10 +4,9 @@ Section 7: "we intend to apply our overlap method to the 2-D domain
 decomposition technique.  If successful, we could achieve high
 scalability with many computing cores..."  This module provides that
 substrate: a pencil-decomposed parallel 3-D FFT over a ``pr x pc``
-process grid, built on the same simulated MPI (sub-communicators via
-``split``) and machine models.  Unlike the 1-D method it needs *two*
-all-to-all stages (Section 2.2's trade-off), but scales to ``N^2`` ranks
-instead of ``N``.
+process grid, built on the same simulated MPI and machine models.
+Unlike the 1-D method it needs *two* all-to-all stages (Section 2.2's
+trade-off), but scales to ``N^2`` ranks instead of ``N``.
 
 The exchange stages run either blocking or with the window/progression
 overlap machinery applied to the second (x-gathering) exchange, tiled
@@ -15,19 +14,22 @@ along z — a direct transplant of the 1-D method's Algorithm 1.
 
 Like :class:`~repro.core.plan.ParallelFFT3D`, the pipeline is written in
 the ``co_*`` coroutine spelling (:meth:`PencilFFT3D.steps`), which a
-generator SPMD program runs with ``yield from``.  The row/column
-sub-communicators are created lazily by the first step (a split is
-collective, so it needs its ``co_split`` coroutine form), not in
-``__init__``.
+generator SPMD program runs with ``yield from``.  The row and column
+sub-communicators are a pure function of the process grid, so the plan
+builds them directly when it is constructed (as P3DFFT and mpi4py-fft
+do) and charges the modeled time of the two ``MPI_Comm_split`` calls
+that would create them on a real machine.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from ..errors import DecompositionError, ParameterError
 from ..fft.plan import Plan1D
-from ..simmpi.comm import SimContext
+from ..simmpi.comm import Communicator, SimContext
 from .decompose import slab_counts, slab_range
 from .packing import ITEMSIZE
 
@@ -70,11 +72,19 @@ class PencilFFT3D:
                 f"grid {self.pr}x{self.pc} too large for shape {shape}"
             )
         self.r, self.c = divmod(self.world.rank, self.pc)
-        # Sub-communicators are created collectively by the first
-        # pipeline step (see _co_connect); eager splits here would make
-        # plain construction impossible inside generator SPMD programs.
-        self.row_comm = None
-        self.col_comm = None
+        # Row communicator: same r, ranks across c (first exchange).
+        # Column communicator: same c, ranks across r (second exchange).
+        # Their ids are distinct from each other and from the world's 0.
+        grid_id = (self.pr, self.pc)
+        self.row_comm = Communicator(
+            ctx, [self.r * self.pc + c for c in range(self.pc)],
+            (*grid_id, "row", self.r),
+        )
+        self.col_comm = Communicator(
+            ctx, [r * self.pc + self.c for r in range(self.pr)],
+            (*grid_id, "col", self.c),
+        )
+        self._charge_splits()
         # Slab tables for the three distribution stages.
         self.x_counts = slab_counts(self.nx, self.pr)
         self.y_counts = slab_counts(self.ny, self.pc)
@@ -101,20 +111,25 @@ class PencilFFT3D:
 
     # -- execution ----------------------------------------------------------
 
-    def _co_connect(self):
-        """Create the row/column sub-communicators (collective, once).
+    def _charge_splits(self) -> None:
+        """Charge the modeled time of the two communicator splits.
 
-        Row communicator: same ``r``, ranks across ``c`` (first
-        exchange).  Column communicator: same ``c``, ranks across ``r``
-        (second exchange).
+        Each ``MPI_Comm_split`` is an allgather of (color, key) followed
+        by an allreduce agreeing on a context id, each a tree of
+        ``ceil(log2 p)`` latency-bound steps over the world's ``p``
+        ranks.  Every rank enters them at the same clock, so each
+        completes at its own clock plus that time; it is accounted as a
+        blocked interval (no straggler stretch), under the collective's
+        label.
         """
-        if self.row_comm is None:
-            self.row_comm = yield from self.world.co_split(
-                color=self.r, key=self.c
-            )
-            self.col_comm = yield from self.world.co_split(
-                color=self.pr + self.c, key=self.r
-            )
+        rank = self.ctx.engine.ranks[self.ctx.rank]
+        depth = max(1, math.ceil(math.log2(max(self.world.size, 2))))
+        seconds = depth * self.ctx.platform.net.latency
+        for label in ("Allgather", "Allreduce", "Allgather", "Allreduce"):
+            t0 = rank.clock
+            t1 = t0 + seconds
+            rank.trace.add(t0, t1, label)
+            rank.clock = t1
 
     def steps(self, local: np.ndarray | None = None):
         """Run the transform as a ``co_*`` coroutine (``yield from`` it
@@ -127,7 +142,6 @@ class PencilFFT3D:
                 f"got {tuple(local.shape)}"
             )
         ctx = self.ctx
-        yield from self._co_connect()
 
         # ---- FFTz ------------------------------------------------------
         data = None

@@ -2,23 +2,22 @@
 
 :class:`SimContext` is the per-rank handle an SPMD function receives; its
 ``comm`` attribute is the world :class:`Communicator`.  The API is the
-one the pipelines use, which is the paper's (Section 3.3) plus
-sub-communicators:
+three calls the paper's pipelines make (Section 3.3):
 
-* ``ialltoall`` (scalar or per-peer byte counts) returning
-  :class:`~repro.simmpi.request.AlltoallRequest`, progressed by
-  :meth:`SimContext.progress_phases` (compute with MPI_Test calls) or
-  ``co_test`` (one MPI_Test) and finished with ``co_wait``;
-  ``co_alltoall`` posts and waits at once (the FFTW baseline);
-* the synchronizing collectives ``co_barrier, co_allreduce,
-  co_allgather``, all one path (``_co_sync_collective``);
-* ``co_split`` for sub-communicators (used by the 2-D decomposition
-  extension).
+* ``ialltoall`` (scalar or per-peer byte counts — ``MPI_Ialltoall(v)``)
+  returning :class:`~repro.simmpi.request.AlltoallRequest`;
+* :meth:`SimContext.progress_phases` — compute phases with ``MPI_Test``
+  calls spread over them, which progress the in-flight requests;
+* ``co_wait`` (``MPI_Wait``); ``co_alltoall`` posts and waits at once
+  (the FFTW baseline).
 
-Every *blocking* operation is a ``co_`` coroutine, delegated to with
-``yield from`` inside a generator SPMD function: it yields engine
-commands (block on a probe / give the token back) to the scheduler in
-:mod:`repro.simmpi.engine`.
+A sub-communicator is a :class:`Communicator` built directly over its
+group of world ranks with an id its members share (the 2-D
+decomposition builds its row and column communicators this way).
+
+The one *blocking* operation, ``co_wait``, is a ``co_`` coroutine,
+delegated to with ``yield from`` inside a generator SPMD function: it
+yields a block command to the scheduler in :mod:`repro.simmpi.engine`.
 
 Payloads are optional everywhere: in virtual mode callers pass byte
 counts only, in real mode actual numpy arrays travel with the messages.
@@ -26,8 +25,7 @@ counts only, in real mode actual numpy arrays travel with the messages.
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable, Sequence
+from typing import Any, Hashable, Sequence
 
 import numpy as np
 
@@ -239,9 +237,16 @@ class SimContext:
 
 
 class Communicator:
-    """A group of simulated ranks with MPI-style operations."""
+    """A group of simulated ranks with MPI-style operations.
 
-    def __init__(self, ctx: SimContext, group: list[int], comm_id: int) -> None:
+    ``group`` lists the members' world ranks in communicator-rank order;
+    ``comm_id`` must be the same on every member and distinct from every
+    other communicator's (the world's is 0).
+    """
+
+    def __init__(
+        self, ctx: SimContext, group: list[int], comm_id: Hashable
+    ) -> None:
         self.ctx = ctx
         self.engine = ctx.engine
         self.fabric = ctx.engine.fabric
@@ -261,23 +266,13 @@ class Communicator:
 
     # ------------------------------------------------------------------ utils
 
-    def _coll_key(self) -> tuple[int, int]:
+    def _coll_key(self) -> tuple[Hashable, int]:
         seqs = self.ctx._r.coll_seq
         seq = seqs.get(self.comm_id, 0)
         seqs[self.comm_id] = seq + 1
         return (self.comm_id, seq)
 
-    def _charge(
-        self, seconds: float, label: str, attrs: dict | None = None
-    ) -> None:
-        self.engine.advance(self.ctx.rank, seconds, label, attrs)
-
-    @property
-    def net(self):
-        """The platform's network model (shortcut)."""
-        return self.fabric.net
-
-    # ------------------------------------------------------------ wait/test
+    # ------------------------------------------------------------------ wait
 
     def co_wait(self, req: AlltoallRequest, label: str = "Wait"):
         """Block until ``req`` completes (MPI_Wait); returns the received
@@ -292,21 +287,6 @@ class Communicator:
         done = yield ("block", req.completion_probe, label)
         req.consumed = True
         return req.on_complete(done)
-
-    def co_test(self, req: AlltoallRequest):
-        """Non-blocking completion check (one MPI_Test): progresses the
-        request, charges the call overhead, returns ``(flag, result)``."""
-        if req.consumed:
-            raise MPIUsageError("request already waited on")
-        flag = req.test(self.ctx._r.clock)
-        self._charge(self.ctx._test_overhead, "Test")
-        if flag:
-            req.consumed = True
-            return True, req.on_complete(self.ctx.now)
-        # Unsuccessful poll: hand the token back so peers (usually behind
-        # in virtual time) can post the events this rank is waiting for.
-        yield ("yield",)
-        return False, None
 
     # -------------------------------------------------------------- alltoall
 
@@ -360,7 +340,7 @@ class Communicator:
         — plain ``MPI_Ialltoall``; vector = ``MPI_Ialltoallv``).  Both
         are validated; the timing model follows the sends.
         ``payload`` optionally carries one object per destination (real
-        mode).  The returned request is progressed by ``co_test`` /
+        mode).  The returned request is progressed by
         :meth:`SimContext.progress_phases` and finished by ``co_wait``.
         """
         send, send_list, send_uniform = self._alltoall_counts(sendcounts)
@@ -371,7 +351,7 @@ class Communicator:
                 f"payload must have one entry per rank ({self.size}), got {len(payload)}"
             )
         key = self._coll_key()
-        op = self.fabric.get_coll(key, "alltoall", self.size)
+        op = self.fabric.get_coll(key, self.size)
         req = AlltoallRequest(
             self.fabric, op, self.rank, self.group, send_list, payload,
             uniform_size=send_uniform,
@@ -404,98 +384,3 @@ class Communicator:
         progresses at full NIC rate — the FFTW-baseline communication)."""
         req = self.ialltoall(sendcounts, recvcounts, payload)
         return (yield from self.co_wait(req, label="A2A"))
-
-    # ---------------------------------------------------------- collectives
-
-    def _tree_depth(self) -> int:
-        return max(1, math.ceil(math.log2(max(self.size, 2))))
-
-    def _co_sync_collective(
-        self, kind: str, extra_time: float, label: str,
-        payload: Any = None,
-        combine: Callable[[list[Any]], Any] | None = None,
-    ):
-        """Shared implementation of synchronizing collectives.
-
-        Every participant records its entry time in the op; completion is
-        ``max(entries) + extra_time`` for all ranks (a symmetric model of
-        a tree algorithm).  ``payload``/``combine`` implement the data
-        semantics in real mode.
-        """
-        key = self._coll_key()
-        op = self.fabric.get_coll(key, kind, self.size)
-        t = self.ctx.now
-        op.entered[self.rank] = t
-        if payload is not None or combine is not None:
-            op.payload[self.rank] = payload
-
-        def probe() -> float | None:
-            if not np.isfinite(op.entered).all():
-                return None
-            return float(op.entered.max()) + extra_time
-
-        yield ("block", probe, label)
-        result = None
-        if combine is not None:
-            payloads = [op.payload.get(i) for i in range(self.size)]
-            result = combine(payloads)
-        op.meta["done_count"] = op.meta.get("done_count", 0) + 1
-        if op.meta["done_count"] == self.size:
-            self.fabric.release_coll(key)
-        return result
-
-    def co_barrier(self):
-        """Synchronize all ranks (dissemination-barrier time model)."""
-        yield from self._co_sync_collective(
-            "barrier", self._tree_depth() * self.net.latency, "Barrier"
-        )
-
-    def co_allreduce(self, value: Any, op: Callable[[Any, Any], Any] = None,
-                     nbytes: int = 0):
-        """Reduce-to-all (recursive-doubling time model)."""
-        depth = self._tree_depth()
-        t_extra = depth * (self.net.latency + nbytes / self.fabric.rank_rate)
-        combiner = op if op is not None else (lambda a, b: a + b)
-
-        def combine(payloads: list[Any]):
-            acc = payloads[0]
-            for item in payloads[1:]:
-                acc = combiner(acc, item)
-            return acc
-
-        return (yield from self._co_sync_collective(
-            "allreduce", t_extra, "Allreduce", payload=value, combine=combine
-        ))
-
-    def co_allgather(self, value: Any, nbytes: int = 0):
-        """Gather values to all ranks (list in rank order)."""
-        t_extra = self._tree_depth() * self.net.latency + (
-            (self.size - 1) * nbytes / self.fabric.rank_rate
-        )
-        return (yield from self._co_sync_collective(
-            "allgather", t_extra, "Allgather", payload=value, combine=list
-        ))
-
-    # -------------------------------------------------------------------- split
-
-    def co_split(self, color: int, key: int | None = None):
-        """Partition the communicator by ``color`` (MPI_Comm_split).
-
-        Ranks with equal color form a new communicator ordered by
-        ``key`` (default: current rank).  Collective — all members must
-        call it.
-        """
-        me_key = self.rank if key is None else key
-        triples = yield from self.co_allgather(
-            (color, me_key, self.group[self.rank])
-        )
-        mine = sorted(
-            (k, wr) for (c, k, wr) in triples if c == color
-        )
-        new_group = [wr for (_k, wr) in mine]
-        # Communicator ids must be shared by the members and distinct
-        # across colors: agree on the minimum of the per-rank draws over
-        # the *parent*, then qualify it with the color.
-        agreed = yield from self.co_allreduce(self.engine.new_comm_id(), op=min)
-        return Communicator(self.ctx, new_group, (agreed, color))
-

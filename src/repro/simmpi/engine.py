@@ -2,22 +2,21 @@
 
 Each simulated rank is a *generator* — the SPMD function, called once
 per rank — resumed by ``gen.send`` on the scheduler's own stack: no
-threads, no locks, no context switches.  Its blocking operations are
-``yield from`` of the comm layer's ``co_*`` coroutines, which yield
-engine commands (block on a probe, or give the token back) to the
-scheduler.  Exactly one rank is awake at any moment: the scheduler
-always resumes the rank with the smallest *virtual* clock.  This
-single-token, min-time policy gives conservative parallel-discrete-event
-correctness — when a rank at virtual time ``t`` runs, every peer's clock
-is already ``>= t``, so every message that could influence it by time
-``t`` has been posted — and bit-for-bit determinism (ties break by rank
-id).
+threads, no locks, no context switches.  Its one blocking operation is
+the all-to-all wait (``co_wait``, also behind ``co_alltoall``), which
+yields a *block* command to the scheduler: a probe returning the
+operation's completion time once already-posted events determine it,
+or ``None`` while they do not.  Exactly one rank is awake at any
+moment: the scheduler always resumes the rank with the smallest
+*virtual* clock.  This single-token, min-time policy gives conservative
+parallel-discrete-event correctness — when a rank at virtual time ``t``
+runs, every peer's clock is already ``>= t``, so every message that
+could influence it by time ``t`` has been posted — and bit-for-bit
+determinism (ties break by rank id).
 
 Virtual time advances only through :meth:`SimContext.compute` /
 communication calls; real numpy work done by the rank costs *zero*
-virtual time.  Blocking operations hand the scheduler a *probe*: a
-callable returning the operation's completion time once that time is
-determined by already-posted events, or ``None`` while it is not.
+virtual time.
 
 Two scheduling liberties keep the simulation fast without breaking the
 model: (1) a running rank keeps the token through local compute and
@@ -27,19 +26,14 @@ running ahead of a peer's virtual clock cannot change any outcome that a
 blocking operation observes; (2) blocked ranks are woken event-driven —
 the peer whose send completes an all-to-all arrival row pushes the
 waiter onto a completion-time heap instead of the scheduler polling.
-The one visible consequence: a non-blocking ``test()`` may
-conservatively report "not done" for an exchange whose peers have not
-been simulated far enough yet; completion *times* (via ``wait``) are
-exact either way.  The completion-time heap also feeds the pick itself:
-a blocked rank whose wakeup time precedes every ready clock runs first,
-so a rank spinning in a ``test()`` poll loop (which stays ready between
-polls) cannot starve peers parked in ``wait``.
+Every rank starts ready at clock 0 and never becomes ready again once
+it blocks, so after each rank's first grant (in rank order) every pick
+is a pop of that heap.
 
-Two order-preserving fast paths skip scheduler round trips whose outcome
-is already known: a block whose completion is determined at the rank's
-own clock while it is provably still the next pick returns at once, and
-a rank that gives the token back while it is still the unique minimum
-keeps running.  They only save handoffs and wakeups; the golden fixtures
+One order-preserving fast path skips a scheduler round trip whose
+outcome is already known: a block whose completion is determined at
+the rank's own clock while it is provably still the next pick returns
+at once.  It only saves handoffs and wakeups; the golden fixtures
 ``tests/simmpi/sched_golden.json`` and ``tests/core/payload_golden.json``
 pin the clocks, results and counters the scheduler produces.
 """
@@ -57,9 +51,8 @@ from ..machine.platforms import Platform
 from ..obs import registry as metrics
 from .fabric import Fabric
 
-#: engine commands a rank coroutine may yield to the scheduler
+#: the engine command a rank coroutine yields to the scheduler
 _CMD_BLOCK = "block"
-_CMD_YIELD = "yield"
 
 
 @dataclass
@@ -172,34 +165,18 @@ class Engine:
         self.fabric = Fabric(platform, nprocs, faults=self.faults)
         self.ranks = [_Rank(i, record_events) for i in range(nprocs)]
         self.stats = SchedStats(backend="tasks")
-        self._comm_counter = 0
-        self._blocked: set[int] = set()
         #: (completion time, idx) heap of blocked ranks whose completion
         #: is already determinable (fed by Fabric.notify_rank / blocks)
         self._ready_heap: list[tuple[float, int]] = []
-        #: the scheduler's (clock, idx) ready heap, shared with the
-        #: block fast path in _resume (see _next_is)
-        self._run_heap: list[tuple[float, int]] = []
         self.fabric.notify_rank = self._notify
 
     def _notify(self, world_rank: int) -> None:
-        """A blocked rank's pending operation became determinable."""
-        if world_rank in self._blocked:
-            self._blocked.discard(world_rank)
-            r = self.ranks[world_rank]
+        """A blocked rank's pending wait became determinable."""
+        r = self.ranks[world_rank]
+        if r.state == "blocked":
             self.stats.probe_polls += 1
-            t = r.probe()
-            if t is None:  # pragma: no cover - defensive
-                self._blocked.add(world_rank)
-                return
-            heapq.heappush(self._ready_heap, (max(t, r.clock), world_rank))
-
-    # -- identifiers ---------------------------------------------------------
-
-    def new_comm_id(self) -> int:
-        """Fresh communicator id (engine-unique)."""
-        self._comm_counter += 1
-        return self._comm_counter
+            t = max(r.probe(), r.clock)
+            heapq.heappush(self._ready_heap, (t, world_rank))
 
     # -- rank-side primitives (called while holding the token) ---------------
 
@@ -283,8 +260,8 @@ class Engine:
     # -- scheduling ----------------------------------------------------------
 
     def _resume(self, r: _Rank) -> None:
-        """Grant ``r`` the token: run its generator until it blocks,
-        gives the token back, or finishes."""
+        """Grant ``r`` the token: run its generator until it blocks or
+        finishes."""
         r.state = "running"
         stats = self.stats
         stats.handoffs += 1
@@ -307,70 +284,56 @@ class Engine:
                 r.exc = exc
                 r.state = "done"
                 return
-            kind = cmd[0]
-            if kind == _CMD_BLOCK:
-                probe, label = cmd[1], cmd[2]
-                stats.probe_polls += 1
-                t_ready = probe()
-                t0 = r.clock
-                if (
-                    t_ready is not None
-                    and t_ready <= t0
-                    and self._next_is(t0, r.idx)
-                ):
-                    # Immediate completion while still the scheduler's
-                    # next pick: parking the rank would only re-resume
-                    # it at the same clock, so re-send the resolved
-                    # completion without the round trip.  Order-
-                    # preserving; saves one handoff and one wakeup.
-                    r.trace.add(t0, t0, label)
-                    value = t0
-                    continue
-                r.block_t0 = t0
-                r.state = "blocked"
-                r.probe = probe
-                r.probe_label = label
-                if t_ready is not None:
-                    heapq.heappush(
-                        self._ready_heap, (max(t_ready, t0), r.idx)
-                    )
-                else:
-                    self._blocked.add(r.idx)
+            if cmd[0] != _CMD_BLOCK:
+                r.exc = SimulationError(f"unknown engine command {cmd[0]!r}")
+                r.state = "done"
                 return
-            if kind == _CMD_YIELD:
-                r.state = "ready"
-                return
-            r.exc = SimulationError(f"unknown engine command {kind!r}")
-            r.state = "done"
+            probe, label = cmd[1], cmd[2]
+            stats.probe_polls += 1
+            t_ready = probe()
+            t0 = r.clock
+            if (
+                t_ready is not None
+                and t_ready <= t0
+                and self._next_is(t0, r.idx)
+            ):
+                # Immediate completion while still the scheduler's next
+                # pick: parking the rank would only re-resume it at the
+                # same clock, so re-send the resolved completion without
+                # the round trip.  Order-preserving; saves one handoff
+                # and one wakeup.
+                r.trace.add(t0, t0, label)
+                value = t0
+                continue
+            r.block_t0 = t0
+            r.state = "blocked"
+            r.probe = probe
+            r.probe_label = label
+            if t_ready is not None:
+                heapq.heappush(self._ready_heap, (max(t_ready, t0), r.idx))
+            # else: the peer whose post completes the wait notifies
             return
 
     def _next_is(self, c: float, idx: int) -> bool:
         """Would the scheduler resume rank ``idx`` next at clock ``c`` if
         it blocked with an already-determined completion at ``c``?
 
-        True only when no ready rank would pop first (ready-vs-woken
-        ties keep the ready rank — ``_pop_woken``'s strict ``<``) and no
-        live completion-heap entry precedes ``(c, idx)`` (blocked-vs-
-        blocked ties break by the heap's ``(t, idx)`` order).  Collapsing
-        the park/resume round trip is then provably order-preserving.
-        Stale heap entries discarded here would be discarded by the
-        scheduler anyway."""
-        heap = self._run_heap
+        False while a rank still waits for its first grant (it is ready
+        at clock 0, and ready-vs-woken ties keep the ready rank); ranks
+        start in rank order, so that is while the last rank is ready.
+        Otherwise true only when no live completion-heap entry precedes
+        ``(c, idx)`` (ties break by the heap's ``(t, idx)`` order).
+        Collapsing the park/resume round trip is then provably
+        order-preserving.  Stale heap entries discarded here would be
+        discarded by the scheduler anyway."""
         ranks = self.ranks
-        heappop = heapq.heappop
-        while heap:
-            t, i = heap[0]
-            cand = ranks[i]
-            if cand.state == "ready" and cand.clock == t:
-                if t <= c:
-                    return False
-                break
-            heappop(heap)
+        if ranks[-1].state == "ready":
+            return False
         rh = self._ready_heap
         while rh:
             t, i = rh[0]
             if ranks[i].state != "blocked":
-                heappop(rh)
+                heapq.heappop(rh)
                 continue
             return t > c or (t == c and i > idx)
         return True
@@ -378,133 +341,41 @@ class Engine:
     def _schedule(self) -> None:
         ranks = self.ranks
         stats = self.stats
-        rh = self._ready_heap
-        heappush = heapq.heappush
-        heappop = heapq.heappop
         resume = self._resume
-        # Lazy min-heap of (clock, idx) for ready ranks; stale entries
-        # (rank no longer ready, or re-queued with a newer clock) are
-        # discarded on pop.  Blocked ranks are probed only when the heap
-        # runs dry, which is when their completion can matter.  The heap
-        # is published on the engine so the block fast path in _resume
-        # can consult it (_next_is).
-        heap: list[tuple[float, int]] = [(r.clock, r.idx) for r in ranks]
-        heapq.heapify(heap)
-        self._run_heap = heap
+        # Every rank starts ready at clock 0, so the min-time order with
+        # ties by rank id grants each its first turn in rank order: no
+        # blocked rank can wake before clock 0.  A resumed rank returns
+        # blocked or done, never ready, so from then on every pick is
+        # the earliest completion on the heap.
+        for r in ranks:
+            resume(r)
+            if r.exc is not None:
+                # Fail fast: remaining ranks are parked; run() reports.
+                return
         while True:
-            best: _Rank | None = None
-            while heap:
-                clock, idx = heap[0]
-                cand = ranks[idx]
-                if cand.state == "ready" and cand.clock == clock:
-                    best = cand
-                    break
-                heappop(heap)
-            if best is not None:
-                # Min-time includes blocked ranks with a determinable
-                # completion: a poller that stays "ready" between failed
-                # test() calls must not starve waiting peers whose wakeup
-                # times lie before its clock (virtual-time livelock).
-                woken = self._pop_woken(before=best.clock)
-                if woken is not None:
-                    best = woken
-                else:
-                    heappop(heap)
+            best, best_t = self._pick_blocked()
             if best is None:
-                best, best_t = self._pick_blocked()
-                if best is None:
-                    if all(r.state == "done" for r in ranks):
-                        return
-                    self._raise_deadlock()
-                best.clock = best_t
-                best.probe = None
-                self._blocked.discard(best.idx)
-                stats.wakeups += 1
-            while True:
-                resume(best)
-                if best.exc is not None:
-                    # Fail fast: remaining ranks are parked; run() reports.
+                if all(r.state == "done" for r in ranks):
                     return
-                if best.state != "ready":
-                    break
-                c = best.clock
-                # Same-rank run-through: if the resumed rank is still the
-                # unique minimum, pushing it would pop it right back —
-                # keep the token instead.  Order-preserving and
-                # counter-neutral (resume() still counts a handoff per
-                # grant, exactly like the push/pop round trip).
-                keep = True
-                while heap:
-                    t, i = heap[0]
-                    cand = ranks[i]
-                    if cand.state == "ready" and cand.clock == t:
-                        # ready-vs-ready ties break by rank id
-                        if t < c or (t == c and i < best.idx):
-                            keep = False
-                        break
-                    heappop(heap)
-                if keep:
-                    while rh:
-                        t, i = rh[0]
-                        if ranks[i].state != "blocked":
-                            heappop(rh)
-                            continue
-                        # woken-vs-ready ties keep the ready rank
-                        if t < c:
-                            keep = False
-                        break
-                if not keep:
-                    heappush(heap, (c, best.idx))
-                    break
-
-    def _pop_woken(self, before: float) -> "_Rank | None":
-        """Pop the earliest blocked rank whose event-fed completion time
-        is strictly earlier than ``before`` and make it runnable; ``None``
-        when the ready rank at ``before`` should run instead (ties keep
-        the ready rank — matches the pre-wakeup scheduling order)."""
-        rh = self._ready_heap
-        ranks = self.ranks
-        while rh:
-            t, idx = rh[0]
-            r = ranks[idx]
-            if r.state != "blocked":
-                heapq.heappop(rh)  # stale: already woken or done
-                continue
-            if t >= before:
-                return None
-            heapq.heappop(rh)
-            r.clock = t
-            r.probe = None
-            self._blocked.discard(idx)
-            self.stats.wakeups += 1
-            return r
-        return None
+                self._raise_deadlock()
+            best.clock = best_t
+            best.probe = None
+            stats.wakeups += 1
+            resume(best)
+            if best.exc is not None:
+                return
 
     def _pick_blocked(self) -> tuple["_Rank | None", float | None]:
-        """Earliest-completing blocked rank, or (None, None).
-
-        The event-fed completion heap serves the hot path (all-to-all
-        waits); the full ``_blocked`` sweep only runs when the heap is
-        empty, for the blocks without a notification hook: the
-        synchronizing collectives (barrier, allreduce, allgather)."""
+        """Earliest-completing blocked rank off the event-fed completion
+        heap (ties by rank id), or (None, None)."""
         ranks = self.ranks
-        while self._ready_heap:
-            t, idx = heapq.heappop(self._ready_heap)
+        rh = self._ready_heap
+        while rh:
+            t, idx = heapq.heappop(rh)
             r = ranks[idx]
             if r.state == "blocked":
                 return r, t
-        best: _Rank | None = None
-        best_t: float | None = None
-        for idx in self._blocked:
-            r = ranks[idx]
-            self.stats.probe_polls += 1
-            t = r.probe()
-            if t is None:
-                continue
-            t = max(t, r.clock)
-            if best_t is None or t < best_t:
-                best, best_t = r, t
-        return best, best_t
+        return None, None
 
     def _raise_deadlock(self) -> None:
         blocked = [

@@ -43,10 +43,8 @@ class CollOp:
     """
 
     key: tuple[Any, ...]
-    kind: str
     p: int
     arrivals: list[list[float]]
-    entered: np.ndarray  # entry time per local rank index, NaN until entered
     #: messages posted toward each destination (a plain list: senders bump
     #: entries one at a time, where list indexing beats ndarray scalars)
     posted_count: list[int]
@@ -54,31 +52,22 @@ class CollOp:
     #: arrivals write, so completion needs no column scan
     col_max: list[float]
     payload: dict[int, Any] = field(default_factory=dict)
-    meta: dict[str, Any] = field(default_factory=dict)
+    #: participants whose wait has returned; the last one frees the record
+    done_count: int = 0
     #: local index -> world rank parked in Wait on that row; the poster
     #: that completes the row notifies the engine (event-driven wakeup)
     waiters: dict[int, int] = field(default_factory=dict)
 
     @classmethod
-    def create(cls, key: tuple[Any, ...], kind: str, p: int) -> "CollOp":
-        """Fresh record with empty arrival/entry tables."""
+    def create(cls, key: tuple[Any, ...], p: int) -> "CollOp":
+        """Fresh record with an empty arrival table."""
         return cls(
             key=key,
-            kind=kind,
             p=p,
             arrivals=[[float("nan")] * p for _ in range(p)],
-            entered=np.full(p, np.nan),
             posted_count=[0] * p,
             col_max=[float("-inf")] * p,
         )
-
-    def check_kind(self, kind: str) -> None:
-        """Verify all participants called the same collective."""
-        if kind != self.kind:
-            raise MPIUsageError(
-                f"collective mismatch on {self.key}: one rank called "
-                f"{self.kind!r}, another {kind!r}"
-            )
 
 
 class Fabric:
@@ -114,8 +103,8 @@ class Fabric:
 
     # -- collectives -------------------------------------------------------
 
-    def get_coll(self, key: tuple[Any, ...], kind: str, p: int) -> CollOp:
-        """Fetch or create the shared record for a collective instance.
+    def get_coll(self, key: tuple[Any, ...], p: int) -> CollOp:
+        """Fetch or create the shared record for an all-to-all instance.
 
         ``key`` identifies the instance: (communicator id, per-rank
         collective sequence number) — ranks match their i-th collective
@@ -124,15 +113,13 @@ class Fabric:
         """
         op = self._colls.get(key)
         if op is None:
-            op = CollOp.create(key, kind, p)
+            op = CollOp.create(key, p)
             self._colls[key] = op
-        else:
-            op.check_kind(kind)
-            if op.p != p:
-                raise MPIUsageError(
-                    f"collective {key} joined with group size {p}, "
-                    f"created with {op.p}"
-                )
+        elif op.p != p:
+            raise MPIUsageError(
+                f"collective {key} joined with group size {p}, "
+                f"created with {op.p}"
+            )
         return op
 
     def release_coll(self, key: tuple[Any, ...]) -> None:

@@ -64,7 +64,7 @@ class AlltoallRequest:
         The common entry when all sendcounts are equal, else ``None``.
     """
 
-    #: set True once wait (or a successful test) returned; reuse raises.
+    #: set True once wait returned; reuse raises.
     consumed: bool = False
 
     def __init__(
@@ -185,7 +185,6 @@ class AlltoallRequest:
         self._counts[r] += 1
         if t > self._col_max[r]:
             self._col_max[r] = t
-        self.op.entered[r] = t
         self._round_ready = t
         self._post_round(t, 0.0)
         self.progress_entries += 1
@@ -270,14 +269,6 @@ class AlltoallRequest:
         fabric.bytes_injected[rank_w] += total_bytes
         self._own_finish = own
         self._round_ready = ready
-
-    def test(self, t: float) -> bool:
-        """One explicit MPI_Test at time ``t``: progress, then poll."""
-        if self._next < self._n and t >= self._round_ready:
-            self._post_round(t, 0.0)
-        self.progress_entries += 1
-        done_time = self.completion_probe()
-        return done_time is not None and done_time <= t
 
     def enter_wait(self, t: float) -> None:
         """MPI_Wait entry: run the remaining rounds back-to-back."""
@@ -395,9 +386,8 @@ class AlltoallRequest:
             for src in range(len(self.group)):
                 chunks = payloads.get(src)
                 out.append(None if chunks is None else chunks[self.rank])
-        done = self.op.meta.get("done_count", 0) + 1
-        self.op.meta["done_count"] = done
-        if done == len(self.group):
+        self.op.done_count += 1
+        if self.op.done_count == len(self.group):
             self.fabric.release_coll(self.op.key)
         return out
 

@@ -35,7 +35,8 @@ composite even-Nz cells run through
 Multi-array cases (``"pipeline": "multi"``) run
 :class:`repro.core.multiarray.MultiArrayFFT3D` in all four modes on one
 to three arrays, and pencil cases (``"pipeline": "pencil"``) run
-:class:`repro.core.pencil.PencilFFT3D` on its default grid, both over p
+:class:`repro.core.pencil.PencilFFT3D` on its default grid or, when the
+case has a ``"grid"`` field, on that ``[pr, pc]`` grid, both over p
 from 2 to 16.  Each of them runs once fault-free and once under the
 seeded spec :data:`FAULTS` (straggler, jitter and poll delay).  They
 were captured while the simulator still had its thread backend and its
@@ -61,7 +62,8 @@ them from the cases whose spectra match it again, and
 cases the committed file lacks (``events_sha``, the r2c cases and the
 multi-array and pencil cases were added this way, each before the code
 they pin was reworked; the c2r cases were added with the code that
-introduced the c2r inverse).
+introduced the c2r inverse; the explicit-grid pencil cases were added
+before pencil stopped splitting its communicators at run time).
 ``tests/core/test_payload_golden.py`` compares the live pipeline with
 the committed file.
 """
@@ -132,6 +134,11 @@ MULTI_TILINGS = (
 PENCIL_CELLS = (
     (8, 8, 8, 2), (9, 7, 6, 3), (8, 8, 8, 4), (12, 10, 9, 6),
     (12, 12, 12, 8), (9, 9, 9, 9), (12, 12, 10, 12), (16, 16, 16, 16),
+)
+#: (nx, ny, nz, pr, pc) pencil cells on an explicit grid: ``choose_grid``
+#: never yields ``pc = 1`` or ``pr > pc``
+PENCIL_GRIDS = (
+    (8, 8, 8, 4, 1), (12, 10, 9, 6, 1), (9, 7, 6, 3, 2), (16, 16, 12, 2, 8),
 )
 
 
@@ -214,6 +221,13 @@ def cases() -> list[dict]:
                 "shape": [nx, ny, nz], "p": p, "params": None,
                 "direction": "forward", "faults": faults,
             })
+        for nx, ny, nz, pr, pc in PENCIL_GRIDS:
+            out.append({
+                "id": f"pencil-{nx}x{ny}x{nz}-g{pr}x{pc}{tag}",
+                "pipeline": "pencil", "shape": [nx, ny, nz], "p": pr * pc,
+                "grid": [pr, pc], "params": None, "direction": "forward",
+                "faults": faults,
+            })
     return out
 
 
@@ -293,7 +307,7 @@ def _spectra(case: dict) -> tuple:
         return sim, traced, spectra, [np.fft.fftn(a) for a in arrays]
     if pipeline == "pencil":
         arr = _input(case)
-        grid = pencil.choose_grid(shape.p)
+        grid = tuple(case.get("grid") or pencil.choose_grid(shape.p))
         args = (tuple(case["shape"]), grid, pencil.scatter_pencils(arr, *grid))
         sim, traced = _simulate(case, _pencil_program, args)
         spectrum = pencil.gather_spectrum([r[0] for r in sim.results],

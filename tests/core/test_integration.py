@@ -192,8 +192,8 @@ class TestMixedWorkloads:
             assert got == list(range(c.size))
             plan = ParallelFFT3D(ctx, shape, default_params(shape))
             out = yield from plan.steps(blocks[ctx.rank])
-            total = yield from c.co_allreduce(c.rank, nbytes=8)
-            assert total == sum(range(c.size))
+            got = yield from c.co_alltoall(8, payload=[c.rank] * c.size)
+            assert sum(got) == sum(range(c.size))
             return out, plan.output_layout
 
         res = run_spmd(p, prog, UMD_CLUSTER)

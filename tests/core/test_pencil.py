@@ -84,6 +84,47 @@ class TestCorrectness:
         assert isinstance(ei.value.__cause__, DecompositionError)
 
 
+class TestCommunicators:
+    def test_row_and_column_groups(self):
+        def prog(ctx):
+            plan = PencilFFT3D(ctx, (8, 8, 8), (2, 3))
+            return (plan.row_comm.group, plan.row_comm.comm_id,
+                    plan.col_comm.group, plan.col_comm.comm_id)
+            yield  # pragma: no cover - marks this as a generator function
+
+        res = run_spmd(6, prog, HOPPER)
+        ids = {}
+        for rank, (row, row_id, col, col_id) in enumerate(res.results):
+            r, c = divmod(rank, 3)
+            assert row == [r * 3 + k for k in range(3)]
+            assert col == [k * 3 + c for k in range(2)]
+            # members share an id; different groups never do, nor the world
+            for group, cid in ((row, row_id), (col, col_id)):
+                assert ids.setdefault(cid, group) == group
+                assert cid != 0
+        assert len(ids) == 2 + 3
+
+    def test_split_time_charged_at_construction(self):
+        """Two MPI_Comm_split calls: an allgather and an allreduce each,
+        ceil(log2 p) latency steps apiece, on every rank alike — a
+        straggler's CPU slowdown does not stretch them."""
+        from repro.faults import injected_faults
+
+        def prog(ctx):
+            PencilFFT3D(ctx, (8, 8, 8), (2, 3))
+            return ctx.now
+            yield  # pragma: no cover - marks this as a generator function
+
+        step = 3 * UMD_CLUSTER.net.latency  # ceil(log2 6) = 3
+        with injected_faults("straggler:rank=1,slow=2.0"):
+            res = run_spmd(6, prog, UMD_CLUSTER, record_events=True)
+        assert res.results == [pytest.approx(4 * step, rel=1e-12)] * 6
+        for tr in res.traces:
+            assert [e[2] for e in tr.events] == [
+                "Allgather", "Allreduce", "Allgather", "Allreduce"]
+            assert tr.by_label["Allgather"] == pytest.approx(2 * step)
+
+
 class TestScatterGather:
     def test_scatter_blocks_cover(self):
         a = np.arange(4 * 6 * 5).reshape(4, 6, 5)

@@ -2,14 +2,13 @@
 
 Most cases build a seeded generator SPMD program (:func:`make_prog`): a
 mix of compute, non-blocking all-to-alls, compute phases that progress
-them (:meth:`~repro.simmpi.comm.SimContext.progress_phases`), test
-polls, waits and the synchronizing collectives (barrier, allreduce,
-allgather) over 2 to 16 ranks — only calls the simulator keeps.  Each
-case runs its program and records what a change to the scheduler must
-not move:
+them (:meth:`~repro.simmpi.comm.SimContext.progress_phases`), one-test
+polls, waits and blocking all-to-alls over 2 to 16 ranks.  Each case
+runs its program and records what a change to the scheduler must not
+move:
 
 * ``elapsed`` — the virtual makespan (``float.hex``),
-* ``results`` — every rank's log of poll flags, wait clocks, reduction
+* ``results`` — every rank's log of poll and wait clocks, reduced
   totals and gathered values (floats as ``float.hex``),
 * ``by_label`` — every rank's per-label virtual seconds (``float.hex``),
 * ``sched`` — all three scheduler counters, and
@@ -18,23 +17,18 @@ not move:
 
 Eight seeds run fault-free and two under the seeded spec :data:`FAULTS`
 (straggler, jitter and poll delay).  Hand-written scenarios
-(:data:`SCENARIOS`: the synchronizing collectives after skewed compute,
-which keep the scheduler's polling sweep pinned, a progressed and
-polled all-to-all, sub-communicators and the pencil pipeline's lazy
-splits) are cases too.
+(:data:`SCENARIOS`: a progressed and polled all-to-all, directly built
+sub-communicators and the pencil pipeline) are cases too.
 
-The committed ``sched_golden.json`` was captured while the engine still
-had a thread backend and a switch that turned its scheduling fast paths
-off; every case gave the same clocks, results, per-label seconds, events
-and probe polls under all four combinations then.  The handoff and
-wakeup counters were captured on the coroutine backend with the fast
-paths on, the one path the engine keeps.  When the simulator dropped
-point-to-point messaging and the rooted collectives, ``OPS`` swapped
-``"sendrecv"`` for ``"allgather"`` in the same slot (drawing nothing
-from the RNG, so seeds that never picked the slot kept their programs
-and entries byte for byte), and ``prog_sync`` replaced the ring,
-sendrecv and collectives scenarios.  Seeds 1-5 and 7 and both
-``prog_sync`` cases were captured then, on the code before the cut.
+The simulator's only blocking primitive is the all-to-all wait, so the
+programs use nothing else.  ``OPS`` keeps the slots of the synchronizing
+collectives and the ``MPI_Test`` poll it once drew, with the same RNG
+draws: a barrier is a zero-byte ``co_alltoall``, an allreduce or
+allgather a ``co_alltoall`` whose payload is reduced or listed locally,
+and a poll a one-test ``progress_phases`` phase.  The file was
+recaptured with those programs on the code that still had the
+collectives; only the pencil cases' ``sched`` counters moved when pencil
+stopped splitting its communicators at run time.
 
 Regenerate with ``PYTHONPATH=src python -m tests.simmpi.sched_golden``;
 ``tests/simmpi/test_sched_golden.py`` compares the engine with the
@@ -50,7 +44,7 @@ from pathlib import Path
 
 from repro.faults import injected_faults
 from repro.machine import UMD_CLUSTER
-from repro.simmpi import run_spmd
+from repro.simmpi import Communicator, run_spmd
 from tests.core.payload_golden import events_digest
 
 FIXTURE = Path(__file__).with_name("sched_golden.json")
@@ -65,6 +59,9 @@ OPS = (
     "allreduce",
     "allgather",
 )
+
+#: virtual seconds of the compute phase a poll makes its one MPI_Test in
+POLL_SECONDS = 1e-5
 
 #: the seeded fault spec the faulted cases run under
 FAULTS = "straggler:rank=1,slow=1.7;jitter:amp=0.2;poll:rank=0,factor=3;seed:5"
@@ -96,28 +93,28 @@ def make_prog(seed: int, nops: int):
                 total = sum(rng.randrange(1, 5) for _ in pending)
                 ctx.progress_phases(((dur, total, "Prog"),), pending)
             elif op == "poll" and pending:
-                done, res = yield from comm.co_test(pending[0])
-                if done:
-                    pending.pop(0)
-                log.append(("poll", i, done))
+                ctx.progress_phases(((POLL_SECONDS, 1, "Poll"),), pending[:1])
+                log.append(("poll", i, ctx.now))
             elif op == "wait" and pending:
                 yield from comm.co_wait(pending.pop(0))
                 log.append(("wait", i, ctx.now))
             elif op == "barrier":
-                yield from comm.co_barrier()
+                yield from comm.co_alltoall(0)
             elif op == "allreduce":
-                total = yield from comm.co_allreduce(ctx.rank + i, nbytes=8)
-                log.append(("allreduce", i, total))
+                got = yield from comm.co_alltoall(
+                    8, payload=[ctx.rank + i] * ctx.size
+                )
+                log.append(("allreduce", i, sum(got)))
             elif op == "allgather":
                 # draws nothing, so the RNG stream (and with it every
                 # program that never picks this op) stays as it was
-                gathered = yield from comm.co_allgather(
-                    (ctx.rank, i), nbytes=2048
+                got = yield from comm.co_alltoall(
+                    2048, payload=[(ctx.rank, i)] * ctx.size
                 )
-                log.append(("allgather", i, gathered))
+                log.append(("allgather", i, got))
         while pending:
             yield from comm.co_wait(pending.pop(0))
-        yield from comm.co_barrier()
+        yield from comm.co_alltoall(0)
         log.append(("final", ctx.now))
         return tuple(log)
 
@@ -133,40 +130,30 @@ def prog_compute(ctx):
     yield  # pragma: no cover - marks this as a generator function
 
 
-def prog_sync(ctx):
-    """Skewed compute, then the synchronizing collectives.  Their blocks
-    have no notification hook, so the scheduler's polling sweep
-    (``Engine._pick_blocked``) resolves them."""
-    comm = ctx.comm
-    ctx.compute(0.0005 * ctx.rank, "skew")
-    yield from comm.co_barrier()
-    total = yield from comm.co_allreduce(ctx.rank, nbytes=8)
-    everything = yield from comm.co_allgather(ctx.now, nbytes=8)
-    return total, everything
-
-
 def prog_overlap(ctx):
     """Ialltoall progressed during compute, finished with co_wait — the
-    paper's manual-progression pattern — then a co_test poll loop."""
+    paper's manual-progression pattern — then a second one progressed
+    by one-test compute phases before its wait."""
     comm = ctx.comm
     req = comm.ialltoall(1 << 22)
     ctx.progress_phases(((0.004, 8, "FFTy"),), [req])
     yield from comm.co_wait(req, label="Wait")
     req2 = comm.ialltoall(1 << 20)
-    while True:
-        flag, _ = yield from comm.co_test(req2)
-        if flag:
-            break
-        ctx.compute(0.0002, "poll-work")
+    for _ in range(4):
+        ctx.progress_phases(((0.0002, 1, "poll-work"),), [req2])
+    yield from comm.co_wait(req2)
     return ctx.now
 
 
 def prog_split(ctx):
-    comm = ctx.comm
-    half = yield from comm.co_split(ctx.rank % 2)
-    local_sum = yield from half.co_allreduce(ctx.rank, nbytes=8)
-    yield from comm.co_barrier()
-    return half.size, local_sum
+    """Even and odd ranks on directly built sub-communicators: an
+    alltoall on each whose payload is summed locally, then a world
+    zero-byte alltoall."""
+    color = ctx.rank % 2
+    half = Communicator(ctx, list(range(color, ctx.size, 2)), 1 + color)
+    got = yield from half.co_alltoall(8, payload=[ctx.rank] * half.size)
+    yield from ctx.comm.co_alltoall(0)
+    return half.size, sum(got)
 
 
 def prog_pencil(ctx):
@@ -178,7 +165,7 @@ def prog_pencil(ctx):
 
 
 SCENARIOS = {prog.__name__: prog for prog in (
-    prog_compute, prog_sync, prog_overlap, prog_split, prog_pencil,
+    prog_compute, prog_overlap, prog_split, prog_pencil,
 )}
 
 
@@ -188,8 +175,7 @@ def cases() -> list[dict]:
             "nops": 14, "faults": None} for seed in range(8)]
     out += [{"id": f"seed{seed}-faults", "seed": seed, "nprocs": 4,
              "nops": 12, "faults": FAULTS} for seed in (3, 6)]
-    for name, nprocs in (("prog_compute", 4), ("prog_sync", 4),
-                         ("prog_sync", 7), ("prog_overlap", 8),
+    for name, nprocs in (("prog_compute", 4), ("prog_overlap", 8),
                          ("prog_split", 6), ("prog_pencil", 4),
                          ("prog_pencil", 6)):
         out.append({"id": f"{name}-{nprocs}", "program": name,

@@ -15,14 +15,14 @@ import pytest
 from repro.errors import DeadlockError, SimulationError
 from repro.machine import UMD_CLUSTER
 from repro.simmpi import Engine, run_spmd
-from tests.simmpi.sched_golden import prog_overlap, prog_sync
+from tests.simmpi.sched_golden import prog_overlap, prog_split
 
 
 def prog_failing(ctx):
     ctx.compute(0.001, "work")
     if ctx.rank == 1:
         raise ValueError("rank 1 exploded")
-    yield from ctx.comm.co_barrier()
+    yield from ctx.comm.co_alltoall(0)
 
 
 def prog_deadlock(ctx):
@@ -44,7 +44,7 @@ class TestFailures:
 
 class TestBackendSelection:
     def test_auto_picks_tasks_for_generators(self):
-        sim = run_spmd(4, prog_sync, UMD_CLUSTER)
+        sim = run_spmd(4, prog_split, UMD_CLUSTER)
         assert sim.stats.backend == "tasks"
 
     def test_tasks_backend_rejects_plain_callables(self):
@@ -56,12 +56,12 @@ class TestBackendSelection:
         with pytest.raises(TypeError, match="backend"):
             Engine(2, UMD_CLUSTER, backend="threads")
         with pytest.raises(TypeError, match="backend"):
-            run_spmd(2, prog_sync, UMD_CLUSTER, backend="threads")
+            run_spmd(2, prog_split, UMD_CLUSTER, backend="threads")
 
     def test_sync_facade_rejected_on_tasks_backend(self):
         def bad(ctx):
-            ctx.comm.barrier()  # blocking spelling: only co_barrier exists
-            yield from ctx.comm.co_barrier()
+            ctx.comm.alltoall(8)  # blocking spelling: only co_alltoall exists
+            yield from ctx.comm.co_alltoall(8)
 
         with pytest.raises(SimulationError, match="rank .* failed") as exc:
             run_spmd(2, bad, UMD_CLUSTER)

@@ -1,36 +1,41 @@
-"""Communicator semantics: alltoall, sync collectives, payloads, split."""
+"""Communicator semantics: alltoall, payloads, sub-communicators."""
 
 import numpy as np
 import pytest
 
 from repro.errors import MPIUsageError, SimulationError
 from repro.machine import HOPPER, UMD_CLUSTER
-from repro.simmpi import run_spmd
+from repro.simmpi import Communicator, run_spmd
+
+
+def parity_comm(ctx):
+    """The even or the odd world ranks, as a directly built
+    sub-communicator (ids 1 and 2; the world's is 0)."""
+    color = ctx.rank % 2
+    return Communicator(ctx, list(range(color, ctx.size, 2)), 1 + color)
 
 
 class TestCollectives:
+    """The collectives a program needs besides the pipelines' exchanges
+    are alltoalls: a barrier carries zero bytes, and an allreduce or an
+    allgather reduces or lists the received values locally."""
+
     def test_barrier_synchronizes_clocks(self):
         def prog(ctx):
             ctx.compute(0.01 * ctx.rank)
-            yield from ctx.comm.co_barrier()
+            yield from ctx.comm.co_alltoall(0)
             return ctx.now
 
         res = run_spmd(4, prog, UMD_CLUSTER)
-        assert max(res.results) - min(res.results) < 1e-12
         assert min(res.results) >= 0.03  # slowest rank dominates
-
-    def test_reduce_custom_op(self):
-        def prog(ctx):
-            return (yield from ctx.comm.co_allreduce(
-                ctx.rank + 1, op=lambda a, b: a * b
-            ))
-
-        res = run_spmd(4, prog, UMD_CLUSTER)
-        assert res.results == [24] * 4
+        assert max(res.results) - min(res.results) < 1e-4  # latency only
 
     def test_allreduce_arrays(self):
         def prog(ctx):
-            return (yield from ctx.comm.co_allreduce(np.full(3, ctx.rank), nbytes=24))
+            got = yield from ctx.comm.co_alltoall(
+                24, payload=[np.full(3, ctx.rank)] * ctx.size
+            )
+            return sum(got)
 
         res = run_spmd(3, prog, UMD_CLUSTER)
         for arr in res.results:
@@ -38,21 +43,23 @@ class TestCollectives:
 
     def test_allgather(self):
         def prog(ctx):
-            return (yield from ctx.comm.co_allgather(ctx.rank**2, nbytes=8))
+            return (yield from ctx.comm.co_alltoall(
+                8, payload=[ctx.rank**2] * ctx.size
+            ))
 
         res = run_spmd(3, prog, UMD_CLUSTER)
         assert res.results == [[0, 1, 4]] * 3
 
-    def test_collective_kind_mismatch_detected(self):
+    def test_group_size_mismatch_detected(self):
         def prog(ctx):
-            if ctx.rank == 0:
-                yield from ctx.comm.co_barrier()
-            else:
-                yield from ctx.comm.co_allreduce(1)
+            # rank 0 disagrees with its peers on communicator 7's group
+            group = [0, 1] if ctx.rank == 0 else [0, 1, 2]
+            yield from Communicator(ctx, group, 7).co_alltoall(8)
 
-        with pytest.raises(Exception) as ei:
-            run_spmd(2, prog, UMD_CLUSTER)
-        assert "mismatch" in str(ei.value.__cause__)
+        with pytest.raises(SimulationError) as ei:
+            run_spmd(3, prog, UMD_CLUSTER)
+        assert isinstance(ei.value.__cause__, MPIUsageError)
+        assert "group size" in str(ei.value.__cause__)
 
 
 class TestAlltoall:
@@ -177,28 +184,22 @@ class TestAlltoall:
 
 
 class TestSplit:
+    """Sub-communicators built directly over a group of world ranks."""
+
     def test_split_groups_and_collectives(self):
         def prog(ctx):
-            c = ctx.comm
-            sub = yield from c.co_split(color=ctx.rank % 2)
-            return sub.size, (yield from sub.co_allreduce(ctx.rank))
+            sub = parity_comm(ctx)
+            got = yield from sub.co_alltoall(8, payload=[ctx.rank] * sub.size)
+            return sub.size, sum(got)
 
         res = run_spmd(6, prog, UMD_CLUSTER)
         for r, (size, total) in enumerate(res.results):
             assert size == 3
             assert total == sum(x for x in range(6) if x % 2 == r % 2)
 
-    def test_split_key_reorders(self):
-        def prog(ctx):
-            sub = yield from ctx.comm.co_split(color=0, key=-ctx.rank)
-            return sub.rank
-
-        res = run_spmd(4, prog, UMD_CLUSTER)
-        assert res.results == [3, 2, 1, 0]
-
     def test_sub_communicator_alltoall(self):
         def prog(ctx):
-            sub = yield from ctx.comm.co_split(color=ctx.rank % 2)
+            sub = parity_comm(ctx)
             chunks = [(ctx.rank, d) for d in range(sub.size)]
             out = yield from sub.co_alltoall(16, payload=chunks)
             return sub.group, out
@@ -210,3 +211,12 @@ class TestSplit:
             # this rank's index within the sub-communicator
             me = group.index(world)
             assert out == [(group[s], me) for s in range(len(group))]
+
+    def test_rank_outside_group_rejected(self):
+        def prog(ctx):
+            Communicator(ctx, [0], 1)
+            yield from ()
+
+        with pytest.raises(SimulationError) as ei:
+            run_spmd(2, prog, UMD_CLUSTER)
+        assert "not in group" in str(ei.value.__cause__)

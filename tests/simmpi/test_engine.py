@@ -1,11 +1,17 @@
 """Engine-level tests: scheduling, determinism, tracing, failure modes."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DeadlockError, SimulationError
 from repro.machine import UMD_CLUSTER
-from repro.simmpi import run_spmd
+from repro.simmpi import Communicator, run_spmd
+from repro.faults import injected_faults
 from repro.simmpi.engine import Engine, RankTrace
+from tests.simmpi.sched_golden import FAULTS, make_prog
 
 
 class TestClockAndScheduling:
@@ -31,19 +37,21 @@ class TestClockAndScheduling:
     def test_blocking_points_respect_virtual_time(self):
         def prog(ctx):
             # Ranks run ahead freely through local compute, but a
-            # blocking point (here: one barrier per pair of ranks)
-            # releases each rank at its pair's latest entry, whatever
-            # order the ranks were executed in.
-            pair = yield from ctx.comm.co_split(ctx.rank // 2)
+            # blocking point (here: a zero-byte alltoall per pair of
+            # ranks) releases each rank at its pair's latest entry,
+            # whatever order the ranks were executed in.
+            first = ctx.rank // 2 * 2
+            pair = Communicator(ctx, [first, first + 1], 1 + ctx.rank // 2)
             t0 = ctx.now
             ctx.compute(0.1 * (ctx.size - ctx.rank))
-            yield from pair.co_barrier()
+            yield from pair.co_alltoall(0)
             return ctx.now - t0
 
         res = run_spmd(4, prog, UMD_CLUSTER)
-        lat = UMD_CLUSTER.net.latency  # a 2-rank barrier is one hop
+        # the later entrant's post, then its empty message's one hop
+        hop = UMD_CLUSTER.net.post_cost(2) + UMD_CLUSTER.net.latency
         assert res.results == pytest.approx(
-            [0.4 + lat, 0.4 + lat, 0.2 + lat, 0.2 + lat], rel=1e-9
+            [0.4 + hop, 0.4 + hop, 0.2 + hop, 0.2 + hop], rel=1e-9
         )
 
     def test_deterministic_repeat(self):
@@ -64,7 +72,7 @@ class TestClockAndScheduling:
             if ctx.rank == 2:
                 raise ValueError("boom")
             ctx.compute(0.001)
-            yield from ctx.comm.co_barrier()
+            yield from ctx.comm.co_alltoall(0)
 
         with pytest.raises(SimulationError) as ei:
             run_spmd(4, prog, UMD_CLUSTER)
@@ -81,10 +89,67 @@ class TestClockAndScheduling:
 
     def test_many_ranks(self):
         def prog(ctx):
-            return (yield from ctx.comm.co_allreduce(1))
+            return sum((yield from ctx.comm.co_alltoall(
+                8, payload=[1] * ctx.size
+            )))
 
         res = run_spmd(64, prog, UMD_CLUSTER)
         assert all(v == 64 for v in res.results)
+
+
+def check_next_pick(engine, rank, woken):
+    """Assert that granting the token to ``rank`` at its clock keeps
+    the min-virtual-time order: no other ready rank has an earlier
+    clock, no blocked rank on the completion heap wakes earlier, ties
+    between two ready or two waking ranks go to the lower rank id, and
+    a ready rank keeps a tie against a waking one (``woken`` says which
+    kind ``rank`` is)."""
+    c, idx = rank.clock, rank.idx
+    for other in engine.ranks:
+        if other.idx != idx and other.state == "ready":
+            if woken:
+                assert c < other.clock
+            else:
+                assert (c, idx) < (other.clock, other.idx)
+    for t, j in engine._ready_heap:
+        if j != idx and engine.ranks[j].state == "blocked":
+            if woken:
+                assert (c, idx) < (t, j)
+            else:
+                assert c <= t
+
+
+class TestMinTimeOrder:
+    @given(seed=st.integers(0, 10**6), nprocs=st.integers(2, 9),
+           nops=st.integers(4, 16), faults=st.sampled_from([None, FAULTS]))
+    @settings(max_examples=40, deadline=None)
+    def test_every_grant_goes_to_the_earliest_rank(self, seed, nprocs,
+                                                   nops, faults):
+        """Every resume, and every block the engine resolves in place,
+        starts at a clock no later than any other ready rank's clock or
+        any blocked rank's determinable wake time (ties by rank id), on
+        the seeded alltoall-only programs of the scheduler fixture."""
+        resume, next_is = Engine._resume, Engine._next_is
+        grants = []
+
+        def checked_resume(engine, rank):
+            check_next_pick(engine, rank, woken=rank.block_t0 is not None)
+            grants.append(rank.idx)
+            resume(engine, rank)
+
+        def checked_next_is(engine, c, idx):
+            ok = next_is(engine, c, idx)
+            if ok:
+                rank = engine.ranks[idx]
+                assert rank.clock == c
+                check_next_pick(engine, rank, woken=True)
+            return ok
+
+        with mock.patch.object(Engine, "_resume", checked_resume), \
+                mock.patch.object(Engine, "_next_is", checked_next_is), \
+                injected_faults(faults):
+            sim = run_spmd(nprocs, make_prog(seed, nops), UMD_CLUSTER)
+        assert len(grants) == sim.stats.handoffs
 
 
 class TestDeadlockDetection:
@@ -100,12 +165,18 @@ class TestDeadlockDetection:
 
     def test_mismatched_collective_participation_deadlocks(self):
         def prog(ctx):
-            if ctx.rank == 0:
-                yield from ctx.comm.co_barrier()
-            # rank 1 never joins
+            first = ctx.rank // 2 * 2
+            pair = Communicator(ctx, [first, first + 1], 1 + ctx.rank // 2)
+            if ctx.rank != 1:
+                yield from pair.co_alltoall(64)
+            # rank 1 never joins its pair's exchange; ranks 2 and 3
+            # finish theirs
 
-        with pytest.raises(DeadlockError):
-            run_spmd(2, prog, UMD_CLUSTER)
+        with pytest.raises(DeadlockError) as ei:
+            run_spmd(4, prog, UMD_CLUSTER)
+        msg = str(ei.value)
+        assert "rank 0" in msg and "blocked" in msg
+        assert "rank 2" not in msg and "rank 3" not in msg
 
 
 class TestTracing:
@@ -179,6 +250,19 @@ class TestEngineMisc:
         assert res.elapsed == pytest.approx(0.3)
 
     def test_comm_ids_unique(self):
-        eng = Engine(1, UMD_CLUSTER)
-        ids = {eng.new_comm_id() for _ in range(10)}
-        assert len(ids) == 10
+        # Exchanges match by (communicator id, sequence number): two
+        # communicators over the same group keep their exchanges apart
+        # even when the members post them in opposite orders.
+        def prog(ctx):
+            a = Communicator(ctx, [0, 1], 1)
+            b = Communicator(ctx, [0, 1], 2)
+            first, second = (a, b) if ctx.rank == 0 else (b, a)
+            reqs = [c.ialltoall(8, payload=[(c.comm_id, ctx.rank)] * 2)
+                    for c in (first, second)]
+            got = {}
+            for c, req in zip((first, second), reqs):
+                got[c.comm_id] = yield from c.co_wait(req)
+            return got
+
+        res = run_spmd(2, prog, UMD_CLUSTER)
+        assert res.results == [{1: [(1, 0), (1, 1)], 2: [(2, 0), (2, 1)]}] * 2

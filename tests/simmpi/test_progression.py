@@ -176,23 +176,6 @@ class TestProgressionSemantics:
         many = run_spmd(8, make(32), tiny_platform()).results[0]
         assert many < one
 
-    def test_test_call_returns_flag(self):
-        def prog(ctx):
-            c = ctx.comm
-            req = c.ialltoall(64)
-            flags = []
-            for _ in range(50):
-                ctx.compute(1e-4)
-                flag, _ = yield from c.co_test(req)
-                flags.append(flag)
-                if flag:
-                    break
-            assert flags[-1] is True
-            return sum(flags)
-
-        res = run_spmd(4, prog, tiny_platform())
-        assert all(v == 1 for v in res.results)
-
     def test_wait_flushes_at_full_rate(self):
         """Wait parks the rank in the library, so the remaining sends
         serialize back-to-back at NIC rate: elapsed ~ (p-1)*m/rate."""

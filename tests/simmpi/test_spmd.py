@@ -39,7 +39,7 @@ class TestRunSpmd:
         def prog(ctx):
             if ctx.rank == 0:
                 ctx.compute(1.0, "hot")
-            yield from ctx.comm.co_barrier()
+            yield from ctx.comm.co_alltoall(0)
 
         res = run_spmd(4, prog, UMD_CLUSTER)
         # Average over ranks: only one rank did the work.
@@ -49,7 +49,7 @@ class TestRunSpmd:
     def test_elapsed_vs_breakdown_consistency(self):
         def prog(ctx):
             ctx.compute(0.2, "a")
-            yield from ctx.comm.co_barrier()
+            yield from ctx.comm.co_alltoall(0)
 
         res = run_spmd(3, prog, UMD_CLUSTER)
         assert res.elapsed >= 0.2
