@@ -352,8 +352,7 @@ class Coordinator(ServicePlane):
         if self.job.evals_snapshot is None:
             value: Any = cell
         else:
-            # the worker's registry delta already counted its store hits
-            value = (cell, str(item.get("evals", "")), 0)
+            value = (cell, str(item.get("evals", "")))
         with self._lock:
             self.results[index] = value
             if self.store is not None:
@@ -469,9 +468,10 @@ def dist_map(
     Serves ``todo`` from a coordinator, optionally launches a worker
     fleet per ``config.workers``, and blocks until every cell reaches a
     terminal state.  Returns values in the exact shape the local pool
-    produces (:class:`CellResult`, or ``(cell, evals_delta,
-    uncounted_hits)`` tuples when ``evals_snapshot`` is given) so
-    ``evaluate_cells`` harvests both dispatch modes identically; failures raise
+    produces (:class:`CellResult`, or ``(cell, evals_delta)`` tuples
+    when ``evals_snapshot`` is given) so ``evaluate_cells`` harvests
+    both dispatch modes identically; the workers' counts arrive with
+    their registry deltas, not in the values.  Failures raise
     :class:`~repro.errors.ParallelMapError` with partial results.
 
     Raises :class:`~repro.errors.DistWorkersLost` only when a spawned

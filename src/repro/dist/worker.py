@@ -22,7 +22,9 @@ passed explicitly to :func:`~repro.exec.parallel_map` — neither touches
 the process-global stacks, so in-process worker threads (the test
 harness) and a sharing coordinator never cross-contaminate.  Every
 ``/complete`` ships the registry delta and the trace spans recorded
-since the previous ship (watermarks, so nothing is double-counted).
+since the previous ship (watermarks, so nothing is double-counted);
+the delta includes the counts of cells the local pool's processes ran,
+which ``parallel_map`` merges into the private registry item by item.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from ..fft.wisdom import GLOBAL_WISDOM
 from ..obs.export import span_records
 from ..obs.registry import MetricsRegistry, scoped_registry
 from ..obs.tracer import Tracer
-from ..tuning.evalstore import count_hits
 from .protocol import PROTOCOL_VERSION, call, close_connections
 
 
@@ -288,12 +289,7 @@ def _evaluate_lease(
     for local_i, value in enumerate(values):
         if value is None:
             continue
-        if snapshot is None:
-            cell, delta = value, ""
-        else:
-            cell, delta, uncounted = value
-            if uncounted:  # counted here, shipped with the registry delta
-                count_hits(uncounted)
+        cell, delta = (value, "") if snapshot is None else value
         done_payload.append({
             "index": cells[local_i]["index"],
             "cell": cell_to_dict(cell),

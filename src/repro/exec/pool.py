@@ -6,8 +6,11 @@ of argument tuples on ``jobs`` worker processes, returning results in
 the parent's FFT wisdom (and the ambient fault spec, see
 :mod:`repro.faults`) at startup and ships its accumulated wisdom back
 with every result, so planner work done anywhere is reused everywhere.
-``jobs=1`` (the default) bypasses the pool entirely and runs in-process
-— the reference path the parallel one must match byte-for-byte.
+Each item runs under a fresh metrics registry whose snapshot rides back
+with the result and is merged into the caller's registry, so counts
+never depend on where an item ran.  ``jobs=1`` (the default) bypasses
+the pool entirely and runs in-process — the reference path the
+parallel one must match byte-for-byte.
 
 Failure handling is governed by an :class:`ExecPolicy`:
 
@@ -62,7 +65,7 @@ from ..fft.wisdom import GLOBAL_WISDOM
 from ..machine.platforms import Platform
 from ..obs import registry as metrics
 from ..obs.tracer import WALL, current_tracer
-from ..tuning.evalstore import EvalStore, count_hits
+from ..tuning.evalstore import EvalStore
 from .store import ResultStore
 
 #: completion callback: ``progress(done, total, label)`` — called once
@@ -143,13 +146,7 @@ def _chaos_maybe_kill(label: str) -> None:
     os._exit(1)
 
 
-#: set in pool worker processes, whose metrics registry dies with them
-_IN_POOL_WORKER = False
-
-
 def _worker_init(wisdom_json: str, faults_text: str = "") -> None:
-    global _IN_POOL_WORKER
-    _IN_POOL_WORKER = True
     if wisdom_json:
         GLOBAL_WISDOM.import_json(wisdom_json)
     if faults_text:
@@ -158,11 +155,17 @@ def _worker_init(wisdom_json: str, faults_text: str = "") -> None:
         install_faults(parse_faults(faults_text))
 
 
-def _invoke(fn: Callable[..., Any], args: tuple, label: str = "") -> tuple[Any, str, float]:
+def _invoke(
+    fn: Callable[..., Any], args: tuple, label: str = ""
+) -> tuple[Any, str, dict, float]:
+    """One pool item in a worker process: its value, the worker's
+    wisdom, the item's registry snapshot and its wall seconds."""
     _chaos_maybe_kill(label)
     t0 = time.perf_counter()
-    value = fn(*args)
-    return value, GLOBAL_WISDOM.export_json(), time.perf_counter() - t0
+    with metrics.scoped_registry() as reg:
+        value = fn(*args)
+    return (value, GLOBAL_WISDOM.export_json(), reg.snapshot(),
+            time.perf_counter() - t0)
 
 
 def _tb_text(exc: BaseException) -> str:
@@ -199,11 +202,16 @@ class _Run:
 
     # -- per-item outcomes -------------------------------------------------
 
-    def succeed(self, i: int, value: Any, wisdom: str, worker_s: float,
-                mode: str) -> None:
+    def succeed(self, i: int, value: Any, wisdom: str, counts: dict,
+                worker_s: float, mode: str) -> None:
+        """Record item ``i``'s value; ``counts`` is the registry snapshot
+        a pool item shipped (empty on the serial path, which counts in
+        place) and is merged into the caller's registry."""
         self.results[i] = value
         self.wisdoms[i] = wisdom
         self.finished += 1
+        if counts and metrics.metrics_enabled():
+            metrics.current_registry().merge(counts)
         metrics.count("pool_items_total",
                       help="Pool items driven to success.", mode=mode)
         metrics.observe("pool_item_seconds", worker_s,
@@ -273,7 +281,7 @@ def _run_serial(run: _Run, items: Sequence[int]) -> None:
                     policy.sleep(policy.backoff(run.attempts[i]))
                     continue
                 break
-            run.succeed(i, value, "", time.perf_counter() - t0, "serial")
+            run.succeed(i, value, "", {}, time.perf_counter() - t0, "serial")
             break
     run.retry_at.clear()
 
@@ -298,181 +306,50 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
                 pass
 
 
-def _run_pooled(run: _Run, jobs: int) -> None:
-    """Drive all items through a (respawnable) process pool."""
-    policy = run.policy
-    faults = current_faults()
-    faults_text = faults.key() if faults is not None else ""
+def _drain(run: _Run, pool: ProcessPoolExecutor,
+           items: Sequence[int]) -> tuple[list[int], bool]:
+    """Submit ``items`` on ``pool`` and drive them, retries included,
+    to success or recorded failure.
 
-    def make_pool() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=min(jobs, run.total),
-            initializer=_worker_init,
-            initargs=(GLOBAL_WISDOM.export_json(), faults_text),
-        )
-
-    pool = make_pool()
-    dirty = False          # hung/killed workers may linger: hard-terminate
-    respawns = 0
-    tracked: dict[Future, int] = {}
-    deadlines: dict[Future, float] = {}
-
-    def submit(i: int) -> None:
-        fut = pool.submit(_invoke, run.fn, run.argtuples[i], run.labels[i])
-        tracked[fut] = i
-        if policy.timeout_s is not None:
-            deadlines[fut] = policy.clock() + policy.timeout_s
-
-    def unfinished_items() -> list[int]:
-        items = sorted(set(tracked.values()) | set(run.retry_at))
-        tracked.clear()
-        deadlines.clear()
-        run.retry_at.clear()
-        return items
-
-    try:
-        for i in range(run.total):
-            submit(i)
-        while tracked or run.retry_at:
-            now = policy.clock()
-            # resubmit items whose backoff has elapsed
-            ready = [i for i, t in run.retry_at.items() if t <= now]
-            try:
-                for i in sorted(ready):
-                    del run.retry_at[i]
-                    submit(i)
-            except (BrokenProcessPool, RuntimeError):
-                pending = unfinished_items() + sorted(ready)
-                raise _PoolBroken(sorted(set(pending)))
-            if not tracked:
-                # everything is waiting out a backoff
-                wake = min(run.retry_at.values())
-                policy.sleep(max(wake - policy.clock(), 0.0))
-                continue
-            horizon: list[float] = []
-            if deadlines:
-                horizon.append(min(deadlines.values()))
-            if run.retry_at:
-                horizon.append(min(run.retry_at.values()))
-            wait_s = max(min(horizon) - now, 0.0) if horizon else None
-            done, _ = wait(set(tracked), timeout=wait_s,
-                           return_when=FIRST_COMPLETED)
-            broken: list[int] | None = None
-            for fut in done:
-                i = tracked.pop(fut)
-                deadlines.pop(fut, None)
-                try:
-                    value, wisdom_json, worker_s = fut.result()
-                except BrokenProcessPool:
-                    # every sibling future is about to raise the same
-                    # thing: recover the whole in-flight set at once
-                    broken = sorted({i} | set(unfinished_items()))
-                    break
-                except Exception as exc:
-                    if not run.fail_attempt(i, _tb_text(exc), timed_out=False):
-                        pass  # failed for good; retry_at handles the rest
-                    continue
-                run.succeed(i, value, wisdom_json, worker_s, "pool")
-            if broken is not None:
-                raise _PoolBroken(broken)
-            # abandon items past their deadline (their worker may be
-            # hung; it is reclaimed when the pool is torn down)
-            if deadlines:
-                now = policy.clock()
-                expired = [f for f, t in deadlines.items() if t <= now]
-                for fut in expired:
-                    i = tracked.pop(fut)
-                    del deadlines[fut]
-                    dirty = True
-                    run.fail_attempt(
-                        i,
-                        f"exceeded per-item timeout of {policy.timeout_s}s",
-                        timed_out=True,
-                    )
-    except _PoolBroken as pb:
-        items = pb.items
-        dirty = True
-        while True:
-            respawns += 1
-            metrics.count("pool_respawns_total",
-                          help="Process-pool respawns after a broken pool.")
-            if respawns > policy.pool_respawns:
-                # the pool keeps dying: degrade gracefully to serial
-                metrics.count(
-                    "pool_serial_fallbacks_total",
-                    help="Graceful degradations to in-process execution.",
-                )
-                _terminate_pool(pool)
-                _run_serial(run, items)
-                return
-            _terminate_pool(pool)
-            pool = make_pool()
-            try:
-                _run_pooled_resume(run, pool, items, tracked, deadlines)
-                return
-            except _PoolBroken as again:
-                items = again.items
-                tracked.clear()
-                deadlines.clear()
-    finally:
-        if dirty:
-            _terminate_pool(pool)
-        else:
-            pool.shutdown(wait=True)
-
-
-class _PoolBroken(Exception):
-    """Internal: the pool died; ``items`` still need to run."""
-
-    def __init__(self, items: list[int]) -> None:
-        super().__init__(f"pool broken with {len(items)} unfinished item(s)")
-        self.items = items
-
-
-def _run_pooled_resume(run, pool, items, tracked, deadlines) -> None:
-    """Resubmit ``items`` on a fresh pool and drain them (respawn path).
-
-    Shares the main loop's bookkeeping dicts so an escaping
-    :class:`_PoolBroken` leaves them consistent for the next respawn.
+    Returns ``(left, abandoned)``: the items still unfinished when the
+    pool broke (empty when it drained) and whether an item was abandoned
+    past its deadline — its worker may be hung, so the pool must be
+    terminated rather than joined.
     """
     policy = run.policy
+    queue = list(items)                # to submit now, in order
+    tracked: dict[Future, int] = {}
+    deadlines: dict[Future, float] = {}
+    abandoned = False
 
-    def submit(i: int) -> None:
-        fut = pool.submit(_invoke, run.fn, run.argtuples[i], run.labels[i])
-        tracked[fut] = i
-        if policy.timeout_s is not None:
-            deadlines[fut] = policy.clock() + policy.timeout_s
-
-    def unfinished() -> list[int]:
-        out = sorted(set(tracked.values()) | set(run.retry_at))
-        tracked.clear()
-        deadlines.clear()
+    def left() -> list[int]:
+        out = sorted(set(queue) | set(tracked.values()) | set(run.retry_at))
         run.retry_at.clear()
         return out
 
-    try:
-        for i in items:
-            submit(i)
-    except (BrokenProcessPool, RuntimeError):
-        raise _PoolBroken(sorted(set(unfinished()) | set(items)))
-    while tracked or run.retry_at:
+    while queue or tracked or run.retry_at:
         now = policy.clock()
-        ready = [i for i, t in run.retry_at.items() if t <= now]
+        # resubmit items whose backoff has elapsed
+        for i in sorted(i for i, t in run.retry_at.items() if t <= now):
+            del run.retry_at[i]
+            queue.append(i)
         try:
-            for i in sorted(ready):
-                del run.retry_at[i]
-                submit(i)
+            while queue:
+                i = queue[0]
+                fut = pool.submit(_invoke, run.fn, run.argtuples[i],
+                                  run.labels[i])
+                queue.pop(0)
+                tracked[fut] = i
+                if policy.timeout_s is not None:
+                    deadlines[fut] = policy.clock() + policy.timeout_s
         except (BrokenProcessPool, RuntimeError):
-            raise _PoolBroken(sorted(set(unfinished()) | set(ready)))
+            return left(), abandoned
         if not tracked:
+            # everything is waiting out a backoff
             wake = min(run.retry_at.values())
             policy.sleep(max(wake - policy.clock(), 0.0))
             continue
-        horizon = []
-        if deadlines:
-            horizon.append(min(deadlines.values()))
-        if run.retry_at:
-            horizon.append(min(run.retry_at.values()))
+        horizon = [*deadlines.values(), *run.retry_at.values()]
         wait_s = max(min(horizon) - now, 0.0) if horizon else None
         done, _ = wait(set(tracked), timeout=wait_s,
                        return_when=FIRST_COMPLETED)
@@ -480,23 +357,60 @@ def _run_pooled_resume(run, pool, items, tracked, deadlines) -> None:
             i = tracked.pop(fut)
             deadlines.pop(fut, None)
             try:
-                value, wisdom_json, worker_s = fut.result()
+                value, wisdom_json, counts, worker_s = fut.result()
             except BrokenProcessPool:
-                raise _PoolBroken(sorted({i} | set(unfinished())))
+                # every sibling future is about to raise the same
+                # thing: recover the whole in-flight set at once
+                queue.append(i)
+                return left(), abandoned
             except Exception as exc:
                 run.fail_attempt(i, _tb_text(exc), timed_out=False)
                 continue
-            run.succeed(i, value, wisdom_json, worker_s, "pool")
-        if deadlines:
-            now = policy.clock()
-            for fut in [f for f, t in deadlines.items() if t <= now]:
-                i = tracked.pop(fut)
-                del deadlines[fut]
-                run.fail_attempt(
-                    i,
-                    f"exceeded per-item timeout of {policy.timeout_s}s",
-                    timed_out=True,
-                )
+            run.succeed(i, value, wisdom_json, counts, worker_s, "pool")
+        # abandon items past their deadline (their worker may be hung;
+        # it is reclaimed when the pool is torn down)
+        now = policy.clock()
+        for fut in [f for f, t in deadlines.items() if t <= now]:
+            i = tracked.pop(fut)
+            del deadlines[fut]
+            abandoned = True
+            run.fail_attempt(
+                i, f"exceeded per-item timeout of {policy.timeout_s}s",
+                timed_out=True,
+            )
+    return [], abandoned
+
+
+def _run_pooled(run: _Run, jobs: int) -> None:
+    """Drive all items through a process pool, respawning it up to
+    ``pool_respawns`` times after it breaks, then finish in-process."""
+    faults = current_faults()
+    faults_text = faults.key() if faults is not None else ""
+    items: list[int] = list(range(run.total))
+    for _ in range(run.policy.pool_respawns + 1):
+        pool = ProcessPoolExecutor(
+            max_workers=min(jobs, run.total),
+            initializer=_worker_init,
+            initargs=(GLOBAL_WISDOM.export_json(), faults_text),
+        )
+        try:
+            items, abandoned = _drain(run, pool, items)
+        except BaseException:
+            _terminate_pool(pool)
+            raise
+        if items or abandoned:
+            # hung or dead workers may linger: hard-terminate
+            _terminate_pool(pool)
+        else:
+            pool.shutdown(wait=True)
+        if not items:
+            return
+        metrics.count("pool_respawns_total",
+                      help="Process-pool respawns after a broken pool.")
+    # the pool keeps dying: degrade gracefully to serial
+    metrics.count("pool_serial_fallbacks_total",
+                  help="Graceful degradations to in-process execution.")
+    _run_serial(run, items)
 
 
 def parallel_map(
@@ -519,7 +433,10 @@ def parallel_map(
     items for progress lines, trace spans, and error reports.  When a
     :mod:`repro.obs` tracer is installed, each item's busy interval is
     recorded as a wall-clock span on the ``pool`` track — workers
-    measure their own duration and ship it back with the result.
+    measure their own duration and ship it back with the result.  Pool
+    items also ship their metrics-registry counts, which are merged
+    into the caller's registry, so ``jobs`` never changes a count
+    (besides ``pool_items_total``'s ``mode`` label).
 
     ``policy`` (default :data:`DEFAULT_POLICY`) governs retries,
     per-item timeouts, backoff, and pool-respawn budgets; see
@@ -545,22 +462,14 @@ def parallel_map(
 
 def _cell_with_evals(
     plat: str, p: int, n: int, budget: int, evals_jsonl: str
-) -> tuple[CellResult, str, int]:
+) -> tuple[CellResult, str]:
     """One cell evaluation against a private copy of the shared eval
-    store (module-level: pool workers pickle it).  Returns the cell, the
-    worker's *new* evaluations as JSONL (the way workers ship FFT wisdom
-    back — the parent merges the deltas in input order), and how many
-    store hits no readable registry has counted: all of them in a pool
-    worker process, whose registry dies with it, none in-process, where
-    each was counted into the caller's registry as it happened.  The
-    process that receives the value counts the uncounted ones."""
+    store (module-level: pool workers pickle it).  Returns the cell and
+    the worker's *new* evaluations as JSONL (the way workers ship FFT
+    wisdom back — the parent merges the deltas in input order)."""
     evals = EvalStore.from_jsonl(evals_jsonl)
-    if not _IN_POOL_WORKER:
-        cell = evaluate_cell(plat, p, n, budget, eval_store=evals)
-        return cell, evals.new_jsonl(), 0
-    with metrics.scoped_registry() as reg:
-        cell = evaluate_cell(plat, p, n, budget, eval_store=evals)
-    return cell, evals.new_jsonl(), int(reg.total("tune_store_hits_total"))
+    cell = evaluate_cell(plat, p, n, budget, eval_store=evals)
+    return cell, evals.new_jsonl()
 
 
 def evaluate_cells(
@@ -646,13 +555,11 @@ def evaluate_cells(
             if eval_store is None:
                 cell = value
             else:
-                cell, delta, uncounted = value
+                cell, delta = value
                 # Input-order merge of worker deltas (first-wins per
                 # key, like the wisdom merge: every record is a pure
                 # function of its key).
                 eval_store.merge(EvalStore.from_jsonl(delta))
-                if uncounted:
-                    count_hits(uncounted)
             found[cell.key()] = cell
             if store is not None:
                 store.put(cell)

@@ -166,7 +166,8 @@ class EvalStore:
         with self._lock:
             rec = self._records.get(key)
         if rec is not None:
-            count_hits(1)
+            metrics.count("tune_store_hits_total",
+                          help="Eval-store read-through hits.")
         return rec
 
     def get(
@@ -322,13 +323,6 @@ class EvalStore:
         except OSError:
             return cls()
         return cls.from_jsonl(text, f"eval store {file}")
-
-
-def count_hits(n: int) -> None:
-    """Count ``n`` read-through hits into the current metrics registry
-    (also for hits a pool worker process counted in its own store)."""
-    metrics.count("tune_store_hits_total", n,
-                  help="Eval-store read-through hits.")
 
 
 class ScopedEvalStore:

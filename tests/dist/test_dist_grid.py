@@ -161,28 +161,40 @@ class TestByteIdentity:
 
 
 class TestStoreHitCounting:
-    """Each eval-store hit reaches the grid's registry exactly once: a
-    worker ships the hits it counted in-thread, and those its pool's
-    processes ran, in its registry delta, so a distributed warm rerun
-    counts what the same rerun counts serially in-process."""
+    """Each count reaches the grid's registry exactly once: a worker
+    ships the counts of the cells it ran in-thread, and of those its
+    pool's processes ran, in its registry delta, so a distributed run
+    counts what the same run counts serially in-process."""
 
     @staticmethod
-    def warm_hits(run) -> float:
-        """Registry hits of ``run(evals)`` on a store ``run`` filled."""
+    def tuning_counts(run) -> list[dict]:
+        """``sim_*``/``tune_*`` counter samples of ``run(evals)`` on an
+        empty eval store (cold: every evaluation simulates), then again
+        on the store that run filled (warm: every one is a store hit)."""
         evals = EvalStore()
-        run(evals)
+        out = []
+        for _ in ("cold", "warm"):
+            clear_cache()
+            with scoped_registry() as reg:
+                run(evals)
+            out.append({
+                (name, tuple(tuple(pair) for pair in key)): value
+                for name, rec in reg.snapshot().items()
+                if name.startswith(("sim_", "tune_"))
+                for key, value in rec["samples"]
+            })
         clear_cache()
-        with scoped_registry() as reg:
-            run(evals)
-        clear_cache()
-        return reg.value("tune_store_hits_total")
+        return out
 
     @pytest.mark.parametrize("worker_jobs", [1, 2])
     def test_registry_counts_each_hit_once(self, worker_jobs):
-        clear_cache()
-        serial = self.warm_hits(lambda evals: local_run(GRID, eval_store=evals))
-        assert serial > 0
-        assert self.warm_hits(lambda evals: dist_run(
+        serial = self.tuning_counts(
+            lambda evals: local_run(GRID, eval_store=evals))
+        cold, warm = serial
+        assert any(name == "sim_runs_total" and v > 0
+                   for (name, _), v in cold.items())
+        assert warm[("tune_store_hits_total", ())] > 0
+        assert self.tuning_counts(lambda evals: dist_run(
             GRID, eval_store=evals, worker_jobs=worker_jobs, batch=2)) == serial
 
 

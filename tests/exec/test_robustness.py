@@ -15,6 +15,7 @@ no wall-clock waits in the suite.
 import os
 import time
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -33,6 +34,7 @@ from repro.exec import (
     parallel_map,
 )
 from repro.obs.registry import scoped_registry
+from repro.tuning.evalstore import EvalStore
 from repro.obs.tracer import Tracer, tracing
 
 BUDGET = 4
@@ -223,7 +225,8 @@ class TestPoolRecovery:
         with scoped_registry() as reg:
             out = parallel_map(_square, args, jobs=2)
         assert out == [0, 1, 4, 9]  # the killed item was resubmitted
-        assert reg.value("pool_respawns_total") >= 1
+        assert reg.value("pool_respawns_total") == 1
+        assert reg.value("pool_serial_fallbacks_total") is None
         assert (tmp_path / "chaos-killed").exists()  # chaos fired exactly once
 
     def test_crashed_grid_matches_fault_free_serial(self, tmp_path,
@@ -247,12 +250,71 @@ class TestPoolRecovery:
             out = parallel_map(_square, [(i,) for i in range(3)], jobs=2,
                                policy=ExecPolicy(pool_respawns=0))
         assert out == [0, 1, 4]
+        assert reg.value("pool_respawns_total") == 1
         assert reg.value("pool_serial_fallbacks_total") == 1
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_broken_pool_during_initial_submits_respawns(self, k,
+                                                         monkeypatch):
+        # The first pool breaks on its k-th submit, before every item is
+        # even queued: the unsubmitted items must ride the respawn too.
+        import repro.exec.pool as pool_mod
+
+        class BreaksOnSubmit(pool_mod.ProcessPoolExecutor):
+            pools = 0
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                BreaksOnSubmit.pools += 1
+                self.first = BreaksOnSubmit.pools == 1
+                self.submits = 0
+
+            def submit(self, *args, **kwargs):
+                self.submits += 1
+                if self.first and self.submits == k:
+                    raise BrokenProcessPool("injected on submit")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", BreaksOnSubmit)
+        args = [(i,) for i in range(6)]
+        with scoped_registry() as reg:
+            out = parallel_map(_square, args, jobs=2)
+        assert out == [x * x for (x,) in args]
+        assert BreaksOnSubmit.pools == 2
+        assert reg.value("pool_respawns_total") == 1
+        assert reg.value("pool_serial_fallbacks_total") is None
+
+
+def _grid_counts(reg) -> dict:
+    """Every counter sample and histogram sample count in ``reg``.
+
+    ``pool_items_total`` is summed over its ``mode`` label (serial vs
+    pool is the one intended difference); histograms are compared by
+    sample count, since their values (``pool_item_seconds``) are wall
+    clock.
+    """
+    out: dict = {}
+    for name, rec in reg.snapshot().items():
+        if rec["kind"] == "gauge":
+            continue
+        for key, value in rec["samples"]:
+            labels = tuple(tuple(pair) for pair in key
+                           if not (name == "pool_items_total"
+                                   and pair[0] == "mode"))
+            n = len(value) if isinstance(value, list) else value
+            out[(name, labels)] = out.get((name, labels), 0) + n
+    return out
+
+
+def _family_total(counts: dict, name: str) -> float:
+    return sum(v for (n, _labels), v in counts.items() if n == name)
 
 
 class TestSerialPoolParity:
-    """Satellite 6: the serial fallback emits the same telemetry as the
-    pool path — same progress events, same counters, same span attrs."""
+    """The serial fallback emits the same telemetry as the pool path —
+    same progress events, same counters, same span attrs — and pool
+    items ship their registry counts, so a grid leaves the same counts
+    whether its cells ran in-process or on worker processes."""
 
     def _telemetry(self, jobs):
         events = []
@@ -281,6 +343,32 @@ class TestSerialPoolParity:
             assert span.clock == "wall"
         assert {s.attrs["mode"] for s in spans_s} == {"serial"}
         assert {s.attrs["mode"] for s in spans_p} == {"pool"}
+
+
+    @staticmethod
+    def _grid_counts_for(jobs, warm_jsonl=None):
+        clear_cache()
+        evals = (None if warm_jsonl is None
+                 else EvalStore.from_jsonl(warm_jsonl))
+        with scoped_registry() as reg:
+            evaluate_cells("UMD-Cluster", GRID + [(4, 64)], jobs=jobs,
+                           max_evaluations=BUDGET + 2, eval_store=evals)
+        return _grid_counts(reg)
+
+    @pytest.mark.parametrize("with_store", [False, True])
+    def test_grid_counts_match(self, with_store):
+        warm_jsonl = None
+        if with_store:
+            # a store filled at a smaller budget answers the first
+            # evaluations of every cell; the rest simulate
+            warm = EvalStore()
+            evaluate_cells("UMD-Cluster", GRID + [(4, 64)], jobs=1,
+                           max_evaluations=BUDGET - 2, eval_store=warm)
+            warm_jsonl = warm.to_jsonl()
+        serial = self._grid_counts_for(1, warm_jsonl)
+        assert _family_total(serial, "sim_runs_total") > 0
+        assert (_family_total(serial, "tune_store_hits_total") > 0) == with_store
+        assert self._grid_counts_for(2, warm_jsonl) == serial
 
 
 class TestGridSalvage:

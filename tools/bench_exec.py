@@ -13,9 +13,11 @@ costs outside the timed region), both on the one simulator engine:
    processes via :func:`repro.exec.evaluate_cells`.
 
 Both paths must produce identical ``CellResult`` values (times, params,
-evaluations, overlap metrics).  ``--faults SPEC`` applies a
-deterministic fault plan to both paths; the identity requirement is
-unchanged.
+evaluations, overlap metrics) and identical scheduler counts
+(``sim_handoffs_total``, ``sim_probe_polls_total``: pool items ship
+their registry counts back to the parent); the script exits 1 when
+either differs.  ``--faults SPEC`` applies a deterministic fault plan to
+both paths; the identity requirements are unchanged.
 
 The JSON records wall seconds, the speedup, the scheduler's handoff /
 probe counters, a per-phase host-time breakdown (virtual scheduling vs
@@ -52,7 +54,7 @@ PLATFORM = "UMD-Cluster"
 
 def timed_grid(cells, budget, jobs):
     """Evaluate the grid cold; returns (cells, wall_s, counts), where
-    ``counts`` holds this process's scheduler handoffs and probe polls."""
+    ``counts`` holds the grid's scheduler handoffs and probe polls."""
     clear_cache()
     GLOBAL_WISDOM.forget()
     with scoped_registry() as reg:
@@ -183,11 +185,15 @@ def main(argv=None) -> int:
             new_walls.append(round(wall, 3))
         new_wall = min(new_walls)
         print(f"sharded path (jobs={jobs}): {new_wall:.2f}s "
-              f"best of {new_walls} ({new_stats['handoffs']} handoffs in parent)")
+              f"best of {new_walls} ({new_stats['handoffs']} handoffs)")
         phases = phase_breakdown()
 
     if [cell_to_dict(c) for c in base_cells] != [cell_to_dict(c) for c in new_cells]:
         print("ERROR: paths disagree on cell results", file=sys.stderr)
+        return 1
+    if new_stats != base_stats:
+        print(f"ERROR: paths disagree on scheduler counts: serial "
+              f"{base_stats}, sharded {new_stats}", file=sys.stderr)
         return 1
 
     payload = {
@@ -208,6 +214,7 @@ def main(argv=None) -> int:
         "phase_breakdown": phases,
         "speedup": round(base_wall / new_wall, 3),
         "results_identical": True,
+        "counts_identical": True,
     }
     if committed is not None:
         seed_wall = committed["historic_seed_wall_s"]
