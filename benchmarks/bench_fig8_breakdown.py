@@ -26,7 +26,7 @@ CELLS = (
 @pytest.mark.parametrize("platform,p,n", CELLS)
 def test_fig8_breakdown(platform, p, n, report_writer, benchmark):
     # Parallel prefetch of this platform's breakdown cells ($REPRO_JOBS);
-    # run_breakdown reads them from the memo.
+    # run_breakdown reads them from the process store.
     evaluate_cells(platform, [(pp, nn) for pl, pp, nn in CELLS if pl == platform])
     results = run_breakdown(platform, p, n)
     columns = [(name, res.breakdown) for name, res in results.items()]

@@ -17,7 +17,7 @@ def cross_series(run_on, tuned_on, paper_key):
     losses = []
     paper = PAPER_TABLE2[paper_key]
     # Parallel prefetch of both platforms' cells ($REPRO_JOBS workers);
-    # cross_platform_time reads the tuned_on cells from the memo.
+    # cross_platform_time reads the tuned_on cells from the process store.
     evaluate_cells(run_on, cells_for("small"))
     evaluate_cells(tuned_on, cells_for("small"))
     for p, n in cells_for("small"):

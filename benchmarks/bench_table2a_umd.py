@@ -21,8 +21,8 @@ PAPER = PAPER_TABLE2["UMD-Cluster"]
 def build_table():
     rows = []
     cells = {}
-    # Shard the grid over $REPRO_JOBS workers (priming the memo the
-    # serial loop below reads); identical results at any worker count.
+    # Shard the grid over $REPRO_JOBS workers (filling the process store
+    # the serial loop below reads); identical results at any worker count.
     evaluate_cells(PLATFORM, cells_for("small"))
     for p, n in cells_for("small"):
         cell = evaluate_cell(PLATFORM, p, n)

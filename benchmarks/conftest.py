@@ -2,9 +2,10 @@
 
 Every benchmark regenerates one of the paper's tables or figures and
 writes the paper-vs-measured report to ``results/<name>.txt`` (stdout is
-captured by pytest, files persist).  Tuned cells are memoized in-process
-across benchmark files; set ``REPRO_BENCH_CACHE=1`` to also persist them
-to disk between invocations, and ``REPRO_BENCH_SCALE=quick`` to trim the
+captured by pytest, files persist).  Tuned cells are kept in the process
+cell store across benchmark files; set ``REPRO_BENCH_CACHE=1`` to also
+persist them between invocations in a :class:`~repro.exec.ResultStore`
+directory (``.cell_store/``), and ``REPRO_BENCH_SCALE=quick`` to trim the
 grids for a fast smoke run.  ``--jobs N`` (or ``$REPRO_JOBS``) shards
 cell evaluation over worker processes; results are identical to serial
 runs (see :mod:`repro.exec`).
@@ -17,10 +18,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import load_cache, save_cache
+from repro.bench.runner import PROCESS_STORE
+from repro.exec import ResultStore
 
 RESULTS_DIR = Path(__file__).parent / "results"
-CACHE_FILE = Path(__file__).parent / ".cell_cache.json"
+CELL_STORE = Path(__file__).parent / ".cell_store"
 
 
 def pytest_addoption(parser):
@@ -40,14 +42,18 @@ def pytest_configure(config):
 
 @pytest.fixture(scope="session", autouse=True)
 def _disk_cache():
-    use_disk = os.environ.get("REPRO_BENCH_CACHE", "0") == "1"
-    if use_disk:
-        restored = load_cache(CACHE_FILE)
-        if restored:
-            print(f"[bench] restored {restored} tuned cells from {CACHE_FILE}")
+    if os.environ.get("REPRO_BENCH_CACHE", "0") != "1":
+        yield
+        return
+    disk = ResultStore(CELL_STORE)
+    restored = disk.cells()
+    for cell in restored:
+        PROCESS_STORE.put(cell)
+    if restored:
+        print(f"[bench] restored {len(restored)} tuned cells from {CELL_STORE}")
     yield
-    if use_disk:
-        save_cache(CACHE_FILE)
+    for cell in PROCESS_STORE.cells():
+        disk.put(cell)
 
 
 @pytest.fixture(scope="session")

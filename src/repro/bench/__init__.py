@@ -5,9 +5,7 @@ from .runner import (
     clear_cache,
     cross_platform_time,
     evaluate_cell,
-    load_cache,
     run_breakdown,
-    save_cache,
 )
 from .workloads import (
     BREAKDOWN_CELLS,
@@ -38,8 +36,6 @@ __all__ = [
     "clear_cache",
     "cross_platform_time",
     "evaluate_cell",
-    "load_cache",
     "run_breakdown",
-    "save_cache",
     "tuning_budget",
 ]

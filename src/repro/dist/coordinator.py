@@ -37,14 +37,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from ..bench.runner import CellResult, cell_from_dict
 from ..errors import (
     DistWorkersLost,
     ItemFailedError,
     ItemTimeoutError,
     ParallelMapError,
 )
-from ..exec.store import ResultStore
+from ..exec.store import CellResult, ResultStore, cell_from_dict
 from ..fft.wisdom import GLOBAL_WISDOM
 from ..obs.export import export_fleet_chrome
 from ..obs.registry import current_registry

@@ -9,17 +9,18 @@ simulations each.  Cells are independent experiments keyed by
   with deterministic, order-preserving result merging;
 * :func:`parallel_map` — the generic primitive underneath (also used
   for random-search CDF samples and ablation sweeps);
-* :class:`ResultStore` — a concurrency-safe on-disk cache (one JSON
-  file per cell, atomic write-tmp-then-rename);
+* :class:`ResultStore` — the one cell store: in memory only (the
+  process store) or backed by a directory of one JSON file per cell
+  (atomic write-tmp-then-rename), concurrency-safe either way;
 * :func:`default_jobs` — the shared ``--jobs``/``$REPRO_JOBS``
   resolution used by the CLI and every ``benchmarks/bench_*.py``
   driver.
 
 Determinism argument: a cell evaluation is a pure function of its key —
 the simulation engine is deterministic, the tuner seeds its own RNG,
-and workers start from a fresh memo — so *where* a cell runs cannot
-change its value, and merging by input order (never completion order)
-makes ``jobs=N`` byte-identical to ``jobs=1``.  Cell keys include the
+and workers start from an empty process store — so *where* a cell runs
+cannot change its value, and merging by input order (never completion
+order) makes ``jobs=N`` byte-identical to ``jobs=1``.  Cell keys include the
 ambient fault spec (:mod:`repro.faults`), so fault-injected grids never
 alias fault-free ones.
 

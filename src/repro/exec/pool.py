@@ -6,11 +6,12 @@ of argument tuples on ``jobs`` worker processes, returning results in
 the parent's FFT wisdom (and the ambient fault spec, see
 :mod:`repro.faults`) at startup and ships its accumulated wisdom back
 with every result, so planner work done anywhere is reused everywhere.
-Each item runs under a fresh metrics registry whose snapshot rides back
-with the result and is merged into the caller's registry, so counts
-never depend on where an item ran.  ``jobs=1`` (the default) bypasses
-the pool entirely and runs in-process — the reference path the
-parallel one must match byte-for-byte.
+Each attempt runs under a fresh metrics registry (and tracer, when the
+caller traces) whose snapshot and spans ride back, failed or not, and
+are merged into the caller's, so counts and spans never depend on where
+an item ran.  ``jobs=1`` (the default) bypasses the pool entirely and
+runs in-process — the reference path the parallel one must match
+byte-for-byte.
 
 Failure handling is governed by an :class:`ExecPolicy`:
 
@@ -20,7 +21,10 @@ Failure handling is governed by an :class:`ExecPolicy`:
   the worker-side traceback;
 * an item exceeding ``timeout_s`` is abandoned (its worker may be hung
   — the process is terminated at pool shutdown) and retried the same
-  way, ending in :class:`~repro.errors.ItemTimeoutError`;
+  way, ending in :class:`~repro.errors.ItemTimeoutError`.  The
+  abandoned attempt's counts and spans are lost with its process; the
+  parent counts it in ``pool_timeouts_total`` (a serial item cannot be
+  interrupted, so only the pool path times out);
 * a dead worker (``BrokenProcessPool``) triggers a pool respawn that
   resubmits only the unfinished items, up to ``pool_respawns`` times,
   after which the remaining items degrade gracefully to in-process
@@ -30,10 +34,11 @@ Failure handling is governed by an :class:`ExecPolicy`:
   results so grid callers can salvage completed work.
 
 :func:`evaluate_cells` specializes this for benchmark grids, layering
-the in-process memo and an optional :class:`~repro.exec.store.ResultStore`
-in front of the pool; on failure it flushes every completed cell to the
-store and raises :class:`~repro.errors.GridInterrupted`, so a re-run
-resumes via store read-through and executes only the missing cells.
+the caller's :class:`~repro.exec.store.ResultStore` and the process
+store in front of the pool; on failure it writes every completed cell
+to the caller's store and raises :class:`~repro.errors.GridInterrupted`,
+so a re-run resumes via store read-through and executes only the
+missing cells.
 """
 
 from __future__ import annotations
@@ -41,19 +46,14 @@ from __future__ import annotations
 import os
 import time
 import traceback
+from contextlib import nullcontext
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from ..bench.runner import (
-    CellResult,
-    _CACHE,
-    active_fault_key,
-    cell_key,
-    evaluate_cell,
-    prime_cache,
-)
+# a module reference: runner imports .store, so it may be mid-import here
+from ..bench import runner
 from ..errors import (
     GridInterrupted,
     ItemFailedError,
@@ -64,9 +64,10 @@ from ..faults import current_faults, install_faults, parse_faults
 from ..fft.wisdom import GLOBAL_WISDOM
 from ..machine.platforms import Platform
 from ..obs import registry as metrics
-from ..obs.tracer import WALL, current_tracer
+from ..obs.export import add_span_records, span_records
+from ..obs.tracer import WALL, Tracer, current_tracer, tracing
 from ..tuning.evalstore import EvalStore
-from .store import ResultStore
+from .store import CellResult, ResultStore
 
 #: completion callback: ``progress(done, total, label)`` — called once
 #: per finished item, in completion order (the CLI's live ticker)
@@ -155,32 +156,44 @@ def _worker_init(wisdom_json: str, faults_text: str = "") -> None:
         install_faults(parse_faults(faults_text))
 
 
-def _invoke(
-    fn: Callable[..., Any], args: tuple, label: str = ""
-) -> tuple[Any, str, dict, float]:
-    """One pool item in a worker process: its value, the worker's
-    wisdom, the item's registry snapshot and its wall seconds."""
-    _chaos_maybe_kill(label)
-    t0 = time.perf_counter()
-    with metrics.scoped_registry() as reg:
-        value = fn(*args)
-    return (value, GLOBAL_WISDOM.export_json(), reg.snapshot(),
-            time.perf_counter() - t0)
-
-
 def _tb_text(exc: BaseException) -> str:
     return "".join(
         traceback.format_exception(type(exc), exc, exc.__traceback__)
     ).rstrip()
 
 
+def _invoke(
+    fn: Callable[..., Any], args: tuple, label: str = "",
+    rank_spans: bool | None = None,
+) -> tuple[Any, str | None, str, dict, list, float]:
+    """One pool attempt in a worker process: its value, the traceback
+    it raised (``None`` on success), the worker's wisdom, and what the
+    attempt counted and traced, failed or not — its registry snapshot,
+    span records and wall seconds.  ``rank_spans`` is the caller's
+    tracer setting, or ``None`` when it traces nothing (no spans)."""
+    _chaos_maybe_kill(label)
+    t0 = time.perf_counter()
+    tr = None if rank_spans is None else Tracer(rank_spans=rank_spans)
+    value = cause = None
+    with metrics.scoped_registry() as reg, \
+            (nullcontext() if tr is None else tracing(tr)):
+        try:
+            value = fn(*args)
+        except Exception as exc:
+            cause = _tb_text(exc)
+    return (value, cause, GLOBAL_WISDOM.export_json(), reg.snapshot(),
+            [] if tr is None else span_records(tr),
+            time.perf_counter() - t0)
+
+
 class _Run:
     """State of one :func:`parallel_map` invocation (pool path).
 
-    ``tr`` is the tracer spans go to — normally the ambient
+    ``tr`` is the tracer ``pool`` spans go to — normally the ambient
     :func:`current_tracer`, but callers may pass an explicit tracer to
     :func:`parallel_map` (the distributed worker does, so per-lease
-    telemetry never touches the process-global tracer stack).
+    telemetry never touches the process-global tracer stack).  Item
+    spans go to the ambient ``item_tr``, where a serial item traces.
     """
 
     def __init__(self, fn, argtuples, labels, policy, progress, tr):
@@ -190,10 +203,14 @@ class _Run:
         self.policy = policy
         self.progress = progress
         self.tr = tr
+        self.item_tr = current_tracer()
         total = len(argtuples)
         self.total = total
         self.results: list[Any] = [None] * total
         self.wisdoms: list[str] = [""] * total
+        #: per item: (clock offset, span records) of each pool attempt,
+        #: added to ``item_tr`` in input order by :meth:`outcome`
+        self.spans: list[list[tuple[float, list]]] = [[] for _ in range(total)]
         self.failures: dict[int, ItemFailedError] = {}
         self.attempts = [0] * total
         self.finished = 0
@@ -202,16 +219,12 @@ class _Run:
 
     # -- per-item outcomes -------------------------------------------------
 
-    def succeed(self, i: int, value: Any, wisdom: str, counts: dict,
-                worker_s: float, mode: str) -> None:
-        """Record item ``i``'s value; ``counts`` is the registry snapshot
-        a pool item shipped (empty on the serial path, which counts in
-        place) and is merged into the caller's registry."""
+    def succeed(self, i: int, value: Any, wisdom: str, worker_s: float,
+                mode: str) -> None:
+        """Record item ``i``'s value."""
         self.results[i] = value
         self.wisdoms[i] = wisdom
         self.finished += 1
-        if counts and metrics.metrics_enabled():
-            metrics.current_registry().merge(counts)
         metrics.count("pool_items_total",
                       help="Pool items driven to success.", mode=mode)
         metrics.observe("pool_item_seconds", worker_s,
@@ -255,6 +268,9 @@ class _Run:
         for wisdom_json in self.wisdoms:
             if wisdom_json:
                 GLOBAL_WISDOM.import_json(wisdom_json)
+        for shipped in self.spans:
+            for offset, records in shipped:
+                add_span_records(self.item_tr, records, offset)
         if self.failures:
             raise ParallelMapError(self.results, self.failures)
         return self.results
@@ -281,7 +297,7 @@ def _run_serial(run: _Run, items: Sequence[int]) -> None:
                     policy.sleep(policy.backoff(run.attempts[i]))
                     continue
                 break
-            run.succeed(i, value, "", {}, time.perf_counter() - t0, "serial")
+            run.succeed(i, value, "", time.perf_counter() - t0, "serial")
             break
     run.retry_at.clear()
 
@@ -317,6 +333,7 @@ def _drain(run: _Run, pool: ProcessPoolExecutor,
     terminated rather than joined.
     """
     policy = run.policy
+    rank_spans = None if run.item_tr is None else run.item_tr.rank_spans
     queue = list(items)                # to submit now, in order
     tracked: dict[Future, int] = {}
     deadlines: dict[Future, float] = {}
@@ -337,7 +354,7 @@ def _drain(run: _Run, pool: ProcessPoolExecutor,
             while queue:
                 i = queue[0]
                 fut = pool.submit(_invoke, run.fn, run.argtuples[i],
-                                  run.labels[i])
+                                  run.labels[i], rank_spans)
                 queue.pop(0)
                 tracked[fut] = i
                 if policy.timeout_s is not None:
@@ -357,7 +374,8 @@ def _drain(run: _Run, pool: ProcessPoolExecutor,
             i = tracked.pop(fut)
             deadlines.pop(fut, None)
             try:
-                value, wisdom_json, counts, worker_s = fut.result()
+                value, cause, wisdom_json, counts, spans, worker_s = (
+                    fut.result())
             except BrokenProcessPool:
                 # every sibling future is about to raise the same
                 # thing: recover the whole in-flight set at once
@@ -366,7 +384,16 @@ def _drain(run: _Run, pool: ProcessPoolExecutor,
             except Exception as exc:
                 run.fail_attempt(i, _tb_text(exc), timed_out=False)
                 continue
-            run.succeed(i, value, wisdom_json, counts, worker_s, "pool")
+            # what the attempt counted and traced, failed or not (the
+            # serial path does both in place); spans wait for outcome()
+            if counts and metrics.metrics_enabled():
+                metrics.current_registry().merge(counts)
+            if spans and run.item_tr is not None:
+                run.spans[i].append((run.item_tr.wall() - worker_s, spans))
+            if cause is not None:
+                run.fail_attempt(i, cause, timed_out=False)
+            else:
+                run.succeed(i, value, wisdom_json, worker_s, "pool")
         # abandon items past their deadline (their worker may be hung;
         # it is reclaimed when the pool is torn down)
         now = policy.clock()
@@ -434,9 +461,10 @@ def parallel_map(
     :mod:`repro.obs` tracer is installed, each item's busy interval is
     recorded as a wall-clock span on the ``pool`` track — workers
     measure their own duration and ship it back with the result.  Pool
-    items also ship their metrics-registry counts, which are merged
-    into the caller's registry, so ``jobs`` never changes a count
-    (besides ``pool_items_total``'s ``mode`` label).
+    items also ship their registry counts and spans, failed attempts
+    included, merged into the caller's registry and ambient tracer, so
+    ``jobs`` never changes a count or a span name (besides the ``mode``
+    of ``pool_items_total`` and of ``pool`` spans).
 
     ``policy`` (default :data:`DEFAULT_POLICY`) governs retries,
     per-item timeouts, backoff, and pool-respawn budgets; see
@@ -468,7 +496,7 @@ def _cell_with_evals(
     the worker's *new* evaluations as JSONL (the way workers ship FFT
     wisdom back — the parent merges the deltas in input order)."""
     evals = EvalStore.from_jsonl(evals_jsonl)
-    cell = evaluate_cell(plat, p, n, budget, eval_store=evals)
+    cell = runner.evaluate_cell(plat, p, n, budget, eval_store=evals)
     return cell, evals.new_jsonl()
 
 
@@ -487,12 +515,12 @@ def evaluate_cells(
 ) -> list[CellResult]:
     """Evaluate a grid of ``(p, n)`` cells, sharded over ``jobs`` workers.
 
-    Results come back in input order and are primed into the in-process
-    memo, so subsequent serial ``evaluate_cell`` calls (the benchmark
-    drivers' reporting loops) are cache hits.  Layering, per cell:
-    in-process memo → ``store`` (if given) → pool evaluation; computed
-    cells are written back to the store.  ``progress`` sees one event
-    per cell actually evaluated (memo/store hits are free and silent).
+    Results come back in input order and are kept in the process store
+    (:data:`repro.bench.runner.PROCESS_STORE`) for later
+    ``evaluate_cell`` calls.  Layering, per cell: ``store`` (if given)
+    → process store → pool evaluation; every returned cell ``store``
+    did not hold is written to it.  ``progress`` sees one event per
+    cell actually evaluated (store hits are free and silent).
     Cell keys include the ambient fault spec (:mod:`repro.faults`), so
     fault-injected grids never alias fault-free ones.
 
@@ -504,7 +532,7 @@ def evaluate_cells(
     independent of worker scheduling.
 
     If cells still fail after ``policy``'s retries, every *completed*
-    cell is flushed to ``store`` (when given) and the memo first, then
+    cell is written the same way first, then
     :class:`~repro.errors.GridInterrupted` is raised carrying them — a
     re-run with the same store resumes via read-through and evaluates
     only the missing cells.  ``GridInterrupted.salvaged`` dedupes
@@ -516,7 +544,7 @@ def evaluate_cells(
     the in-process pool, ``"dist"`` serves them from a coordinator to
     ``repro worker`` processes (:func:`repro.dist.dist_map`, configured
     by ``dist``, a :class:`~repro.dist.DistConfig`).  Both modes share
-    the memo/store read-through layering, the per-cell eval-store
+    the store read-through layering, the per-cell eval-store
     snapshot, and this function's input-order harvest — which is why
     they produce byte-identical stores.  ``note`` (dist only) receives
     one-line fleet status strings for the live ticker.
@@ -525,30 +553,30 @@ def evaluate_cells(
         raise ValueError(f"unknown dispatch mode {dispatch!r}")
     name = platform if isinstance(platform, str) else platform.name
     found: dict[tuple, CellResult] = {}
-    from_disk: set[tuple] = set()
+    held: set[tuple] = set()           # keys ``store`` already held
     pending: set[tuple] = set()
     todo: list[tuple[str, int, int, int, str]] = []
     for p, n in cells:
-        key = cell_key(name, p, n, max_evaluations)
+        key = runner.cell_key(name, p, n, max_evaluations)
         if key in found or key in pending:
             continue  # duplicate input cell: schedule it once
-        if key in _CACHE:
-            found[key] = _CACHE[key]
+        cell = None if store is None else store.get(*key)
+        if cell is not None:
+            held.add(key)
+        else:
+            cell = runner.PROCESS_STORE.get(*key)
+        if cell is not None:
+            found[key] = cell
             continue
-        if store is not None:
-            cached = store.get(*key)
-            if cached is not None:
-                found[key] = cached
-                from_disk.add(key)
-                continue
         todo.append(key)
         pending.add(key)
     labels = [f"{plat} p{p} N{n}" for (plat, p, n, _b, _f) in todo]
 
     def harvest(values: Sequence[Any]) -> None:
         """Fold finished pool values (cells or cell+delta tuples) into
-        ``found``, the store, and the shared eval store.  ``None``
-        entries (failed items) are skipped — that is the salvage path."""
+        ``found`` and the shared eval store, then write ``found`` to the
+        stores.  ``None`` entries (failed items) are skipped — that is
+        the salvage path."""
         for value in values:
             if value is None:
                 continue
@@ -561,7 +589,9 @@ def evaluate_cells(
                 # function of its key).
                 eval_store.merge(EvalStore.from_jsonl(delta))
             found[cell.key()] = cell
-            if store is not None:
+        for key, cell in found.items():
+            runner.PROCESS_STORE.put(cell)
+            if store is not None and key not in held:
                 store.put(cell)
 
     extra: dict[str, Any] = {}
@@ -569,7 +599,7 @@ def evaluate_cells(
         extra["policy"] = policy
     snapshot = None if eval_store is None else eval_store.to_jsonl()
     if eval_store is None:
-        worker_fn = evaluate_cell
+        worker_fn = runner.evaluate_cell
         argtuples = [(plat, p, n, budget) for (plat, p, n, budget, _f) in todo]
     else:
         worker_fn = _cell_with_evals
@@ -592,7 +622,7 @@ def evaluate_cells(
                     name, todo, labels, snapshot,
                     dist if dist is not None else DistConfig(),
                     store=store, progress=progress, note=note,
-                    faults=active_fault_key(),
+                    faults=runner.active_fault_key(),
                 )
             else:
                 computed = parallel_map(
@@ -601,27 +631,20 @@ def evaluate_cells(
                 )
         except ParallelMapError as err:
             harvest(err.results)
-            # Flush *every* completed cell — memo hits included, which the
-            # success path leaves disk-lazy — so the store matches what the
-            # salvage message claims survived.
-            if store is not None:
-                for key, cell in found.items():
-                    if key not in from_disk:
-                        store.put(cell)
-            prime_cache(list(found.values()))
             failures = {
                 (todo[i][1], todo[i][2]): item_err
                 for i, item_err in err.failures.items()
             }
             salvaged = [
-                cell for key, cell in found.items() if key not in from_disk
+                cell for key, cell in found.items() if key not in held
             ]
             raise GridInterrupted(
                 list(found.values()), failures, salvaged=salvaged
             ) from err
         harvest(computed)
-    prime_cache(list(found.values()))
-    return [found[cell_key(name, p, n, max_evaluations)] for p, n in cells]
+    return [
+        found[runner.cell_key(name, p, n, max_evaluations)] for p, n in cells
+    ]
 
 
 def run_grid(

@@ -1,13 +1,15 @@
-"""Concurrency-safe on-disk result store for grid experiments.
+"""The one cell store: a tuned cell (:class:`CellResult`, its JSON form
+and :class:`ResultStore`), in memory and optionally on disk.
 
-One JSON file per cell, named by the full cache key
-(``<platform>__p<p>__n<n>__b<budget>.json``), written with
+This module imports nothing from :mod:`repro.bench`, so the benchmark
+runner builds the process store (``repro.bench.runner.PROCESS_STORE``,
+a store with no directory) from it.  A directory store keeps one JSON
+file per cell, named by the full key
+(``<platform>__p<p>__n<n>__b<budget>.json``) and written with
 :func:`~repro.util.persist.write_atomic` (temp file, then rename).
 Concurrent writers of the *same* key are computing the same
 deterministic value, so last-writer-wins is lossless, and readers never
-observe a truncated file.  Unlike :func:`repro.bench.runner.save_cache`
-(one file for the whole memo), per-key files let parallel workers and
-even separate benchmark invocations share results without coordination.
+observe a truncated file.
 
 Thread safety (DESIGN.md §5.13): the plan server calls one store from
 many handler threads, so the held cells and the hit/miss counters sit
@@ -30,10 +32,76 @@ import hashlib
 import json
 import threading
 import warnings
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..bench.runner import CellResult, cell_from_dict, cell_to_dict
+from ..core.params import TuningParams
 from ..util.persist import CorruptStoreWarning, write_atomic
+
+
+@dataclass
+class CellResult:
+    """One (platform, p, N) row of Table 2 with its tuning byproducts."""
+
+    platform: str
+    p: int
+    n: int
+    times: dict[str, float]           # variant -> tuned 3-D FFT seconds
+    tuning_times: dict[str, float]    # variant -> Table 4 seconds
+    params: dict[str, TuningParams]   # variant -> winning configuration
+    evaluations: dict[str, int]       # variant -> tuning evaluations
+    budget: int = 0                   # tuning budget the cell was built with
+    #: variant -> overlap summary of the tuned full run
+    #: (:func:`repro.obs.run_metrics`: overlap_efficiency_pct,
+    #: exposed_comm_s, scheduler counters, ...)
+    metrics: dict[str, dict] = field(default_factory=dict)
+    #: canonical fault-spec key the cell was evaluated under ("" =
+    #: fault-free); part of the store key, so faulty and fault-free
+    #: results never alias
+    faults: str = ""
+
+    def speedup(self, variant: str) -> float:
+        """Speedup of ``variant`` over the FFTW baseline (Figure 7)."""
+        return self.times["FFTW"] / self.times[variant]
+
+    def key(self) -> tuple[str, int, int, int, str]:
+        """This cell's full store key."""
+        return (self.platform, self.p, self.n, self.budget, self.faults)
+
+
+def cell_to_dict(cell: CellResult) -> dict:
+    """JSON-ready representation of one cell."""
+    return {
+        "platform": cell.platform,
+        "p": cell.p,
+        "n": cell.n,
+        "budget": cell.budget,
+        "faults": cell.faults,
+        "times": cell.times,
+        "tuning_times": cell.tuning_times,
+        "evaluations": cell.evaluations,
+        "params": {k: v.as_dict() for k, v in cell.params.items()},
+        "metrics": cell.metrics,
+    }
+
+
+def cell_from_dict(item: dict) -> CellResult:
+    """Inverse of :func:`cell_to_dict`."""
+    return CellResult(
+        platform=item["platform"],
+        p=item["p"],
+        n=item["n"],
+        times=item["times"],
+        tuning_times=item["tuning_times"],
+        evaluations=item["evaluations"],
+        params={k: TuningParams(**v) for k, v in item["params"].items()},
+        budget=item["budget"],
+        # pre-observability stores have no metrics section; an empty
+        # dict keeps those cells loadable (summaries just omit them)
+        metrics=item.get("metrics", {}),
+        # pre-fault-injection stores were all fault-free
+        faults=item.get("faults", ""),
+    )
 
 
 def _safe(token: str) -> str:
@@ -47,8 +115,20 @@ def _signature(file: Path) -> tuple[int, int, int]:
     return (st.st_ino, st.st_size, st.st_mtime_ns)
 
 
+def _read(file: Path) -> CellResult | None:
+    """The cell in ``file``, or ``None`` with a :class:`CorruptStoreWarning`
+    when the file cannot be read or parsed (reported at the store
+    method's caller)."""
+    try:
+        return cell_from_dict(json.loads(file.read_text()))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        warnings.warn(f"skipping corrupt result-store file {file.name}: {exc}",
+                      CorruptStoreWarning, stacklevel=3)
+        return None
+
+
 class ResultStore:
-    """Directory of per-cell JSON results.
+    """Tuned cells in memory, backed by per-cell JSON files under ``root``.
 
     Safe to share across threads: disk writes are atomic per cell, and
     the held cells and the in-memory counters (``hits``/``misses``/
@@ -56,13 +136,15 @@ class ResultStore:
     under the internal lock.
     """
 
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+    def __init__(self, root: str | Path | None = None) -> None:
+        self.root = None if root is None else Path(root)
+        if self.root is not None:
+            self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         #: cell key -> (file signature, cell) for every cell validated
-        #: by :meth:`get` or written by :meth:`put`
-        self._memory: dict[tuple, tuple[tuple, CellResult]] = {}
+        #: by :meth:`get` or written by :meth:`put` (signature ``None``
+        #: in a store with no directory)
+        self._memory: dict[tuple, tuple[tuple | None, CellResult]] = {}
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -70,7 +152,7 @@ class ResultStore:
     def path_for(
         self, platform: str, p: int, n: int, budget: int, faults: str = ""
     ) -> Path:
-        """File backing one cell key.
+        """File backing one cell key (directory stores only).
 
         Fault-injected cells get a ``__f<digest>`` suffix (a short hash
         of the canonical fault spec — specs are free-form text, file
@@ -91,8 +173,14 @@ class ResultStore:
 
         A cell whose file still has the signature it had when this
         store last validated or wrote it is served from memory: one
-        ``stat``, no open, read or parse."""
+        ``stat``, no open, read or parse.  A store with no directory
+        answers from memory alone."""
         key = (platform, p, n, budget, faults)
+        if self.root is None:
+            with self._lock:
+                held = self._memory.get(key)
+            self._count(hit=held is not None)
+            return None if held is None else held[1]
         file = self.path_for(*key)
         try:
             sig = _signature(file)
@@ -106,25 +194,15 @@ class ResultStore:
         if held is not None and held[0] == sig:
             self._count(hit=True)
             return held[1]
-        try:
-            item = json.loads(file.read_text())
-            cell = cell_from_dict(item)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        cell = _read(file)
+        if cell is not None and cell.key() != key:
             warnings.warn(
-                f"skipping corrupt result-store file {file.name}: {exc}",
+                f"skipping result-store file {file.name}: name does not "
+                f"match its contents (claims {cell.key()})",
                 CorruptStoreWarning,
                 stacklevel=2,
             )
             cell = None
-        else:
-            if cell.key() != key:
-                warnings.warn(
-                    f"skipping result-store file {file.name}: name does not "
-                    f"match its contents (claims {cell.key()})",
-                    CorruptStoreWarning,
-                    stacklevel=2,
-                )
-                cell = None
         with self._lock:
             if cell is None:
                 self._memory.pop(key, None)
@@ -145,30 +223,28 @@ class ResultStore:
     def cells(self) -> list[CellResult]:
         """Every readable cell in the store (corrupt files are skipped
         with a :class:`CorruptStoreWarning`), sorted by key."""
-        out: list[CellResult] = []
-        for file in sorted(self.root.glob("*.json")):
-            try:
-                out.append(cell_from_dict(json.loads(file.read_text())))
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                warnings.warn(
-                    f"skipping corrupt result-store file {file.name}: {exc}",
-                    CorruptStoreWarning,
-                    stacklevel=2,
-                )
-        out.sort(key=lambda c: c.key())
-        return out
+        if self.root is None:
+            with self._lock:
+                cells = [cell for _, cell in self._memory.values()]
+        else:
+            files = sorted(self.root.glob("*.json"))
+            cells = [cell for cell in map(_read, files) if cell is not None]
+        return sorted(cells, key=CellResult.key)
 
-    def put(self, cell: CellResult) -> Path:
-        """Persist one cell atomically; returns its file path.
+    def put(self, cell: CellResult) -> Path | None:
+        """Store one cell, atomically on disk; returns its file path
+        (``None`` in a store with no directory).
 
         Two handler threads storing the same cell each write their own
         temp file (:func:`~repro.util.persist.write_atomic`), and
         whichever rename lands last wins with a complete payload (the
         values are identical anyway — cells are pure functions of their
         keys)."""
-        target = self.path_for(*cell.key())
-        write_atomic(target, json.dumps(cell_to_dict(cell), indent=1))
-        sig = _signature(target)
+        target = sig = None
+        if self.root is not None:
+            target = self.path_for(*cell.key())
+            write_atomic(target, json.dumps(cell_to_dict(cell), indent=1))
+            sig = _signature(target)
         with self._lock:
             self._memory[cell.key()] = (sig, cell)
             self.puts += 1
@@ -180,5 +256,14 @@ class ResultStore:
             return {"hits": self.hits, "misses": self.misses,
                     "puts": self.puts}
 
+    def clear(self) -> None:
+        """Forget every held cell and zero the counters.  A directory
+        store keeps its files: its next ``get`` reads them again."""
+        with self._lock:
+            self._memory.clear()
+            self.hits = self.misses = self.puts = 0
+
     def __len__(self) -> int:
+        if self.root is None:
+            return len(self._memory)
         return sum(1 for _ in self.root.glob("*.json"))

@@ -177,6 +177,17 @@ def span_records(tracer: Tracer, start: int = 0) -> list[dict]:
     return out
 
 
+def add_span_records(tracer: Tracer, records: list[dict],
+                     offset: float = 0.0) -> None:
+    """Inverse of :func:`span_records`: add the records to ``tracer``,
+    shifting wall-clock spans by ``offset`` seconds (where the
+    recording tracer's clock started on this tracer's clock)."""
+    for rec in records:
+        shift = offset if rec["clock"] == WALL else 0.0
+        tracer.add_span(rec["track"], rec["name"], rec["t0"] + shift,
+                        rec["t1"] + shift, rec["clock"], rec.get("attrs"))
+
+
 def fleet_chrome_events(spans_by_host: dict[str, list[dict]]) -> list[dict]:
     """Merge per-host span records into one Chrome ``traceEvents`` list.
 

@@ -138,6 +138,8 @@ class JobManager:
             thread_name_prefix="repro-serve-job",
         )
         self._lock = threading.Lock()
+        #: notified when a job leaves the active states; drain waits on it
+        self._finished = threading.Condition(self._lock)
         self._jobs: dict[str, PlanJob] = {}
         self._active: dict[tuple, str] = {}   # plan key -> active job id
         self._seq = 0
@@ -246,8 +248,7 @@ class JobManager:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def drain(self, timeout: float,
-              poll_s: float = 0.05) -> list[PlanJob]:
+    def drain(self, timeout: float) -> list[PlanJob]:
         """Graceful shutdown: refuse new jobs, wait for active ones.
 
         Blocks until every queued/running job reaches a terminal state
@@ -256,15 +257,12 @@ class JobManager:
         every survivor so the next incarnation replays it.  Returns the
         survivors (empty = fully drained).
         """
-        with self._lock:
+        with self._finished:
             self._draining = True
-        deadline = time.monotonic() + max(timeout, 0.0)
-        while True:
-            with self._lock:
-                remaining = self._counts[QUEUED] + self._counts[RUNNING]
-            if not remaining or time.monotonic() >= deadline:
-                break
-            time.sleep(poll_s)
+            self._finished.wait_for(
+                lambda: not (self._counts[QUEUED] + self._counts[RUNNING]),
+                timeout=max(timeout, 0.0),
+            )
         self._stop_watchdog.set()
         self._pool.shutdown(wait=False, cancel_futures=True)
         leftover = self.active()
@@ -306,6 +304,7 @@ class JobManager:
                     del self._active[job.plan_key]
                 if self._jobs.pop(job.id, None) is not None:
                     self._counts[QUEUED] -= 1
+                    self._finished.notify_all()
             self._record(job, "interrupted",
                          error="rejected: job executor already shut down")
             raise JobsDraining(
@@ -332,13 +331,14 @@ class JobManager:
                     job.finished_at = self._clock()
             self._counts[prev] -= 1
             self._counts[state] += 1
-            if (state in TERMINAL_STATES
-                    and self._active.get(job.plan_key) == job.id):
-                # only now may a new request re-create a job for this
-                # key (and only if the store somehow still misses —
-                # normally the finished job's cell answers from the
-                # store forever)
-                del self._active[job.plan_key]
+            if state in TERMINAL_STATES:
+                self._finished.notify_all()
+                if self._active.get(job.plan_key) == job.id:
+                    # only now may a new request re-create a job for
+                    # this key (and only if the store somehow still
+                    # misses — normally the finished job's cell answers
+                    # from the store forever)
+                    del self._active[job.plan_key]
             # journal inside the critical section: transition order and
             # record order must agree (replay is last-record-wins)
             self._record(job, state, error=error)

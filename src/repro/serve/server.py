@@ -563,7 +563,9 @@ class PlanServer(ServicePlane):
             )
 
         def tune() -> None:
-            cells = evaluate_cells(
+            # writes the cell to this tenant's store even when another
+            # tenant's job left it in the process store
+            evaluate_cells(
                 req["platform"], [(req["p"], req["n"])],
                 max_evaluations=req["budget"],
                 store=stores.results,
@@ -571,12 +573,6 @@ class PlanServer(ServicePlane):
                 dispatch=dispatch,
                 dist=dist_cfg,
             )
-            # evaluate_cells leaves memo hits disk-lazy; a job is only
-            # done when *this tenant's* store holds the cell (another
-            # tenant may have primed the process memo with it)
-            for cell in cells:
-                if not stores.results.path_for(*cell.key()).exists():
-                    stores.results.put(cell)
 
         with scoped_registry(self.registry):
             try:

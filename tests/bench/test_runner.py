@@ -1,4 +1,5 @@
-"""Benchmark runner: cell memoization, persistence, paper data sanity."""
+"""Benchmark runner: the process cell store, its on-disk round trip,
+paper data sanity."""
 
 import json
 
@@ -13,10 +14,10 @@ from repro.bench import (
     SMALL_CELLS,
     clear_cache,
     evaluate_cell,
-    load_cache,
-    save_cache,
 )
+from repro.bench.runner import PROCESS_STORE
 from repro.core import ProblemShape
+from repro.exec import ResultStore
 from repro.machine import UMD_CLUSTER
 from repro.util.persist import CorruptStoreWarning
 
@@ -84,47 +85,51 @@ class TestRunner:
         assert evaluate_cell(UMD_CLUSTER, 4, 64, max_evaluations=10) is a
 
     def test_save_load_roundtrip(self, tmp_path):
+        """The benchmark cell cache's round trip: the process store's
+        cells are put into a directory store, and a later session puts
+        that store's cells back into its empty process store."""
         cell = evaluate_cell(UMD_CLUSTER, 4, 64, max_evaluations=40)
-        path = tmp_path / "cache.json"
-        save_cache(path)
+        disk = ResultStore(tmp_path / "cells")
+        for held in PROCESS_STORE.cells():
+            disk.put(held)
         clear_cache()
-        assert load_cache(path) == 1
-        # Same budget -> served from cache.
-        restored = evaluate_cell(UMD_CLUSTER, 4, 64, max_evaluations=40)
-        assert restored.times == cell.times
-        assert restored.params["NEW"] == cell.params["NEW"]
-
-    def test_save_cache_atomic(self, tmp_path):
-        evaluate_cell(UMD_CLUSTER, 4, 64, max_evaluations=10)
-        path = tmp_path / "cache.json"
-        save_cache(path)
-        save_cache(path)  # overwrite goes through os.replace
-        assert [f.name for f in tmp_path.iterdir()] == ["cache.json"]
+        restored = ResultStore(tmp_path / "cells").cells()
+        assert len(restored) == 1
+        for held in restored:
+            PROCESS_STORE.put(held)
+        # Same budget -> served from the process store.
+        again = evaluate_cell(UMD_CLUSTER, 4, 64, max_evaluations=40)
+        assert again is restored[0]
+        assert again.times == cell.times
+        assert again.params["NEW"] == cell.params["NEW"]
 
     def test_load_skips_pre_budget_schema(self, tmp_path):
         # Old-schema entries (no "budget") have ambiguous keys; they are
         # dropped rather than aliased to some budget.
-        path = tmp_path / "cache.json"
-        path.write_text('[{"platform": "UMD-Cluster", "p": 4, "n": 64}]')
-        assert load_cache(path) == 0
+        (tmp_path / "UMD-Cluster__p4__n64.json").write_text(
+            '{"platform": "UMD-Cluster", "p": 4, "n": 64}'
+        )
+        with pytest.warns(CorruptStoreWarning, match="corrupt"):
+            assert ResultStore(tmp_path).cells() == []
 
     def test_load_missing_file(self, tmp_path):
-        assert load_cache(tmp_path / "nope.json") == 0
+        # the first cached session finds no store yet
+        assert ResultStore(tmp_path / "nope").cells() == []
 
     @pytest.mark.parametrize("damage", ["truncated", "foreign", "json-array"])
     def test_unreadable_cache_is_a_warned_miss(self, tmp_path, damage):
-        """A damaged cache file restores nothing and the benchmark
+        """A damaged cell file restores nothing and the benchmark
         recomputes: it must not crash the session fixture."""
         evaluate_cell(UMD_CLUSTER, 4, 64, max_evaluations=10)
-        path = tmp_path / "cache.json"
-        save_cache(path)
+        disk = ResultStore(tmp_path)
+        path = disk.put(PROCESS_STORE.cells()[0])
         text = path.read_text()
         path.write_text({
             "truncated": text[: len(text) // 2],
             "foreign": "<html>not a cache</html>\n",
-            # the whole-array format earlier versions wrote
+            # a whole-array file holding the cell
             "json-array": json.dumps([json.loads(text)], indent=1),
         }[damage])
         clear_cache()
-        with pytest.warns(CorruptStoreWarning, match="cell cache"):
-            assert load_cache(path) == 0
+        with pytest.warns(CorruptStoreWarning, match="corrupt"):
+            assert ResultStore(tmp_path).cells() == []

@@ -15,11 +15,13 @@ no wall-clock waits in the suite.
 import os
 import time
 import warnings
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.bench import clear_cache
+from repro.core import ProblemShape, run_case
 from repro.errors import (
     GridInterrupted,
     ItemFailedError,
@@ -33,9 +35,10 @@ from repro.exec import (
     evaluate_cells,
     parallel_map,
 )
+from repro.machine import get_platform
 from repro.obs.registry import scoped_registry
 from repro.tuning.evalstore import EvalStore
-from repro.obs.tracer import Tracer, tracing
+from repro.obs.tracer import Tracer, current_tracer, tracing
 
 BUDGET = 4
 GRID = [(4, 32), (8, 32)]
@@ -79,6 +82,26 @@ def _flaky(counter_dir, x, fail_times):
     if attempt <= fail_times:
         raise RuntimeError(f"flaky failure #{attempt}")
     return x * x
+
+
+def _trace(name):
+    """Record one span on the ambient tracer, if any."""
+    tr = current_tracer()
+    if tr is not None:
+        tr.add_span("test", name, 0.0, tr.wall(), "wall")
+
+
+def _traced_square(x):
+    _trace("square")
+    return x * x
+
+
+def _simulate_then_flaky(counter_dir, p):
+    """Simulate one run (counted) and trace one span, then fail the
+    first attempt — the failed attempt did real work before it raised."""
+    run_case("NEW", get_platform("UMD-Cluster"), ProblemShape(32, 32, 32, p))
+    _trace("attempt")
+    return _flaky(counter_dir, p, 1)
 
 
 class FakeClock:
@@ -354,6 +377,55 @@ class TestSerialPoolParity:
             evaluate_cells("UMD-Cluster", GRID + [(4, 64)], jobs=jobs,
                            max_evaluations=BUDGET + 2, eval_store=evals)
         return _grid_counts(reg)
+
+    @staticmethod
+    def _span_names(tr) -> Counter:
+        return Counter((s.track, s.name) for s in tr.spans)
+
+    def test_grid_spans_match(self):
+        """A traced grid holds the same spans, name for name, whether
+        its cells ran in-process or on worker processes."""
+        names = []
+        for jobs in (1, 2):
+            clear_cache()
+            with tracing(Tracer(rank_spans=False)) as tr:
+                evaluate_cells("UMD-Cluster", [(4, 32), (4, 64)], jobs=jobs,
+                               max_evaluations=BUDGET)
+            names.append(self._span_names(tr))
+        assert sum(n for (track, _), n in names[0].items()
+                   if track != "pool") > 0
+        assert names[1] == names[0]
+
+    def test_untraced_items_ship_no_spans(self):
+        from repro.exec.pool import _invoke
+
+        value, cause, _wisdom, _counts, spans, _s = _invoke(_traced_square, (3,))
+        assert (value, cause, spans) == (9, None, [])
+        traced = _invoke(_traced_square, (3,), "", False)[4]
+        assert [rec["name"] for rec in traced] == ["square"]
+
+    def test_retried_items_count_and_trace_every_attempt(self, tmp_path):
+        """Items that fail their first attempt after simulating: the
+        failed attempts' counts and spans come home from the pool as
+        the serial path records them in place."""
+        seen = []
+        for jobs in (1, 2):
+            counter_dir = tmp_path / f"jobs{jobs}"
+            counter_dir.mkdir()
+            args = [(str(counter_dir), p) for p in (2, 4)]
+            with scoped_registry() as reg, \
+                    tracing(Tracer(rank_spans=False)) as tr:
+                out = parallel_map(_simulate_then_flaky, args, jobs=jobs,
+                                   policy=ExecPolicy(retries=1,
+                                                     backoff_s=0.0))
+            assert out == [4, 16]
+            seen.append((_grid_counts(reg), self._span_names(tr)))
+        (serial, serial_spans), (pooled, pooled_spans) = seen
+        assert _family_total(serial, "sim_runs_total") == 4  # 2 per item
+        assert _family_total(serial, "pool_retries_total") == 2
+        assert serial_spans[("test", "attempt")] == 4
+        assert pooled == serial
+        assert pooled_spans == serial_spans
 
     @pytest.mark.parametrize("with_store", [False, True])
     def test_grid_counts_match(self, with_store):

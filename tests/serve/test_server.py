@@ -142,6 +142,13 @@ class TestPlanLifecycle:
             root = tmp_path / "store"
             assert (root / "teamA" / "results").is_dir()
             assert (root / "teamB" / "evals.jsonl").exists()
+            # teamB's job found the cell teamA's job left in the process
+            # store, and still wrote it to teamB's own store
+            files = {t: sorted(f.name for f in
+                               (root / t / "results").glob("*.json"))
+                     for t in ("teamA", "teamB")}
+            assert len(files["teamA"]) == 1
+            assert files["teamB"] == files["teamA"]
         finally:
             srv.stop()
 

@@ -9,7 +9,7 @@ worker processes and a real SIGKILL:
    ``repro worker`` processes; once the run is warm (at least one cell
    done and a lease outstanding) one worker is SIGKILL'd.  Its leases
    expire and requeue; the surviving worker completes the grid.
-2. **coordinator restart** — the memo is cleared (a "new process") and
+2. **coordinator restart** — the process store is cleared (a "new process") and
    the same grid is requested again in dist mode against the same
    store.  Every cell resumes via store read-through: the dispatch seam
    is never entered, no coordinator is started, zero cells re-simulate.
@@ -125,7 +125,7 @@ def kill_one_run(cells, budget, store, trace_dir):
 
 def restart_run(cells, budget, store):
     """Re-request the grid dist-mode with a warm store; count dispatches."""
-    clear_cache()  # a restarted coordinator process has an empty memo
+    clear_cache()  # a restarted coordinator process has an empty process store
     import repro.dist as dist_pkg
 
     calls = []

@@ -4,8 +4,8 @@ Usage:  python tools/bench_exec.py [--jobs N] [--budget B] [--out PATH]
                                    [--faults SPEC]
 
 Times the Table-2a quick grid (the ``REPRO_BENCH_SCALE=quick`` cell
-set) twice, end to end and from a cold start each time (memo and FFT
-wisdom cleared, one warmup evaluation discarded to pay import/planning
+set) twice, end to end and from a cold start each time (process store
+and FFT wisdom cleared, one warmup evaluation discarded to pay import/planning
 costs outside the timed region), both on the one simulator engine:
 
 1. **serial path** — every cell evaluated in this process (``jobs=1``);
