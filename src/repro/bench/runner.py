@@ -69,10 +69,25 @@ def evaluate_cell(
     """
     plat = get_platform(platform) if isinstance(platform, str) else platform
     budget = effective_budget(p, max_evaluations)
-    fault_key = active_fault_key()
-    held = PROCESS_STORE.get(plat.name, p, n, budget, fault_key)
+    held = PROCESS_STORE.get(plat.name, p, n, budget, active_fault_key())
     if held is not None:
         return held
+    cell = tune_cell(plat, p, n, budget, eval_store)
+    PROCESS_STORE.put(cell)
+    return cell
+
+
+def tune_cell(
+    platform: Platform | str,
+    p: int,
+    n: int,
+    budget: int,
+    eval_store: EvalStore | None = None,
+) -> CellResult:
+    """:func:`evaluate_cell` at an effective ``budget``, without the
+    process store: the pool's per-cell item, whose caller looks the
+    cell up and keeps it."""
+    plat = get_platform(platform) if isinstance(platform, str) else platform
     shape = ProblemShape(n, n, n, p)
     times, tunings, params, evals, metrics = {}, {}, {}, {}, {}
     for variant in ("FFTW", "NEW", "TH"):
@@ -88,13 +103,11 @@ def evaluate_cell(
             from ..obs.metrics import run_metrics
 
             metrics[variant] = run_metrics(result.full_run.sim)
-    cell = CellResult(
+    return CellResult(
         platform=plat.name, p=p, n=n,
         times=times, tuning_times=tunings, params=params, evaluations=evals,
-        budget=budget, metrics=metrics, faults=fault_key,
+        budget=budget, metrics=metrics, faults=active_fault_key(),
     )
-    PROCESS_STORE.put(cell)
-    return cell
 
 
 def run_breakdown(

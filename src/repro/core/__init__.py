@@ -17,7 +17,7 @@ from .api import (
 from .decompose import Decomposition, gather_spectrum, scatter_slabs
 from .distplan import DistributedFFT3D, fft3d_plan
 from .multiarray import MultiArrayFFT3D, run_multi_array
-from .pencil import PencilFFT3D, parallel_fft3d_pencil
+from .pencil import GridShape, PencilFFT3D
 from .realfft3d import ParallelIRFFT3D, ParallelRFFT3D
 from .params import PARAM_NAMES, ProblemShape, TuningParams, default_params
 from .plan import ParallelFFT3D
@@ -38,6 +38,7 @@ __all__ = [
     "Decomposition",
     "DistributedFFT3D",
     "FFTW_BASELINE",
+    "GridShape",
     "MultiArrayFFT3D",
     "NEW",
     "NEW0",
@@ -59,7 +60,6 @@ __all__ = [
     "gather_spectrum",
     "get_variant",
     "parallel_fft3d",
-    "parallel_fft3d_pencil",
     "parallel_ifft3d",
     "parallel_irfft3d",
     "parallel_rfft3d",

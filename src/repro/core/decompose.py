@@ -100,20 +100,28 @@ class Decomposition:
         return cached
 
 
-def scatter_slabs(global_array: np.ndarray, p: int) -> list[np.ndarray]:
-    """Split a global ``(Nx, Ny, Nz)`` array into per-rank x-slabs."""
+def scatter_slabs(
+    global_array: np.ndarray, pr: int, pc: int = 1
+) -> list[np.ndarray]:
+    """Split a global ``(Nx, Ny, Nz)`` array into per-rank blocks over a
+    row-major ``pr x pc`` grid: rank ``r*pc + c`` gets x-slab ``r`` of
+    ``pr`` crossed with y-slab ``c`` of ``pc``.  A slab decomposition
+    is the grid ``(p, 1)``: whole x-slabs."""
     arr = np.asarray(global_array)
     if arr.ndim != 3:
         raise DecompositionError(f"expected a 3-D array, got shape {arr.shape}")
     out = []
-    for r in range(p):
-        x0, x1 = slab_range(arr.shape[0], p, r)
-        out.append(np.ascontiguousarray(arr[x0:x1]))
+    for r in range(pr):
+        x0, x1 = slab_range(arr.shape[0], pr, r)
+        for c in range(pc):
+            y0, y1 = slab_range(arr.shape[1], pc, c)
+            out.append(np.ascontiguousarray(arr[x0:x1, y0:y1]))
     return out
 
 
 def gather_spectrum(
-    outputs: list[np.ndarray], shape: tuple[int, int, int], layout: str
+    outputs: list[np.ndarray], shape: tuple[int, int, int], layout: str,
+    pc: int = 1,
 ) -> np.ndarray:
     """Reassemble per-rank pipeline outputs into the full spectrum
     ``F[kx, ky, kz]`` (comparable with ``numpy.fft.fftn``), or the full
@@ -121,21 +129,26 @@ def gather_spectrum(
 
     ``layout`` is the pipeline's output layout: ``"zyx"`` for the general
     path, ``"yzx"`` for the Nx==Ny fast-transpose path (Section 3.5),
-    ``"xyz"`` for the c2r inverse's y-slabs.
+    ``"xyz"`` for the c2r inverse's y-slabs and a pencil grid's blocks.
+    Over a row-major ``pr x pc`` grid (``pr = len(outputs) // pc``)
+    rank ``r*pc + c`` holds y-slab ``r`` of ``pr`` crossed with z-slab
+    ``c`` of ``pc``; a slab pipeline's is the ``pc = 1`` case.
     """
     nx, ny, nz = shape
-    p = len(outputs)
+    pr = len(outputs) // pc
     full = np.empty(shape, dtype=outputs[0].dtype)
-    for r, out in enumerate(outputs):
-        y0, y1 = slab_range(ny, p, r)
+    for rank, out in enumerate(outputs):
+        r, c = divmod(rank, pc)
+        y0, y1 = slab_range(ny, pr, r)
+        z0, z1 = slab_range(nz, pc, c)
         if layout == "xyz":
-            full[:, y0:y1, :] = out
+            full[:, y0:y1, z0:z1] = out
         elif layout == "zyx":
             # out[z, y_local, x] -> full[x, y, z]
-            full[:, y0:y1, :] = out.transpose(2, 1, 0)
+            full[:, y0:y1, z0:z1] = out.transpose(2, 1, 0)
         elif layout == "yzx":
             # out[y_local, z, x] -> full[x, y, z]
-            full[:, y0:y1, :] = out.transpose(2, 0, 1)
+            full[:, y0:y1, z0:z1] = out.transpose(2, 0, 1)
         else:
             raise DecompositionError(f"unknown output layout {layout!r}")
     return full

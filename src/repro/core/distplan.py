@@ -4,11 +4,20 @@ FFTW splits planning from execution, and so do the distributed FFT
 libraries built on it: P3DFFT plans a decomposition once and executes it
 many times, and mpi4py-fft's ``PFFT`` object holds its decomposition,
 transfer plan and serial FFT plans across calls (Dalcin et al.).
-:class:`DistributedFFT3D` is that object for the simulated slab
-pipeline.  It holds, for one (platform, shape, variant, effective
-parameters), one shared set of 1-D plans and every rank's
-:class:`~repro.core.plan.SlabDataPath` (its decomposition and layouts)
-for the engine run.
+:class:`DistributedFFT3D` is that object for both simulated
+decompositions.  It holds, for one (platform, shape, variant, effective
+parameters, process grid), one shared set of 1-D plans and, for the
+engine run of a slab plan, every rank's
+:class:`~repro.core.plan.SlabDataPath` (its decomposition and layouts).
+
+**Grid plans.**  Given a ``pr x pc`` process ``grid``, the plan runs
+the pencil decomposition (:class:`~repro.core.pencil.PencilFFT3D`, the
+paper's §7 future work) on the same shared 1-D plans.  A grid plan is
+c2c only and has pencil's one fixed schedule, so it takes no tuning
+parameters; its ``p = pr*pc`` ranks may outnumber the planes of an axis
+(:class:`~repro.core.pencil.GridShape`).  Only the engine run differs:
+the replay below and its first-execute check are the same, since the
+3-D DFT does not depend on the decomposition.
 
 **Replay.**  The first execute runs the engine with payloads, as
 :func:`~repro.core.api.run_case` does, and keeps the run's timeline
@@ -72,6 +81,7 @@ from ..obs.tracer import current_tracer
 from ..simmpi.spmd import SimResult, run_spmd
 from .decompose import gather_spectrum, scatter_slabs
 from .params import ProblemShape, TuningParams
+from .pencil import PencilFFT3D, check_grid
 from .plan import BREAKDOWN_LABELS, ParallelFFT3D, SlabDataPath
 from .realfft3d import (
     ParallelIRFFT3D,
@@ -118,7 +128,10 @@ def _rank_program(ctx, plan: DistributedFFT3D, blocks: list[np.ndarray],
     """One rank of the plan's engine run, on the plan's data path
     (``inverse``: the c2r inverse of an r2c plan)."""
     rank = ctx.rank
-    if inverse:
+    if plan.grid is not None:
+        s = plan.shape
+        pipeline = PencilFFT3D(ctx, (s.nx, s.ny, s.nz), plan.grid, plan.plans)
+    elif inverse:
         pipeline = ParallelIRFFT3D(ctx, plan.shape, plan.params, plan.spec,
                                    path=plan.inverse_paths[rank],
                                    zplan=plan.inverse_plans["z"])
@@ -142,6 +155,11 @@ class DistributedFFT3D:
     :meth:`forward` returns the ``Nz//2 + 1`` half spectrum and
     :meth:`backward` is the c2r inverse, with its own engine run and
     kept timeline.
+
+    ``grid=(pr, pc)`` makes a grid plan (see the module docstring):
+    ``real`` or explicit ``params`` raise
+    :class:`~repro.errors.ParameterError`, and ``variant`` does not
+    apply.
     """
 
     def __init__(
@@ -151,24 +169,36 @@ class DistributedFFT3D:
         params: TuningParams | None = None,
         variant: str | VariantSpec = "NEW",
         real: bool = False,
+        grid: tuple[int, int] | None = None,
     ) -> None:
         spec = get_variant(variant) if isinstance(variant, str) else variant
         self.shape = shape
         self.platform = platform
         self.spec = spec
         self.real = real
-        xshape, self.params = _exchange(shape, params, spec, real)
-        if spec.overlap:
-            self.params.check_feasible(xshape)
+        self.grid = grid
         #: z (the r2c kernel on real plans), y and x
         plans = {"z": Plan1D(shape.nz, real=real), "y": Plan1D(shape.ny),
                  "x": Plan1D(shape.nx)}
         self.plans = plans
-        fftz_mode = "none" if real else "complex"
-        self.paths = [
-            SlabDataPath(xshape, self.params, spec, r, fftz_mode, plans)
-            for r in range(shape.p)
-        ]
+        self.paths: list[SlabDataPath] = []
+        if grid is not None:
+            if real or params is not None:
+                raise ParameterError(
+                    "a grid plan is c2c with one fixed schedule; it takes "
+                    "neither real=True nor params"
+                )
+            check_grid((shape.nx, shape.ny, shape.nz), shape.p, grid)
+            self.params = None
+        else:
+            xshape, self.params = _exchange(shape, params, spec, real)
+            if spec.overlap:
+                self.params.check_feasible(xshape)
+            fftz_mode = "none" if real else "complex"
+            self.paths = [
+                SlabDataPath(xshape, self.params, spec, r, fftz_mode, plans)
+                for r in range(shape.p)
+            ]
         #: the c2r inverse's plans (c2r on z, backward-sign y/x) and data paths
         self.inverse_plans: dict[str, Plan1D] = {}
         self.inverse_paths: list[SlabDataPath] = []
@@ -264,13 +294,12 @@ class DistributedFFT3D:
                     inverse: bool = False) -> tuple[np.ndarray, SimResult]:
         """The engine run with payloads and its gathered output."""
         s = self.shape
+        pr, pc = self.grid or (s.p, 1)
         sim = run_spmd(s.p, _rank_program, self.platform, self,
-                       scatter_slabs(arr, s.p), inverse)
-        if inverse:
-            return gather_spectrum(sim.results, (s.nx, s.ny, s.nz), "xyz"), sim
-        nz_out = s.nz // 2 + 1 if self.real else s.nz
-        layout = self.paths[0].output_layout
-        return gather_spectrum(sim.results, (s.nx, s.ny, nz_out), layout), sim
+                       scatter_slabs(arr, pr, pc), inverse)
+        nz_out = s.nz // 2 + 1 if self.real and not inverse else s.nz
+        layout = "xyz" if inverse or self.grid else self.paths[0].output_layout
+        return gather_spectrum(sim.results, (s.nx, s.ny, nz_out), layout, pc), sim
 
     def _replay(self, arr: np.ndarray) -> np.ndarray:
         """The spectrum from the whole-array data path alone: one kernel
@@ -340,19 +369,21 @@ def fft3d_plan(
     params: TuningParams | None = None,
     variant: str | VariantSpec = "NEW",
     real: bool = False,
+    grid: tuple[int, int] | None = None,
 ) -> DistributedFFT3D:
     """The process's plan for these arguments, built on first use.
 
     Plans are keyed by (c2c or r2c, platform, shape, variant, effective
-    parameters, active fault spec, default planner effort), so two
-    calls share a plan exactly when their transforms run the same
-    timeline on the same 1-D plans."""
+    parameters, active fault spec, default planner effort, process
+    grid), so two calls share a plan exactly when their transforms run
+    the same timeline on the same 1-D plans."""
     global _PLANS_EPOCH
     spec = get_variant(variant) if isinstance(variant, str) else variant
-    _, eff = _exchange(shape, params, spec, real)
+    eff = params if grid is not None else _exchange(shape, params, spec, real)[1]
     faults = current_faults()
     key = (real, platform, shape, spec, eff,
-           "" if faults is None else faults.key(), default_planning_flag())
+           "" if faults is None else faults.key(), default_planning_flag(),
+           grid)
     with _PLANS_LOCK:
         epoch = plan_cache_epoch()
         if epoch != _PLANS_EPOCH:
@@ -360,7 +391,8 @@ def fft3d_plan(
             _PLANS_EPOCH = epoch
         plan = _PLANS.get(key)
         if plan is None:
-            plan = _PLANS[key] = DistributedFFT3D(shape, platform, eff, spec, real)
+            plan = _PLANS[key] = DistributedFFT3D(shape, platform, eff, spec,
+                                                  real, grid)
             if len(_PLANS) > MAX_PLANS:
                 _PLANS.popitem(last=False)
         else:

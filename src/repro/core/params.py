@@ -16,6 +16,7 @@ infinite objective without running (Section 4.4, technique 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from typing import ClassVar
 
 from ..errors import InfeasibleConfigError, ParameterError
 from ..util.intmath import ceil_div, clamp
@@ -35,13 +36,16 @@ class ProblemShape:
     ny: int
     nz: int
     p: int
+    #: whether ``p`` is bounded by Nx and Ny, as slabs need (a pencil
+    #: grid's :class:`~repro.core.pencil.GridShape` is not)
+    slab_limited: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if min(self.nx, self.ny, self.nz) < 1:
             raise ParameterError(f"array extents must be >= 1: {self}")
         if self.p < 1:
             raise ParameterError(f"need >= 1 process, got {self.p}")
-        if self.p > self.nx or self.p > self.ny:
+        if self.slab_limited and (self.p > self.nx or self.p > self.ny):
             raise ParameterError(
                 f"1-D decomposition needs p <= Nx and p <= Ny "
                 f"(p={self.p}, Nx={self.nx}, Ny={self.ny})"

@@ -19,6 +19,10 @@ sub-communicators are a pure function of the process grid, so the plan
 builds them directly when it is constructed (as P3DFFT and mpi4py-fft
 do) and charges the modeled time of the two ``MPI_Comm_split`` calls
 that would create them on a real machine.
+
+Real-payload transforms run on a grid plan
+(:func:`~repro.core.distplan.fft3d_plan` with ``grid``); virtual runs
+build :class:`PencilFFT3D` directly.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ import numpy as np
 from ..errors import DecompositionError, ParameterError
 from ..fft.plan import Plan1D
 from ..simmpi.comm import Communicator, SimContext
-from .decompose import slab_counts, slab_range
+from .decompose import slab_counts
 from .packing import ITEMSIZE
+from .params import ProblemShape
 
 
 def choose_grid(p: int) -> tuple[int, int]:
@@ -43,13 +48,39 @@ def choose_grid(p: int) -> tuple[int, int]:
     return best
 
 
+class GridShape(ProblemShape):
+    """The problem of a grid plan.  Its ``p`` ranks on a ``pr x pc``
+    grid may outnumber the planes of an axis (16 ranks on 8^3 over
+    4 x 4), which :class:`ProblemShape` rejects as the slab
+    decomposition's limit; :func:`check_grid` checks the grid's fit."""
+
+    slab_limited = False
+
+
+def check_grid(shape: tuple[int, int, int], p: int,
+               grid: tuple[int, int]) -> None:
+    """Raise :class:`DecompositionError` unless the ``pr x pc`` grid has
+    ``p`` ranks and fits ``shape`` (``pr <= Nx, Ny``; ``pc <= Ny, Nz``)."""
+    nx, ny, nz = shape
+    pr, pc = grid
+    if pr * pc != p:
+        raise DecompositionError(f"grid {pr}x{pc} does not match {p} ranks")
+    if pr > min(nx, ny) or pc > min(ny, nz):
+        raise DecompositionError(f"grid {pr}x{pc} too large for shape {shape}")
+
+
 class PencilFFT3D:
     """Per-rank plan for a pencil-decomposed forward 3-D FFT.
 
     Ranks form a ``pr x pc`` grid in row-major order; rank ``(r, c)``
     initially owns x-slab ``r`` crossed with y-slab ``c`` (z complete).
     The output block is full-x with y re-split over ``pr`` and z split
-    over ``pc`` — retrievable globally via :meth:`gather_spectrum`.
+    over ``pc``, in ``"xyz"`` layout —
+    :func:`~repro.core.decompose.gather_spectrum` with ``pc`` reassembles
+    it.  ``plans`` maps ``"z"``, ``"y"`` and ``"x"`` to their c2c
+    :class:`Plan1D`; a grid plan passes one dict to all its ranks, as it
+    does to :class:`~repro.core.plan.SlabDataPath`.  A payload run given
+    none builds its own.
     """
 
     def __init__(
@@ -57,20 +88,14 @@ class PencilFFT3D:
         ctx: SimContext,
         shape: tuple[int, int, int],
         grid: tuple[int, int] | None = None,
+        plans: dict[str, Plan1D] | None = None,
     ) -> None:
         self.ctx = ctx
         self.world = ctx.comm
         self.nx, self.ny, self.nz = shape
         p = self.world.size
         self.pr, self.pc = grid if grid is not None else choose_grid(p)
-        if self.pr * self.pc != p:
-            raise DecompositionError(
-                f"grid {self.pr}x{self.pc} does not match {p} ranks"
-            )
-        if self.pr > min(self.nx, self.ny) or self.pc > min(self.ny, self.nz):
-            raise DecompositionError(
-                f"grid {self.pr}x{self.pc} too large for shape {shape}"
-            )
+        check_grid(shape, p, (self.pr, self.pc))
         self.r, self.c = divmod(self.world.rank, self.pc)
         # Row communicator: same r, ranks across c (first exchange).
         # Column communicator: same c, ranks across r (second exchange).
@@ -94,12 +119,7 @@ class PencilFFT3D:
         self.nyl = self.y_counts[self.c]
         self.nzl = self.z_counts[self.c]
         self.ny2l = self.y2_counts[self.r]
-        self._plans: dict[int, Plan1D] = {}
-
-    def _plan(self, n: int) -> Plan1D:
-        if n not in self._plans:
-            self._plans[n] = Plan1D(n)
-        return self._plans[n]
+        self.plans = {} if plans is None else plans
 
     # -- cost helpers ---------------------------------------------------------
 
@@ -142,11 +162,14 @@ class PencilFFT3D:
                 f"got {tuple(local.shape)}"
             )
         ctx = self.ctx
+        plans = self.plans
+        if real and not plans:
+            plans.update(z=Plan1D(self.nz), y=Plan1D(self.ny), x=Plan1D(self.nx))
 
         # ---- FFTz ------------------------------------------------------
         data = None
         if real:
-            data = self._plan(self.nz).execute(local, axis=2)
+            data = plans["z"].execute(local, axis=2)
         ctx.compute(self._fft_cost(self.nz, self.nxl * self.nyl), "FFTz")
 
         # ---- exchange A (row comm): make y complete, split z -------------
@@ -158,22 +181,10 @@ class PencilFFT3D:
         ]
         payload_a = None
         if real:
-            if self.nz % self.pc == 0:
-                # Uniform slabs: one whole-block copy instead of pc
-                # strided ascontiguousarray calls; each payload entry is
-                # a contiguous view into the packed buffer (identical
-                # elements, same per-destination shapes).
-                nzb = self.nz // self.pc
-                packed = np.ascontiguousarray(
-                    data.reshape(self.nxl, self.nyl, self.pc, nzb)
-                    .transpose(2, 0, 1, 3)
-                )
-                payload_a = list(packed)
-            else:
-                payload_a = []
-                for d in range(self.pc):
-                    z0, z1 = slab_range(self.nz, self.pc, d)
-                    payload_a.append(np.ascontiguousarray(data[:, :, z0:z1]))
+            # one contiguous buffer per destination's z-slab (the first
+            # nz mod pc one plane longer, as slab_counts splits)
+            payload_a = [np.ascontiguousarray(b)
+                         for b in np.array_split(data, self.pc, axis=2)]
         ctx.compute(self._copy_cost(self.nxl * self.nyl * self.nz), "Pack")
         chunks_a = yield from self.row_comm.co_alltoall(
             send_a, recv_a, payload=payload_a
@@ -186,7 +197,7 @@ class PencilFFT3D:
 
         # ---- FFTy -----------------------------------------------------------
         if real:
-            local1 = self._plan(self.ny).execute(local1, axis=1)
+            local1 = plans["y"].execute(local1, axis=1)
         ctx.compute(self._fft_cost(self.ny, self.nxl * self.nzl), "FFTy")
 
         # ---- exchange B (col comm): make x complete, re-split y -----------
@@ -198,20 +209,8 @@ class PencilFFT3D:
         ]
         payload_b = None
         if real:
-            if self.ny % self.pr == 0:
-                nyb = self.ny // self.pr
-                packed = np.ascontiguousarray(
-                    local1.reshape(self.nxl, self.pr, nyb, self.nzl)
-                    .transpose(1, 0, 2, 3)
-                )
-                payload_b = list(packed)
-            else:
-                payload_b = []
-                for d in range(self.pr):
-                    y0, y1 = slab_range(self.ny, self.pr, d)
-                    payload_b.append(
-                        np.ascontiguousarray(local1[:, y0:y1, :])
-                    )
+            payload_b = [np.ascontiguousarray(b)
+                         for b in np.array_split(local1, self.pr, axis=1)]
         ctx.compute(self._copy_cost(self.nxl * self.ny * self.nzl), "Pack")
         chunks_b = yield from self.col_comm.co_alltoall(
             send_b, recv_b, payload=payload_b
@@ -224,61 +223,6 @@ class PencilFFT3D:
 
         # ---- FFTx --------------------------------------------------------
         if real:
-            local2 = self._plan(self.nx).execute(local2, axis=0)
+            local2 = plans["x"].execute(local2, axis=0)
         ctx.compute(self._fft_cost(self.nx, self.ny2l * self.nzl), "FFTx")
         return local2
-
-
-def scatter_pencils(
-    global_array: np.ndarray, pr: int, pc: int
-) -> list[np.ndarray]:
-    """Split a global array into per-rank pencil blocks (row-major grid)."""
-    arr = np.asarray(global_array)
-    out = []
-    for r in range(pr):
-        x0, x1 = slab_range(arr.shape[0], pr, r)
-        for c in range(pc):
-            y0, y1 = slab_range(arr.shape[1], pc, c)
-            out.append(np.ascontiguousarray(arr[x0:x1, y0:y1, :]))
-    return out
-
-
-def gather_spectrum(
-    outputs: list[np.ndarray], shape: tuple[int, int, int], pr: int, pc: int
-) -> np.ndarray:
-    """Reassemble pencil outputs into ``F[kx, ky, kz]``."""
-    nx, ny, nz = shape
-    full = np.empty(shape, dtype=np.complex128)
-    for r in range(pr):
-        y0, y1 = slab_range(ny, pr, r)
-        for c in range(pc):
-            z0, z1 = slab_range(nz, pc, c)
-            full[:, y0:y1, z0:z1] = outputs[r * pc + c]
-    return full
-
-
-def parallel_fft3d_pencil(
-    array: np.ndarray,
-    p: int,
-    platform,
-    grid: tuple[int, int] | None = None,
-):
-    """Convenience wrapper: pencil-decomposed forward FFT of ``array``.
-
-    Returns ``(spectrum, SimResult)``.
-    """
-    from ..simmpi.spmd import run_spmd
-
-    arr = np.asarray(array, dtype=np.complex128)
-    if arr.ndim != 3:
-        raise ParameterError(f"expected a 3-D array, got shape {arr.shape}")
-    pr, pc = grid if grid is not None else choose_grid(p)
-    blocks = scatter_pencils(arr, pr, pc)
-
-    def prog(ctx):
-        plan = PencilFFT3D(ctx, arr.shape, (pr, pc))
-        return (yield from plan.steps(blocks[ctx.rank]))
-
-    sim = run_spmd(p, prog, platform)
-    spectrum = gather_spectrum(sim.results, arr.shape, pr, pc)
-    return spectrum, sim

@@ -18,9 +18,11 @@ everywhere (first-wins merge, order-independent).
 Telemetry (DESIGN.md §5.12): each worker publishes into a *private*
 registry (installed with :func:`~repro.obs.registry.scoped_registry` on
 the serving thread) and a private :class:`~repro.obs.tracer.Tracer`
-passed explicitly to :func:`~repro.exec.parallel_map` — neither touches
-the process-global stacks, so in-process worker threads (the test
-harness) and a sharing coordinator never cross-contaminate.  Every
+passed explicitly to :func:`~repro.exec.parallel_map`, which traces the
+cells' items into it (installed on the serving thread for serial items,
+merged from pooled ones) — both stacks are per thread, so in-process
+worker threads (the test harness) and a sharing coordinator never
+cross-contaminate.  Every
 ``/complete`` ships the registry delta and the trace spans recorded
 since the previous ship (watermarks, so nothing is double-counted);
 the delta includes the counts of cells the local pool's processes ran,
@@ -36,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..bench.runner import cell_to_dict, evaluate_cell
+from ..bench.runner import cell_to_dict, tune_cell
 from ..errors import DistProtocolError, ParallelMapError
 from ..exec.pool import ExecPolicy, ProgressFn, _cell_with_evals, parallel_map
 from ..faults import install_faults, parse_faults, uninstall_faults
@@ -264,7 +266,7 @@ def _evaluate_lease(
     # from the same pre-dispatch eval-store snapshot, so tuning_times
     # (store hits are free) cannot depend on which worker ran it.
     if snapshot is None:
-        fn: Callable = evaluate_cell
+        fn: Callable = tune_cell
         argtuples = [(platform, c["p"], c["n"], c["budget"]) for c in cells]
     else:
         fn = _cell_with_evals

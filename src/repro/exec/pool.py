@@ -189,11 +189,10 @@ def _invoke(
 class _Run:
     """State of one :func:`parallel_map` invocation (pool path).
 
-    ``tr`` is the tracer ``pool`` spans go to — normally the ambient
-    :func:`current_tracer`, but callers may pass an explicit tracer to
-    :func:`parallel_map` (the distributed worker does, so per-lease
-    telemetry never touches the process-global tracer stack).  Item
-    spans go to the ambient ``item_tr``, where a serial item traces.
+    ``tr`` is the tracer ``pool`` spans and item spans go to — normally
+    the ambient :func:`current_tracer`, but callers may pass an explicit
+    tracer to :func:`parallel_map` (the distributed worker does, so its
+    per-lease telemetry stays out of every other thread's tracer).
     """
 
     def __init__(self, fn, argtuples, labels, policy, progress, tr):
@@ -203,13 +202,12 @@ class _Run:
         self.policy = policy
         self.progress = progress
         self.tr = tr
-        self.item_tr = current_tracer()
         total = len(argtuples)
         self.total = total
         self.results: list[Any] = [None] * total
         self.wisdoms: list[str] = [""] * total
         #: per item: (clock offset, span records) of each pool attempt,
-        #: added to ``item_tr`` in input order by :meth:`outcome`
+        #: added to ``tr`` in input order by :meth:`outcome`
         self.spans: list[list[tuple[float, list]]] = [[] for _ in range(total)]
         self.failures: dict[int, ItemFailedError] = {}
         self.attempts = [0] * total
@@ -270,7 +268,7 @@ class _Run:
                 GLOBAL_WISDOM.import_json(wisdom_json)
         for shipped in self.spans:
             for offset, records in shipped:
-                add_span_records(self.item_tr, records, offset)
+                add_span_records(self.tr, records, offset)
         if self.failures:
             raise ParallelMapError(self.results, self.failures)
         return self.results
@@ -283,7 +281,8 @@ def _run_serial(run: _Run, items: Sequence[int]) -> None:
     degradation land here, so the serial path emits the same progress
     events, spans, and counters as the pool path (``worker_s`` measured
     around the call, ``pool_item_seconds`` observed) — only the span's
-    ``mode`` attribute tells them apart.  Timeouts are not enforceable
+    ``mode`` attribute tells them apart.  Items trace into ``run.tr``,
+    installed on this thread for the call.  Timeouts are not enforceable
     in-process and are ignored.
     """
     policy = run.policy
@@ -291,7 +290,8 @@ def _run_serial(run: _Run, items: Sequence[int]) -> None:
         while True:
             t0 = time.perf_counter()
             try:
-                value = run.fn(*run.argtuples[i])
+                with nullcontext() if run.tr is None else tracing(run.tr):
+                    value = run.fn(*run.argtuples[i])
             except Exception as exc:
                 if run.fail_attempt(i, _tb_text(exc), timed_out=False):
                     policy.sleep(policy.backoff(run.attempts[i]))
@@ -333,7 +333,7 @@ def _drain(run: _Run, pool: ProcessPoolExecutor,
     terminated rather than joined.
     """
     policy = run.policy
-    rank_spans = None if run.item_tr is None else run.item_tr.rank_spans
+    rank_spans = None if run.tr is None else run.tr.rank_spans
     queue = list(items)                # to submit now, in order
     tracked: dict[Future, int] = {}
     deadlines: dict[Future, float] = {}
@@ -388,8 +388,8 @@ def _drain(run: _Run, pool: ProcessPoolExecutor,
             # serial path does both in place); spans wait for outcome()
             if counts and metrics.metrics_enabled():
                 metrics.current_registry().merge(counts)
-            if spans and run.item_tr is not None:
-                run.spans[i].append((run.item_tr.wall() - worker_s, spans))
+            if spans and run.tr is not None:
+                run.spans[i].append((run.tr.wall() - worker_s, spans))
             if cause is not None:
                 run.fail_attempt(i, cause, timed_out=False)
             else:
@@ -458,13 +458,14 @@ def parallel_map(
     ``progress`` receives one completion event per finished item (in
     completion order — the live ticker's feed); ``labels`` names the
     items for progress lines, trace spans, and error reports.  When a
-    :mod:`repro.obs` tracer is installed, each item's busy interval is
-    recorded as a wall-clock span on the ``pool`` track — workers
-    measure their own duration and ship it back with the result.  Pool
-    items also ship their registry counts and spans, failed attempts
-    included, merged into the caller's registry and ambient tracer, so
-    ``jobs`` never changes a count or a span name (besides the ``mode``
-    of ``pool_items_total`` and of ``pool`` spans).
+    :mod:`repro.obs` tracer is installed (or ``tracer`` is given), each
+    item's busy interval is recorded as a wall-clock span on the
+    ``pool`` track — workers measure their own duration and ship it
+    back with the result.  Pool items also ship their registry counts
+    and spans, failed attempts included, merged into the caller's
+    registry and that tracer, where serial items trace too, so ``jobs``
+    never changes a count or a span name (besides the ``mode`` of
+    ``pool_items_total`` and of ``pool`` spans).
 
     ``policy`` (default :data:`DEFAULT_POLICY`) governs retries,
     per-item timeouts, backoff, and pool-respawn budgets; see
@@ -496,7 +497,7 @@ def _cell_with_evals(
     the worker's *new* evaluations as JSONL (the way workers ship FFT
     wisdom back — the parent merges the deltas in input order)."""
     evals = EvalStore.from_jsonl(evals_jsonl)
-    cell = runner.evaluate_cell(plat, p, n, budget, eval_store=evals)
+    cell = runner.tune_cell(plat, p, n, budget, eval_store=evals)
     return cell, evals.new_jsonl()
 
 
@@ -554,6 +555,7 @@ def evaluate_cells(
     name = platform if isinstance(platform, str) else platform.name
     found: dict[tuple, CellResult] = {}
     held: set[tuple] = set()           # keys ``store`` already held
+    memo: set[tuple] = set()           # keys the process store held
     pending: set[tuple] = set()
     todo: list[tuple[str, int, int, int, str]] = []
     for p, n in cells:
@@ -565,6 +567,8 @@ def evaluate_cells(
             held.add(key)
         else:
             cell = runner.PROCESS_STORE.get(*key)
+            if cell is not None:
+                memo.add(key)
         if cell is not None:
             found[key] = cell
             continue
@@ -575,8 +579,8 @@ def evaluate_cells(
     def harvest(values: Sequence[Any]) -> None:
         """Fold finished pool values (cells or cell+delta tuples) into
         ``found`` and the shared eval store, then write ``found`` to the
-        stores.  ``None`` entries (failed items) are skipped — that is
-        the salvage path."""
+        stores that lack it.  ``None`` entries (failed items) are
+        skipped — that is the salvage path."""
         for value in values:
             if value is None:
                 continue
@@ -590,7 +594,8 @@ def evaluate_cells(
                 eval_store.merge(EvalStore.from_jsonl(delta))
             found[cell.key()] = cell
         for key, cell in found.items():
-            runner.PROCESS_STORE.put(cell)
+            if key not in memo:
+                runner.PROCESS_STORE.put(cell)
             if store is not None and key not in held:
                 store.put(cell)
 
@@ -599,7 +604,7 @@ def evaluate_cells(
         extra["policy"] = policy
     snapshot = None if eval_store is None else eval_store.to_jsonl()
     if eval_store is None:
-        worker_fn = runner.evaluate_cell
+        worker_fn = runner.tune_cell
         argtuples = [(plat, p, n, budget) for (plat, p, n, budget, _f) in todo]
     else:
         worker_fn = _cell_with_evals

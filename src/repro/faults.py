@@ -373,7 +373,7 @@ class FaultModel:
 
 
 # ---------------------------------------------------------------------------
-# ambient installation (mirrors the repro.obs tracer stack)
+# ambient installation (one process-wide stack)
 # ---------------------------------------------------------------------------
 
 _STACK: list[FaultSpec] = []

@@ -26,6 +26,7 @@ cannot change simulated times (enforced by
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -114,30 +115,42 @@ class Tracer:
 
 
 # ---------------------------------------------------------------------------
-# active-tracer registry (a stack so nested `tracing()` blocks compose)
+# active-tracer registry: a stack per thread, so nested `tracing()` blocks
+# compose and a thread's tracer (a distributed worker's) never sees
+# another thread's spans
 # ---------------------------------------------------------------------------
 
-_STACK: list[Tracer] = []
+_TLS = threading.local()
+
+
+def _stack() -> list[Tracer]:
+    stack = getattr(_TLS, "stack", None)
+    if stack is None:
+        stack = _TLS.stack = []
+    return stack
 
 
 def current_tracer() -> Tracer | None:
-    """The installed tracer, or ``None`` (tracing disabled — the default)."""
-    return _STACK[-1] if _STACK else None
+    """This thread's installed tracer, or ``None`` (tracing disabled —
+    the default)."""
+    stack = _stack()
+    return stack[-1] if stack else None
 
 
 def install(tracer: Tracer) -> Tracer:
-    """Make ``tracer`` the active tracer until :func:`uninstall`."""
-    _STACK.append(tracer)
+    """Make ``tracer`` this thread's active tracer until :func:`uninstall`."""
+    _stack().append(tracer)
     return tracer
 
 
 def uninstall(tracer: Tracer | None = None) -> None:
     """Pop the active tracer (must be ``tracer`` when one is given)."""
-    if not _STACK:
+    stack = _stack()
+    if not stack:
         raise RuntimeError("no tracer installed")
-    if tracer is not None and _STACK[-1] is not tracer:
+    if tracer is not None and stack[-1] is not tracer:
         raise RuntimeError("uninstall out of order: not the active tracer")
-    _STACK.pop()
+    stack.pop()
 
 
 @contextmanager

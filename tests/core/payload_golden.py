@@ -308,10 +308,10 @@ def _spectra(case: dict) -> tuple:
     if pipeline == "pencil":
         arr = _input(case)
         grid = tuple(case.get("grid") or pencil.choose_grid(shape.p))
-        args = (tuple(case["shape"]), grid, pencil.scatter_pencils(arr, *grid))
+        args = (tuple(case["shape"]), grid, scatter_slabs(arr, *grid))
         sim, traced = _simulate(case, _pencil_program, args)
-        spectrum = pencil.gather_spectrum([r[0] for r in sim.results],
-                                          (nx, ny, nz), *grid)
+        spectrum = gather_spectrum([r[0] for r in sim.results],
+                                   (nx, ny, nz), "xyz", grid[1])
         return sim, traced, [spectrum], [np.fft.fftn(arr)]
     spec = get_variant(case["variant"])
     direction = case["direction"]

@@ -5,9 +5,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ProblemShape, parallel_fft3d, parallel_rfft3d
+from repro.core import ProblemShape, fft3d_plan, parallel_fft3d, parallel_rfft3d
 from repro.core.multiarray import run_multi_array
-from repro.core.pencil import parallel_fft3d_pencil
+from repro.core.pencil import GridShape
 from repro.machine import UMD_CLUSTER
 
 RNG = np.random.default_rng(99)
@@ -46,7 +46,8 @@ def test_pencil_pipeline_fuzz(nx, ny, nz, grid):
     if pr > min(nx, ny) or pc > min(ny, nz):
         return
     a = csig(nx, ny, nz)
-    spec, _ = parallel_fft3d_pencil(a, pr * pc, UMD_CLUSTER, grid)
+    plan = fft3d_plan(GridShape(nx, ny, nz, pr * pc), UMD_CLUSTER, grid=grid)
+    spec, _ = plan.forward(a)
     assert np.allclose(spec, np.fft.fftn(a), atol=1e-8)
 
 

@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.pencil import (
-    PencilFFT3D,
-    choose_grid,
-    gather_spectrum,
-    parallel_fft3d_pencil,
-    scatter_pencils,
-)
+from repro.core.decompose import gather_spectrum, scatter_slabs, slab_range
+from repro.core.distplan import fft3d_plan
+from repro.core.pencil import GridShape, PencilFFT3D, choose_grid
 from repro.errors import DecompositionError, SimulationError
 from repro.machine import HOPPER, UMD_CLUSTER
 from repro.simmpi import run_spmd
@@ -19,6 +15,12 @@ RNG = np.random.default_rng(21)
 
 def csig(*shape):
     return RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
+
+
+def pencil_fft(a, p, platform, grid=None):
+    """Forward FFT of ``a`` on the grid plan for ``p`` ranks."""
+    grid = grid or choose_grid(p)
+    return fft3d_plan(GridShape(*a.shape, p), platform, grid=grid).forward(a)
 
 
 class TestChooseGrid:
@@ -54,7 +56,7 @@ class TestCorrectness:
     )
     def test_matches_numpy(self, shape, p, grid):
         a = csig(*shape)
-        spec, _ = parallel_fft3d_pencil(a, p, HOPPER, grid)
+        spec, _ = pencil_fft(a, p, HOPPER, grid)
         assert np.allclose(spec, np.fft.fftn(a), atol=1e-8)
 
     def test_more_ranks_than_slabs(self):
@@ -62,7 +64,7 @@ class TestCorrectness:
         # (p > N) but fine for a 4x4 pencil grid — the scalability
         # argument of Section 2.2.
         a = csig(8, 8, 8)
-        spec, _ = parallel_fft3d_pencil(a, 16, HOPPER, (4, 4))
+        spec, _ = pencil_fft(a, 16, HOPPER, (4, 4))
         assert np.allclose(spec, np.fft.fftn(a), atol=1e-8)
 
     def test_grid_mismatch_rejected(self):
@@ -128,7 +130,7 @@ class TestCommunicators:
 class TestScatterGather:
     def test_scatter_blocks_cover(self):
         a = np.arange(4 * 6 * 5).reshape(4, 6, 5)
-        blocks = scatter_pencils(a, 2, 3)
+        blocks = scatter_slabs(a, 2, 3)
         assert len(blocks) == 6
         assert sum(b.size for b in blocks) == a.size
 
@@ -137,13 +139,11 @@ class TestScatterGather:
         ref = csig(nx, ny, nz)
         outs = []
         for r in range(pr):
-            from repro.core.decompose import slab_range
-
             y0, y1 = slab_range(ny, pr, r)
             for c in range(pc):
                 z0, z1 = slab_range(nz, pc, c)
                 outs.append(ref[:, y0:y1, z0:z1].copy())
-        got = gather_spectrum(outs, (nx, ny, nz), pr, pc)
+        got = gather_spectrum(outs, (nx, ny, nz), "xyz", pc)
         assert np.array_equal(got, ref)
 
 
@@ -178,5 +178,6 @@ class TestTiming:
     def test_non3d_rejected(self):
         from repro.errors import ParameterError
 
+        plan = fft3d_plan(GridShape(4, 4, 4, 4), HOPPER, grid=(2, 2))
         with pytest.raises(ParameterError):
-            parallel_fft3d_pencil(np.zeros((4, 4)), 4, HOPPER)
+            plan.forward(np.zeros((4, 4)))

@@ -21,6 +21,7 @@ Four layers, each pinned separately so failures localize:
 
 import io
 import json
+from collections import Counter
 
 import pytest
 
@@ -32,12 +33,14 @@ from repro.errors import DistProtocolError
 from repro.exec import ResultStore, evaluate_cells
 from repro.obs import (
     TopDashboard,
+    Tracer,
     export_fleet_chrome,
     fleet_chrome_events,
     load_trace,
     metric_total,
     parse_prometheus,
     render_top,
+    tracing,
 )
 from repro.obs.registry import scoped_registry
 
@@ -259,12 +262,20 @@ class TestSpawnedFleetArtifacts:
         assert procs
         assert sorted(procs) == list(range(10, 10 + len(procs)))
         assert all(name.startswith("worker ") for name in procs.values())
-        spans = [e for e in payload["traceEvents"] if e.get("ph") == "X"]
-        assert len(spans) == len(cells)
+        # the workers' spans made it back: each cell's pool span and
+        # its tuning loop's tune.eval spans, name for name what a local
+        # traced grid of the same cells records
+        fleet = Counter(e["name"] for e in payload["traceEvents"]
+                        if e.get("ph") == "X")
+        clear_cache()
+        with scoped_registry(), tracing(Tracer(rank_spans=False)) as local:
+            evaluate_cells("UMD-Cluster", cells, max_evaluations=4)
+        assert fleet["tune.eval"] > 0
+        assert fleet == Counter(s.name for s in local.spans)
 
         # the merged trace is a normal trace to the export loader
         tracer = load_trace(tmp_path / "fleet" / "fleet_trace.json")
-        assert len(tracer.spans) == len(cells)
+        assert len(tracer.spans) == sum(fleet.values())
 
 
 def make_dash(feed, **kw):

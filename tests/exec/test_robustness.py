@@ -396,6 +396,18 @@ class TestSerialPoolParity:
                    if track != "pool") > 0
         assert names[1] == names[0]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_items_trace_into_an_explicit_tracer(self, jobs):
+        """A caller's explicit tracer (a distributed worker's) receives
+        the items' spans as the ambient one would, serial or pooled,
+        and the ambient tracer receives none of them."""
+        mine = Tracer(rank_spans=False)
+        with tracing(Tracer(rank_spans=False)) as ambient:
+            parallel_map(_traced_square, [(1,), (2,)], jobs=jobs,
+                         tracer=mine)
+        assert self._span_names(mine)[("test", "square")] == 2
+        assert ambient.spans == []
+
     def test_untraced_items_ship_no_spans(self):
         from repro.exec.pool import _invoke
 

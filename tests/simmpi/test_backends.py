@@ -73,36 +73,33 @@ class TestBackendSelection:
         assert sim.stats.probe_polls > 0
 
 
-def prog_pencil(ctx, blocks, shape, grid):
+def prog_pencil(ctx, shape, grid):
     from repro.core.pencil import PencilFFT3D
 
-    plan = PencilFFT3D(ctx, shape, grid)
-    out = yield from plan.steps(None if blocks is None else blocks[ctx.rank])
-    return out, ctx.now
+    yield from PencilFFT3D(ctx, shape, grid).steps(None)
+    return ctx.now
 
 
 class TestPencilBackends:
     def test_real_pencil_bit_identical_and_correct(self):
-        """A real-payload pencil run keeps the virtual run's clocks and
-        counters bit for bit, and its spectrum matches numpy."""
-        from repro.core.pencil import (
-            choose_grid,
-            gather_spectrum,
-            scatter_pencils,
-        )
+        """A grid plan's real-payload engine run (forced by a rank-span
+        tracer) keeps the virtual run's clocks, counters and events bit
+        for bit, and its spectrum matches numpy."""
+        from repro.core.distplan import fft3d_plan
+        from repro.core.pencil import GridShape, choose_grid
+        from repro.obs import Tracer, tracing
 
         rng = np.random.default_rng(7)
         shape = (8, 8, 8)
         arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         grid = choose_grid(4)
-        blocks = scatter_pencils(arr, *grid)
-        real = run_spmd(4, prog_pencil, UMD_CLUSTER, blocks, shape, grid,
-                        record_events=True)
-        virt = run_spmd(4, prog_pencil, UMD_CLUSTER, None, shape, grid,
+        plan = fft3d_plan(GridShape(*shape, 4), UMD_CLUSTER, grid=grid)
+        with tracing(Tracer(rank_spans=True)):
+            spectrum, real = plan.forward(arr)
+        virt = run_spmd(4, prog_pencil, UMD_CLUSTER, shape, grid,
                         record_events=True)
         assert real.elapsed == virt.elapsed
         assert real.stats == virt.stats
-        assert [r[1] for r in real.results] == [r[1] for r in virt.results]
+        assert [t.events[-1][1] for t in real.traces] == virt.results
         assert [t.events for t in real.traces] == [t.events for t in virt.traces]
-        spectrum = gather_spectrum([r[0] for r in real.results], shape, *grid)
         np.testing.assert_allclose(spectrum, np.fft.fftn(arr), atol=1e-10)
