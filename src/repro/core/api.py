@@ -22,6 +22,7 @@ from typing import Any
 import numpy as np
 
 from ..errors import ParameterError
+from ..faults import current_faults
 from ..machine.platforms import Platform
 from ..simmpi.spmd import SimResult, run_spmd
 from .decompose import gather_spectrum, scatter_slabs
@@ -63,6 +64,18 @@ def _spmd_fft(ctx, shape, params, spec, include_fixed, local_blocks):
     return out, plan.output_layout
 
 
+def _symmetric(shape: ProblemShape, local_blocks) -> bool:
+    """Would every rank of this slab run compute rank 0's clocks?
+
+    True for a virtual run (no payload) with no fault model, ambient
+    included, on uniform slabs (``Nx`` and ``Ny`` divisible by p): each
+    rank then runs the same tile loop on the same byte counts.  An
+    uneven slab gives ranks different extents, a fault model perturbs
+    ranks differently, and a payload run must move every rank's data."""
+    return (local_blocks is None and current_faults() is None
+            and shape.nx % shape.p == 0 and shape.ny % shape.p == 0)
+
+
 def run_case(
     variant: str | VariantSpec,
     platform: Platform,
@@ -96,6 +109,7 @@ def run_case(
         shape.p, _spmd_fft, platform,
         shape, params, spec, include_fixed_steps, local_blocks,
         record_events=record_events,
+        symmetric=_symmetric(shape, local_blocks),
     )
     result = RunResult(
         variant=spec.name,

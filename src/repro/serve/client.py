@@ -68,6 +68,11 @@ def wait_for_plan(
 ) -> dict:
     """Poll a job until its plan is ready; returns the plan body.
 
+    The server holds each poll on an unfinished job open until the job
+    finishes or its hold (``repro.serve.server.POLL_HOLD_S``) runs out,
+    so a job that finishes during a poll is answered by that poll;
+    ``poll_s`` is the gap between polls.
+
     Rides out server restarts: a poll that fails with
     :class:`DistUnreachableError` (connection refused while the server
     is down, 503 while it drains) is retried until the deadline — the

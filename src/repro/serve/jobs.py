@@ -138,8 +138,10 @@ class JobManager:
             thread_name_prefix="repro-serve-job",
         )
         self._lock = threading.Lock()
-        #: notified when a job leaves the active states; drain waits on it
+        #: notified when a job leaves the active states and when the
+        #: manager stops; drain and held plan polls wait on it
         self._finished = threading.Condition(self._lock)
+        self._stopped = False
         self._jobs: dict[str, PlanJob] = {}
         self._active: dict[tuple, str] = {}   # plan key -> active job id
         self._seq = 0
@@ -238,6 +240,15 @@ class JobManager:
         with self._lock:
             return dict(self._counts)
 
+    def wait_finished(self, job: PlanJob, timeout: float) -> None:
+        """Block until ``job`` is terminal, the manager stops, or
+        ``timeout`` seconds pass (a held ``GET /plan/<id>``)."""
+        with self._finished:
+            self._finished.wait_for(
+                lambda: job.state in TERMINAL_STATES or self._stopped,
+                timeout=timeout,
+            )
+
     def active(self) -> list[PlanJob]:
         """Jobs currently queued or running, in id order."""
         with self._lock:
@@ -263,6 +274,7 @@ class JobManager:
                 lambda: not (self._counts[QUEUED] + self._counts[RUNNING]),
                 timeout=max(timeout, 0.0),
             )
+            self._stop()
         self._stop_watchdog.set()
         self._pool.shutdown(wait=False, cancel_futures=True)
         leftover = self.active()
@@ -274,10 +286,17 @@ class JobManager:
     def shutdown(self, wait: bool = True) -> None:
         with self._lock:
             self._draining = True
+            self._stop()
         self._stop_watchdog.set()
         self._pool.shutdown(wait=wait)
 
     # -- internals -----------------------------------------------------------
+
+    def _stop(self) -> None:
+        """Release every held poll for good (caller holds the lock):
+        past a drain or shutdown no job is waited for."""
+        self._stopped = True
+        self._finished.notify_all()
 
     def _register(self, job: PlanJob) -> None:
         """Insert a fresh QUEUED job (caller holds the manager lock)."""

@@ -12,7 +12,9 @@ calls for:
   (single-flight per plan key) and answers ``202`` with a pollable
   handle.
 * ``GET /plan/<id>`` — poll a job; ``done`` jobs answer with the same
-  payload a warm hit produces.
+  payload a warm hit produces.  A poll on an unfinished job is held
+  open for up to :data:`POLL_HOLD_S` and answers as soon as the job
+  finishes.
 * ``GET /status`` — uptime, tenants, job counts, store counters.
 * ``GET /metrics`` — the server's registry (``serve_*`` lifecycle
   counters + everything the tuning jobs published, including the
@@ -73,6 +75,11 @@ VARIANT_CHOICES = ("NEW", "TH", "FFTW", "best")
 
 #: objective spellings a request may use and how they are reported
 OBJECTIVE_CHOICES = ("fft_time", "speedup")
+
+#: longest a ``GET /plan/<id>`` on a queued or running job waits for the
+#: job to finish before answering with its state (well below the
+#: client's 10 s call timeout)
+POLL_HOLD_S = 0.5
 
 
 class BadRequest(ValueError):
@@ -440,10 +447,15 @@ class PlanServer(ServicePlane):
         }
 
     def handle_plan_poll(self, job_id: str) -> tuple[int, dict]:
-        """``GET /plan/<id>``: job state; the plan itself once done."""
+        """``GET /plan/<id>``: job state; the plan itself once done.
+
+        A poll on a queued or running job is held open until the job
+        finishes or :data:`POLL_HOLD_S` runs out, so a job that finishes
+        within the hold is answered by the poll that was waiting for it."""
         job = self.jobs.get(job_id)
         if job is None:
             return 404, {"error": f"unknown job {job_id!r}"}
+        self.jobs.wait_finished(job, POLL_HOLD_S)
         snap = job.snapshot()
         if snap["state"] != DONE:
             return 200, snap

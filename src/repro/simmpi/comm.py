@@ -84,10 +84,13 @@ class SimContext:
         in total, spread over the window's unfinished requests (the
         first ``test_total % n`` get one extra) — the paper's Algorithms
         2-3, where ``Fy/Fp/Fu/Fx`` tests on the ``W`` in-flight tiles are
-        spread over each computation phase.  Each request's share posts
-        rounds exactly as :meth:`AlltoallRequest.progress_segment` does
-        over the phase's window; the clock then advances by ``seconds``
-        under ``label`` and by the test-call overhead under ``"Test"``.
+        spread over each computation phase.  A request's ``F`` tests fall
+        at ``t0 + j*gap`` (``gap = D/(F+1)``, ``j = 1..F``) over the
+        phase's window of ``D`` seconds; each epoch that finds the
+        previous round complete posts the next one, so processing is
+        O(rounds) however large ``F`` is.  The clock then advances by
+        ``seconds`` under ``label`` and by the test-call overhead under
+        ``"Test"``.
 
         Injected faults act here: a straggler's phase stretches by its
         CPU slowdown (the test epochs spread over the stretched window),
@@ -96,13 +99,14 @@ class SimContext:
         library late and irregularly.  Test-call overhead stays charged
         at the requested count, so a poll fault can only slow a run.
 
-        Never suspends.  ``progress_segment``'s posting loop is inlined
-        here, and segments that provably cannot post a round (all sends
-        already injected, or a zero-length window) are skipped with only
-        their library-entry counter bumped.  This runs twice per tile and
-        dominates pipeline overhead; ``tests/core/test_pipeline.py``
-        holds it to the ``progress_segment`` + ``Engine.advance``
-        spelling.
+        Never suspends.  The request's posting loop and the two clock
+        advances are inlined here, and segments that provably cannot
+        post a round (all sends already injected, or a zero-length
+        window) are skipped with only their library-entry counter
+        bumped.  This runs twice per tile and dominates pipeline
+        overhead; ``tests/core/test_pipeline.py`` holds it to the
+        committed outputs of the unfused reference spelling
+        (``tests/core/progress_golden.json``).
         """
         r = self._r
         stretch = self._cpu_stretch
@@ -139,10 +143,10 @@ class SimContext:
                         if eff <= 0:
                             continue
                         if positive and q._next < q._n:
-                            # Same closed-form epoch precheck progress_segment
-                            # opens with (same expressions, so same floats):
-                            # fall through to posting only when an epoch in
-                            # this window can actually post a round.
+                            # Closed-form epoch precheck (the same expressions
+                            # as the loop below, so the same floats): fall
+                            # through to posting only when an epoch in this
+                            # window can actually post a round.
                             gap = duration / (eff + 1)
                             ready = q._round_ready
                             kf = (ready - t0) / gap
@@ -152,10 +156,10 @@ class SimContext:
                             q.progress_entries += 1
                             if kf > eff:
                                 continue
-                            # Inlined body of AlltoallRequest.progress_segment
-                            # (verbatim expressions — any rearrangement could
-                            # shift a posted time by a ULP).  The method is
-                            # kept as the readable reference.
+                            # The per-round posting loop (the same IEEE
+                            # operations as AlltoallRequest._post_round — any
+                            # rearrangement could shift a posted time by a
+                            # ULP).
                             (rank_w, rate_q, lat, thr, infl, sc, pending, row,
                              cnts, cmax, np_, waiters, notify, jdraw) = q._hot
                             fabric = q.fabric
@@ -209,8 +213,8 @@ class SimContext:
                             q._own_finish = own
                             q._round_ready = ready
                         else:
-                            # progress_segment would bump the entry counter
-                            # and return without touching any other state
+                            # a segment that cannot post only bumps the
+                            # entry counter
                             q.progress_entries += 1
             # Inlined Engine.advance pair (phase label + Test overhead):
             # same IEEE operations in the same order, so clocks and by_label

@@ -30,6 +30,16 @@ Every rank starts ready at clock 0 and never becomes ready again once
 it blocks, so after each rank's first grant (in rank order) every pick
 is a pop of that heap.
 
+A *rank-symmetric* run steps only rank 0.  When every rank runs the
+same program on the same counts with no fault model, rank r's clocks
+are rank 0's bit for bit: the network is cyclic (rank r sends to r+1,
+r+2, ... at one NIC rate), so the column of arrivals a rank receives
+holds the values of the row it sends, and the request takes its
+completion from its own row.  The caller decides symmetry (it knows the
+program); the p-rank results and traces are then p references to rank
+0's, and ``sim_symmetric_runs_total`` counts the run.  The scheduler
+counters report the one rank's handoffs.
+
 One order-preserving fast path skips a scheduler round trip whose
 outcome is already known: a block whose completion is determined at
 the rank's own clock while it is provably still the next pick returns
@@ -135,6 +145,7 @@ class Engine:
         record_events: bool = False,
         tracer=None,
         faults: "FaultSpec | str | None" = None,
+        symmetric: bool = False,
     ) -> None:
         """``tracer`` (a :class:`repro.obs.Tracer`, or ``None``) is what
         instrumented callers check to decide whether to build per-event
@@ -146,7 +157,12 @@ class Engine:
         string) perturbing the simulated machine; ``None`` (the default)
         picks up the ambient spec installed with
         :func:`repro.faults.injected_faults`.  Pass an empty spec to
-        force a fault-free run inside an injected scope."""
+        force a fault-free run inside an injected scope.
+
+        ``symmetric`` runs only rank 0's coroutine and stands it for all
+        ``nprocs`` ranks (see the module docstring).  The caller must
+        know every rank would compute rank 0's clocks; a fault model,
+        ambient or passed, breaks that and is refused."""
         self.nprocs = nprocs
         self.platform = platform
         self.tracer = tracer
@@ -162,8 +178,14 @@ class Engine:
             if self.faults is not None and self.faults.has_cpu_faults
             else None
         )
-        self.fabric = Fabric(platform, nprocs, faults=self.faults)
-        self.ranks = [_Rank(i, record_events) for i in range(nprocs)]
+        if symmetric and self.faults is not None:
+            raise SimulationError("a fault model breaks rank symmetry")
+        self.symmetric = symmetric
+        self.fabric = Fabric(platform, nprocs, faults=self.faults,
+                             symmetric=symmetric)
+        #: the ranks that run: all of them, or rank 0 alone when symmetric
+        self.ranks = [_Rank(i, record_events)
+                      for i in range(1 if symmetric else nprocs)]
         self.stats = SchedStats(backend="tasks")
         #: (completion time, idx) heap of blocked ranks whose completion
         #: is already determinable (fed by Fabric.notify_rank / blocks)
@@ -244,6 +266,10 @@ class Engine:
             return self._collect()
         finally:
             metrics.publish_sched_stats(self.stats)
+            if self.symmetric:
+                metrics.count("sim_symmetric_runs_total",
+                              help="Simulated runs that stepped rank 0 "
+                                   "for all p ranks.")
             if self.faults is not None:
                 metrics.count("faults_runs_total",
                               help="Simulated runs under a fault plan.")
@@ -255,7 +281,12 @@ class Engine:
         for r in self.ranks:
             if r.exc is not None:
                 raise SimulationError(f"rank {r.idx} failed") from r.exc
-        return [r.result for r in self.ranks]
+        return self._per_rank([r.result for r in self.ranks])
+
+    def _per_rank(self, values: list) -> list:
+        """One entry per rank: a symmetric run's one value ``nprocs``
+        times (references, not copies)."""
+        return values * self.nprocs if self.symmetric else values
 
     # -- scheduling ----------------------------------------------------------
 
@@ -396,4 +427,4 @@ class Engine:
 
     def traces(self) -> list[RankTrace]:
         """Per-rank time accounting, indexed by rank."""
-        return [r.trace for r in self.ranks]
+        return self._per_rank([r.trace for r in self.ranks])

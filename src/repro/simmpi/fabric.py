@@ -40,10 +40,15 @@ class CollOp:
     small lists is far cheaper than a (p, p) ndarray per collective.
     ``payload[src]`` holds the per-destination data chunks in
     real-payload mode.
+
+    ``members`` is the number of participants that actually run, one
+    row of ``arrivals`` each: ``p``, or 1 in a rank-symmetric run, where
+    the one stepped rank stands for all p (see :class:`Fabric`).
     """
 
     key: tuple[Any, ...]
     p: int
+    members: int
     arrivals: list[list[float]]
     #: messages posted toward each destination (a plain list: senders bump
     #: entries one at a time, where list indexing beats ndarray scalars)
@@ -59,24 +64,33 @@ class CollOp:
     waiters: dict[int, int] = field(default_factory=dict)
 
     @classmethod
-    def create(cls, key: tuple[Any, ...], p: int) -> "CollOp":
+    def create(cls, key: tuple[Any, ...], p: int, members: int) -> "CollOp":
         """Fresh record with an empty arrival table."""
         return cls(
             key=key,
             p=p,
-            arrivals=[[float("nan")] * p for _ in range(p)],
+            members=members,
+            arrivals=[[float("nan")] * p for _ in range(members)],
             posted_count=[0] * p,
             col_max=[float("-inf")] * p,
         )
 
 
 class Fabric:
-    """Shared network state: NIC schedules and collective records."""
+    """Shared network state: NIC schedules and collective records.
 
-    def __init__(self, platform: Platform, nprocs: int, faults=None) -> None:
+    ``symmetric`` marks a rank-symmetric run: only rank 0 runs, and each
+    collective record has that one member (``CollOp.members``)."""
+
+    def __init__(
+        self, platform: Platform, nprocs: int, faults=None,
+        symmetric: bool = False,
+    ) -> None:
         if nprocs < 1:
             raise MPIUsageError(f"need at least 1 process, got {nprocs}")
         self.net = platform.net
+        #: only rank 0 runs; it stands for all p (see CollOp.members)
+        self.symmetric = symmetric
         #: virtual time at which each rank's NIC finishes its queued sends
         self.nic_free = np.zeros(nprocs)
         #: effective sustained per-rank injection rate during dense exchange
@@ -113,7 +127,7 @@ class Fabric:
         """
         op = self._colls.get(key)
         if op is None:
-            op = CollOp.create(key, p)
+            op = CollOp.create(key, p, 1 if self.symmetric else p)
             self._colls[key] = op
         elif op.p != p:
             raise MPIUsageError(

@@ -12,10 +12,11 @@ this is why too low an ``MPI_Test`` frequency stalls the exchange
 Library entries come in three forms:
 
 * ``post`` — the initial ``MPI_Ialltoall`` call starts round one;
-* ``progress_segment(t0, D, F)`` — the owner computes for ``D`` seconds
-  while calling ``MPI_Test`` ``F`` times at evenly spaced epochs; each
-  epoch that finds the previous round finished posts the next round
-  (the knob the paper's ``Fy/Fp/Fu/Fx`` parameters turn);
+* a test segment — the owner computes for ``D`` seconds while calling
+  ``MPI_Test`` ``F`` times at evenly spaced epochs; each epoch that
+  finds the previous round finished posts the next round (the knob the
+  paper's ``Fy/Fp/Fu/Fx`` parameters turn).  Its posting loop lives in
+  :meth:`repro.simmpi.comm.SimContext.progress_phases`;
 * ``enter_wait`` — ``MPI_Wait`` parks the owner in the library, so the
   remaining rounds run back-to-back at full NIC rate.
 
@@ -93,7 +94,7 @@ class AlltoallRequest:
         self._own_finish = 0.0
         self._round_ready = 0.0
         self._entered_wait = False
-        # Hot-loop bindings: progress_segment runs on every MPI_Test
+        # Hot-loop bindings: progress_phases runs on every MPI_Test
         # epoch batch, so the per-call attribute walks are hoisted here.
         self._rank_w = group[rank]
         self._row = op.arrivals[rank]
@@ -133,7 +134,8 @@ class AlltoallRequest:
     def _post_round(self, t_post: float, epoch_gap: float) -> None:
         """Post the next round: up to ``max_inflight`` pending sends,
         serialized on the owner's NIC in one pass that also records each
-        arrival (per-message arithmetic as in :meth:`progress_segment`).
+        arrival (per-message arithmetic as in
+        :meth:`~repro.simmpi.comm.SimContext.progress_phases`).
         """
         (rank_w, rate, lat, thr, infl, sc, pending, row, counts, cmax,
          p, waiters, notify, draw) = self._hot
@@ -189,87 +191,6 @@ class AlltoallRequest:
         self._post_round(t, 0.0)
         self.progress_entries += 1
 
-    def progress_segment(self, t0: float, duration: float, ntests: int) -> None:
-        """Model ``ntests`` MPI_Test calls spread over ``[t0, t0+duration]``.
-
-        Test ``j`` (1-based) happens at ``t0 + j*gap`` with
-        ``gap = duration/(ntests+1)``; an epoch that finds the previous
-        round complete posts the next one.  Processing is O(rounds), so
-        huge ``F`` values cost the *simulated* program time (test-call
-        overhead, charged by the caller) but not simulator time.
-        """
-        if ntests <= 0:
-            return
-        self.progress_entries += 1
-        n = self._n
-        if self._next >= n or duration <= 0:
-            return
-        gap = duration / (ntests + 1)
-        ready = self._round_ready
-        # Closed-form batch check before any heavy binding: the first
-        # epoch that could post a round is ceil((ready - t0)/gap); when
-        # it lies past this segment's last test, the whole batch of
-        # failed tests is a no-op and the call returns here.  The
-        # expression mirrors the loop below bit for bit — an algebraic
-        # rearrangement could diverge by a ULP and shift a posted time.
-        k_first = (ready - t0) / gap
-        k_first = int(k_first) + (k_first > int(k_first))
-        if k_first < 1:
-            k_first = 1
-        if k_first > ntests:
-            return
-        # Tight scalar loop: one iteration per posted round, with the
-        # NIC/arrival math inlined (this path runs O(p/max_inflight)
-        # times per tile per rank and dominates simulator cost at scale).
-        (rank_w, rate, lat, thr, infl, sc, pending, row, counts, cmax,
-         p, waiters, notify, jdraw) = self._hot
-        fabric = self.fabric
-        rdv = 2.0 * lat + 0.5 * gap
-        nic = float(fabric.nic_free[rank_w])
-        total_bytes = 0
-        k = 0  # index of the last used epoch (1-based over 1..ntests)
-        own = self._own_finish
-        while self._next < n:
-            # First epoch at or after the previous round's completion.
-            k_needed = (ready - t0) / gap
-            k_needed = int(k_needed) + (k_needed > int(k_needed))
-            if k_needed <= k:
-                k_needed = k + 1
-            if k_needed > ntests:
-                break  # no more library entries in this segment
-            k = k_needed
-            t_post = t0 + k * gap
-            if t_post > nic:
-                nic = t_post
-            stop = min(self._next + infl, n)
-            round_max = 0.0
-            for j in range(self._next, stop):
-                d = pending[j]
-                sz = sc[d]
-                nic += sz / rate
-                a = nic + lat + (rdv if sz > thr else 0.0)
-                if jdraw is not None:
-                    a += jdraw(rank_w)
-                row[d] = a
-                counts[d] += 1
-                if a > cmax[d]:
-                    cmax[d] = a
-                if counts[d] >= p and waiters:
-                    w = waiters.pop(d, None)
-                    if w is not None and notify is not None:
-                        notify(w)
-                total_bytes += sz
-                if a > round_max:
-                    round_max = a
-            self._next = stop
-            if round_max > own:
-                own = round_max
-            ready = own
-        fabric.nic_free[rank_w] = nic
-        fabric.bytes_injected[rank_w] += total_bytes
-        self._own_finish = own
-        self._round_ready = ready
-
     def enter_wait(self, t: float) -> None:
         """MPI_Wait entry: run the remaining rounds back-to-back."""
         if self._next < self._n:
@@ -302,7 +223,7 @@ class AlltoallRequest:
         if m is None or jdraw is not None:
             # Mixed sizes (alltoallv), or latency faults — the per-round
             # loop keeps round barriers consistent with jittered
-            # arrivals the way the progress_segment path sees them.
+            # arrivals the way the progress_phases path sees them.
             while self._next < self._n:
                 self._post_round(max(t0, self._round_ready), 0.0)
             return
@@ -361,11 +282,21 @@ class AlltoallRequest:
 
     def completion_probe(self) -> float | None:
         """Earliest virtual time at which the exchange is complete, or
-        ``None`` while posted events do not determine it yet."""
+        ``None`` while posted events do not determine it yet.
+
+        That is the later of the owner's last own arrival and its
+        incoming column's last arrival (which includes the free
+        self-delivery at post time), and of the wait entry.  In a
+        rank-symmetric run the op's one member is the owner, so its
+        column is complete once the self-delivery is posted and holds
+        only that arrival.  The arrivals the other ranks would send it
+        are the owner's own row: rank s sends to rank 0 as the
+        ``p - s``-th message of its rotation, exactly when rank 0 sends
+        its own ``p - s``-th, so their maximum is ``_own_finish``."""
         if self._cached_completion is None:
             if self._next < self._n:
                 return None
-            if self._counts[self.rank] < self.op.p:  # row incomplete
+            if self._counts[self.rank] < self.op.members:  # column incomplete
                 return None
             incoming = self._col_max[self.rank]
             self._cached_completion = (
@@ -387,7 +318,7 @@ class AlltoallRequest:
                 chunks = payloads.get(src)
                 out.append(None if chunks is None else chunks[self.rank])
         self.op.done_count += 1
-        if self.op.done_count == len(self.group):
+        if self.op.done_count == self.op.members:
             self.fabric.release_coll(self.op.key)
         return out
 

@@ -53,6 +53,7 @@ def run_spmd(
     platform: Platform,
     *args: Any,
     record_events: bool = False,
+    symmetric: bool = False,
     **kwargs: Any,
 ) -> SimResult:
     """Run ``fn(ctx, *args, **kwargs)`` on ``nprocs`` simulated ranks.
@@ -69,6 +70,11 @@ def run_spmd(
     event recording is forced on and the per-rank timelines are exported
     as virtual-time spans.  None of this can change virtual times:
     tracing only reads clocks (``tests/obs/test_zero_overhead.py``).
+
+    ``symmetric`` says every rank would compute rank 0's clocks bit for
+    bit (the caller knows its program; :func:`repro.core.api.run_case`
+    decides it), so the engine steps rank 0 alone and the result holds
+    p references to its return value and trace.
     """
     from ..obs.tracer import current_tracer  # cycle-free: obs never imports spmd
 
@@ -78,6 +84,7 @@ def run_spmd(
         nprocs, platform,
         record_events=record_events or want_rank_spans,
         tracer=tracer,
+        symmetric=symmetric,
     )
     results = engine.run(fn, *args, **kwargs)
     sim = SimResult(

@@ -64,6 +64,15 @@ multi-array and pencil cases were added this way, each before the code
 they pin was reworked; the c2r cases were added with the code that
 introduced the c2r inverse; the explicit-grid pencil cases were added
 before pencil stopped splitting its communicators at run time).
+Virtual cases (``"pipeline": "virtual"``) carry no payload: they run
+:func:`repro.core.api.run_case` on uniform slabs (``N % p == 0``) at p
+32, 64 and 256 on both platforms, the way every tuning evaluation
+does, with the variant's default parameters and with the EXPERIMENTS.md
+Table 3 "ours" rows of :data:`VIRTUAL_CELLS`.  They record ``elapsed``
+(the virtual makespan) in place of per-rank clocks, and no spectrum.
+They were added before virtual runs learned to step a single rank
+when all ranks are the same.
+
 ``tests/core/test_payload_golden.py`` compares the live pipeline with
 the committed file.
 """
@@ -79,6 +88,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import pencil
+from repro.core.api import run_case
 from repro.core.decompose import gather_spectrum, scatter_slabs
 from repro.core.multiarray import MODES, MultiArrayFFT3D
 from repro.core.params import ProblemShape, TuningParams
@@ -139,6 +149,19 @@ PENCIL_CELLS = (
 #: never yields ``pc = 1`` or ``pr > pc``
 PENCIL_GRIDS = (
     (8, 8, 8, 4, 1), (12, 10, 9, 6, 1), (9, 7, 6, 3, 2), (16, 16, 12, 2, 8),
+)
+
+#: (platform, n, p, Table 3 "ours" row) virtual cells.  p = 32 uses the
+#: platform's own 256^3 row; p = 64 the same row with Px and Uy clamped
+#: to the 4-wide slabs; p = 256 the Hopper-large 1280^3 row on both
+#: platforms (UMD-Cluster has no p = 256 row of its own)
+VIRTUAL_CELLS = (
+    ("UMD-Cluster", 256, 32, (4, 2, 8, 4, 8, 4, 16, 16, 16, 16)),
+    ("Hopper", 256, 32, (64, 2, 8, 8, 8, 4, 8, 8, 16, 8)),
+    ("UMD-Cluster", 256, 64, (4, 2, 4, 4, 4, 4, 16, 16, 16, 16)),
+    ("Hopper", 256, 64, (64, 2, 4, 8, 4, 4, 8, 8, 16, 8)),
+    ("UMD-Cluster", 1280, 256, (16, 2, 4, 1, 4, 1, 512, 128, 128, 512)),
+    ("Hopper", 1280, 256, (16, 2, 4, 1, 4, 1, 512, 128, 128, 512)),
 )
 
 
@@ -227,6 +250,17 @@ def cases() -> list[dict]:
                 "pipeline": "pencil", "shape": [nx, ny, nz], "p": pr * pc,
                 "grid": [pr, pc], "params": None, "direction": "forward",
                 "faults": faults,
+            })
+    for platform, n, p, row in VIRTUAL_CELLS:
+        for variant, values in (("NEW", None), ("NEW", row),
+                                ("TH", None), ("FFTW", None)):
+            tag = "-t3" if values is not None else ""
+            out.append({
+                "id": f"virtual-{platform}-{n}-p{p}-{variant}{tag}",
+                "pipeline": "virtual", "platform": platform,
+                "variant": variant, "shape": [n, n, n], "p": p,
+                "params": None if values is None else list(values),
+                "direction": "forward",
             })
     return out
 
@@ -340,30 +374,54 @@ def _spectra(case: dict) -> tuple:
     return sim, traced, [spectrum], [oracle]
 
 
-def run(case: dict) -> dict:
-    """Run one case and return its recorded quantities."""
-    sim, traced, spectra, oracles = _spectra(case)
-    spectra = [np.ascontiguousarray(s) for s in spectra]
+def _virtual(case: dict) -> tuple:
+    """The plain and traced :func:`run_case` runs of a virtual case."""
+    nx, ny, nz = case["shape"]
+    shape = ProblemShape(nx, ny, nz, case["p"])
+    params = None if case["params"] is None else TuningParams(*case["params"])
+    args = (case["variant"], get_platform(case["platform"]), shape, params)
+    sim = run_case(*args)[0].sim
+    with tracing(Tracer(rank_spans=True)):
+        traced = run_case(*args, record_events=True)[0].sim
+    return sim, traced
+
+
+def _timing(sim, traced) -> dict:
+    """The virtual-time fields every case records."""
     totals: dict[str, float] = {}
     for tr in sim.traces:
         for label, secs in tr.by_label.items():
             totals[label] = totals.get(label, 0.0) + secs
     per_rank = json.dumps([sorted((k, v.hex()) for k, v in tr.by_label.items())
                            for tr in sim.traces])
-    digest = hashlib.sha256()
-    for spectrum in spectra:
-        digest.update(spectrum.tobytes())
     return {
-        "clocks": [r[2] for r in sim.results],
         "by_label": dict(sorted(totals.items())),
         "by_label_sha": hashlib.sha256(per_rank.encode()).hexdigest(),
         "sched": {"handoffs": sim.stats.handoffs,
                   "probe_polls": sim.stats.probe_polls,
                   "wakeups": sim.stats.wakeups},
+        "events_sha": events_digest(traced.traces),
+    }
+
+
+def run(case: dict) -> dict:
+    """Run one case and return its recorded quantities."""
+    if case.get("pipeline") == "virtual":
+        sim, traced = _virtual(case)
+        return {"elapsed": sim.elapsed, **_timing(sim, traced)}
+    sim, traced, spectra, oracles = _spectra(case)
+    spectra = [np.ascontiguousarray(s) for s in spectra]
+    digest = hashlib.sha256()
+    for spectrum in spectra:
+        digest.update(spectrum.tobytes())
+    timing = _timing(sim, traced)
+    return {
+        "clocks": [r[2] for r in sim.results],
+        **{k: timing[k] for k in ("by_label", "by_label_sha", "sched")},
         "spectrum_sha": digest.hexdigest(),
         "err": max(float(np.max(np.abs(s - o)))
                    for s, o in zip(spectra, oracles, strict=True)),
-        "events_sha": events_digest(traced.traces),
+        "events_sha": timing["events_sha"],
     }
 
 
@@ -376,6 +434,8 @@ def annotate(data: dict) -> dict:
     """Set ``*_after`` fields where today's spectrum differs from
     ``data``'s capture, and drop them where it matches it again."""
     for case in data["cases"]:
+        if "spectrum_sha" not in case:
+            continue  # a virtual case has no spectrum
         now = run(case)
         if now["spectrum_sha"] != case["spectrum_sha"]:
             case["spectrum_sha_after"] = now["spectrum_sha"]

@@ -1,8 +1,8 @@
 """The real-payload pipeline against its committed golden fixture.
 
-Virtual time (per-rank clocks, per-step seconds, scheduler counters)
-and the traced event timeline must match the capture bit for bit on
-every case.  Spectra must match
+Virtual time (per-rank clocks, or a virtual case's makespan; per-step
+seconds; scheduler counters) and the traced event timeline must match
+the capture bit for bit on every case.  Spectra must match
 the captured digest, or — for the cases whose spectra the kernel
 changes since the capture moved at round-off — the recorded
 ``spectrum_sha_after``.  See :mod:`tests.core.payload_golden`.
@@ -22,13 +22,18 @@ BY_ID = {case["id"]: case for case in CASES}
 @pytest.mark.parametrize("case", CASES, ids=[c["id"] for c in CASES])
 def test_matches_golden(case):
     got = run(case)
-    assert got["clocks"] == case["clocks"]
+    if case.get("pipeline") == "virtual":
+        assert got["elapsed"] == case["elapsed"]
+    else:
+        assert got["clocks"] == case["clocks"]
     assert got["by_label"] == case["by_label"]
     assert got["by_label_sha"] == case["by_label_sha"]
     assert got["sched"] == case["sched"]
     assert got["events_sha"] == case["events_sha"]
-    assert got["spectrum_sha"] == case.get("spectrum_sha_after", case["spectrum_sha"])
-    assert got["err"] <= 1e-11
+    if case.get("pipeline") != "virtual":
+        assert got["spectrum_sha"] == case.get("spectrum_sha_after",
+                                               case["spectrum_sha"])
+        assert got["err"] <= 1e-11
 
 
 def test_tilings_agree_bitwise():

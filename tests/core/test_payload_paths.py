@@ -3,7 +3,9 @@
 A real-payload run moves numpy data the virtual run does not, but the
 data path costs no virtual time: both must take the same scheduling
 decisions and charge the same seconds, bit for bit — for the slab
-pipeline and for every mode of the multi-array executor.  The data path
+pipeline and for every mode of the multi-array executor (a virtual run
+on uniform slabs steps one rank, so its scheduler counts are compared
+with the p-rank run's).  The data path
 itself runs once per rank and array on the whole slab (one FFTy+Pack
 and one Unpack+FFTx, whatever the tiling), which the call-count tests
 pin.
@@ -21,6 +23,8 @@ from repro.core.params import W_MAX, ProblemShape, TuningParams
 from repro.core.variants import get_variant
 from repro.fft.plan import Plan1D
 from repro.machine.platforms import get_platform
+
+from .test_symmetric import virtual_run
 
 PLATFORM = get_platform("UMD-Cluster")
 VARIANTS = ("NEW", "NEW-0", "TH", "TH-0", "FFTW")
@@ -61,7 +65,10 @@ def test_real_payload_run_times_like_the_virtual_run(cell):
     real, spectrum = run_case(variant, PLATFORM, shape, params,
                               global_array=arr, record_events=True)
     assert real.sim.elapsed == virt.sim.elapsed
-    assert real.sim.stats == virt.sim.stats
+    # a virtual run on uniform slabs steps one rank for all p, so the
+    # scheduler counts to match are the p-rank virtual run's
+    full = virtual_run(variant, PLATFORM, shape, params, symmetric=False)
+    assert real.sim.stats == full.stats
     for tv, tr in zip(virt.sim.traces, real.sim.traces, strict=True):
         assert tr.by_label == tv.by_label
         # every event's (t0, t1, label): the rank's clock at every step

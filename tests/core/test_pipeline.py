@@ -1,5 +1,8 @@
 """End-to-end distributed FFT: numerical correctness and overlap behavior."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,62 +106,49 @@ class TestNumericalCorrectness:
 
 
 class TestProgressPhasesEquivalence:
-    """``ctx.progress_phases`` inlines ``AlltoallRequest.progress_segment``
-    and the two clock advances; it must be exactly equivalent to the
-    unfused reference spelling — the phase's test budget split over the
-    live window, one ``progress_segment`` per request, then
-    ``Engine.advance`` for the phase and for the Test overhead — with
-    the same clocks, traces, and event timelines (the
-    ``progress_phases`` docstring points here)."""
+    """``ctx.progress_phases`` against the unfused reference spelling —
+    the phase's test budget split over the live window, one test
+    segment per request (the former ``AlltoallRequest.progress_segment``),
+    then ``Engine.advance`` for the phase and for the Test overhead — as
+    captured in ``progress_golden.json``: the same makespan, results,
+    per-rank ``by_label`` and event timelines, bit for bit.
+
+    The reference method was a second copy of the posting loop that only
+    this test called, so its outputs were committed (the original case
+    plus eleven drawn ``(p, counts, budgets)`` cases, scalar and per-peer
+    counts, on both platforms) and the method was deleted.  The fixture
+    cannot be regenerated from the live code: that would pin
+    ``progress_phases`` against itself."""
+
+    CASES = json.loads(
+        (Path(__file__).with_name("progress_golden.json")).read_text())
 
     @staticmethod
-    def _unfused(ctx, seconds, total, label, reqs):
-        live = [r for r in reqs if not r.consumed]
-        t0 = ctx.now
-        tests = 0
-        if live and total > 0:
-            base, extra = divmod(total, len(live))
-            for i, req in enumerate(live):
-                ntests = base + (1 if i < extra else 0)
-                if ntests > 0:
-                    req.progress_segment(t0, seconds, ntests)
-                    tests += ntests
-        ctx.engine.advance(ctx.rank, seconds, label)
-        if tests:
-            ctx.engine.advance(ctx.rank, tests * ctx.cpu.test_overhead, "Test")
-
-    @classmethod
-    def _body(cls, ctx, fused):
+    def _body(ctx, case):
         comm = ctx.comm
-        reqs = [comm.ialltoall([4096 * (k + 1)] * ctx.size) for k in range(3)]
-        phases = ((2e-4, 7, "FFTy"), (1.3e-4, 3, "Pack"))
-        idle = (5e-5, 0, "Idle")
-        if fused:
-            ctx.progress_phases(phases, reqs)
-            ctx.progress_phases((idle,), reqs)
-        else:
-            for seconds, total, label in (*phases, idle):
-                cls._unfused(ctx, seconds, total, label, reqs)
+        reqs = [comm.ialltoall(c) for c in case["counts"]]
+        for batch in case["batches"]:
+            ctx.progress_phases([tuple(ph) for ph in batch], reqs)
         out = []
         for r in reqs:
             out.append((yield from comm.co_wait(r)) is None)
-        return ctx.now, tuple(out)
+        return ctx.now, out
 
     def test_fused_matches_unfused(self):
+        from repro.machine.platforms import get_platform
         from repro.simmpi import run_spmd
 
-        def prog_fused(ctx):
-            return (yield from self._body(ctx, True))
+        for case in self.CASES:
+            def prog(ctx, case=case):
+                return (yield from self._body(ctx, case))
 
-        def prog_unfused(ctx):
-            return (yield from self._body(ctx, False))
-
-        a = run_spmd(4, prog_fused, UMD_CLUSTER, record_events=True)
-        b = run_spmd(4, prog_unfused, UMD_CLUSTER, record_events=True)
-        assert a.elapsed == b.elapsed  # exact, no tolerance
-        assert a.results == b.results
-        assert [t.by_label for t in a.traces] == [t.by_label for t in b.traces]
-        assert [t.events for t in a.traces] == [t.events for t in b.traces]
+            sim = run_spmd(case["p"], prog, get_platform(case["platform"]),
+                           record_events=True)
+            assert sim.elapsed == case["elapsed"], case["id"]  # exact
+            assert [[t, w] for t, w in sim.results] == case["results"]
+            assert [t.by_label for t in sim.traces] == case["by_label"]
+            assert [[list(e) for e in t.events] for t in sim.traces] == \
+                case["events"], case["id"]
 
 
 class TestTimingBehavior:

@@ -228,6 +228,56 @@ class TestDrain:
             release.set()
 
 
+class TestWaitFinished:
+    """The held plan poll's wait: back at once when the job finishes,
+    after the timeout while it runs, and at once when the manager stops."""
+
+    def test_returns_when_the_job_finishes(self):
+        release = threading.Event()
+        mgr = JobManager(lambda job: release.wait(5.0), threads=1)
+        try:
+            job, _ = mgr.submit(KEY, "default", REQ)
+            wait_until(lambda: job.state == RUNNING)
+            threading.Timer(0.05, release.set).start()
+            t0 = time.monotonic()
+            mgr.wait_finished(job, 5.0)
+            assert job.state == DONE
+            assert time.monotonic() - t0 < 2.0
+        finally:
+            release.set()
+            mgr.shutdown()
+
+    def test_times_out_on_a_running_job(self):
+        release = threading.Event()
+        mgr = JobManager(lambda job: release.wait(5.0), threads=1)
+        try:
+            job, _ = mgr.submit(KEY, "default", REQ)
+            wait_until(lambda: job.state == RUNNING)
+            t0 = time.monotonic()
+            mgr.wait_finished(job, 0.1)
+            assert job.state == RUNNING
+            assert time.monotonic() - t0 >= 0.09
+        finally:
+            release.set()
+            mgr.shutdown()
+
+    def test_shutdown_releases_a_held_wait(self):
+        release = threading.Event()
+        mgr = JobManager(lambda job: release.wait(5.0), threads=1)
+        job, _ = mgr.submit(KEY, "default", REQ)
+        wait_until(lambda: job.state == RUNNING)
+        waiter = threading.Thread(target=mgr.wait_finished, args=(job, 30.0))
+        waiter.start()
+        try:
+            mgr.shutdown(wait=False)
+            waiter.join(5.0)
+            assert not waiter.is_alive()
+            assert job.state == RUNNING
+        finally:
+            release.set()
+            waiter.join(5.0)
+
+
 class TestResubmit:
     def test_resubmit_recreates_under_original_id(self):
         mgr = JobManager(lambda job: None, threads=1)

@@ -14,6 +14,7 @@ The three acceptance properties from the PR-8 issue live here:
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.dist.protocol import call, fetch_text
 from repro.errors import DistProtocolError
 from repro.obs.registry import MetricsRegistry, scoped_registry
 from repro.serve.jobs import DONE
+from repro.serve.server import POLL_HOLD_S
 from repro.serve import (
     DEFAULT_TENANT,
     PlanServer,
@@ -150,6 +152,61 @@ class TestPlanLifecycle:
             assert len(files["teamA"]) == 1
             assert files["teamB"] == files["teamA"]
         finally:
+            srv.stop()
+
+
+def hold_job_open(srv):
+    """Make ``srv``'s jobs tune, then stay running until the returned
+    ``release`` event is set; ``tuned`` is set once the cell is stored."""
+    tuned, release = threading.Event(), threading.Event()
+    run = srv.jobs._runner
+
+    def held(job):
+        run(job)
+        tuned.set()
+        release.wait(60)
+
+    srv.jobs._runner = held
+    return tuned, release
+
+
+class TestHeldPoll:
+    """``GET /plan/<id>`` on an unfinished job waits for it to finish, up
+    to ``POLL_HOLD_S``, and then answers as an unheld poll would."""
+
+    def test_poll_answers_done_in_the_same_request(self, tmp_path):
+        srv, url, reg = start_server(tmp_path)
+        tuned, release = hold_job_open(srv)
+        try:
+            code, body = request_plan(url, PLATFORM, 4, 32)
+            assert code == 202
+            assert tuned.wait(120)
+            assert srv.jobs.get(body["job"]).state == "running"
+            threading.Timer(POLL_HOLD_S / 5, release.set).start()
+            t0 = time.monotonic()
+            _, polled = poll_plan(url, body["job"])
+            assert polled["state"] == "done"
+            assert polled["plan"]["params"]
+            assert time.monotonic() - t0 < POLL_HOLD_S
+        finally:
+            release.set()
+            srv.stop()
+
+    def test_poll_on_a_job_that_stays_running_answers_after_the_hold(
+            self, tmp_path):
+        srv, url, reg = start_server(tmp_path)
+        tuned, release = hold_job_open(srv)
+        try:
+            code, body = request_plan(url, PLATFORM, 4, 32)
+            assert tuned.wait(120)
+            t0 = time.monotonic()
+            _, polled = poll_plan(url, body["job"])
+            assert polled["state"] == "running"
+            assert time.monotonic() - t0 >= POLL_HOLD_S * 0.9
+            release.set()
+            assert wait_for_plan(url, body["job"], timeout=120)["state"] == "done"
+        finally:
+            release.set()
             srv.stop()
 
 
